@@ -28,10 +28,8 @@ std::unique_ptr<obs::CounterMetrics> g_metrics;
 std::unique_ptr<rt::NetworkCounter> g_counter;
 
 /// sample_period == 0 means "no metrics attached at all".
-void setup_counter(std::uint32_t width, std::uint32_t sample_period, bool trace,
-                   rt::ExecutionEngine engine) {
+void setup_counter(std::uint32_t width, std::uint32_t sample_period, bool trace) {
   rt::CounterOptions options;
-  options.engine = engine;
   if (sample_period != 0) {
     g_metrics = std::make_unique<obs::CounterMetrics>();
     g_metrics->sample_period = sample_period;
@@ -57,20 +55,16 @@ void run_single_token_body(benchmark::State& state) {
 // --- compiled plan, single tokens ---------------------------------------
 
 void setup_plan_off(const benchmark::State& state) {
-  setup_counter(static_cast<std::uint32_t>(state.range(0)), 0, false,
-                rt::ExecutionEngine::kCompiledPlan);
+  setup_counter(static_cast<std::uint32_t>(state.range(0)), 0, false);
 }
 void setup_plan_sampled(const benchmark::State& state) {
-  setup_counter(static_cast<std::uint32_t>(state.range(0)), 64, false,
-                rt::ExecutionEngine::kCompiledPlan);
+  setup_counter(static_cast<std::uint32_t>(state.range(0)), 64, false);
 }
 void setup_plan_full(const benchmark::State& state) {
-  setup_counter(static_cast<std::uint32_t>(state.range(0)), 1, false,
-                rt::ExecutionEngine::kCompiledPlan);
+  setup_counter(static_cast<std::uint32_t>(state.range(0)), 1, false);
 }
 void setup_plan_traced(const benchmark::State& state) {
-  setup_counter(static_cast<std::uint32_t>(state.range(0)), 1, true,
-                rt::ExecutionEngine::kCompiledPlan);
+  setup_counter(static_cast<std::uint32_t>(state.range(0)), 1, true);
 }
 
 /// Baseline: metrics pointer null — the uninstrumented PR-1 fast path.
@@ -137,33 +131,6 @@ BENCHMARK(BM_PlanBatchObsSampled)
     ->Setup(setup_plan_sampled)
     ->Teardown(teardown)
     ->Args({32, 64})
-    ->ThreadRange(1, 8)
-    ->UseRealTime();
-
-// --- graph walk (the fallback executor shares the metrics struct) --------
-
-void setup_walk_off(const benchmark::State& state) {
-  setup_counter(static_cast<std::uint32_t>(state.range(0)), 0, false,
-                rt::ExecutionEngine::kGraphWalk);
-}
-void setup_walk_sampled(const benchmark::State& state) {
-  setup_counter(static_cast<std::uint32_t>(state.range(0)), 64, false,
-                rt::ExecutionEngine::kGraphWalk);
-}
-
-void BM_WalkObsOff(benchmark::State& state) { run_single_token_body(state); }
-BENCHMARK(BM_WalkObsOff)
-    ->Setup(setup_walk_off)
-    ->Teardown(teardown)
-    ->Arg(32)
-    ->ThreadRange(1, 8)
-    ->UseRealTime();
-
-void BM_WalkObsSampled(benchmark::State& state) { run_single_token_body(state); }
-BENCHMARK(BM_WalkObsSampled)
-    ->Setup(setup_walk_sampled)
-    ->Teardown(teardown)
-    ->Arg(32)
     ->ThreadRange(1, 8)
     ->UseRealTime();
 

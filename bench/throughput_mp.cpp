@@ -1,14 +1,10 @@
-// mp count() throughput, lock-free fast path vs. the locked oracle — the
-// BENCH_mp series (scripts/bench_json.sh). Every configuration is a
-// BackendSpec string through the run:: harness; the benchmark threads are
-// the service's clients, the spec's `actors=` workers drain the mailboxes.
-//
-// The comparison that matters is at high client counts: the locked engine
-// pays a global run-queue mutex plus a condvar wake per scheduling step and
-// a per-operation heap allocation for its response rendezvous, so client
-// threads convoy; the lock-free engine's send is a pooled-node exchange
-// plus one run-queue CAS, with wake syscalls only when a worker actually
-// sleeps. Same topologies, same worker count, both engines in one binary.
+// mp count() throughput — the BENCH_mp series (scripts/bench_json.sh).
+// Every configuration is a BackendSpec string through the run:: harness; the
+// benchmark threads are the service's clients, the spec's `actors=` workers
+// drain the mailboxes. A send is a pooled-node exchange plus one run-queue
+// CAS, with wake syscalls only when a worker actually sleeps, so the
+// interesting range is high client counts. (The series keep their
+// `LockFree` names so earlier BENCH_mp.json records line up.)
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -32,16 +28,8 @@ void setup_bitonic_lockfree(const benchmark::State& state) {
   rebuild_backend("mp:bitonic:" + std::to_string(state.range(0)) + "?actors=2");
 }
 
-void setup_bitonic_locked(const benchmark::State& state) {
-  rebuild_backend("mp:bitonic:" + std::to_string(state.range(0)) + "?actors=2&engine=locked");
-}
-
 void setup_tree_lockfree(const benchmark::State& state) {
   rebuild_backend("mp:tree:" + std::to_string(state.range(0)) + "?actors=2");
-}
-
-void setup_tree_locked(const benchmark::State& state) {
-  rebuild_backend("mp:tree:" + std::to_string(state.range(0)) + "?actors=2&engine=locked");
 }
 
 void run_count_body(benchmark::State& state) {
@@ -60,25 +48,9 @@ BENCHMARK(BM_MpLockFree)
     ->ThreadRange(1, 8)
     ->UseRealTime();
 
-void BM_MpLocked(benchmark::State& state) { run_count_body(state); }
-BENCHMARK(BM_MpLocked)
-    ->Setup(setup_bitonic_locked)
-    ->Teardown(teardown_backend)
-    ->Arg(32)
-    ->ThreadRange(1, 8)
-    ->UseRealTime();
-
 void BM_MpTreeLockFree(benchmark::State& state) { run_count_body(state); }
 BENCHMARK(BM_MpTreeLockFree)
     ->Setup(setup_tree_lockfree)
-    ->Teardown(teardown_backend)
-    ->Arg(16)
-    ->ThreadRange(1, 8)
-    ->UseRealTime();
-
-void BM_MpTreeLocked(benchmark::State& state) { run_count_body(state); }
-BENCHMARK(BM_MpTreeLocked)
-    ->Setup(setup_tree_locked)
     ->Teardown(teardown_backend)
     ->Arg(16)
     ->ThreadRange(1, 8)

@@ -1,9 +1,7 @@
 // Real-thread throughput: the scalability claim that motivates counting
 // networks (§1). Compares a central atomic fetch_add counter, an MCS-locked
-// counter, and the counting-network counters across thread counts — with the
-// network counters run through both executors (the compiled RoutingPlan and
-// the original graph walk) plus the batched plan API, so the plan's speedup
-// is measurable inside one binary.
+// counter, and the counting-network counters across thread counts — single
+// tokens and the batched plan API.
 //
 // google-benchmark's ->Threads(n) runs the benchmark body on n threads
 // concurrently. Shared state is (re)built in ->Setup() hooks, which the
@@ -81,10 +79,6 @@ void setup_bitonic_plan(const benchmark::State& state) {
   rebuild_backend("rt:bitonic:" + std::to_string(state.range(0)));
 }
 
-void setup_bitonic_graph_walk(const benchmark::State& state) {
-  rebuild_backend("rt:bitonic:" + std::to_string(state.range(0)) + "?engine=walk");
-}
-
 void setup_bitonic_mcs(const benchmark::State& state) {
   rebuild_backend("rt:bitonic:" + std::to_string(state.range(0)) + "?mcs");
 }
@@ -105,21 +99,9 @@ void run_single_token_body(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 
-/// Compiled-plan executor (the production default).
 void BM_BitonicFetchAdd(benchmark::State& state) { run_single_token_body(state); }
 BENCHMARK(BM_BitonicFetchAdd)
     ->Setup(setup_bitonic_plan)
-    ->Teardown(teardown_backend)
-    ->Arg(8)
-    ->Arg(32)
-    ->ThreadRange(1, 8)
-    ->UseRealTime();
-
-/// The original per-token topo::Network walk, kept benchmarkable as the
-/// before/after reference for the plan.
-void BM_BitonicGraphWalk(benchmark::State& state) { run_single_token_body(state); }
-BENCHMARK(BM_BitonicGraphWalk)
-    ->Setup(setup_bitonic_graph_walk)
     ->Teardown(teardown_backend)
     ->Arg(8)
     ->Arg(32)

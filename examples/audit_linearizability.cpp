@@ -1,20 +1,25 @@
 // Reproduce the paper's experiment on your own machine.
 //
 // Runs the §5-style delay-injection workload on real threads — a fraction F
-// of the threads busy-waits W nanoseconds after every balancer — and reports
+// of the issuers busy-waits W nanoseconds after every balancer — and reports
 // the non-linearizable fraction (Def 2.4) next to what the theory says about
 // the configuration. Try cranking W up: you are manufacturing the timing
 // anomaly (c2/c1 > 2) the paper shows is needed for violations.
 //
+// The run is an ordinary spec through run::Runner, so the same audit works
+// on any live backend (`rt:...` or `mp:...`) by changing the spec string.
+//
 //   $ ./examples/audit_linearizability [threads] [F%] [W_ns] [tree|bitonic]
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
+#include <string>
 #include <thread>
 
-#include "rt/delay_harness.h"
-#include "theory/bounds.h"
-#include "topo/builders.h"
+#include "run/backend.h"
+#include "run/runner.h"
 
 int main(int argc, char** argv) {
   const unsigned threads = argc > 1 ? static_cast<unsigned>(std::atoi(argv[1]))
@@ -23,32 +28,41 @@ int main(int argc, char** argv) {
   const std::uint64_t wait_ns = argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 50000;
   const bool tree = argc > 4 && std::strcmp(argv[4], "tree") == 0;
 
-  const cnet::topo::Network net =
-      tree ? cnet::topo::make_counting_tree(32) : cnet::topo::make_bitonic(32);
+  const std::string spec = tree ? "rt:tree:32?diffraction=on" : "rt:bitonic:32";
+  std::string error;
+  const std::unique_ptr<cnet::run::CountingBackend> backend =
+      cnet::run::make_backend(spec, &error);
+  if (backend == nullptr) {
+    std::printf("bad spec: %s\n", error.c_str());
+    return 2;
+  }
 
-  cnet::rt::ExperimentParams params;
-  params.threads = threads;
-  params.total_ops = 200000;
-  params.delayed_fraction = fraction;
-  params.wait_ns = wait_ns;
-  params.counter.diffraction = tree;
+  cnet::run::Workload workload;
+  workload.threads = std::max(1u, threads);
+  workload.total_ops = 200000;
+  workload.delayed_fraction = fraction;
+  workload.wait = wait_ns;
 
-  std::printf("auditing %s: %u threads, F=%.0f%%, W=%llu ns, %llu ops...\n",
-              net.name().c_str(), threads, fraction * 100.0,
-              static_cast<unsigned long long>(wait_ns),
-              static_cast<unsigned long long>(params.total_ops));
+  std::printf("auditing %s: %u threads, F=%.0f%%, W=%llu ns, %llu ops...\n", spec.c_str(),
+              workload.threads, fraction * 100.0, static_cast<unsigned long long>(wait_ns),
+              static_cast<unsigned long long>(workload.total_ops));
 
-  const cnet::rt::ExperimentResult result = cnet::rt::run_experiment(net, params);
+  cnet::run::Runner runner;
+  const cnet::run::RunReport report = runner.run(*backend, workload);
+  if (!report.ok) {
+    std::printf("run rejected: %s\n", report.error.c_str());
+    return 2;
+  }
 
   std::printf("counting correctness: %s\n",
-              result.counting_ok ? "OK (values form 0..n-1)" : result.counting_message.c_str());
-  std::printf("throughput: %.2f Mops/s\n", result.throughput_ops_per_sec / 1e6);
+              report.counting_ok ? "OK (values form 0..n-1)" : report.counting_message.c_str());
+  std::printf("throughput: %.2f Mops/s\n", report.throughput * 1e3);
   std::printf("non-linearizable operations: %llu of %llu (%.4f%%)\n",
-              static_cast<unsigned long long>(result.analysis.nonlinearizable_ops),
-              static_cast<unsigned long long>(result.analysis.total_ops),
-              result.analysis.fraction() * 100.0);
+              static_cast<unsigned long long>(report.analysis.nonlinearizable_ops),
+              static_cast<unsigned long long>(report.analysis.total_ops),
+              report.analysis.fraction() * 100.0);
   std::printf("worst value inversion: %llu\n",
-              static_cast<unsigned long long>(result.analysis.worst_inversion));
+              static_cast<unsigned long long>(report.analysis.worst_inversion));
 
   // What the theory says: with W = 0 every link takes roughly the same time
   // (c2/c1 ~ 1 <= 2, Cor 3.9 -> linearizable); injected waits push the
@@ -57,10 +71,10 @@ int main(int argc, char** argv) {
   std::printf("        (Cor 3.9); with W = %llu ns you %s that regime.\n",
               static_cast<unsigned long long>(wait_ns),
               wait_ns == 0 ? "stay inside" : "may be leaving");
-  if (!result.analysis.linearizable()) {
+  if (!report.analysis.linearizable()) {
     std::printf("        %u-deep network + Thm 3.6: any op separated from its\n",
-                net.depth());
+                report.spec.build_network().depth());
     std::printf("        predecessor by more than h*(c2-2*c1) is still ordered.\n");
   }
-  return result.counting_ok ? 0 : 1;
+  return report.counting_ok ? 0 : 1;
 }

@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # Machine-readable runtime benchmark snapshot: runs the real-thread
-# throughput benches (compiled plan vs graph walk, batched vs single) and the
-# psim engine benches (timing wheel vs retired heap on the fig5-shaped mix),
-# merging both google-benchmark JSON reports into BENCH_rt.json at the repo
-# root; the observability-overhead benches (metrics off / sampled /
-# full / traced; see docs/OBSERVABILITY.md) into BENCH_obs.json; the mp
-# engine comparison (lock-free fast path vs locked oracle, bitonic + tree,
-# 1..8 client threads) into BENCH_mp.json; and the service boundary-batching
+# throughput benches (batched vs single tokens against the central-counter
+# baselines) and the psim engine benches (timing wheel vs retired heap on
+# the fig5-shaped mix), merging both google-benchmark JSON reports into
+# BENCH_rt.json at the repo root; the observability-overhead benches
+# (metrics off / sampled / full / traced; see docs/OBSERVABILITY.md) into
+# BENCH_obs.json; the mp count() series (bitonic + tree, 1..8 client
+# threads) into BENCH_mp.json; and the service boundary-batching
 # ablation (batched vs textbook per-request loop over real loopback TCP, 8
 # connections; see docs/SERVICE.md) plus the link/pipeline series (raw shm
 # ring ping/pong, pipelined deployments vs the per-op socketpair ablation;
@@ -90,8 +90,8 @@ python3 - "$out" <<'EOF'
 import json, sys
 required = [
     "BM_CentralAtomic", "BM_McsLockedCounter", "BM_BitonicFetchAdd",
-    "BM_BitonicGraphWalk", "BM_BitonicFetchAddBatch", "BM_BitonicMcsBalancers",
-    "BM_Periodic", "BM_DiffractingTree", "BM_PsimStallDebit",
+    "BM_BitonicFetchAddBatch", "BM_BitonicMcsBalancers", "BM_Periodic",
+    "BM_DiffractingTree", "BM_PsimStallDebit",
 ]
 with open(sys.argv[1]) as f:
     names = {b["name"] for b in json.load(f)["benchmarks"]}
@@ -112,11 +112,10 @@ build/bench/throughput_mp \
 tag_build_type "$mp_out"
 echo "wrote $mp_out ($(python3 -c "import json;print(len(json.load(open('$mp_out'))['benchmarks']))") benchmarks)"
 
-# Same key guard for the mp series: both engines must be present or the
-# lockfree-vs-locked comparison silently degenerates.
+# Same key guard for the mp series: both topologies must be present.
 python3 - "$mp_out" <<'EOF'
 import json, sys
-required = ["BM_MpLockFree", "BM_MpLocked", "BM_MpTreeLockFree", "BM_MpTreeLocked"]
+required = ["BM_MpLockFree", "BM_MpTreeLockFree"]
 with open(sys.argv[1]) as f:
     names = {b["name"] for b in json.load(f)["benchmarks"]}
 missing = [r for r in required if not any(n.startswith(r) for n in names)]

@@ -55,15 +55,21 @@ check_output "spec diagnostics echo the spec" "bogus:bitonic:8" \
   "$CLI" run "bogus:bitonic:8"
 
 # --- spec-driven run on every family ---------------------------------------
-for spec in "sim:bitonic:8" "psim:bitonic:8" "rt:bitonic:8" "mp:bitonic:8?actors=2" \
-            "mp:bitonic:8?actors=2&engine=lockfree" "mp:bitonic:8?actors=2&engine=locked"; do
+for spec in "sim:bitonic:8" "psim:bitonic:8" "rt:bitonic:8" "mp:bitonic:8?actors=2"; do
   check "run $spec" "$CLI" run "$spec" threads=2 ops=200 seed=5
 done
-check_output "run report prints the canonical spec" "rt:bitonic:8?engine=walk" \
-  "$CLI" run "rt:bitonic:8?engine=walk" threads=2 ops=100
+check_output "run report prints the canonical spec" "rt:bitonic:8?mcs=on" \
+  "$CLI" run "rt:bitonic:8?mcs" threads=2 ops=100
 check "run with poisson arrivals" "$CLI" run "sim:bitonic:8" arrival=poisson rate=2 ops=100
 check_rc "psim rejects open-loop arrivals" 2 "$CLI" run "psim:bitonic:8" arrival=poisson rate=2
-check_rc "bad mp engine exits 2" 2 "$CLI" run "mp:bitonic:8?engine=spinning"
+for spec in "rt:bitonic:8?engine=walk" "rt:bitonic:8?engine=plan" \
+            "mp:bitonic:8?engine=locked" "mp:bitonic:8?engine=lockfree" \
+            "psim:bitonic:8?engine=walk" "sim:bitonic:8?engine=walk"; do
+  check_rc "removed engine option exits 2: $spec" 2 "$CLI" run "$spec"
+done
+check_output "removed engine option names the one executor" \
+  "option 'engine' was removed: rt always runs the compiled plan, mp the lock-free actors" \
+  "$CLI" run "mp:bitonic:8?engine=locked"
 check "mp accepts per-node delay injection" \
   "$CLI" run "mp:bitonic:8?actors=2" threads=4 ops=200 f=0.5 wait=200 seed=5
 
@@ -162,10 +168,12 @@ rm -f /tmp/cnet_serve_report.$$
 
 # --- count/verify accept both forms ----------------------------------------
 check "count, positional form" "$CLI" count bitonic 8 2 1000
-check "count, spec form" "$CLI" count "rt:bitonic:8?engine=walk" 2 1000
+check "count, spec form" "$CLI" count "rt:bitonic:8?mcs" 2 1000
 check "verify, positional form" "$CLI" verify bitonic 8 50
 check "verify, spec form" "$CLI" verify "sim:periodic:8" 50
-check_rc "count with unknown engine exits 2" 2 "$CLI" count bitonic 8 2 1000 8 turbo
+check_rc "count with an argument after batch exits 2" 2 "$CLI" count bitonic 8 2 1000 8 walk
+check_rc "count, spec form, with an argument after batch exits 2" 2 \
+  "$CLI" count "rt:bitonic:8" 2 1000 8 walk
 
 if [ "$failures" -ne 0 ]; then
   echo "$failures check(s) failed" >&2

@@ -12,7 +12,6 @@ rt::CounterOptions options_for(const SharedCounter::Config& config) {
       config.mcs_balancers ? rt::BalancerMode::kMcsLocked : rt::BalancerMode::kFetchAdd;
   options.diffraction = config.diffraction && config.topology == Topology::kTree;
   options.max_threads = config.max_threads;
-  options.engine = config.engine;
   options.metrics = config.metrics;
   return options;
 }

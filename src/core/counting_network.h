@@ -71,10 +71,6 @@ class SharedCounter {
     /// Upper bound on concurrent caller ids.
     std::uint32_t max_threads = 256;
 
-    /// Run tokens through the compiled RoutingPlan (default) or the original
-    /// per-token graph walk (kept for cross-checking and benchmarking).
-    rt::ExecutionEngine engine = rt::ExecutionEngine::kCompiledPlan;
-
     /// Observability sink (borrowed; may be null — the default — for zero
     /// instrumentation cost). See obs/backend_metrics.h and
     /// docs/OBSERVABILITY.md for the recorded metrics.
@@ -87,9 +83,9 @@ class SharedCounter {
   /// concurrent callers and < config.max_threads.
   std::uint64_t next(std::uint32_t thread_id);
 
-  /// Claims out.size() counter values at once, written in order. On the
-  /// compiled-plan engine this batches the contended output fetch_add; a
-  /// worker that stamps requests in blocks should prefer this. Values are
+  /// Claims out.size() counter values at once, written in order. This
+  /// batches the contended output fetch_add; a worker that stamps requests
+  /// in blocks should prefer this. Values are
   /// globally unique and, single-threaded, identical to repeated next().
   void next_batch(std::uint32_t thread_id, std::span<std::uint64_t> out);
 

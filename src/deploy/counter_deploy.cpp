@@ -150,9 +150,6 @@ bool validate_deploy_spec(const run::BackendSpec& spec, std::uint32_t tiles,
     return fail("only the rt family deploys across processes (got " +
                 std::string(run::family_name(spec.family)) + ")");
   }
-  if (spec.engine_walk) {
-    return fail("engine=walk has no relocatable plan state; use the compiled plan");
-  }
   if (spec.mcs) {
     return fail("mcs balancers cannot cross processes (MCS queue nodes live on caller "
                 "stacks, which are process-private)");

@@ -81,7 +81,6 @@ inline rt::CounterOptions counter_options(const run::BackendSpec& spec) {
   options.mode = rt::BalancerMode::kFetchAdd;  // validate_deploy_spec rejected mcs
   options.diffraction = false;
   options.max_threads = spec.max_threads;
-  options.engine = rt::ExecutionEngine::kCompiledPlan;
   return options;
 }
 

@@ -60,69 +60,43 @@ ActorRuntime::ActorRuntime(Options options) : options_(options) {
 }
 
 ActorRuntime::~ActorRuntime() {
-  if (options_.engine == Engine::kLocked) {
-    {
-      const std::scoped_lock lock(queue_mutex_);
-      stopping_ = true;
-    }
-    queue_cv_.notify_all();
-  } else {
-    lf_stopping_.store(true, std::memory_order_seq_cst);
-    work_epoch_.fetch_add(1, std::memory_order_seq_cst);
-    work_epoch_.notify_all();
-  }
+  stopping_.store(true, std::memory_order_seq_cst);
+  work_epoch_.fetch_add(1, std::memory_order_seq_cst);
+  work_epoch_.notify_all();
   workers_.clear();  // joins; workers drain whatever is still queued first
 }
 
 ActorId ActorRuntime::add_actor(Handler handler) {
   CNET_CHECK_MSG(workers_.empty(), "add_actor must precede start()");
   handlers_.push_back(std::move(handler));
-  if (options_.engine == Engine::kLocked) {
-    locked_actors_.push_back(std::make_unique<LockedActor>());
-  } else {
-    lf_actors_.push_back(std::make_unique<LfActor>());
-  }
+  actors_.push_back(std::make_unique<Actor>());
   return static_cast<ActorId>(handlers_.size() - 1);
 }
 
 void ActorRuntime::start() {
   CNET_CHECK_MSG(workers_.empty(), "start() called twice");
   workers_.reserve(options_.workers);
-  if (options_.engine == Engine::kLocked) {
-    for (std::uint32_t i = 0; i < options_.workers; ++i) {
-      workers_.emplace_back([this, i] { locked_worker_loop(i); });
-    }
-    return;
-  }
   // An actor holds at most one run-queue entry (the SCHEDULED flag), so a
   // shard sized past the actor count can never overflow even if every
   // enqueue lands on it; the extra headroom covers slots whose pop is still
   // in flight on another worker.
-  const auto capacity = static_cast<std::uint32_t>(lf_actors_.size()) + options_.workers + 1;
+  const auto capacity = static_cast<std::uint32_t>(actors_.size()) + options_.workers + 1;
   shards_ = std::make_unique<MpmcRing[]>(options_.workers);
   worker_stats_ = std::make_unique<WorkerStat[]>(options_.workers + kClientStatShards);
   for (std::uint32_t i = 0; i < options_.workers; ++i) shards_[i].init(capacity);
   for (std::uint32_t i = 0; i < options_.workers; ++i) {
-    workers_.emplace_back([this, i] { lf_worker_loop(i); });
+    workers_.emplace_back([this, i] { worker_loop(i); });
   }
 }
 
 void ActorRuntime::send(ActorId to, const Message& message) {
   CNET_CHECK(to < handlers_.size());
-  if (options_.engine == Engine::kLocked) {
-    locked_send(to, message);
-  } else {
-    lf_send(to, message, /*allow_inline=*/true);
-  }
+  deliver(to, message, /*allow_inline=*/true);
 }
 
 void ActorRuntime::send_queued(ActorId to, const Message& message) {
   CNET_CHECK(to < handlers_.size());
-  if (options_.engine == Engine::kLocked) {
-    locked_send(to, message);  // the locked engine never donates anyway
-  } else {
-    lf_send(to, message, /*allow_inline=*/false);
-  }
+  deliver(to, message, /*allow_inline=*/false);
 }
 
 std::uint64_t ActorRuntime::messages_processed() const {
@@ -130,9 +104,6 @@ std::uint64_t ActorRuntime::messages_processed() const {
   // that observes `messages_processed() >= N` also observes the handler
   // effects of those N messages ("poll the counter, then assert" is a
   // supported pattern — the tests lean on it).
-  if (options_.engine == Engine::kLocked) {
-    return processed_.load(std::memory_order_acquire);
-  }
   std::uint64_t total = 0;
   if (worker_stats_ != nullptr) {
     for (std::uint32_t i = 0; i < options_.workers + kClientStatShards; ++i) {
@@ -142,101 +113,14 @@ std::uint64_t ActorRuntime::messages_processed() const {
   return total;
 }
 
-MessagePool::Stats ActorRuntime::pool_stats() const {
-  return options_.engine == Engine::kLocked ? MessagePool::Stats{} : pool_.stats();
-}
-
-// --- locked engine (the seed implementation, kept as the oracle) -----------
-
-void ActorRuntime::locked_send(ActorId to, const Message& message) {
-  LockedActor& actor = *locked_actors_[to];
-  bool need_schedule = false;
-  std::size_t depth = 0;
-  {
-    const std::scoped_lock lock(actor.mutex);
-    actor.mailbox.push_back(message);
-    depth = actor.mailbox.size();
-    if (!actor.scheduled) {
-      actor.scheduled = true;
-      need_schedule = true;
-    }
-  }
-#if CNET_OBS
-  // Depth is read under the mailbox lock but recorded outside it; sharded
-  // by the receiving actor so concurrent senders rarely collide.
-  if (queue_depth_ != nullptr) queue_depth_->record(to, depth);
-#else
-  (void)depth;
-#endif
-  if (need_schedule) locked_enqueue(to);
-}
-
-void ActorRuntime::locked_enqueue(ActorId id) {
-  {
-    const std::scoped_lock lock(queue_mutex_);
-    run_queue_.push_back(id);
-  }
-  queue_cv_.notify_one();
-}
-
-bool ActorRuntime::locked_dequeue(ActorId& id) {
-  std::unique_lock lock(queue_mutex_);
-  queue_cv_.wait(lock, [this] { return stopping_ || !run_queue_.empty(); });
-  if (run_queue_.empty()) return false;  // stopping
-  id = run_queue_.front();
-  run_queue_.pop_front();
-  return true;
-}
-
-void ActorRuntime::locked_worker_loop(std::uint32_t wid) {
-  ActorId id = 0;
-  while (locked_dequeue(id)) {
-    if (options_.park_point) {
-      const std::uint64_t ns = options_.park_point(wid);
-      if (ns != 0) busy_pause(ns);
-    }
-    LockedActor& actor = *locked_actors_[id];
-    for (int processed = 0; processed < kBatch; ++processed) {
-      Message message;
-      {
-        const std::scoped_lock lock(actor.mutex);
-        if (actor.mailbox.empty()) {
-          actor.scheduled = false;
-          break;
-        }
-        message = actor.mailbox.front();
-        actor.mailbox.pop_front();
-      }
-      // Serialized: no other worker runs this actor while scheduled == true.
-      handlers_[id](id, message);
-      processed_.fetch_add(1, std::memory_order_release);
-    }
-    // Batch exhausted with messages possibly left: hand the actor back to
-    // the queue so other actors get their turn.
-    bool requeue = false;
-    {
-      const std::scoped_lock lock(actor.mutex);
-      if (actor.scheduled && !actor.mailbox.empty()) {
-        requeue = true;
-      } else if (actor.scheduled) {
-        actor.scheduled = false;
-      }
-    }
-    if (requeue) locked_enqueue(id);
-  }
-}
-
-// --- lock-free engine -------------------------------------------------------
-
-void ActorRuntime::lf_send(ActorId to, const Message& message, bool allow_inline) {
-  LfActor& actor = *lf_actors_[to];
+void ActorRuntime::deliver(ActorId to, const Message& message, bool allow_inline) {
+  Actor& actor = *actors_[to];
   MpscNode* node = pool_.acquire();
   node->msg = message;
 #if CNET_OBS
   if (queue_depth_ != nullptr) {
     // Approximate sharded depth: one relaxed cell per actor, bumped here
-    // and decremented at drain. Post-enqueue depth, same convention as the
-    // locked engine's under-lock size (docs/OBSERVABILITY.md).
+    // and decremented at drain. Post-enqueue depth (docs/OBSERVABILITY.md).
     const std::uint32_t depth = actor.depth.fetch_add(1, std::memory_order_relaxed) + 1;
     queue_depth_->record(to, depth);
   }
@@ -260,20 +144,20 @@ void ActorRuntime::lf_send(ActorId to, const Message& message, bool allow_inline
       if (allow_inline && tls_shard_hint.runtime != this &&
           tls_inline_depth < kInlineDepthMax) {
         ++tls_inline_depth;
-        lf_run_actor(lf_client_stat_slot(), to);
+        run_actor(client_stat_slot(), to);
         --tls_inline_depth;
       } else {
-        lf_enqueue(to);
+        enqueue(to);
       }
     }
   }
 }
 
-std::uint32_t ActorRuntime::lf_client_stat_slot() const {
+std::uint32_t ActorRuntime::client_stat_slot() const {
   return options_.workers + tls_client_token % kClientStatShards;
 }
 
-void ActorRuntime::lf_enqueue(ActorId id) {
+void ActorRuntime::enqueue(ActorId id) {
   std::uint32_t shard = 0;
   if (tls_shard_hint.runtime == this) {
     shard = tls_shard_hint.shard;
@@ -297,7 +181,7 @@ void ActorRuntime::lf_enqueue(ActorId id) {
   // registration is already globally visible, re-sweeps the shards and
   // misses the not-yet-flushed push: nobody bumps the epoch, every worker
   // stays parked on a runnable actor. The fence pairs with the one in
-  // lf_next_runnable: the two are totally ordered, so either our push is
+  // next_runnable: the two are totally ordered, so either our push is
   // visible to the parker's post-registration sweep (our fence first) or
   // its registration is visible to the sleepers_ load below (its fence
   // first) and we bump + notify.
@@ -308,7 +192,7 @@ void ActorRuntime::lf_enqueue(ActorId id) {
   }
 }
 
-bool ActorRuntime::lf_try_all_shards(std::uint32_t wid, ActorId* out) {
+bool ActorRuntime::try_all_shards(std::uint32_t wid, ActorId* out) {
   if (shards_[wid].pop(out)) return true;
   for (std::uint32_t i = 1; i < options_.workers; ++i) {
     if (shards_[(wid + i) % options_.workers].pop(out)) return true;  // steal
@@ -316,17 +200,17 @@ bool ActorRuntime::lf_try_all_shards(std::uint32_t wid, ActorId* out) {
   return false;
 }
 
-bool ActorRuntime::lf_next_runnable(std::uint32_t wid, ActorId* out) {
+bool ActorRuntime::next_runnable(std::uint32_t wid, ActorId* out) {
   int idle_sweeps = 0;
   std::uint32_t backoff = kBackoffMin;  // see kBackoffMin: steal-storm damping
   for (;;) {
-    if (lf_try_all_shards(wid, out)) return true;
-    if (lf_stopping_.load(std::memory_order_acquire)) {
+    if (try_all_shards(wid, out)) return true;
+    if (stopping_.load(std::memory_order_acquire)) {
       // One authoritative post-stop sweep: the dtor's contract says no new
       // sends race shutdown, so an empty sweep after observing stopping
       // means this worker is done (batch-limit requeues by other workers
       // are re-found by *their* next sweep).
-      return lf_try_all_shards(wid, out);
+      return try_all_shards(wid, out);
     }
     if (++idle_sweeps < kIdleSweeps) {
       for (std::uint32_t i = 0; i < backoff; ++i) cpu_relax();
@@ -341,18 +225,18 @@ bool ActorRuntime::lf_next_runnable(std::uint32_t wid, ActorId* out) {
     // pushed before reading sleepers_ == 0 is caught by this sweep, and one
     // that read sleepers_ != 0 bumps the epoch, so wait(epoch) returns.
     // The fence between registration and the re-sweep is the consumer half
-    // of the eventcount handshake (see lf_enqueue): it guarantees the sweep
+    // of the eventcount handshake (see enqueue): it guarantees the sweep
     // reads the shards *after* the registration is globally visible, so a
     // producer whose fence ordered earlier has its push seen here, and one
     // whose fence ordered later sees sleepers_ != 0 and wakes us.
     sleepers_.fetch_add(1, std::memory_order_seq_cst);
     std::atomic_thread_fence(std::memory_order_seq_cst);
     const std::uint32_t epoch = work_epoch_.load(std::memory_order_seq_cst);
-    if (lf_try_all_shards(wid, out)) {
+    if (try_all_shards(wid, out)) {
       sleepers_.fetch_sub(1, std::memory_order_relaxed);
       return true;
     }
-    if (!lf_stopping_.load(std::memory_order_acquire)) {
+    if (!stopping_.load(std::memory_order_acquire)) {
       work_epoch_.wait(epoch, std::memory_order_seq_cst);
     }
     sleepers_.fetch_sub(1, std::memory_order_relaxed);
@@ -361,8 +245,8 @@ bool ActorRuntime::lf_next_runnable(std::uint32_t wid, ActorId* out) {
   }
 }
 
-void ActorRuntime::lf_run_actor(std::uint32_t stat_slot, ActorId id) {
-  LfActor& actor = *lf_actors_[id];
+void ActorRuntime::run_actor(std::uint32_t stat_slot, ActorId id) {
+  Actor& actor = *actors_[id];
   const Handler& handler = handlers_[id];
   int processed = 0;
   bool requeue = false;
@@ -394,27 +278,27 @@ void ActorRuntime::lf_run_actor(std::uint32_t stat_slot, ActorId id) {
   }
   if (!requeue && processed == kBatch) requeue = actor.mailbox.maybe_nonempty();
   if (requeue) {
-    lf_enqueue(id);  // still holds the SCHEDULED claim
+    enqueue(id);  // still holds the SCHEDULED claim
     return;
   }
   // Mailbox drained: release the claim, then re-check — a producer that
   // pushed between our last pop and the IDLE store either sees IDLE and
   // schedules, or we see its push here and reclaim (Dekker; seq_cst pairs
-  // with lf_send's push/CAS).
+  // with deliver's push/CAS).
   actor.state.store(kIdle, std::memory_order_seq_cst);
   if (actor.mailbox.maybe_nonempty()) {
     std::uint32_t expected = kIdle;
     if (actor.state.compare_exchange_strong(expected, kScheduled,
                                             std::memory_order_seq_cst)) {
-      lf_enqueue(id);
+      enqueue(id);
     }
   }
 }
 
-void ActorRuntime::lf_worker_loop(std::uint32_t wid) {
+void ActorRuntime::worker_loop(std::uint32_t wid) {
   tls_shard_hint = ShardHint{this, wid};
   ActorId id = 0;
-  while (lf_next_runnable(wid, &id)) {
+  while (next_runnable(wid, &id)) {
     // Park point between claiming the actor and running it: the pause
     // delays this actor's turn (and whatever steals would have found us)
     // exactly like a preemption landing after the dequeue.
@@ -422,7 +306,7 @@ void ActorRuntime::lf_worker_loop(std::uint32_t wid) {
       const std::uint64_t ns = options_.park_point(wid);
       if (ns != 0) busy_pause(ns);
     }
-    lf_run_actor(wid, id);
+    run_actor(wid, id);
   }
   tls_shard_hint = ShardHint{};
 }

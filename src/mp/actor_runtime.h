@@ -5,40 +5,31 @@
 // (§2), and in the message-passing reading every balancer is a process that
 // reacts to token messages.
 //
-// Two interchangeable engines share the public API and the scheduling
-// contract (an actor is never executed by two workers at once, so handlers
-// need no internal locking; workers drain a bounded batch per turn):
+// Hot path: Vyukov intrusive MPSC mailboxes with nodes from a
+// freelist-backed MessagePool (zero allocation at steady state), per-worker
+// MPMC run-queue shards with work stealing, and a futex-style std::atomic
+// wait/notify idle protocol. A send is one pooled-node exchange plus one
+// run-queue CAS; a wake syscall happens only when a worker is actually
+// sleeping. A send from a non-worker thread that claims an idle actor
+// additionally *donates the sending thread*: it runs the actor's turn
+// inline (bounded by a recursion budget) instead of paying a run-queue round
+// trip plus a context switch per hop — the scheduling invariant is untouched
+// because the inline turn holds the same SCHEDULED claim a worker would.
+// Workers drain a bounded batch per turn.
 //
-//   * kLockFree (default): Vyukov intrusive MPSC mailboxes with nodes from
-//     a freelist-backed MessagePool (zero allocation at steady state),
-//     per-worker MPMC run-queue shards with work stealing, and a
-//     futex-style std::atomic wait/notify idle protocol. A send is one
-//     pooled-node exchange plus one run-queue CAS; a wake syscall happens
-//     only when a worker is actually sleeping. A send from a non-worker
-//     thread that claims an idle actor additionally *donates the sending
-//     thread*: it runs the actor's turn inline (bounded by a recursion
-//     budget) instead of paying a run-queue round trip plus a context
-//     switch per hop — the scheduling invariant is untouched because the
-//     inline turn holds the same SCHEDULED claim a worker would.
-//   * kLocked: the original mutex+condvar engine — a global run queue and a
-//     std::mutex + std::deque per mailbox — kept as the behavioural oracle,
-//     the same way rt keeps the graph walk behind its compiled plan (PR 1).
-//
-// Scheduling invariant (both engines): each actor carries a scheduled flag
+// Scheduling invariant: each actor carries a scheduled flag
 // (IDLE/SCHEDULED). Delivering to an idle actor claims the flag and puts the
 // actor on a run queue; the draining worker releases the flag only after an
 // authoritative empty check, and re-claims it if a message raced in. An
 // actor is therefore on at most one run queue, exactly when its mailbox may
-// be non-empty.
+// be non-empty, and is never executed by two workers at once, so handlers
+// need no internal locking.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -49,30 +40,21 @@
 
 namespace cnet::mp {
 
-/// Which hot-path implementation an ActorRuntime (and the NetworkService on
-/// top of it) runs. The spec grammar exposes this as `engine=lockfree|locked`
-/// on the mp family (docs/HARNESS.md).
-enum class Engine : std::uint8_t {
-  kLocked,    ///< mutex+condvar oracle (the seed implementation)
-  kLockFree,  ///< MPSC mailboxes + sharded run queues + atomic wait
-};
-
 class ActorRuntime {
  public:
   using Handler = std::function<void(ActorId self, const Message&)>;
 
   struct Options {
-    std::uint32_t workers = 2;          ///< threads draining the run queues
-    Engine engine = Engine::kLockFree;  ///< hot-path implementation
+    std::uint32_t workers = 2;  ///< threads draining the run queues
 
     /// Cooperative park point, polled by each worker after it dequeues an
-    /// actor and before it runs the turn (both engines). Returning non-zero
-    /// makes the worker busy-pause that many nanoseconds — the fault
-    /// layer's SIGSTOP-free stand-in for a worker preempted right after
-    /// winning an actor: the SCHEDULED claim is held across the pause
-    /// (legal — the flag means "owned", senders keep enqueueing) but no
-    /// lock is, so the pause delays that actor's turn without blocking
-    /// anything else. Null (the default) costs a bool test per turn.
+    /// actor and before it runs the turn. Returning non-zero makes the
+    /// worker busy-pause that many nanoseconds — the fault layer's
+    /// SIGSTOP-free stand-in for a worker preempted right after winning an
+    /// actor: the SCHEDULED claim is held across the pause (legal — the flag
+    /// means "owned", senders keep enqueueing) but no lock is, so the pause
+    /// delays that actor's turn without blocking anything else. Null (the
+    /// default) costs a bool test per turn.
     std::function<std::uint64_t(std::uint32_t worker)> park_point{};
   };
 
@@ -80,8 +62,8 @@ class ActorRuntime {
   /// before run() — see add_actor.
   explicit ActorRuntime(Options options);
 
-  /// Convenience: `workers` threads on the default engine.
-  explicit ActorRuntime(std::uint32_t workers) : ActorRuntime(Options{workers, {}, {}}) {}
+  /// Convenience: `workers` threads, no park point.
+  explicit ActorRuntime(std::uint32_t workers) : ActorRuntime(Options{workers, {}}) {}
 
   /// Drains and joins. All expected replies must have been received by the
   /// caller before destruction (no new sends may race the shutdown).
@@ -100,54 +82,37 @@ class ActorRuntime {
   /// Delivers a message; callable from any thread and from handlers.
   void send(ActorId to, const Message& message);
 
-  /// send() without the thread-donation fast path: under the lock-free
-  /// engine the claimed actor always goes through the run queues, even from
-  /// a client thread. Deadline-bounded operations need this for their
-  /// initial hop — an inline send would run the token's whole walk on the
-  /// waiting thread's own stack, making the deadline unenforceable (a
-  /// thread cannot time out work it is itself executing). Identical to
-  /// send() on the locked engine, which never donates.
+  /// send() without the thread-donation fast path: the claimed actor always
+  /// goes through the run queues, even from a client thread.
+  /// Deadline-bounded operations need this for their initial hop — an
+  /// inline send would run the token's whole walk on the waiting thread's
+  /// own stack, making the deadline unenforceable (a thread cannot time out
+  /// work it is itself executing).
   void send_queued(ActorId to, const Message& message);
 
   /// Optional mailbox-depth probe (borrowed; may be null). When set before
   /// start() and the library is built with CNET_OBS=1, every send() records
   /// the receiving actor's post-enqueue mailbox depth, giving the queueing
-  /// distribution across all actors (see docs/OBSERVABILITY.md). Under the
-  /// lock-free engine the depth is an approximate sharded counter — one
-  /// relaxed per-actor cell bumped at enqueue and decremented at drain —
-  /// rather than an exact under-lock size.
+  /// distribution across all actors (see docs/OBSERVABILITY.md). The depth
+  /// is an approximate sharded counter — one relaxed per-actor cell bumped
+  /// at enqueue and decremented at drain — rather than an exact size.
   void observe_queue_depth(obs::LogHistogram* histogram) { queue_depth_ = histogram; }
 
-  /// Messages handled so far, totalled over all actors (relaxed counters,
-  /// per-worker-sharded under the lock-free engine).
+  /// Messages handled so far, totalled over all actors (per-worker-sharded
+  /// counters).
   std::uint64_t messages_processed() const;
 
-  Engine engine() const { return options_.engine; }
-
-  /// Mailbox-node pool counters (zeros under the locked engine, which does
-  /// not pool). The steady-state tests pin `slabs` between two snapshots.
-  MessagePool::Stats pool_stats() const;
+  /// Mailbox-node pool counters. The steady-state tests pin `slabs` between
+  /// two snapshots.
+  MessagePool::Stats pool_stats() const { return pool_.stats(); }
 
  private:
-  // --- locked engine (oracle) ------------------------------------------
-  struct LockedActor {
-    std::mutex mutex;
-    std::deque<Message> mailbox;
-    bool scheduled = false;  // guarded by mutex
-  };
-
-  void locked_send(ActorId to, const Message& message);
-  void locked_worker_loop(std::uint32_t wid);
-  void locked_enqueue(ActorId id);
-  bool locked_dequeue(ActorId& id);
-
-  // --- lock-free engine -------------------------------------------------
-  /// Values of LfActor::state. kScheduled covers queued-or-running: the
+  /// Values of Actor::state. kScheduled covers queued-or-running: the
   /// holder of the transition into it owns the actor's run-queue entry.
   static constexpr std::uint32_t kIdle = 0;
   static constexpr std::uint32_t kScheduled = 1;
 
-  struct alignas(kCacheLine) LfActor {
+  struct alignas(kCacheLine) Actor {
     MpscQueue mailbox;
     std::atomic<std::uint32_t> state{kIdle};
     /// Approximate mailbox depth; maintained only while the depth probe is
@@ -163,15 +128,15 @@ class ActorRuntime {
     std::atomic<std::uint64_t> processed{0};
   };
 
-  void lf_send(ActorId to, const Message& message, bool allow_inline);
-  void lf_worker_loop(std::uint32_t wid);
-  void lf_enqueue(ActorId id);
-  bool lf_try_all_shards(std::uint32_t wid, ActorId* out);
-  bool lf_next_runnable(std::uint32_t wid, ActorId* out);
+  void deliver(ActorId to, const Message& message, bool allow_inline);
+  void worker_loop(std::uint32_t wid);
+  void enqueue(ActorId id);
+  bool try_all_shards(std::uint32_t wid, ActorId* out);
+  bool next_runnable(std::uint32_t wid, ActorId* out);
   /// Runs one actor turn under the SCHEDULED claim; `stat_slot` indexes
   /// worker_stats_ (a worker's own slot or a client shard).
-  void lf_run_actor(std::uint32_t stat_slot, ActorId id);
-  std::uint32_t lf_client_stat_slot() const;
+  void run_actor(std::uint32_t stat_slot, ActorId id);
+  std::uint32_t client_stat_slot() const;
 
   static constexpr int kBatch = 16;
   /// Stat shards for inline-executing client threads (see WorkerStat).
@@ -184,22 +149,13 @@ class ActorRuntime {
   std::vector<Handler> handlers_;
   obs::LogHistogram* queue_depth_ = nullptr;
 
-  // Locked-engine state.
-  std::vector<std::unique_ptr<LockedActor>> locked_actors_;
-  std::mutex queue_mutex_;
-  std::condition_variable queue_cv_;
-  std::deque<ActorId> run_queue_;
-  bool stopping_ = false;
-  std::atomic<std::uint64_t> processed_{0};
-
-  // Lock-free-engine state.
-  std::vector<std::unique_ptr<LfActor>> lf_actors_;
+  std::vector<std::unique_ptr<Actor>> actors_;
   MessagePool pool_;
   std::unique_ptr<MpmcRing[]> shards_;  ///< one run-queue shard per worker
   std::unique_ptr<WorkerStat[]> worker_stats_;  ///< workers + client shards
   std::atomic<std::uint32_t> work_epoch_{0};  ///< bumped to wake sleepers
   std::atomic<std::uint32_t> sleepers_{0};    ///< workers parked on work_epoch_
-  std::atomic<bool> lf_stopping_{false};
+  std::atomic<bool> stopping_{false};
 
   std::vector<std::jthread> workers_;
 };

@@ -34,7 +34,6 @@ constexpr std::uint64_t kDtorDrainNs = 30'000'000'000ull;
 ActorRuntime::Options NetworkService::runtime_options(const Options& options) {
   ActorRuntime::Options rt;
   rt.workers = options.workers;
-  rt.engine = options.engine;
   if (options.fault != nullptr && options.fault->plan().has_pauses()) {
     fault::Injector* inj = options.fault;
     rt.park_point = [inj](std::uint32_t wid) { return inj->pause_ns(wid); };
@@ -98,38 +97,34 @@ NetworkService::NetworkService(topo::Network net, Options options)
       }
     }));
   }
-  // Counter actors: assign the value and wake the client through the
-  // engine's completion protocol. A completion that loses to a timed-out
-  // waiter parks the value and donates the abandoned cell back to the
-  // arena (see mp/response_cell.h for the ownership handoff).
-  const bool futex_cells = options.engine == Engine::kLockFree;
+  // Counter actors: assign the value and wake the client through its
+  // response cell. A completion that loses to a timed-out waiter parks the
+  // value and donates the abandoned cell back to the arena (see
+  // mp/response_cell.h for the ownership handoff).
   counter_actors_.reserve(net_.output_width());
   for (std::uint32_t port = 0; port < net_.output_width(); ++port) {
-    counter_actors_.push_back(
-        runtime_.add_actor([this, port, futex_cells](ActorId, const Message& message) {
+    counter_actors_.push_back(runtime_.add_actor([this, port](ActorId, const Message& message) {
 #if CNET_OBS
-          if (metrics_ != nullptr) {
-            const auto actor = static_cast<std::uint32_t>(net_.node_count()) + port;
-            metrics_->counter_messages.add(actor);
-            metrics_->actor_messages.add(actor, actor);
-          }
+      if (metrics_ != nullptr) {
+        const auto actor = static_cast<std::uint32_t>(net_.node_count()) + port;
+        metrics_->counter_messages.add(actor);
+        metrics_->actor_messages.add(actor, actor);
+      }
 #endif
-          const std::uint64_t a = output_counts_[port]++;
-          const std::uint64_t value = port + a * net_.output_width();
-          auto* cell = static_cast<ResponseCell*>(message.context);
-          // Commit before completing: the moment the client wakes, the cell
-          // can be released and reissued, and the recorder keys on it.
-          if (recorder_ != nullptr) [[unlikely]] recorder_->commit(cell, value);
-          const bool delivered =
-              futex_cells ? cell->complete_futex(value) : cell->complete_locked(value);
-          if (!delivered) {
-            park_value(value);
-            ResponseCellCache::donate_abandoned(cell);
-          }
-          // Last: a drain that observes zero must observe this token's
-          // delivery (or parking) too.
-          in_flight_.fetch_sub(1, std::memory_order_release);
-        }));
+      const std::uint64_t a = output_counts_[port]++;
+      const std::uint64_t value = port + a * net_.output_width();
+      auto* cell = static_cast<ResponseCell*>(message.context);
+      // Commit before completing: the moment the client wakes, the cell
+      // can be released and reissued, and the recorder keys on it.
+      if (recorder_ != nullptr) [[unlikely]] recorder_->commit(cell, value);
+      if (!cell->complete(value)) {
+        park_value(value);
+        ResponseCellCache::donate_abandoned(cell);
+      }
+      // Last: a drain that observes zero must observe this token's
+      // delivery (or parking) too.
+      in_flight_.fetch_sub(1, std::memory_order_release);
+    }));
   }
   runtime_.start();
 }
@@ -155,8 +150,7 @@ std::uint64_t NetworkService::count_delayed(std::uint32_t input, std::uint64_t w
   if (recorder_ != nullptr) [[unlikely]] recorder_->issue(cell, input);
   in_flight_.fetch_add(1, std::memory_order_relaxed);
   runtime_.send(node_actors_[net_.inputs()[input].node], Message{wait_ns, cell});
-  const std::uint64_t value = runtime_.engine() == Engine::kLockFree ? cell->await_futex()
-                                                                     : cell->await_locked();
+  const std::uint64_t value = cell->await();
   ResponseCellCache::release(cell);
 #if CNET_OBS
   if (metrics_ != nullptr) {
@@ -187,7 +181,7 @@ NetworkService::Pending NetworkService::count_begin(std::uint32_t input,
   pending.cell = ResponseCellCache::acquire();
   if (recorder_ != nullptr) [[unlikely]] recorder_->issue(pending.cell, input);
   in_flight_.fetch_add(1, std::memory_order_relaxed);
-  // send_queued, not send: the lock-free engine's inline fast path would
+  // send_queued, not send: the runtime's inline fast path would
   // donate THIS thread to run the token's entire walk (stalls included),
   // which would serialize a burst of begins and make a deadline-bounded
   // collect unenforceable (a thread cannot time out work it is itself
@@ -199,9 +193,7 @@ NetworkService::Pending NetworkService::count_begin(std::uint32_t input,
 
 std::uint64_t NetworkService::count_collect(const Pending& pending) {
   if (pending.cell == nullptr) return pending.value;
-  const std::uint64_t value = runtime_.engine() == Engine::kLockFree
-                                  ? pending.cell->await_futex()
-                                  : pending.cell->await_locked();
+  const std::uint64_t value = pending.cell->await();
   ResponseCellCache::release(pending.cell);
 #if CNET_OBS
   if (metrics_ != nullptr && pending.start_ns != 0) {
@@ -215,9 +207,7 @@ std::uint64_t NetworkService::count_collect(const Pending& pending) {
 NetworkService::TimedCount NetworkService::count_collect_until(
     const Pending& pending, std::chrono::steady_clock::time_point deadline) {
   if (pending.cell == nullptr) return {true, pending.value};
-  const ResponseCell::TimedWait wait = runtime_.engine() == Engine::kLockFree
-                                           ? pending.cell->await_futex_until(deadline)
-                                           : pending.cell->await_locked_until(deadline);
+  const ResponseCell::TimedWait wait = pending.cell->await_until(deadline);
   if (!wait.ok) {
     // Abandoned: the cell now belongs to the late completer (it parks the
     // value and donates the cell to the arena) — no release here.

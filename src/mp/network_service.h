@@ -36,10 +36,9 @@
 // workers, so a straggler token surviving into teardown would be a
 // use-after-free, not a leak.
 //
-// The hot path rides the ActorRuntime engine the options select: the
-// lock-free default (pooled MPSC mailboxes, sharded run queues, futex
-// response cells) or the locked oracle (mutex+condvar throughout). Both
-// use pooled, thread-cached response cells — count() allocates nothing.
+// The hot path rides the lock-free ActorRuntime (pooled MPSC mailboxes,
+// sharded run queues) and pooled, thread-cached futex response cells —
+// count() allocates nothing.
 //
 // Observability: point Options::metrics at an obs::MpMetrics to record the
 // per-actor message breakdown, mailbox-depth distribution, and client
@@ -79,10 +78,6 @@ class NetworkService {
   struct Options {
     /// Worker threads draining the actor run queues.
     std::uint32_t workers = 2;
-
-    /// Runtime hot path: the lock-free fast path (default) or the original
-    /// mutex+condvar oracle (`engine=locked` in the spec grammar).
-    Engine engine = Engine::kLockFree;
 
     /// Observability sink (borrowed; may be null — the default — for zero
     /// instrumentation cost; ignored in CNET_OBS=0 builds).
@@ -198,10 +193,8 @@ class NetworkService {
   /// deliveries); see obs::MpMetrics for the per-actor breakdown.
   std::uint64_t messages_processed() const { return runtime_.messages_processed(); }
 
-  Engine engine() const { return runtime_.engine(); }
-
-  /// Mailbox-node pool counters (zeros on the locked engine); the
-  /// steady-state allocation tests pin `slabs` between snapshots.
+  /// Mailbox-node pool counters; the steady-state allocation tests pin
+  /// `slabs` between snapshots.
   MessagePool::Stats pool_stats() const { return runtime_.pool_stats(); }
 
  private:

@@ -1,17 +1,15 @@
 // ResponseCell: the rendezvous a blocked count() client waits on until the
 // output-counter actor delivers its value — with a thread-local cell cache
-// so neither engine constructs (or heap-allocates) synchronization state
-// per operation.
+// so no operation constructs (or heap-allocates) synchronization state.
 //
-// Two completion protocols share the cell, selected by the service's engine:
-//
-//   * futex path (lock-free engine): one std::atomic<uint64_t> slot. The
-//     client spins briefly then atomic-waits; the counter actor stores the
-//     value and notify_one()s only the sleeping case costs a syscall.
-//   * condvar path (locked engine, the oracle): the seed's mutex + condvar
-//     handshake, with the notify moved *under* the lock — the waiter cannot
-//     return (and recycle the cell) until the completer has released the
-//     mutex, which closes the seed's notify-after-unlock lifetime race.
+// Completion protocol: one std::atomic<uint64_t> slot. The client spins
+// briefly then atomic-waits; the counter actor stores the value and
+// notify_one()s — only the sleeping case costs a syscall. The cell is that
+// slot alone and is deliberately not cache-line aligned: libstdc++ parks a
+// waiter on a 64-bit atomic in a shared proxy bucket picked by
+// (address >> 2) % 16, so 64-byte-aligned cells would all land in bucket 0
+// and every wait and notify in the process would share one waiter count and
+// one wake-all futex. Plain heap cells spread over several buckets.
 //
 // Deadlines and cancellation: count_until() adds a third party to the
 // rendezvous — a waiter that gives up. Ownership of the value is decided by
@@ -26,12 +24,9 @@
 //     double-listed, and never written after donation.
 //   * completer wins: the (possibly late) waiter reads the value through
 //     its failed cancel CAS and completes normally.
-// The locked engine runs the same ownership race under the cell mutex
-// (`cancelled_` flag instead of a sentinel), so both engines share the
-// abandon-to-arena lifecycle.
 //
-// Cell lifetime is the linchpin of the futex path: the waiter may observe
-// the value through await_futex's spin loop and return *before* the
+// Cell lifetime is the linchpin of the protocol: the waiter may observe
+// the value through await()'s spin loop and return *before* the
 // completer reaches its notify_one, so the notify can land on a cell whose
 // operation is already over — and, if cells died with their thread, on a
 // destroyed cell once a client thread (bench/test clients exit right after
@@ -46,7 +41,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -72,19 +66,13 @@ class ResponseCell {
   };
 
   /// Re-arm a recycled cell. Call before handing it to a token.
-  void reset() {
-    slot_.store(kPending, std::memory_order_relaxed);
-    done_ = false;
-    cancelled_ = false;
-  }
-
-  // --- futex protocol (lock-free engine) --------------------------------
+  void reset() { slot_.store(kPending, std::memory_order_relaxed); }
 
   /// Delivers `value`. Returns false when the waiter already cancelled: the
   /// caller then owns the value (park it) and the cell (donate it to the
   /// arena via ResponseCellCache::donate_abandoned — and must not touch the
   /// cell afterwards).
-  bool complete_futex(std::uint64_t value) {
+  bool complete(std::uint64_t value) {
     std::uint64_t expected = kPending;
     if (!slot_.compare_exchange_strong(expected, value, std::memory_order_acq_rel,
                                        std::memory_order_acquire)) {
@@ -94,7 +82,7 @@ class ResponseCell {
     return true;
   }
 
-  std::uint64_t await_futex() {
+  std::uint64_t await() {
     std::uint64_t value = slot_.load(std::memory_order_acquire);
     for (int i = 0; value == kPending && i < 64; ++i) {
       cpu_relax();  // a token in flight often lands within a few hops' time
@@ -107,7 +95,7 @@ class ResponseCell {
     return value;
   }
 
-  /// Deadline-bounded await_futex. On timeout attempts the cancel CAS; a
+  /// Deadline-bounded await(). On timeout attempts the cancel CAS; a
   /// failed cancel means the value arrived concurrently and is returned as
   /// a normal completion. After a successful cancel the caller must abandon
   /// the cell (no release).
@@ -115,7 +103,7 @@ class ResponseCell {
   /// std::atomic::wait has no timed form, so past the spin window this
   /// polls with a short exponential sleep — fine for a rare-path deadline
   /// wait (the common case completes inside the spin window).
-  TimedWait await_futex_until(std::chrono::steady_clock::time_point deadline) {
+  TimedWait await_until(std::chrono::steady_clock::time_point deadline) {
     std::uint64_t value = slot_.load(std::memory_order_acquire);
     for (int i = 0; value == kPending && i < 64; ++i) {
       cpu_relax();
@@ -138,44 +126,8 @@ class ResponseCell {
     return {true, value};
   }
 
-  // --- condvar protocol (locked engine) ---------------------------------
-
-  /// Locked-engine twin of complete_futex: false when the waiter already
-  /// timed out (same park-and-donate contract for the caller).
-  bool complete_locked(std::uint64_t value) {
-    const std::scoped_lock lock(mutex_);
-    if (cancelled_) return false;
-    value_ = value;
-    done_ = true;
-    cv_.notify_one();  // under the lock: see the header
-    return true;
-  }
-
-  std::uint64_t await_locked() {
-    std::unique_lock lock(mutex_);
-    cv_.wait(lock, [this] { return done_; });
-    return value_;
-  }
-
-  /// Deadline-bounded await_locked; the mutex serializes the ownership race
-  /// the futex path decides by CAS.
-  TimedWait await_locked_until(std::chrono::steady_clock::time_point deadline) {
-    std::unique_lock lock(mutex_);
-    if (cv_.wait_until(lock, deadline, [this] { return done_; })) {
-      return {true, value_};
-    }
-    cancelled_ = true;  // completer will park the value and donate the cell
-    return {};
-  }
-
  private:
   std::atomic<std::uint64_t> slot_{kPending};
-
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  bool done_ = false;
-  bool cancelled_ = false;  // guarded by mutex_ (locked protocol only)
-  std::uint64_t value_ = 0;
 };
 
 namespace detail {

@@ -21,9 +21,9 @@
 namespace cnet::obs {
 
 /// Telemetry for the real-thread backend (rt::NetworkCounter /
-/// rt::RoutingPlan), shared by both executors. One instance observes one
-/// counter; construct, optionally tune `sample_period` / enable `trace`,
-/// then hand the pointer to rt::CounterOptions::metrics.
+/// rt::RoutingPlan). One instance observes one counter; construct,
+/// optionally tune `sample_period` / enable `trace`, then hand the pointer
+/// to rt::CounterOptions::metrics.
 struct CounterMetrics {
   /// Timed-token sampling period (power of two; 1 = time every token).
   /// Latency histograms, the c2/c1 estimate, and the trace ring only see
@@ -38,8 +38,8 @@ struct CounterMetrics {
   ShardedCounter prism_toggles; ///< prism visits that fell to the toggle
   ShardedCounter mcs_acquires;  ///< MCS balancer critical-section entries
 
-  /// Per-balancer visit counts, indexed by the executor's node index
-  /// (RoutingPlan and the graph walk share topo::Network node ids).
+  /// Per-balancer visit counts, indexed by topo::Network node id (the
+  /// RoutingPlan keeps topology ids).
   ShardedCounterArray balancer_visits;
 
   LogHistogram token_latency_ns;  ///< entry-to-value, sampled tokens

@@ -1,30 +1,11 @@
 #include "rt/network_counter.h"
 
 #include <chrono>
-#include <thread>
 
-#include "obs/backend_metrics.h"
 #include "util/assert.h"
 #include "util/spin.h"
 
 namespace cnet::rt {
-namespace {
-
-constexpr std::uint64_t kPaired = 1ull << 32;
-
-}  // namespace
-
-struct NetworkCounter::NodeState {
-  enum class Kind : std::uint8_t { kFetchAdd, kMcsLocked, kPrism };
-
-  alignas(kCacheLine) std::atomic<std::uint64_t> count{0};
-  McsLock lock;
-  std::unique_ptr<Padded<std::atomic<std::uint64_t>>[]> prism;
-  std::uint32_t prism_width = 0;
-  std::uint32_t prism_spin = 0;
-  std::uint32_t fan_out = 0;
-  Kind kind = Kind::kFetchAdd;
-};
 
 NetworkCounter::NetworkCounter(topo::Network net, CounterOptions options)
     : NetworkCounter(std::move(net), options, PlanArena{}) {}
@@ -36,49 +17,12 @@ std::size_t NetworkCounter::plan_state_footprint(const topo::Network& net,
 
 NetworkCounter::NetworkCounter(topo::Network net, CounterOptions options,
                                const PlanArena& arena)
-    : net_(std::move(net)), options_(options) {
+    : net_(std::move(net)), max_threads_(options.max_threads), plan_(net_, options, arena) {
 #if CNET_OBS
   // The guard watches the obs hop-latency estimator, so it only exists when
   // there is a sink to watch (and never in a CNET_OBS=0 build).
-  if (options_.degrade.policy != DegradePolicy::kOff && options_.metrics != nullptr) {
-    guard_ = std::make_unique<DegradeGuard>(options_.degrade, options_.metrics, net_.depth());
-  }
-#endif
-  if (options_.engine == ExecutionEngine::kCompiledPlan) {
-    plan_ = std::make_unique<RoutingPlan>(net_, options_, arena);
-    return;
-  }
-  // The graph walk keeps pointer-chasing per-node state; it has no flat
-  // SoA block to relocate, so an arena makes no sense there.
-  CNET_CHECK_MSG(arena.base == nullptr, "PlanArena requires the compiled-plan engine");
-
-  std::uint32_t auto_width = options_.prism_width;
-  if (auto_width == 0) {
-    const std::uint32_t hw = std::max(1u, std::thread::hardware_concurrency());
-    auto_width = std::min(8u, std::max(2u, hw / 8));
-  }
-
-  nodes_ = std::make_unique<NodeState[]>(net_.node_count());
-  for (topo::NodeId id = 0; id < net_.node_count(); ++id) {
-    const topo::Node& node = net_.node(id);
-    NodeState& state = nodes_[id];
-    state.fan_out = node.fan_out;
-    if (options_.diffraction && node.fan_in == 1 && node.fan_out == 2) {
-      state.kind = NodeState::Kind::kPrism;
-      state.prism_width = prism_width_for_layer(auto_width, node.layer);
-      state.prism_spin = options_.prism_spin;
-      state.prism = std::make_unique<Padded<std::atomic<std::uint64_t>>[]>(state.prism_width);
-    } else if (options_.mode == BalancerMode::kMcsLocked) {
-      state.kind = NodeState::Kind::kMcsLocked;
-    } else {
-      state.kind = NodeState::Kind::kFetchAdd;
-    }
-  }
-  outputs_ = std::make_unique<Padded<std::atomic<std::uint64_t>>[]>(net_.output_width());
-
-#if CNET_OBS
-  if (options_.metrics != nullptr) {
-    options_.metrics->attach(static_cast<std::uint32_t>(net_.node_count()));
+  if (options.degrade.policy != DegradePolicy::kOff && options.metrics != nullptr) {
+    guard_ = std::make_unique<DegradeGuard>(options.degrade, options.metrics, net_.depth());
   }
 #endif
 }
@@ -98,173 +42,19 @@ void NetworkCounter::guard_entry() {
 std::uint64_t NetworkCounter::next_hooked(std::uint32_t thread_id, std::uint32_t input,
                                           NodeHook after_node, void* ctx) {
   CNET_CHECK(input < net_.input_width());
-  CNET_CHECK(thread_id < options_.max_threads);
+  CNET_CHECK(thread_id < max_threads_);
   if (guard_) [[unlikely]] guard_entry();
-  if (plan_) return plan_->next_hooked(thread_id, input, after_node, ctx);
-#if CNET_OBS
-  if (options_.metrics != nullptr) [[unlikely]] {
-    return walk_instrumented(thread_id, input, after_node, ctx);
-  }
-#endif
-  topo::OutLink at = net_.inputs()[input];
-  while (at.node != topo::kNoNode) {
-    const std::uint32_t port = traverse_node(at.node, thread_id);
-    if (after_node != nullptr) after_node(ctx, at.node, port);
-    at = net_.node(at.node).out[port];
-  }
-  const std::uint64_t nth = outputs_[at.port]->fetch_add(1, std::memory_order_acq_rel);
-  return at.port + nth * net_.output_width();
-}
-
-// Graph-walk twin of RoutingPlan::route_instrumented: identical routing,
-// identical metric semantics (pass-through padding nodes traversed but not
-// counted as balancer visits), so the two engines are interchangeable under
-// one obs::CounterMetrics.
-std::uint64_t NetworkCounter::walk_instrumented(std::uint32_t thread_id, std::uint32_t input,
-                                                NodeHook after_node, void* ctx) {
-#if CNET_OBS
-  obs::CounterMetrics& m = *options_.metrics;
-  m.tokens.add(thread_id);
-  const bool sampled = m.should_sample(thread_id);
-  std::uint64_t t_start = 0;
-  std::uint64_t t_last = 0;
-  if (sampled) {
-    m.sampled.add(thread_id);
-    t_start = t_last = obs::now_ns();
-  }
-  topo::OutLink at = net_.inputs()[input];
-  while (at.node != topo::kNoNode) {
-    const topo::Node& node = net_.node(at.node);
-    const std::uint32_t port = traverse_node(at.node, thread_id);
-    if (!node.is_pass_through()) {
-      m.balancer_visits.add(thread_id, at.node);
-      if (sampled) {
-        const std::uint64_t now = obs::now_ns();
-        m.hop_latency_ns.record(thread_id, now - t_last);
-        m.trace.record(thread_id, {t_last, now - t_last, thread_id, at.node,
-                                   obs::TracePhase::kHop});
-        t_last = now;
-      }
-    }
-    if (after_node != nullptr) after_node(ctx, at.node, port);
-    at = node.out[port];
-  }
-  if (sampled) {
-    const std::uint64_t now = obs::now_ns();
-    m.token_latency_ns.record(thread_id, now - t_start);
-    m.trace.record(thread_id,
-                   {t_start, now - t_start, thread_id, input, obs::TracePhase::kOp});
-  }
-  const std::uint64_t nth = outputs_[at.port]->fetch_add(1, std::memory_order_acq_rel);
-  return at.port + nth * net_.output_width();
-#else
-  (void)thread_id;
-  (void)input;
-  (void)after_node;
-  (void)ctx;
-  check_failed("CNET_OBS", __FILE__, __LINE__, "instrumented walk in a CNET_OBS=0 build");
-#endif
+  return plan_.next_hooked(thread_id, input, after_node, ctx);
 }
 
 void NetworkCounter::next_batch(std::uint32_t thread_id, std::uint32_t input,
                                 std::span<std::uint64_t> out) {
   CNET_CHECK(input < net_.input_width());
-  CNET_CHECK(thread_id < options_.max_threads);
+  CNET_CHECK(thread_id < max_threads_);
   // A batch is one traversal claiming out.size() values: one guard check,
   // one pad charge.
   if (guard_) [[unlikely]] guard_entry();
-  if (plan_) {
-    plan_->next_batch(thread_id, input, out);
-    return;
-  }
-#if CNET_OBS
-  if (options_.metrics != nullptr && !out.empty()) options_.metrics->batch_calls.add(thread_id);
-#endif
-  for (std::uint64_t& value : out) value = next(thread_id, input);
-}
-
-std::uint32_t NetworkCounter::traverse_node(std::uint32_t node_idx, std::uint32_t thread_id) {
-  NodeState& state = nodes_[node_idx];
-#if CNET_OBS
-  const auto count_prism_outcome = [&](bool paired) {
-    if (options_.metrics == nullptr) return;
-    if (paired) {
-      options_.metrics->prism_pairs.add(thread_id);
-    } else {
-      options_.metrics->prism_toggles.add(thread_id);
-    }
-  };
-#else
-  const auto count_prism_outcome = [](bool) {};
-#endif
-  switch (state.kind) {
-    case NodeState::Kind::kFetchAdd: {
-      const std::uint64_t t = state.count.fetch_add(1, std::memory_order_acq_rel);
-      return static_cast<std::uint32_t>(t % state.fan_out);
-    }
-    case NodeState::Kind::kMcsLocked: {
-#if CNET_OBS
-      if (options_.metrics != nullptr) options_.metrics->mcs_acquires.add(thread_id);
-#endif
-      McsLock::Guard guard(state.lock);
-      const std::uint64_t t = state.count.load(std::memory_order_relaxed);
-      state.count.store(t + 1, std::memory_order_relaxed);
-      return static_cast<std::uint32_t>(t % state.fan_out);
-    }
-    case NodeState::Kind::kPrism:
-      break;
-  }
-
-  // Prism balancer. Collision-race losses retry; an expired camping window
-  // falls through to the toggle.
-  const std::uint64_t my_id = thread_id + 1;
-  Rng& rng = detail::prism_rng();
-  for (int attempt = 0; attempt < 1;) {
-    std::atomic<std::uint64_t>& slot = *state.prism[rng.below(state.prism_width)];
-    std::uint64_t seen = slot.load(std::memory_order_acquire);
-    if (seen == 0) {
-      std::uint64_t expected = 0;
-      if (!slot.compare_exchange_strong(expected, my_id, std::memory_order_acq_rel)) continue;
-      for (std::uint32_t i = 0; i < state.prism_spin; ++i) {
-        if (slot.load(std::memory_order_acquire) == (my_id | kPaired)) {
-          slot.store(0, std::memory_order_release);
-          count_prism_outcome(true);
-          return 0;
-        }
-        cpu_relax();
-      }
-      expected = my_id;
-      if (!slot.compare_exchange_strong(expected, 0, std::memory_order_acq_rel)) {
-        // A partner paired concurrently with our retraction.
-        SpinWaiter waiter;
-        while (slot.load(std::memory_order_acquire) != (my_id | kPaired)) waiter.wait();
-        slot.store(0, std::memory_order_release);
-        count_prism_outcome(true);
-        return 0;
-      }
-      ++attempt;  // camping window expired
-      continue;
-    }
-    if ((seen & kPaired) == 0) {
-      if (slot.compare_exchange_strong(seen, seen | kPaired, std::memory_order_acq_rel)) {
-        count_prism_outcome(true);
-        return 1;
-      }
-    }
-  }
-
-  // Toggle path.
-  count_prism_outcome(false);
-  const std::uint64_t t = state.count.fetch_add(1, std::memory_order_acq_rel);
-  return static_cast<std::uint32_t>(t % state.fan_out);
-}
-
-std::uint64_t NetworkCounter::issued() const {
-  if (plan_) return plan_->issued();
-  std::uint64_t total = 0;
-  for (std::uint32_t i = 0; i < net_.output_width(); ++i)
-    total += outputs_[i]->load(std::memory_order_acquire);
-  return total;
+  plan_.next_batch(thread_id, input, out);
 }
 
 }  // namespace cnet::rt

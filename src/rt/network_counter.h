@@ -15,11 +15,10 @@
 //
 // Output port Y_i hands out i, i+w, i+2w, ... via a per-output atomic.
 //
-// Execution engines: by default tokens run through a compiled rt::RoutingPlan
-// (flattened successor tables, per-kind dense balancer state, batched output
-// claims — see routing_plan.h). CounterOptions::engine selects the original
-// per-token graph walk instead, kept so the two executors stay cross-checkable
-// and benchmarkable side by side.
+// Tokens run through a compiled rt::RoutingPlan (flattened successor tables,
+// per-kind dense balancer state, batched output claims — see
+// routing_plan.h); NetworkCounter adds the topology copy, the argument
+// checks and the degraded-mode guard around it.
 //
 // Thread identity: callers pass a small dense `thread_id` (unique among
 // concurrent callers) used for prism pairing and the RNG streams. The
@@ -28,21 +27,16 @@
 //
 // Observability: point CounterOptions::metrics at an obs::CounterMetrics to
 // record throughput, per-balancer visits, prism/MCS outcomes, and sampled
-// latencies on either engine (docs/OBSERVABILITY.md documents every metric;
-// builds with CNET_OBS=0 compile the instrumentation out entirely).
+// latencies (docs/OBSERVABILITY.md documents every metric; builds with
+// CNET_OBS=0 compile the instrumentation out entirely).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <vector>
 
-#include "rt/mcs_lock.h"
 #include "rt/routing_plan.h"
 #include "topo/network.h"
-#include "util/cacheline.h"
-#include "util/rng.h"
 
 namespace cnet::rt {
 
@@ -53,9 +47,8 @@ class NetworkCounter {
 
   /// As above with the compiled plan's shared balancer state placed in
   /// `arena` (rt::PlanArena; must be plan_state_footprint() bytes at
-  /// RoutingPlan::state_align()). Compiled-plan engine only — this is how a
-  /// workspace-resident counter is shared by worker processes (see
-  /// deploy/counter_deploy.h).
+  /// RoutingPlan::state_align()). This is how a workspace-resident counter
+  /// is shared by worker processes (see deploy/counter_deploy.h).
   NetworkCounter(topo::Network net, CounterOptions options, const PlanArena& arena);
   ~NetworkCounter();
 
@@ -75,7 +68,7 @@ class NetworkCounter {
   }
 
   /// Called after each node traversal when instrumenting a token's walk
-  /// (the delay harness injects the paper's W-cycle waits through this and
+  /// (the run layer injects the paper's W-cycle waits through this and
   /// the schedule recorder captures the (node, port) routing decisions).
   using NodeHook = rt::NodeHook;
 
@@ -85,11 +78,10 @@ class NetworkCounter {
                             void* ctx);
 
   /// Routes out.size() tokens entering at `input`, writing their counter
-  /// values in order. On the compiled-plan engine this amortizes entry
-  /// lookup and batches the per-output fetch_add (one RMW per distinct exit
-  /// port); on the graph walk it degenerates to repeated next(). Equivalent
-  /// to out.size() successive next() calls when single-threaded; values
-  /// always remain globally unique.
+  /// values in order. Amortizes entry lookup and batches the per-output
+  /// fetch_add (one RMW per distinct exit port). Equivalent to out.size()
+  /// successive next() calls when single-threaded; values always remain
+  /// globally unique.
   void next_batch(std::uint32_t thread_id, std::uint32_t input, std::span<std::uint64_t> out);
 
   /// Convenience for single-input networks (trees) or "any input" use:
@@ -101,14 +93,9 @@ class NetworkCounter {
   /// The topology this counter executes (the construction-time copy).
   const topo::Network& network() const { return net_; }
 
-  /// The engine tokens actually run through.
-  ExecutionEngine engine() const {
-    return plan_ ? ExecutionEngine::kCompiledPlan : ExecutionEngine::kGraphWalk;
-  }
-
   /// Tokens that exited so far (sum over outputs); linearizably exact only
   /// in quiescence.
-  std::uint64_t issued() const;
+  std::uint64_t issued() const { return plan_.issued(); }
 
   /// The degraded-mode guard, when CounterOptions::degrade enabled one
   /// (null otherwise — also when no metrics sink was given, since the guard
@@ -120,18 +107,11 @@ class NetworkCounter {
   /// estimator check cadence and, once the kPad policy has tripped, charge
   /// the Cor 3.12 pass-chain time before the token enters the network.
   void guard_entry();
-  struct NodeState;
-
-  std::uint32_t traverse_node(std::uint32_t node_idx, std::uint32_t thread_id);
-  std::uint64_t walk_instrumented(std::uint32_t thread_id, std::uint32_t input,
-                                  NodeHook after_node, void* ctx);
 
   topo::Network net_;
-  CounterOptions options_;
+  std::uint32_t max_threads_;
   std::unique_ptr<DegradeGuard> guard_;  ///< set iff degrade policy active
-  std::unique_ptr<RoutingPlan> plan_;  ///< set iff engine == kCompiledPlan
-  std::unique_ptr<NodeState[]> nodes_;
-  std::unique_ptr<Padded<std::atomic<std::uint64_t>>[]> outputs_;
+  RoutingPlan plan_;
 };
 
 }  // namespace cnet::rt

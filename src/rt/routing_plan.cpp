@@ -7,6 +7,7 @@
 
 #include "obs/backend_metrics.h"
 #include "util/assert.h"
+#include "util/rng.h"
 #include "util/spin.h"
 
 namespace cnet::rt {
@@ -19,19 +20,12 @@ constexpr std::uint64_t kPaired = 1ull << 32;
 /// per-token output fetch_add.
 constexpr std::uint32_t kMaxBatchedWidth = 256;
 
-}  // namespace
-
-namespace detail {
-
+/// Per-thread RNG for prism slot choice (no cross-thread state).
 Rng& prism_rng() {
   static std::atomic<std::uint64_t> counter{0x51ed270b0a1efULL};
   thread_local Rng rng(counter.fetch_add(0x9e3779b97f4a7c15ULL, std::memory_order_relaxed));
   return rng;
 }
-
-}  // namespace detail
-
-namespace {
 
 /// The root prism width the options ask for, with auto sizing resolved.
 /// Deterministic per machine (hardware_concurrency), so cooperating
@@ -245,8 +239,8 @@ std::uint32_t RoutingPlan::traverse(std::uint32_t node, std::uint32_t thread_id)
 
 std::uint32_t RoutingPlan::traverse_prism(std::uint32_t prism_idx, std::uint32_t thread_id) {
   const PrismDesc& state = prism_descs_[prism_idx];
-  // Same protocol as the graph walk: collision-race losses retry; an expired
-  // camping window falls through to the toggle.
+  // Prism protocol: collision-race losses retry; an expired camping window
+  // falls through to the toggle.
 #if CNET_OBS
   const auto count_outcome = [&](bool paired) {
     if (metrics_ == nullptr) return;
@@ -260,7 +254,7 @@ std::uint32_t RoutingPlan::traverse_prism(std::uint32_t prism_idx, std::uint32_t
   const auto count_outcome = [](bool) {};
 #endif
   const std::uint64_t my_id = thread_id + 1;
-  Rng& rng = detail::prism_rng();
+  Rng& rng = prism_rng();
   for (int attempt = 0; attempt < 1;) {
     std::atomic<std::uint64_t>& slot =
         *prism_slots_[state.slot_offset + rng.below(state.width)];
@@ -355,8 +349,9 @@ std::uint32_t RoutingPlan::route_instrumented(std::uint32_t thread_id, std::uint
     m.sampled.add(thread_id);
     t_start = t_last = obs::now_ns();
   }
-  // Hooked tokens must keep visiting pass-through nodes (the delay harness
-  // counts hook invocations), so pick the same tables route() would.
+  // Hooked tokens must keep visiting pass-through nodes (the run layer's
+  // W-wait fires per hook invocation), so pick the same tables route()
+  // would.
   const std::uint32_t* succ = after_node != nullptr ? succ_.data() : succ_fast_.data();
   std::uint32_t hop = after_node != nullptr ? entry_[input] : entry_fast_[input];
   while ((hop & kOutputBit) == 0) {

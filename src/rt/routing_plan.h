@@ -1,9 +1,10 @@
 // Compiled execution plans for topo::Network on real threads.
 //
-// The graph-walk executor in rt::NetworkCounter chases Node/OutLink pointers
-// through std::vector<Node> on every token — three dependent loads per layer
-// before the balancer atomic is even touched. A RoutingPlan flattens the
-// network once, at construction, into contiguous structure-of-arrays form:
+// Walking the topo::Network graph directly would chase Node/OutLink
+// pointers through std::vector<Node> on every token — three dependent loads
+// per layer before the balancer atomic is even touched. A RoutingPlan
+// flattens the network once, at construction, into contiguous
+// structure-of-arrays form:
 //
 //   * one successor table `succ_[succ_offset_[n] + port]` holding the packed
 //     next hop (node index, or kOutputBit | output port) — a single load per
@@ -27,9 +28,10 @@
 // calls in the single-threaded case and remain a permutation of 0..n-1 under
 // concurrency (per-port blocks are disjoint).
 //
-// The plan preserves the graph walk's routing decisions token-for-token: the
-// same balancer kinds, the same toggle arithmetic, the same prism protocol
-// (tests/rt_routing_plan_test.cpp cross-checks the two executors).
+// Single-threaded, every balancer kind routes like a toggle (t-th token out
+// of port t mod fan_out; an unpaired prism falls through to its toggle), so
+// the plan's values match topo::SequentialRouter token for token
+// (tests/rt_routing_plan_test.cpp cross-checks the two).
 #pragma once
 
 #include <atomic>
@@ -42,7 +44,6 @@
 #include "rt/mcs_lock.h"
 #include "topo/network.h"
 #include "util/cacheline.h"
-#include "util/rng.h"
 
 namespace cnet::obs {
 struct CounterMetrics;  // obs/backend_metrics.h
@@ -56,16 +57,9 @@ enum class BalancerMode {
   kMcsLocked,  ///< balancers as MCS-protected critical sections (§5)
 };
 
-/// Which executor NetworkCounter runs tokens through.
-enum class ExecutionEngine {
-  kCompiledPlan,  ///< RoutingPlan: flattened SoA arrays + batched hot path
-  kGraphWalk,     ///< the original per-token topo::Network graph walk
-};
-
-/// Configuration shared by both rt executors (NetworkCounter and the
-/// RoutingPlan it compiles). The defaults are the production setup:
-/// lock-free fetch-add balancers on the compiled plan, no diffraction,
-/// no instrumentation.
+/// Configuration of an rt counter (NetworkCounter and the RoutingPlan it
+/// compiles). The defaults are the production setup: lock-free fetch-add
+/// balancers, no diffraction, no instrumentation.
 struct CounterOptions {
   BalancerMode mode = BalancerMode::kFetchAdd;
   /// Use prism diffraction on 1-in/2-out nodes.
@@ -77,17 +71,14 @@ struct CounterOptions {
   std::uint32_t prism_spin = 128;
   /// Maximum concurrent threads (bounds thread_id); used for prism ids.
   std::uint32_t max_threads = 256;
-  /// Executor selection; the graph walk is kept for cross-checking and
-  /// benchmarking against the compiled plan.
-  ExecutionEngine engine = ExecutionEngine::kCompiledPlan;
 
   /// Observability sink (borrowed; may be null). When non-null and the
-  /// library is built with CNET_OBS=1, both executors record per-counter
+  /// library is built with CNET_OBS=1, the plan records per-counter
   /// throughput, per-balancer visits, prism/MCS outcomes, and sampled
   /// token/hop latencies into it (see obs/backend_metrics.h and
   /// docs/OBSERVABILITY.md). Null — or CNET_OBS=0 — keeps the hot path
-  /// free of instrumentation. The sink must outlive the executor and may
-  /// observe only one executor at a time.
+  /// free of instrumentation. The sink must outlive the counter and may
+  /// observe only one counter at a time.
   obs::CounterMetrics* metrics = nullptr;
 
   /// Degraded-mode guard over the c2/c1 estimator (rt/degrade_guard.h).
@@ -98,11 +89,11 @@ struct CounterOptions {
 };
 
 /// Called after each node traversal when instrumenting a token's walk: the
-/// delay harness injects the paper's W-cycle waits here, the fault injector
+/// run layer injects the paper's W-cycle waits here, the fault injector
 /// charges stall: debits, and the schedule recorder (sched/trace.h)
-/// captures routing decisions. `node` is the traversed node's label — the
-/// topo::NodeId on both executors (the compiled plan indexes its nodes by
-/// topology id) — and `port` is the exit port its balancer chose.
+/// captures routing decisions. `node` is the traversed node's topo::NodeId
+/// (the compiled plan indexes its nodes by topology id) and `port` is the
+/// exit port its balancer chose.
 using NodeHook = void (*)(void* ctx, std::uint32_t node, std::uint32_t port);
 
 /// Caller-provided home for a plan's shared balancer state (toggles, MCS
@@ -133,20 +124,14 @@ inline std::uint32_t prism_width_for_layer(std::uint32_t root_width, std::uint32
   return halved < 2 ? 2u : halved;
 }
 
-namespace detail {
-/// Per-thread RNG for prism slot choice (no cross-thread state); shared by
-/// both executors so they draw identical slot sequences.
-Rng& prism_rng();
-}  // namespace detail
-
 /// A topo::Network compiled to structure-of-arrays form for real-thread
 /// execution (see the file comment for the layout). Construct once, then
 /// call next()/next_batch() from any number of threads; the plan is the
-/// engine behind NetworkCounter's default configuration.
+/// executor behind NetworkCounter.
 class RoutingPlan {
  public:
   /// Compiles `net` (copied; the plan is self-contained) for the given
-  /// options. `options.engine` is ignored — a plan *is* the compiled engine.
+  /// options.
   explicit RoutingPlan(const topo::Network& net, const CounterOptions& options = {});
 
   /// As above, but the shared balancer state lives in `arena` instead of a

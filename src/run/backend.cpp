@@ -83,8 +83,6 @@ rt::CounterOptions rt_options(const BackendSpec& spec, obs::CounterMetrics* metr
   options.diffraction = spec.diffraction;
   options.prism_width = spec.prism_width;
   options.max_threads = spec.max_threads;
-  options.engine =
-      spec.engine_walk ? rt::ExecutionEngine::kGraphWalk : rt::ExecutionEngine::kCompiledPlan;
   options.metrics = metrics;
   options.degrade.policy = spec.degrade == DegradeMode::kPad      ? rt::DegradePolicy::kPad
                            : spec.degrade == DegradeMode::kReport ? rt::DegradePolicy::kReport
@@ -118,7 +116,6 @@ mp::NetworkService::Options mp_options(const BackendSpec& spec, obs::MpMetrics* 
                                        fault::Injector* injector) {
   mp::NetworkService::Options options;
   options.workers = spec.actors;
-  options.engine = spec.mp_locked ? mp::Engine::kLocked : mp::Engine::kLockFree;
   options.metrics = metrics;
   options.fault = injector;
   return options;

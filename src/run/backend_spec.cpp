@@ -137,22 +137,15 @@ bool apply_common_option(const Parser& p, const Option& opt, BackendSpec* spec, 
     }
     return true;
   }
+  if (opt.key == "engine") {
+    return p.fail("option 'engine' was removed: rt always runs the compiled plan, mp the "
+                  "lock-free actors");
+  }
   *handled = false;
   return true;
 }
 
 bool apply_rt_option(const Parser& p, const Option& opt, BackendSpec* spec) {
-  if (opt.key == "engine") {
-    if (opt.value == "plan") {
-      spec->engine_walk = false;
-      return true;
-    }
-    if (opt.value == "walk") {
-      spec->engine_walk = true;
-      return true;
-    }
-    return p.fail("option 'engine' takes plan|walk (got '" + std::string(opt.value) + "')");
-  }
   if (opt.key == "diffraction") return parse_on_off(p, opt.key, opt.value, &spec->diffraction);
   if (opt.key == "mcs") return parse_on_off(p, opt.key, opt.value, &spec->mcs);
   if (opt.key == "prism") {
@@ -214,8 +207,8 @@ bool apply_rt_option(const Parser& p, const Option& opt, BackendSpec* spec) {
     return p.fail("option 'pipeline' takes on|off|1|0 (got '" + std::string(opt.value) + "')");
   }
   return p.fail("unknown rt option '" + std::string(opt.key) +
-                "' (valid: engine, diffraction, mcs, prism, threads, degrade, ws, tiles, "
-                "pipeline, pad, metrics, fault)");
+                "' (valid: diffraction, mcs, prism, threads, degrade, ws, tiles, pipeline, "
+                "pad, metrics, fault)");
 }
 
 bool apply_psim_option(const Parser& p, const Option& opt, BackendSpec* spec) {
@@ -277,20 +270,8 @@ bool apply_mp_option(const Parser& p, const Option& opt, BackendSpec* spec) {
     }
     return true;
   }
-  if (opt.key == "engine") {
-    if (opt.value == "lockfree") {
-      spec->mp_locked = false;
-      return true;
-    }
-    if (opt.value == "locked") {
-      spec->mp_locked = true;
-      return true;
-    }
-    return p.fail("option 'engine' takes lockfree|locked (got '" + std::string(opt.value) +
-                  "')");
-  }
   return p.fail("unknown mp option '" + std::string(opt.key) +
-                "' (valid: actors, engine, pad, metrics, fault)");
+                "' (valid: actors, pad, metrics, fault)");
 }
 
 bool validate_combination(const Parser& p, BackendSpec* spec) {
@@ -317,10 +298,6 @@ bool validate_combination(const Parser& p, BackendSpec* spec) {
   if (spec->pipeline && spec->tiles == 0) {
     return p.fail("option 'pipeline' requires tiles=<n> (it shapes a multi-process "
                   "deployment)");
-  }
-  if (!spec->ws.empty() && spec->engine_walk) {
-    return p.fail("option 'ws' requires the compiled plan (engine=walk has no "
-                  "relocatable state)");
   }
   if (spec->fault.any() && spec->family != Family::kMp) {
     // Token stalls exist everywhere a token traverses links. psim realizes
@@ -469,7 +446,6 @@ std::string BackendSpec::to_string() const {
   const BackendSpec defaults{};
   switch (family) {
     case Family::kRt:
-      if (engine_walk) opts.push_back("engine=walk");
       if (diffraction) opts.push_back("diffraction=on");
       if (mcs) opts.push_back("mcs=on");
       if (prism_width != defaults.prism_width) {
@@ -510,7 +486,6 @@ std::string BackendSpec::to_string() const {
     }
     case Family::kMp:
       if (actors != defaults.actors) opts.push_back("actors=" + std::to_string(actors));
-      if (mp_locked) opts.push_back("engine=locked");
       break;
   }
   if (pad_ratio != defaults.pad_ratio) opts.push_back("pad=" + std::to_string(pad_ratio));

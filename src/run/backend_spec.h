@@ -4,7 +4,7 @@
 //
 //   <family>:<structure>:<width>[?opt[&opt]...]      opt := key[=value]
 //
-//   rt:bitonic:32?engine=plan&diffraction=on   real threads & atomics
+//   rt:tree:32?diffraction=on&metrics          real threads & atomics
 //   psim:tree:64?mcs&procs=128                 cycle-level multiprocessor
 //   sim:periodic:16?c1=1&c2=3&model=uniform    the §2 timing model
 //   mp:bitonic:8?actors=4                      actor-per-balancer service
@@ -82,8 +82,6 @@ struct BackendSpec {
   fault::FaultPlan fault{};
 
   // -- rt -------------------------------------------------------------
-  /// `engine=walk` selects the reference graph walk over the compiled plan.
-  bool engine_walk = false;
   /// `mcs`: balancers as MCS critical sections (rt) / plain MCS toggles
   /// explicitly instead of diffraction (psim).
   bool mcs = false;
@@ -97,9 +95,9 @@ struct BackendSpec {
   /// metrics=on, since the guard watches the obs c2/c1 estimator).
   DegradeMode degrade = DegradeMode::kOff;
   /// `ws=<name>`: place the compiled plan's shared balancer state in a
-  /// named shm::Workspace instead of the process heap (rt compiled plan
-  /// only). In-process runs behave identically; this is the knob that
-  /// makes the state relocatable for `cnet_cli deploy` (deploy/).
+  /// named shm::Workspace instead of the process heap (rt only). In-process
+  /// runs behave identically; this is the knob that makes the state
+  /// relocatable for `cnet_cli deploy` (deploy/).
   std::string ws;
   /// `tiles=<n>`: worker processes for a deployment (requires ws=; the
   /// deploy layer validates the full combination, see
@@ -125,9 +123,6 @@ struct BackendSpec {
   // -- mp -------------------------------------------------------------
   /// `actors=<n>`: worker threads draining the actor run queues.
   std::uint32_t actors = 2;
-  /// `engine=locked` selects the mutex+condvar oracle runtime over the
-  /// default lock-free MPSC-mailbox engine (`engine=lockfree`).
-  bool mp_locked = false;
 
   /// Canonical spec string: parse(to_string()) reproduces this spec exactly
   /// (options in fixed order, defaults omitted).

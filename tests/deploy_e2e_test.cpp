@@ -32,9 +32,6 @@ TEST(DeployValidate, RejectsCrossProcessHostileSpecs) {
   std::string error;
   // Only rt runs on caller threads against shared atomics.
   EXPECT_FALSE(validate_deploy_spec(spec_of("mp:bitonic:8"), 2, 2, &error));
-  // The graph-walk engine has no relocatable state layout.
-  EXPECT_FALSE(
-      validate_deploy_spec(spec_of("rt:bitonic:8?engine=walk&threads=16"), 2, 2, &error));
   // MCS queue nodes live on acquirers' stacks — process-private memory a
   // peer would chase after a SIGKILL.
   EXPECT_FALSE(validate_deploy_spec(spec_of("rt:bitonic:8?mcs&threads=16"), 2, 2, &error));

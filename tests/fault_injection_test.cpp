@@ -1,8 +1,8 @@
 // Fault-injection subsystem: the plan mini-grammar, the seeded injector's
 // determinism, spec-level validation of the clause/family matrix, the
 // DegradeGuard trip logic, and a chaos matrix — fault plans crossed with
-// {rt, mp(lockfree|locked), sim} x {tree, bitonic} through the run harness,
-// asserting the counting property survives every injected misbehaviour.
+// {rt, mp, sim} x {tree, bitonic} through the run harness, asserting the
+// counting property survives every injected misbehaviour.
 #include "fault/injector.h"
 
 #include <gtest/gtest.h>
@@ -339,10 +339,9 @@ INSTANTIATE_TEST_SUITE_P(
                   "mp:bitonic:8?actors=3&fault=stall:0.1:1000,pause:0.05:2000,"
                   "delay:0.1:1500,die:50,seed:5"},
         ChaosCase{"mp_tree_deaths", "mp:tree:8?actors=2&fault=die:25,seed:6"},
-        ChaosCase{"mp_locked_bitonic",
-                  "mp:bitonic:8?actors=2&engine=locked&fault=stall:0.2:1000,die:40,seed:7"},
-        ChaosCase{"mp_locked_tree_delay",
-                  "mp:tree:8?actors=2&engine=locked&fault=delay:0.3:2000,seed:8"}),
+        ChaosCase{"mp_bitonic_stall_die",
+                  "mp:bitonic:8?actors=2&fault=stall:0.2:1000,die:40,seed:7"},
+        ChaosCase{"mp_tree_delay", "mp:tree:8?actors=2&fault=delay:0.3:2000,seed:8"}),
     chaos_name);
 
 #if CNET_OBS

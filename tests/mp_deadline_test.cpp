@@ -1,8 +1,7 @@
 // Deadline-bounded mp operations: count_until's cancellation race, the
 // parked-ticket recycling that preserves the counting property across
 // abandonments, the quiescence drain, and the abandoned-cell donation path
-// through the process arena — on both engines (the futex CAS protocol and
-// the locked oracle's cancelled_ flag must be observationally identical).
+// through the process arena.
 #include "mp/network_service.h"
 
 #include <gtest/gtest.h>
@@ -23,10 +22,6 @@ namespace {
 
 constexpr std::uint64_t kLongDrainNs = 20'000'000'000;  // far past any stall
 
-std::string engine_name(const ::testing::TestParamInfo<Engine>& info) {
-  return info.param == Engine::kLockFree ? "lockfree" : "locked";
-}
-
 fault::FaultPlan plan_or_die(const char* text) {
   fault::FaultPlan plan;
   std::string error;
@@ -34,11 +29,9 @@ fault::FaultPlan plan_or_die(const char* text) {
   return plan;
 }
 
-class MpDeadline : public ::testing::TestWithParam<Engine> {};
-
-TEST_P(MpDeadline, GenerousDeadlineCompletesNormally) {
+TEST(MpDeadline, GenerousDeadlineCompletesNormally) {
   const topo::Network net = topo::make_bitonic(4);
-  NetworkService service(net, {.workers = 2, .engine = GetParam()});
+  NetworkService service(net, {.workers = 2});
   topo::SequentialRouter reference(net);
   for (int i = 0; i < 100; ++i) {
     const auto input = static_cast<std::uint32_t>(i % 4);
@@ -55,13 +48,13 @@ TEST_P(MpDeadline, GenerousDeadlineCompletesNormally) {
   EXPECT_EQ(stats.in_flight, 0u);
 }
 
-TEST_P(MpDeadline, TimeoutParksTheOrphanedValue) {
+TEST(MpDeadline, TimeoutParksTheOrphanedValue) {
   const topo::Network net = topo::make_bitonic(4);
   // Every hop stalls 5 ms: a token needs >= depth * 5 ms, so a 100 us
   // deadline reliably abandons while the token is still mid-network (with
   // margin to spare against the waiter being descheduled under load).
   fault::Injector injector(plan_or_die("stall:1:5000000"));
-  NetworkService service(net, {.workers = 2, .engine = GetParam(), .fault = &injector});
+  NetworkService service(net, {.workers = 2, .fault = &injector});
   const NetworkService::TimedCount result = service.count_until(0, 0, /*timeout_ns=*/100'000);
   EXPECT_FALSE(result.ok);
   EXPECT_EQ(service.robustness_stats().deadline_timeouts, 1u);
@@ -80,13 +73,13 @@ TEST_P(MpDeadline, TimeoutParksTheOrphanedValue) {
   EXPECT_EQ(service.robustness_stats().parked_now, 0u);
 }
 
-TEST_P(MpDeadline, ParkedValuesAreRecycledBeforeNewTokens) {
+TEST(MpDeadline, ParkedValuesAreRecycledBeforeNewTokens) {
   const topo::Network net = topo::make_bitonic(4);
   // 5 ms per hop: the walk outlives the 50 us deadline even if the waiting
   // thread is descheduled for several ms before its first slot check (a
   // 300 us stall flaked exactly that way under a parallel test load).
   fault::Injector injector(plan_or_die("stall:1:5000000"));
-  NetworkService service(net, {.workers = 2, .engine = GetParam(), .fault = &injector});
+  NetworkService service(net, {.workers = 2, .fault = &injector});
   ASSERT_FALSE(service.count_until(0, 0, /*timeout_ns=*/50'000).ok);
   ASSERT_TRUE(service.drain(kLongDrainNs).quiescent);  // value 0 is parked now
 
@@ -98,11 +91,11 @@ TEST_P(MpDeadline, ParkedValuesAreRecycledBeforeNewTokens) {
   EXPECT_EQ(service.count(2), 1u);  // fresh tokens resume the sequence
 }
 
-TEST_P(MpDeadline, DrainReportsStraysAtItsDeadline) {
+TEST(MpDeadline, DrainReportsStraysAtItsDeadline) {
   const topo::Network net = topo::make_bitonic(4);
   // 50 ms per hop: the token outlives a 5 ms drain deadline by construction.
   fault::Injector injector(plan_or_die("stall:1:50000000"));
-  NetworkService service(net, {.workers = 2, .engine = GetParam(), .fault = &injector});
+  NetworkService service(net, {.workers = 2, .fault = &injector});
   ASSERT_FALSE(service.count_until(0, 0, /*timeout_ns=*/100'000).ok);
 
   const NetworkService::DrainReport early = service.drain(5'000'000);
@@ -115,13 +108,10 @@ TEST_P(MpDeadline, DrainReportsStraysAtItsDeadline) {
   EXPECT_EQ(service.take_parked().size(), 1u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Engines, MpDeadline,
-                         ::testing::Values(Engine::kLockFree, Engine::kLocked), engine_name);
-
 TEST(MpDeadlineCells, AbandonedCellsAreDonatedAndReadopted) {
   const topo::Network net = topo::make_bitonic(4);
   fault::Injector injector(plan_or_die("stall:1:5000000"));
-  NetworkService service(net, {.workers = 2, .engine = Engine::kLockFree, .fault = &injector});
+  NetworkService service(net, {.workers = 2, .fault = &injector});
   const ResponseCellCache::ArenaStats before = ResponseCellCache::arena_stats();
 
   // The abandoning client runs (and exits) on its own thread so its cell
@@ -153,7 +143,7 @@ TEST(MpDeadlineCells, AbandonedCellsAreDonatedAndReadopted) {
 TEST(MpDeadlineChaos, HistoryPlusParkedIsExactlyTheIssuedRange) {
   const topo::Network net = topo::make_bitonic(8);
   fault::Injector injector(plan_or_die("stall:0.5:300000,seed:13"));
-  NetworkService service(net, {.workers = 3, .engine = Engine::kLockFree, .fault = &injector});
+  NetworkService service(net, {.workers = 3, .fault = &injector});
   constexpr unsigned kClients = 4;
   constexpr int kPerClient = 50;
   std::vector<std::vector<std::uint64_t>> kept(kClients);

@@ -1,9 +1,8 @@
-// mp runtime + service behaviour, parameterized over both engines: the
-// lock-free fast path (MPSC mailboxes, sharded run queues, futex cells) and
-// the mutex+condvar oracle must be observationally identical — same
-// per-actor FIFO, same message counts, same counting-property values. The
-// lock-free-only suites pin the steady-state allocation guarantees (pool
-// slabs and response cells stop growing once warm).
+// mp runtime + service behaviour: per-actor FIFO, message counts that match
+// the topology, and counting-property values equal to the sequential
+// reference (topo::SequentialRouter). The steady-state suites pin the
+// allocation guarantees (pool slabs and response cells stop growing once
+// warm).
 #include "mp/network_service.h"
 
 #include <gtest/gtest.h>
@@ -12,7 +11,6 @@
 #include <barrier>
 #include <condition_variable>
 #include <mutex>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -24,14 +22,8 @@
 namespace cnet::mp {
 namespace {
 
-std::string engine_name(const ::testing::TestParamInfo<Engine>& info) {
-  return info.param == Engine::kLockFree ? "lockfree" : "locked";
-}
-
-class MpActorRuntime : public ::testing::TestWithParam<Engine> {};
-
-TEST_P(MpActorRuntime, DeliversInOrderPerActor) {
-  ActorRuntime runtime(ActorRuntime::Options{.workers = 2, .engine = GetParam()});
+TEST(MpActorRuntime, DeliversInOrderPerActor) {
+  ActorRuntime runtime(2);
   std::vector<std::uint64_t> seen;
   const ActorId actor = runtime.add_actor([&seen](ActorId, const Message& message) {
     seen.push_back(message.payload);  // serialized per actor: no lock needed
@@ -58,8 +50,8 @@ TEST_P(MpActorRuntime, DeliversInOrderPerActor) {
   for (std::uint64_t i = 0; i <= 1000; ++i) EXPECT_EQ(seen[i], i);
 }
 
-TEST_P(MpActorRuntime, CountsProcessedMessages) {
-  ActorRuntime runtime(ActorRuntime::Options{.workers = 1, .engine = GetParam()});
+TEST(MpActorRuntime, CountsProcessedMessages) {
+  ActorRuntime runtime(1);
   const ActorId sink = runtime.add_actor([](ActorId, const Message&) {});
   runtime.start();
   for (int i = 0; i < 50; ++i) runtime.send(sink, Message{});
@@ -67,8 +59,8 @@ TEST_P(MpActorRuntime, CountsProcessedMessages) {
   EXPECT_EQ(runtime.messages_processed(), 50u);
 }
 
-TEST_P(MpActorRuntime, ManyProducersOneConsumerKeepPerProducerOrder) {
-  ActorRuntime runtime(ActorRuntime::Options{.workers = 2, .engine = GetParam()});
+TEST(MpActorRuntime, ManyProducersOneConsumerKeepPerProducerOrder) {
+  ActorRuntime runtime(2);
   constexpr std::uint64_t kProducers = 4;
   constexpr std::uint64_t kPerProducer = 3000;
   // payload = producer * kPerProducer + sequence; the single actor must see
@@ -97,14 +89,9 @@ TEST_P(MpActorRuntime, ManyProducersOneConsumerKeepPerProducerOrder) {
   for (std::uint64_t p = 0; p < kProducers; ++p) EXPECT_EQ(next_expected[p], kPerProducer);
 }
 
-INSTANTIATE_TEST_SUITE_P(Engines, MpActorRuntime,
-                         ::testing::Values(Engine::kLockFree, Engine::kLocked), engine_name);
-
-class MpNetworkService : public ::testing::TestWithParam<Engine> {};
-
-TEST_P(MpNetworkService, SequentialCountsMatchReference) {
+TEST(MpNetworkService, SequentialCountsMatchReference) {
   const topo::Network net = topo::make_bitonic(8);
-  NetworkService service(net, {.workers = 2, .engine = GetParam()});
+  NetworkService service(net, {.workers = 2});
   topo::SequentialRouter reference(net);
   for (int i = 0; i < 200; ++i) {
     const auto input = static_cast<std::uint32_t>(i % 8);
@@ -112,12 +99,12 @@ TEST_P(MpNetworkService, SequentialCountsMatchReference) {
   }
 }
 
-TEST_P(MpNetworkService, MessageCountMatchesTopology) {
+TEST(MpNetworkService, MessageCountMatchesTopology) {
   // Every operation generates exactly depth+1 messages in a uniform network
   // (one per balancer hop plus the counter delivery) — for the bitonic all
   // paths have equal length = depth.
   const topo::Network net = topo::make_bitonic(4);
-  NetworkService service(net, {.workers = 1, .engine = GetParam()});
+  NetworkService service(net, {.workers = 1});
   const int ops = 100;
   for (int i = 0; i < ops; ++i) service.count(static_cast<std::uint32_t>(i % 4));
   // The processed counter is incremented after the handler returns, which
@@ -127,11 +114,11 @@ TEST_P(MpNetworkService, MessageCountMatchesTopology) {
   EXPECT_EQ(service.messages_processed(), expected);
 }
 
-TEST_P(MpNetworkService, DelayedCountsStillCountCorrectly) {
+TEST(MpNetworkService, DelayedCountsStillCountCorrectly) {
   // count_delayed carries the paper's W inside the token message; the busy
   // wait must not perturb the values (only the timing).
   const topo::Network net = topo::make_bitonic(4);
-  NetworkService service(net, {.workers = 2, .engine = GetParam()});
+  NetworkService service(net, {.workers = 2});
   topo::SequentialRouter reference(net);
   for (int i = 0; i < 50; ++i) {
     const auto input = static_cast<std::uint32_t>(i % 4);
@@ -139,20 +126,18 @@ TEST_P(MpNetworkService, DelayedCountsStillCountCorrectly) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Engines, MpNetworkService,
-                         ::testing::Values(Engine::kLockFree, Engine::kLocked), engine_name);
-
-/// Param = topology * 2 + engine: the uniqueness sweep covers every
-/// (bitonic, periodic, tree) x (lockfree, locked) cell.
+/// Param = topology * 2 + worker variant: the uniqueness sweep covers every
+/// (bitonic, periodic, tree) x (3 workers, 1 worker) cell. One worker puts
+/// every queued turn on a single run-queue shard, with no stealing.
 class MpTopologies : public ::testing::TestWithParam<int> {};
 
 TEST_P(MpTopologies, ConcurrentClientsGetUniqueValues) {
   const int topology = GetParam() / 2;
-  const Engine engine = GetParam() % 2 == 0 ? Engine::kLockFree : Engine::kLocked;
+  const std::uint32_t workers = GetParam() % 2 == 0 ? 3 : 1;
   const topo::Network net = topology == 0   ? topo::make_bitonic(8)
                             : topology == 1 ? topo::make_periodic(8)
                                             : topo::make_counting_tree(8);
-  NetworkService service(net, {.workers = 3, .engine = engine});
+  NetworkService service(net, {.workers = workers});
   const unsigned clients = 4;
   const int per_client = 2000;
   std::vector<std::vector<std::uint64_t>> values(clients);
@@ -177,7 +162,7 @@ INSTANTIATE_TEST_SUITE_P(Cells, MpTopologies, ::testing::Range(0, 6));
 
 TEST(MpSteadyState, PoolSlabsStopGrowingOnceWarm) {
   const topo::Network net = topo::make_bitonic(8);
-  NetworkService service(net, {.workers = 2, .engine = Engine::kLockFree});
+  NetworkService service(net, {.workers = 2});
   constexpr unsigned kClients = 4;
   // The client threads stay alive across the snapshot (their pool caches
   // are thread-local); main joins the barrier to read the stats while all
@@ -208,18 +193,9 @@ TEST(MpSteadyState, PoolSlabsStopGrowingOnceWarm) {
   EXPECT_GE(after.refills, before.refills);
 }
 
-TEST(MpSteadyState, LockedEngineReportsNoPoolTraffic) {
-  const topo::Network net = topo::make_bitonic(4);
-  NetworkService service(net, {.workers = 1, .engine = Engine::kLocked});
-  for (int i = 0; i < 100; ++i) service.count(static_cast<std::uint32_t>(i % 4));
-  const MessagePool::Stats stats = service.pool_stats();
-  EXPECT_EQ(stats.slabs, 0u);
-  EXPECT_EQ(stats.nodes, 0u);
-}
-
 TEST(MpSteadyState, ResponseCellsAreRecycledPerThread) {
   const topo::Network net = topo::make_bitonic(4);
-  NetworkService service(net, {.workers = 2, .engine = Engine::kLockFree});
+  NetworkService service(net, {.workers = 2});
   service.count(0);  // this thread's first operation may create its one cell
   const std::uint64_t before = ResponseCellCache::cells_created();
   for (int i = 0; i < 1000; ++i) service.count(static_cast<std::uint32_t>(i % 4));
@@ -229,14 +205,14 @@ TEST(MpSteadyState, ResponseCellsAreRecycledPerThread) {
 
 TEST(MpSteadyState, ResponseCellsSurviveThreadChurn) {
   // Short-lived client threads are the risky regime for the futex protocol:
-  // a waiter can leave await_futex via the spin loop and its thread can exit
+  // a waiter can leave await() via the spin loop and its thread can exit
   // while the completer's notify_one is still in flight. Cells must outlive
   // the exiting thread (the TLS cache donates them to the process arena),
   // and later threads must adopt those cells instead of constructing fresh
   // ones. ASan/LSan in CI vets the lifetime half; the creation count here
   // pins the adoption half.
   const topo::Network net = topo::make_bitonic(4);
-  NetworkService service(net, {.workers = 2, .engine = Engine::kLockFree});
+  NetworkService service(net, {.workers = 2});
   std::jthread([&service] { service.count(0); }).join();  // donor warm-up
   const std::uint64_t before = ResponseCellCache::cells_created();
   const ResponseCellCache::ArenaStats arena_before = ResponseCellCache::arena_stats();
@@ -256,12 +232,10 @@ TEST(MpSteadyState, ResponseCellsSurviveThreadChurn) {
 }
 
 #if CNET_OBS
-class MpObsIntegration : public ::testing::TestWithParam<Engine> {};
-
-TEST_P(MpObsIntegration, MetricsMatchMessageFlow) {
+TEST(MpObsIntegration, MetricsMatchMessageFlow) {
   const topo::Network net = topo::make_bitonic(4);
   obs::MpMetrics metrics;
-  NetworkService service(net, {.workers = 2, .engine = GetParam(), .metrics = &metrics});
+  NetworkService service(net, {.workers = 2, .metrics = &metrics});
   constexpr std::uint64_t kOps = 200;
   for (std::uint64_t i = 0; i < kOps; ++i) {
     service.count(static_cast<std::uint32_t>(i % net.input_width()));
@@ -286,13 +260,10 @@ TEST_P(MpObsIntegration, MetricsMatchMessageFlow) {
   EXPECT_EQ(node_total, kOps * net.depth());
   EXPECT_EQ(counter_total, kOps);
   // Every enqueue observed a mailbox depth (clients + forwarded tokens).
-  // Under the lock-free engine the depth values are approximate (relaxed
-  // sharded counter) but the sample count is exact: one per send.
+  // The depth values are approximate (relaxed sharded counter) but the
+  // sample count is exact: one per send.
   EXPECT_EQ(metrics.queue_depth.total(), kOps * (net.depth() + 1));
 }
-
-INSTANTIATE_TEST_SUITE_P(Engines, MpObsIntegration,
-                         ::testing::Values(Engine::kLockFree, Engine::kLocked), engine_name);
 #endif  // CNET_OBS
 
 }  // namespace

@@ -2,8 +2,7 @@
 // token counts equal the values actually handed out, per-balancer visit
 // totals match the topology, prism and MCS outcome counters partition their
 // visits, and pass-through padding nodes are never counted as balancer
-// work. Every case runs on both executors (compiled plan and graph walk) —
-// the metrics contract is part of what rt_routing_plan_test cross-checks.
+// work.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,8 +19,6 @@
 
 namespace cnet::rt {
 namespace {
-
-class ObsRtIntegration : public ::testing::TestWithParam<ExecutionEngine> {};
 
 std::uint64_t visits_total(const obs::CounterMetrics& metrics) {
   const std::vector<std::uint64_t> visits = metrics.balancer_visits.values();
@@ -46,13 +43,12 @@ std::vector<std::uint64_t> drain(NetworkCounter& counter, unsigned threads,
   return all;
 }
 
-TEST_P(ObsRtIntegration, TokenMetricsEqualValuesHandedOut) {
+TEST(ObsRtIntegration, TokenMetricsEqualValuesHandedOut) {
   const topo::Network net = topo::make_bitonic(8);
   const std::uint32_t depth = net.depth();
   obs::CounterMetrics metrics;
   metrics.sample_period = 1;  // time every token: histogram totals are exact
   CounterOptions options;
-  options.engine = GetParam();
   options.metrics = &metrics;
   NetworkCounter counter(net, options);
 
@@ -78,12 +74,11 @@ TEST_P(ObsRtIntegration, TokenMetricsEqualValuesHandedOut) {
   EXPECT_EQ(metrics.mcs_acquires.value(), 0u);
 }
 
-TEST_P(ObsRtIntegration, SamplingThrottlesTimedPathOnly) {
+TEST(ObsRtIntegration, SamplingThrottlesTimedPathOnly) {
   const topo::Network net = topo::make_bitonic(8);
   obs::CounterMetrics metrics;
   metrics.sample_period = 64;
   CounterOptions options;
-  options.engine = GetParam();
   options.metrics = &metrics;
   NetworkCounter counter(net, options);
 
@@ -98,11 +93,10 @@ TEST_P(ObsRtIntegration, SamplingThrottlesTimedPathOnly) {
   EXPECT_EQ(metrics.token_latency_ns.total(), kOps / 64);
 }
 
-TEST_P(ObsRtIntegration, BatchedTokensAreCountedIndividually) {
+TEST(ObsRtIntegration, BatchedTokensAreCountedIndividually) {
   const topo::Network net = topo::make_bitonic(8);
   obs::CounterMetrics metrics;
   CounterOptions options;
-  options.engine = GetParam();
   options.metrics = &metrics;
   NetworkCounter counter(net, options);
 
@@ -115,13 +109,12 @@ TEST_P(ObsRtIntegration, BatchedTokensAreCountedIndividually) {
   EXPECT_EQ(metrics.tokens.value(), kCalls * kBatch);
 }
 
-TEST_P(ObsRtIntegration, PrismOutcomesPartitionTreeVisits) {
+TEST(ObsRtIntegration, PrismOutcomesPartitionTreeVisits) {
   // Counting tree with diffraction: every internal node is a prism, so each
   // visit resolves either by pairing or by falling through to the toggle.
   const topo::Network net = topo::make_counting_tree(8);
   obs::CounterMetrics metrics;
   CounterOptions options;
-  options.engine = GetParam();
   options.diffraction = true;
   options.max_threads = 8;
   options.metrics = &metrics;
@@ -140,11 +133,10 @@ TEST_P(ObsRtIntegration, PrismOutcomesPartitionTreeVisits) {
   EXPECT_EQ(metrics.prism_pairs.value() % 2, 0u);
 }
 
-TEST_P(ObsRtIntegration, McsAcquiresCountBalancerEntries) {
+TEST(ObsRtIntegration, McsAcquiresCountBalancerEntries) {
   const topo::Network net = topo::make_bitonic(4);
   obs::CounterMetrics metrics;
   CounterOptions options;
-  options.engine = GetParam();
   options.mode = BalancerMode::kMcsLocked;
   options.metrics = &metrics;
   NetworkCounter counter(net, options);
@@ -155,13 +147,12 @@ TEST_P(ObsRtIntegration, McsAcquiresCountBalancerEntries) {
   EXPECT_EQ(metrics.mcs_acquires.value(), visits_total(metrics));
 }
 
-TEST_P(ObsRtIntegration, PassThroughPaddingIsNotBalancerWork) {
+TEST(ObsRtIntegration, PassThroughPaddingIsNotBalancerWork) {
   // Cor 3.12 padding prefixes every input with pass-through chains; they are
   // wire delay, not balancers, and must not show up as visits.
   const topo::Network net = topo::make_padded(topo::make_bitonic(4), 3);
   obs::CounterMetrics metrics;
   CounterOptions options;
-  options.engine = GetParam();
   options.metrics = &metrics;
   NetworkCounter counter(net, options);
 
@@ -179,14 +170,6 @@ TEST_P(ObsRtIntegration, PassThroughPaddingIsNotBalancerWork) {
   // The core Bitonic[4] still accounts for every hop.
   EXPECT_EQ(total, kOps * topo::make_bitonic(4).depth());
 }
-
-INSTANTIATE_TEST_SUITE_P(Engines, ObsRtIntegration,
-                         ::testing::Values(ExecutionEngine::kCompiledPlan,
-                                           ExecutionEngine::kGraphWalk),
-                         [](const auto& param_info) {
-                           return param_info.param == ExecutionEngine::kCompiledPlan ? "plan"
-                                                                                     : "walk";
-                         });
 
 }  // namespace
 }  // namespace cnet::rt

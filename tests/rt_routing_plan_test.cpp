@@ -1,7 +1,9 @@
-// Cross-checks the compiled RoutingPlan executor against the original
-// graph-walk executor: same options, same topology, token-for-token equal
-// routing single-threaded; identical invariants (counting correctness, step
-// property) under multi-thread stress; batch == repeated single tokens.
+// Cross-checks the compiled RoutingPlan executor against the sequential
+// reference (topo::SequentialRouter): token-for-token equal values
+// single-threaded, where MCS balancers and unpaired prisms route like
+// toggles; the hook fires once per layer, padding included; counting
+// correctness and the step property under multi-thread stress; batch ==
+// repeated single tokens.
 #include "rt/routing_plan.h"
 
 #include <gtest/gtest.h>
@@ -20,11 +22,6 @@
 
 namespace cnet::rt {
 namespace {
-
-CounterOptions with_engine(CounterOptions options, ExecutionEngine engine) {
-  options.engine = engine;
-  return options;
-}
 
 struct TopologyCase {
   const char* name;
@@ -59,37 +56,36 @@ std::vector<TopologyCase> cases() {
 TEST(RoutingPlanCrossCheck, SingleThreadTokenForToken) {
   for (const TopologyCase& tc : cases()) {
     SCOPED_TRACE(tc.name);
-    NetworkCounter plan(tc.make(), with_engine(tc.options, ExecutionEngine::kCompiledPlan));
-    NetworkCounter walk(tc.make(), with_engine(tc.options, ExecutionEngine::kGraphWalk));
-    ASSERT_EQ(plan.engine(), ExecutionEngine::kCompiledPlan);
-    ASSERT_EQ(walk.engine(), ExecutionEngine::kGraphWalk);
-    const std::uint32_t v = plan.network().input_width();
+    const topo::Network net = tc.make();
+    NetworkCounter plan(net, tc.options);
+    topo::SequentialRouter reference(net);
     for (std::uint32_t i = 0; i < 512; ++i) {
-      const std::uint32_t input = (i * 7) % v;
-      ASSERT_EQ(plan.next(0, input), walk.next(0, input)) << "token " << i;
+      const std::uint32_t input = (i * 7) % net.input_width();
+      ASSERT_EQ(plan.next(0, input), reference.next_value(input)) << "token " << i;
     }
-    EXPECT_EQ(plan.issued(), walk.issued());
+    EXPECT_EQ(plan.issued(), 512u);
   }
 }
 
-/// The per-node hook must fire the same number of times on both executors —
-/// in particular the plan may NOT compile pass-through padding nodes away
-/// when a hook (the delay harness's W-wait) is attached.
+/// The per-node hook must fire once per layer: every network in cases() is
+/// uniform, so each token crosses depth() nodes — in particular the plan may
+/// NOT compile pass-through padding nodes away when a hook (the run layer's
+/// W-wait) is attached.
 TEST(RoutingPlanCrossCheck, HookedWalkVisitsEveryNode) {
   const auto count_hook = [](void* ctx, std::uint32_t /*node*/, std::uint32_t /*port*/) {
     ++*static_cast<std::uint64_t*>(ctx);
   };
   for (const TopologyCase& tc : cases()) {
     SCOPED_TRACE(tc.name);
-    NetworkCounter plan(tc.make(), with_engine(tc.options, ExecutionEngine::kCompiledPlan));
-    NetworkCounter walk(tc.make(), with_engine(tc.options, ExecutionEngine::kGraphWalk));
+    const topo::Network net = tc.make();
+    ASSERT_TRUE(net.is_uniform());
+    NetworkCounter plan(net, tc.options);
+    topo::SequentialRouter reference(net);
     for (std::uint32_t i = 0; i < 64; ++i) {
-      std::uint64_t plan_nodes = 0, walk_nodes = 0;
-      const std::uint32_t input = i % plan.network().input_width();
-      ASSERT_EQ(plan.next_hooked(0, input, count_hook, &plan_nodes),
-                walk.next_hooked(0, input, count_hook, &walk_nodes));
-      EXPECT_EQ(plan_nodes, walk_nodes) << "token " << i;
-      EXPECT_GT(plan_nodes, 0u);
+      std::uint64_t nodes = 0;
+      const std::uint32_t input = i % net.input_width();
+      ASSERT_EQ(plan.next_hooked(0, input, count_hook, &nodes), reference.next_value(input));
+      EXPECT_EQ(nodes, net.depth()) << "token " << i;
     }
   }
 }
@@ -97,8 +93,8 @@ TEST(RoutingPlanCrossCheck, HookedWalkVisitsEveryNode) {
 TEST(RoutingPlan, BatchMatchesSingleTokensSingleThreaded) {
   for (const TopologyCase& tc : cases()) {
     SCOPED_TRACE(tc.name);
-    NetworkCounter batched(tc.make(), with_engine(tc.options, ExecutionEngine::kCompiledPlan));
-    NetworkCounter singles(tc.make(), with_engine(tc.options, ExecutionEngine::kCompiledPlan));
+    NetworkCounter batched(tc.make(), tc.options);
+    NetworkCounter singles(tc.make(), tc.options);
     std::vector<std::uint64_t> from_batches;
     std::vector<std::uint64_t> from_singles;
     for (const std::size_t batch : {std::size_t{1}, std::size_t{3}, std::size_t{16},
@@ -153,7 +149,7 @@ TEST(RoutingPlan, ConcurrentMixedBatchesFormRangeWithStepProperty) {
   const unsigned n_threads = std::min(8u, std::max(2u, std::thread::hardware_concurrency()));
   for (const TopologyCase& tc : cases()) {
     SCOPED_TRACE(tc.name);
-    NetworkCounter counter(tc.make(), with_engine(tc.options, ExecutionEngine::kCompiledPlan));
+    NetworkCounter counter(tc.make(), tc.options);
     const auto values = hammer(counter, n_threads, 6000, 17);
     expect_range_and_step(values, counter.network().output_width());
     EXPECT_EQ(counter.issued(), values.size());
@@ -195,33 +191,27 @@ TEST(PrismWidth, LayerDerivationNeverUnderflows) {
 }
 
 /// A single 1-in/2-out balancer (the smallest diffracting topology — its one
-/// prism node is the root) counts correctly on both executors.
+/// prism node is the root) counts correctly.
 TEST(PrismWidth, SingleBalancerDiffractingTopology) {
-  for (const ExecutionEngine engine :
-       {ExecutionEngine::kCompiledPlan, ExecutionEngine::kGraphWalk}) {
-    SCOPED_TRACE(engine == ExecutionEngine::kCompiledPlan ? "plan" : "graph-walk");
-    CounterOptions options = tree_options();
-    options.engine = engine;
-    NetworkCounter counter(topo::make_kary_tree(2, 1), options);
-    ASSERT_EQ(counter.network().output_width(), 2u);
-    for (std::uint64_t i = 0; i < 50; ++i) EXPECT_EQ(counter.next(0, 0), i);
+  NetworkCounter counter(topo::make_kary_tree(2, 1), tree_options());
+  ASSERT_EQ(counter.network().output_width(), 2u);
+  for (std::uint64_t i = 0; i < 50; ++i) EXPECT_EQ(counter.next(0, 0), i);
 
-    const unsigned n_threads = std::min(4u, std::max(2u, std::thread::hardware_concurrency()));
-    std::vector<std::vector<std::uint64_t>> values(n_threads);
-    {
-      std::vector<std::jthread> threads;
-      for (unsigned t = 0; t < n_threads; ++t) {
-        threads.emplace_back([&, t] {
-          for (int i = 0; i < 2000; ++i) values[t].push_back(counter.next(t, 0));
-        });
-      }
+  const unsigned n_threads = std::min(4u, std::max(2u, std::thread::hardware_concurrency()));
+  std::vector<std::vector<std::uint64_t>> values(n_threads);
+  {
+    std::vector<std::jthread> threads;
+    for (unsigned t = 0; t < n_threads; ++t) {
+      threads.emplace_back([&, t] {
+        for (int i = 0; i < 2000; ++i) values[t].push_back(counter.next(t, 0));
+      });
     }
-    std::vector<std::uint64_t> all;
-    for (auto& v : values) all.insert(all.end(), v.begin(), v.end());
-    std::sort(all.begin(), all.end());
-    for (std::uint64_t i = 0; i < all.size(); ++i) {
-      ASSERT_EQ(all[i], i + 50) << "at rank " << i;
-    }
+  }
+  std::vector<std::uint64_t> all;
+  for (auto& v : values) all.insert(all.end(), v.begin(), v.end());
+  std::sort(all.begin(), all.end());
+  for (std::uint64_t i = 0; i < all.size(); ++i) {
+    ASSERT_EQ(all[i], i + 50) << "at rank " << i;
   }
 }
 

@@ -1,11 +1,22 @@
-// Cross-backend conformance: one seeded workload matrix runs on the
-// sim, psim, and rt families purely from spec strings, and every cell
-// must satisfy the counting property, the Def 2.2 step property, and
-// produce a clean lin::Checker analysis. A final smoke case exercises
-// all four families (mp included) through the same Runner.
+// Cross-backend conformance: seeded workload matrices run on every family
+// purely from spec strings, and every cell must satisfy the counting
+// property, the Def 2.2 step property, and produce a clean lin::Checker
+// analysis over a well-formed history. Each family has one executor, so
+// these independent checkers — not a second executor — are the oracle. A
+// smoke case exercises all four families through the same Runner.
+//
+// Two further suites pin the live families on their own terms:
+//   * DelayHarness — the paper's F/W delay experiment on rt: the Runner
+//     marks round(F * threads) issuers as delayed and RtBackend busy-waits
+//     W ns after every node their tokens traverse.
+//   * MpEngineEquivalence — the mp actor engine must be indistinguishable
+//     from the specification those checkers encode, on the seeded
+//     closed-loop matrix, under delays and on sequential histories.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "run/backend.h"
@@ -30,6 +41,9 @@ void expect_conformant(const RunReport& report, const std::string& spec) {
   EXPECT_EQ(report.analysis.total_ops, report.history.size()) << spec;
   EXPECT_GT(report.makespan, 0.0) << spec;
   EXPECT_GT(report.throughput, 0.0) << spec;
+  for (const lin::Operation& op : report.history) {
+    ASSERT_LE(op.start, op.end) << spec << ": value " << op.value;
+  }
 }
 
 TEST(RunConformance, SeededMatrixAcrossSimPsimRt) {
@@ -42,7 +56,7 @@ TEST(RunConformance, SeededMatrixAcrossSimPsimRt) {
       "psim:tree:16?diffraction=on",
       "psim:bitonic:8?mcs",
       "rt:bitonic:8",
-      "rt:bitonic:8?engine=walk",
+      "rt:bitonic:8?mcs",
       "rt:tree:16?diffraction=on",
       "rt:bitonic:8?pad=3",
   };
@@ -51,6 +65,29 @@ TEST(RunConformance, SeededMatrixAcrossSimPsimRt) {
   workload.total_ops = 400;
   workload.seed = 2026;
   for (const std::string& spec : specs) {
+    SCOPED_TRACE(spec);
+    expect_conformant(run_spec(spec, workload), spec);
+  }
+}
+
+TEST(RunConformance, MpThreadCountSweep) {
+  for (const std::uint32_t threads : {1u, 2u, 8u}) {
+    Workload workload;
+    workload.threads = threads;
+    workload.total_ops = 200 * threads;
+    workload.seed = 7 + threads;
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    expect_conformant(run_spec("mp:bitonic:8?actors=2", workload), "mp:bitonic:8?actors=2");
+  }
+}
+
+TEST(RunConformance, BatchedWorkloadOnLiveFamilies) {
+  Workload workload;
+  workload.threads = 3;
+  workload.total_ops = 300;
+  workload.batch = 4;  // mp has no native batch: falls back to count() loops
+  workload.seed = 99;
+  for (const std::string spec : {"rt:tree:8?diffraction=on", "mp:tree:8?actors=2"}) {
     SCOPED_TRACE(spec);
     expect_conformant(run_spec(spec, workload), spec);
   }
@@ -80,8 +117,7 @@ TEST(RunConformance, DelayedFractionMatrix) {
   workload.wait = 200;
   workload.seed = 13;
   for (const std::string spec :
-       {"sim:bitonic:8", "psim:bitonic:8", "rt:bitonic:8", "mp:bitonic:8?actors=2",
-        "mp:bitonic:8?actors=2&engine=locked"}) {
+       {"sim:bitonic:8", "psim:bitonic:8", "rt:bitonic:8", "mp:bitonic:8?actors=2"}) {
     SCOPED_TRACE(spec);
     expect_conformant(run_spec(spec, workload), spec);
   }
@@ -167,6 +203,123 @@ TEST(RunConformance, ReportRendersAndCarriesMetrics) {
   EXPECT_FALSE(report.metrics.counters.empty());
   EXPECT_GT(report.c2c1_estimate, 0.0);
 #endif
+}
+
+// --- DelayHarness: the F/W experiment on rt ---------------------------------
+
+std::uint32_t sensible_threads() {
+  return std::min(8u, std::max(2u, std::thread::hardware_concurrency()));
+}
+
+Workload rt_experiment(std::uint32_t threads, std::uint64_t ops, double delayed_fraction,
+                       std::uint64_t wait_ns) {
+  Workload workload;
+  workload.threads = threads;
+  workload.total_ops = ops;
+  workload.delayed_fraction = delayed_fraction;
+  workload.wait = wait_ns;
+  return workload;
+}
+
+TEST(DelayHarness, NoDelayRunCountsCorrectly) {
+  const Workload workload = rt_experiment(sensible_threads(), 20000, 0.0, 0);
+  const RunReport report = run_spec("rt:bitonic:16", workload);
+  expect_conformant(report, "rt:bitonic:16");
+  EXPECT_GE(report.history.size(), workload.total_ops);
+}
+
+TEST(DelayHarness, DelayedRunStillCounts) {
+  // Half the issuers wait 20us after every node. The Def 2.4 verdict is
+  // timing-dependent, but the analysed fraction is well-defined.
+  const RunReport report =
+      run_spec("rt:bitonic:8", rt_experiment(sensible_threads(), 2000, 0.5, 20000));
+  expect_conformant(report, "rt:bitonic:8");
+  EXPECT_GE(report.analysis.fraction(), 0.0);
+  EXPECT_LE(report.analysis.fraction(), 1.0);
+}
+
+TEST(DelayHarness, McsConfigurationRuns) {
+  expect_conformant(run_spec("rt:bitonic:8?mcs", rt_experiment(sensible_threads(), 5000, 0.0, 0)),
+                    "rt:bitonic:8?mcs");
+}
+
+TEST(DelayHarness, DiffractingTreeRuns) {
+  expect_conformant(
+      run_spec("rt:tree:16?diffraction=on", rt_experiment(sensible_threads(), 5000, 0.0, 0)),
+      "rt:tree:16?diffraction=on");
+}
+
+TEST(DelayHarness, SingleThreadIsAlwaysLinearizable) {
+  // One issuer's operations are totally ordered, so Def 2.4 can never fire,
+  // however long the per-node wait.
+  const RunReport report = run_spec("rt:bitonic:8", rt_experiment(1, 3000, 1.0, 1000));
+  expect_conformant(report, "rt:bitonic:8");
+  EXPECT_TRUE(report.analysis.linearizable());
+  EXPECT_EQ(report.analysis.nonlinearizable_ops, 0u);
+}
+
+TEST(DelayHarness, HistoryTimesAreSane) {
+  const RunReport report = run_spec("rt:bitonic:8", rt_experiment(2, 1000, 0.0, 0));
+  expect_conformant(report, "rt:bitonic:8");
+  for (const lin::Operation& op : report.history) {
+    EXPECT_LE(op.start, op.end);
+    EXPECT_GE(op.start, 0.0);
+    EXPECT_LE(op.end, report.makespan);
+  }
+}
+
+// --- MpEngineEquivalence: mp against the checkers --------------------------
+
+TEST(MpEngineEquivalence, SeededClosedLoopMatrix) {
+  const std::vector<std::string> specs = {
+      "mp:bitonic:4?actors=1",
+      "mp:bitonic:8?actors=2",
+      "mp:periodic:8?actors=3",
+      "mp:tree:16?actors=2",
+      "mp:balancer:4?actors=2",
+  };
+  Workload workload;
+  workload.threads = 4;
+  workload.total_ops = 400;
+  workload.seed = 2026;
+  for (const std::string& spec : specs) {
+    SCOPED_TRACE(spec);
+    expect_conformant(run_spec(spec, workload), spec);
+  }
+}
+
+TEST(MpEngineEquivalence, DelayedWorkloadAcceptedOnBothEngines) {
+  // Both live engines — rt's compiled plan and mp's actors — accept half
+  // the issuers delayed and keep the properties. On mp the token message
+  // carries the wait.
+  Workload workload;
+  workload.threads = 4;
+  workload.total_ops = 200;
+  workload.delayed_fraction = 0.5;
+  workload.wait = 500;  // ns per node hop for the delayed half
+  workload.seed = 13;
+  for (const std::string spec : {"mp:bitonic:8?actors=2", "rt:bitonic:8"}) {
+    SCOPED_TRACE(spec);
+    expect_conformant(run_spec(spec, workload), spec);
+  }
+}
+
+TEST(MpEngineEquivalence, SequentialHistoriesAreLinearizable) {
+  // One issuer: the history is sequential, so any Def 2.4 inversion would
+  // be an engine reordering bug, not a counting-network artifact — with or
+  // without the per-hop wait.
+  Workload workload;
+  workload.threads = 1;
+  workload.total_ops = 300;
+  workload.seed = 5;
+  for (const double delayed_fraction : {0.0, 1.0}) {
+    workload.delayed_fraction = delayed_fraction;
+    workload.wait = delayed_fraction > 0.0 ? 1000 : 0;
+    SCOPED_TRACE("F=" + std::to_string(delayed_fraction));
+    const RunReport report = run_spec("mp:bitonic:8?actors=2", workload);
+    expect_conformant(report, "mp:bitonic:8?actors=2");
+    EXPECT_EQ(report.analysis.nonlinearizable_ops, 0u);
+  }
 }
 
 }  // namespace

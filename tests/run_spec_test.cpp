@@ -25,11 +25,12 @@ std::string parse_fail(const std::string& text) {
 }
 
 TEST(RunSpec, ParsesTheIssueExamples) {
-  BackendSpec rt = parse_ok("rt:bitonic:32?engine=plan");
+  BackendSpec rt = parse_ok("rt:tree:32?diffraction=on&metrics");
   EXPECT_EQ(rt.family, Family::kRt);
-  EXPECT_EQ(rt.structure, Structure::kBitonic);
+  EXPECT_EQ(rt.structure, Structure::kTree);
   EXPECT_EQ(rt.width, 32u);
-  EXPECT_FALSE(rt.engine_walk);
+  EXPECT_TRUE(rt.diffraction);
+  EXPECT_TRUE(rt.metrics);
 
   BackendSpec psim = parse_ok("psim:tree:64?mcs&procs=128");
   EXPECT_EQ(psim.family, Family::kPsim);
@@ -48,9 +49,6 @@ TEST(RunSpec, ParsesTheIssueExamples) {
   BackendSpec mp = parse_ok("mp:bitonic:8?actors=4");
   EXPECT_EQ(mp.family, Family::kMp);
   EXPECT_EQ(mp.actors, 4u);
-  EXPECT_FALSE(mp.mp_locked);
-  EXPECT_TRUE(parse_ok("mp:bitonic:8?engine=locked").mp_locked);
-  EXPECT_FALSE(parse_ok("mp:bitonic:8?engine=lockfree").mp_locked);
 }
 
 TEST(RunSpec, BareFlagsAndOnOffValues) {
@@ -64,7 +62,6 @@ TEST(RunSpec, BareFlagsAndOnOffValues) {
 TEST(RunSpec, DefaultsMatchDefaultStruct) {
   const BackendSpec parsed = parse_ok("rt:bitonic:32");
   const BackendSpec defaults{};
-  EXPECT_EQ(parsed.engine_walk, defaults.engine_walk);
   EXPECT_EQ(parsed.mcs, defaults.mcs);
   EXPECT_EQ(parsed.prism_width, defaults.prism_width);
   EXPECT_EQ(parsed.max_threads, defaults.max_threads);
@@ -110,22 +107,20 @@ TEST(RunSpec, UnknownNamesListAlternatives) {
 
 TEST(RunSpec, OptionShapeErrors) {
   EXPECT_NE(parse_fail("rt:bitonic:8?").find("empty option"), std::string::npos);
-  EXPECT_NE(parse_fail("rt:bitonic:8?mcs&&engine=plan").find("empty option"),
-            std::string::npos);
-  EXPECT_NE(parse_fail("rt:bitonic:8?engine=").find("empty value"), std::string::npos);
+  EXPECT_NE(parse_fail("rt:bitonic:8?mcs&&prism=4").find("empty option"), std::string::npos);
+  EXPECT_NE(parse_fail("rt:bitonic:8?prism=").find("empty value"), std::string::npos);
   EXPECT_NE(parse_fail("rt:bitonic:8?=plan").find("empty key"), std::string::npos);
 }
 
 TEST(RunSpec, UnknownOptionsNameTheFamilyCatalogue) {
   EXPECT_NE(parse_fail("rt:bitonic:8?procs=4").find("unknown rt option"), std::string::npos);
-  EXPECT_NE(parse_fail("psim:bitonic:8?engine=plan").find("unknown psim option"),
+  EXPECT_NE(parse_fail("psim:bitonic:8?threads=4").find("unknown psim option"),
             std::string::npos);
   EXPECT_NE(parse_fail("sim:bitonic:8?actors=2").find("unknown sim option"), std::string::npos);
   EXPECT_NE(parse_fail("mp:bitonic:8?c1=2").find("unknown mp option"), std::string::npos);
 }
 
 TEST(RunSpec, IllTypedOptionValues) {
-  EXPECT_NE(parse_fail("rt:bitonic:8?engine=jit").find("plan|walk"), std::string::npos);
   EXPECT_NE(parse_fail("rt:bitonic:8?mcs=maybe").find("on|off"), std::string::npos);
   EXPECT_NE(parse_fail("rt:bitonic:8?prism=lots").find("slot count"), std::string::npos);
   EXPECT_NE(parse_fail("rt:bitonic:8?threads=0").find(">= 1"), std::string::npos);
@@ -135,8 +130,6 @@ TEST(RunSpec, IllTypedOptionValues) {
   EXPECT_NE(parse_fail("sim:bitonic:8?c1=-1").find("positive time"), std::string::npos);
   EXPECT_NE(parse_fail("sim:bitonic:8?c2=zero").find("positive time"), std::string::npos);
   EXPECT_NE(parse_fail("mp:bitonic:8?actors=0").find(">= 1"), std::string::npos);
-  EXPECT_NE(parse_fail("mp:bitonic:8?engine=spinning").find("lockfree|locked"),
-            std::string::npos);
   EXPECT_NE(parse_fail("rt:bitonic:8?pad=999").find("pad"), std::string::npos);
 }
 
@@ -147,6 +140,21 @@ TEST(RunSpec, CombinationErrors) {
   EXPECT_NE(parse_fail("rt:bitonic:8?diffraction").find("requires the tree"),
             std::string::npos);
   EXPECT_NE(parse_fail("sim:bitonic:8?metrics").find("no obs surface"), std::string::npos);
+}
+
+// Each family has one executor, so the old executor selector is an error on
+// every family, with every value it used to take, and names what runs now.
+TEST(RunSpec, RemovedEngineOptionIsAParseError) {
+  for (const char* head : {"rt:bitonic:8", "mp:bitonic:8", "psim:bitonic:8", "sim:bitonic:8"}) {
+    for (const char* option : {"engine", "engine=plan", "engine=walk", "engine=lockfree",
+                               "engine=locked", "pad=3&engine=plan"}) {
+      const std::string text = std::string(head) + "?" + option;
+      EXPECT_NE(parse_fail(text).find("option 'engine' was removed: rt always runs the compiled "
+                                      "plan, mp the lock-free actors"),
+                std::string::npos)
+          << text;
+    }
+  }
 }
 
 // --- round-trips -----------------------------------------------------------
@@ -160,7 +168,7 @@ void expect_round_trip(const std::string& text) {
 
 TEST(RunSpec, RoundTripsCanonicalise) {
   for (const char* text : {
-           "rt:bitonic:32", "rt:bitonic:32?engine=walk&mcs", "rt:tree:16?diffraction&prism=4",
+           "rt:bitonic:32", "rt:bitonic:32?threads=8&mcs", "rt:tree:16?diffraction&prism=4",
            "rt:periodic:8?threads=64&pad=3&metrics", "psim:bitonic:32?procs=16&hop=2",
            "psim:tree:64?diffraction=on&prism=8&metrics=on", "psim:balancer:1",
            "sim:bitonic:8?model=fixed&c1=2", "sim:periodic:16?c1=1.5&c2=4.5",
@@ -173,24 +181,22 @@ TEST(RunSpec, RoundTripsCanonicalise) {
 // --- exhaustive option cross-products --------------------------------------
 
 TEST(RunSpec, RtOptionCrossProduct) {
-  for (const char* engine : {"", "engine=plan", "engine=walk"}) {
-    for (const char* mode : {"", "mcs", "diffraction"}) {
-      for (const char* prism : {"", "prism=4"}) {
-        for (const char* threads : {"", "threads=16"}) {
-          for (const char* pad : {"", "pad=3"}) {
-            for (const char* metrics : {"", "metrics"}) {
-              std::string options;
-              for (const char* opt : {engine, mode, prism, threads, pad, metrics}) {
-                if (*opt == '\0') continue;
-                options += options.empty() ? "?" : "&";
-                options += opt;
-              }
-              // diffraction requires the tree structure.
-              const bool diffracting = std::string(mode) == "diffraction";
-              const std::string text =
-                  std::string("rt:") + (diffracting ? "tree" : "bitonic") + ":8" + options;
-              expect_round_trip(text);
+  for (const char* mode : {"", "mcs", "diffraction"}) {
+    for (const char* prism : {"", "prism=4"}) {
+      for (const char* threads : {"", "threads=16"}) {
+        for (const char* pad : {"", "pad=3"}) {
+          for (const char* metrics : {"", "metrics"}) {
+            std::string options;
+            for (const char* opt : {mode, prism, threads, pad, metrics}) {
+              if (*opt == '\0') continue;
+              options += options.empty() ? "?" : "&";
+              options += opt;
             }
+            // diffraction requires the tree structure.
+            const bool diffracting = std::string(mode) == "diffraction";
+            const std::string text =
+                std::string("rt:") + (diffracting ? "tree" : "bitonic") + ":8" + options;
+            expect_round_trip(text);
           }
         }
       }
@@ -241,17 +247,15 @@ TEST(RunSpec, SimOptionCrossProduct) {
 
 TEST(RunSpec, MpOptionCrossProduct) {
   for (const char* actors : {"", "actors=1", "actors=8", "workers=3"}) {
-    for (const char* engine : {"", "engine=lockfree", "engine=locked"}) {
-      for (const char* pad : {"", "pad=3"}) {
-        for (const char* metrics : {"", "metrics"}) {
-          std::string options;
-          for (const char* opt : {actors, engine, pad, metrics}) {
-            if (*opt == '\0') continue;
-            options += options.empty() ? "?" : "&";
-            options += opt;
-          }
-          expect_round_trip("mp:bitonic:8" + options);
+    for (const char* pad : {"", "pad=3"}) {
+      for (const char* metrics : {"", "metrics"}) {
+        std::string options;
+        for (const char* opt : {actors, pad, metrics}) {
+          if (*opt == '\0') continue;
+          options += options.empty() ? "?" : "&";
+          options += opt;
         }
+        expect_round_trip("mp:bitonic:8" + options);
       }
     }
   }
@@ -300,8 +304,6 @@ TEST(RunSpec, WorkspaceOptionsAreRtOnlyAndValidated) {
   parse_fail("sim:bitonic:8?tiles=2");
   // tiles without a workspace has nothing to deploy into.
   parse_fail("rt:bitonic:8?tiles=2");
-  // The graph-walk engine has no relocatable compiled state.
-  parse_fail("rt:bitonic:8?engine=walk&ws=x");
   // Name discipline (shm charset) and tile bounds.
   parse_fail("rt:bitonic:8?ws=");
   parse_fail("rt:bitonic:8?ws=bad name");

@@ -5,7 +5,7 @@
 // legacy positional form. The measurement commands (run, count, stats,
 // verify) are spec-driven: anywhere they accept a network they take a
 // BackendSpec string — `<family>:<structure>:<width>[?opt[&opt]...]`, e.g.
-// `rt:bitonic:32?engine=plan` or `psim:tree:64?mcs&procs=128` (grammar in
+// `rt:bitonic:32?mcs` or `psim:tree:64?mcs&procs=128` (grammar in
 // docs/HARNESS.md). count/stats/verify also still accept the positional
 // `<kind> <width>` form, which is rewritten to a spec internally.
 //
@@ -25,7 +25,7 @@
 //       any workload on any backend through the unified harness; prints the
 //       full RunReport. Keys: threads, ops, batch, arrival, rate, burst,
 //       gap, f, wait, seed
-//   cnet_cli count <spec | kind width> <threads> <ops> [batch] [plan|walk]
+//   cnet_cli count <spec | kind width> <threads> <ops> [batch]
 //       closed-loop counting throughput (sugar for `run` with a closed
 //       workload); exit 1 if the counting or step property fails
 //   cnet_cli stats <spec | kind width> <threads> <ops> [batch] [trace.json]
@@ -128,7 +128,7 @@ int usage() {
       "  cnet_cli replay   <trace.bin>\n"
       "  cnet_cli search   <spec> [--budget N] [--procs N] [--ops N] [--stalls N]\n"
       "                    [--stall-cycles N] [--json PATH]\n"
-      "  cnet_cli count    <spec | kind width> <threads> <ops> [batch] [plan|walk]\n"
+      "  cnet_cli count    <spec | kind width> <threads> <ops> [batch]\n"
       "  cnet_cli stats    <spec | kind width> <threads> <ops> [batch] [trace.json]\n"
       "  cnet_cli serve    <spec> [--port N] [--host A] [--uds PATH] [--loops N]\n"
       "                    [--unbatched] [--max-batch N] [--max-pending N]\n"
@@ -138,7 +138,7 @@ int usage() {
       "                    [--pipeline-sock] [--link-depth N] [--link-burst N]\n"
       "spec grammar: <family>:<structure>:<width>[?opt[&opt]...]  (docs/HARNESS.md)\n"
       "  families: sim, psim, rt, mp   structures: bitonic, periodic, tree, balancer\n"
-      "  e.g. rt:bitonic:32?engine=plan   psim:tree:64?mcs&procs=128\n");
+      "  e.g. rt:bitonic:32?mcs   psim:tree:64?mcs&procs=128\n");
   return 2;
 }
 
@@ -790,8 +790,8 @@ int main(int argc, char** argv) {
     return cmd_search(parse_spec_or_exit(kind), argc, argv, 3);
   }
   if (command == "count" || command == "stats") {
-    // `<spec> <threads> <ops> [batch] [tail]` or
-    // `<kind> <width> <threads> <ops> [batch] [tail]`; the positional form
+    // `<spec> <threads> <ops> [batch]` or `<kind> <width> <threads> <ops>
+    // [batch]`, plus stats' optional trace.json tail; the positional form
     // defaults to the rt family (the original behaviour of both commands).
     std::string text;
     int base;
@@ -810,17 +810,12 @@ int main(int argc, char** argv) {
     workload.batch =
         argc > base + 2 ? std::max(1u, static_cast<std::uint32_t>(std::atoi(argv[base + 2])))
                         : 16;
-    const std::string tail = argc > base + 3 ? argv[base + 3] : "";
     if (command == "count") {
-      if (!tail.empty() && tail != "plan" && tail != "walk") {
-        std::fprintf(stderr, "unknown engine '%s' (expected 'plan' or 'walk')\n", tail.c_str());
-        return 2;
-      }
-      if (tail == "walk") text += text.find('?') == std::string::npos ? "?engine=walk"
-                                                                      : "&engine=walk";
+      if (argc > base + 3) return usage();
       return cmd_run(parse_spec_or_exit(text), workload);
     }
-    return cmd_stats(parse_spec_or_exit(text), workload, tail);
+    const std::string trace_path = argc > base + 3 ? argv[base + 3] : "";
+    return cmd_stats(parse_spec_or_exit(text), workload, trace_path);
   }
   return usage();
 }
