@@ -6,11 +6,8 @@
 // BM_DeployRtPipeline/{1,2,4} is one complete pipelined deployment per
 // iteration (fork ingress/counter/record tiles, stream kPipeOps batched
 // requests over shm links through the workspace-resident plan, merge and
-// check; boot cost included), and BM_DeployRtPipelineSock/4 is the
-// ablation twin: the identical 3-stage topology with every hop a
-// synchronous per-operation SOCK_SEQPACKET handoff. The gap between the
-// two is the isolation tax the links exist to pipeline past
-// (docs/EXPERIMENTS.md interprets it against BM_DeployRtTiles).
+// check; boot cost included); docs/EXPERIMENTS.md interprets it against
+// BM_DeployRtTiles.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -98,7 +95,7 @@ void BM_LinkPingPong(benchmark::State& state) {
 }
 BENCHMARK(BM_LinkPingPong)->UseRealTime();
 
-// --- pipelined deployment vs the per-op socketpair ablation -----------------
+// --- pipelined deployment ---------------------------------------------------
 
 constexpr std::uint64_t kPipeOps = 100000;
 constexpr std::uint32_t kPipeBatch = 16;
@@ -114,7 +111,13 @@ deploy::DeployOptions pipeline_options(std::uint32_t streams) {
   return options;
 }
 
-void run_pipeline_body(benchmark::State& state, const deploy::DeployOptions& options) {
+/// One full pipelined deployment per iteration: ingress tiles batch
+/// requests into shm links, the counter tile drains them through the
+/// shared plan, the record tile commits histories. Boot cost included,
+/// exactly like BM_DeployRtTiles.
+void BM_DeployRtPipeline(benchmark::State& state) {
+  const deploy::DeployOptions options =
+      pipeline_options(static_cast<std::uint32_t>(state.range(0)));
   for (auto _ : state) {
     const deploy::DeployReport report = deploy::run_pipeline_deployment(options);
     if (!report.ok) {
@@ -126,26 +129,7 @@ void run_pipeline_body(benchmark::State& state, const deploy::DeployOptions& opt
   }
   state.SetItemsProcessed(state.iterations() * kPipeOps);
 }
-
-/// One full pipelined deployment per iteration: ingress tiles batch
-/// requests into shm links, the counter tile drains them through the
-/// shared plan, the record tile commits histories. Boot cost included,
-/// exactly like BM_DeployRtTiles.
-void BM_DeployRtPipeline(benchmark::State& state) {
-  run_pipeline_body(state, pipeline_options(static_cast<std::uint32_t>(state.range(0))));
-}
 BENCHMARK(BM_DeployRtPipeline)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
-
-/// The ablation: same tiles, same plan, same record/check path, but every
-/// request and response is a synchronous per-op SOCK_SEQPACKET message —
-/// the textbook "IPC per operation" shape the links replace.
-void BM_DeployRtPipelineSock(benchmark::State& state) {
-  deploy::DeployOptions options =
-      pipeline_options(static_cast<std::uint32_t>(state.range(0)));
-  options.transport = deploy::DeployOptions::PipeTransport::kSocketPair;
-  run_pipeline_body(state, options);
-}
-BENCHMARK(BM_DeployRtPipelineSock)->Arg(4)->UseRealTime();
 
 }  // namespace
 

@@ -9,8 +9,8 @@
 # threads) into BENCH_mp.json; and the service boundary-batching
 # ablation (batched vs textbook per-request loop over real loopback TCP, 8
 # connections; see docs/SERVICE.md) plus the link/pipeline series (raw shm
-# ring ping/pong, pipelined deployments vs the per-op socketpair ablation;
-# see docs/DEPLOY.md) into BENCH_svc.json. Pass different output paths as
+# ring ping/pong and pipelined deployments; see docs/DEPLOY.md) into
+# BENCH_svc.json. Pass different output paths as
 # $1..$4.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -154,13 +154,12 @@ echo "wrote $svc_out ($(python3 -c "import json;print(len(json.load(open('$svc_o
 # loops-scaling series must be there too, or the multi-loop claim in
 # docs/SERVICE.md has no number behind it. Same for the deployment pairs:
 # tiles-over-shm without its in-process twin, or the pipelined run without
-# its per-op socketpair ablation and raw ping/pong floor, is a number with
-# no baseline.
+# its raw ping/pong floor, is a number with no baseline.
 python3 - "$svc_out" <<'EOF'
 import json, sys
 required = ["BM_SvcRtBatched", "BM_SvcRtUnbatched", "BM_SvcMpBatched", "BM_SvcMpUnbatched",
             "BM_SvcRtLoops", "BM_DeployRtTiles", "BM_DeployRtInProc",
-            "BM_LinkPingPong", "BM_DeployRtPipeline", "BM_DeployRtPipelineSock"]
+            "BM_LinkPingPong", "BM_DeployRtPipeline"]
 with open(sys.argv[1]) as f:
     names = {b["name"] for b in json.load(f)["benchmarks"]}
 missing = [r for r in required if not any(n.startswith(r) for n in names)]

@@ -43,7 +43,7 @@ check_output() {
 
 # --- usage covers every command, and usage errors exit 2 -------------------
 for cmd in info dot verify simulate workload exhaustive run count stats serve \
-           record replay search; do
+           record replay search deploy; do
   check_output "usage mentions '$cmd'" "cnet_cli $cmd" "$CLI"
 done
 check_rc "no arguments is a usage error" 2 "$CLI"
@@ -165,6 +165,38 @@ else
   failures=$((failures + 1))
 fi
 rm -f /tmp/cnet_serve_report.$$
+
+# --- deploy: bad specs and options exit 2 before anything forks ------------
+# Every case here is rejected before the runner forks a tile: this script
+# also runs under ASan, which cannot follow fork + SIGKILL.
+dspec='rt:bitonic:4?ws=cli-deploy&tiles=1&threads=4'
+check_rc "deploy rejects a non-rt spec" 2 "$CLI" deploy "mp:bitonic:8" --ops 1000
+check_output "deploy names the rt requirement" "only the rt family deploys" \
+  "$CLI" deploy "mp:bitonic:8" --ops 1000
+check_rc "deploy rejects --timeout -1" 2 "$CLI" deploy "$dspec" --ops 1000 --timeout -1
+check_output "--timeout -1 is a usage error" "needs a non-negative number of seconds" \
+  "$CLI" deploy "$dspec" --ops 1000 --timeout -1
+for timeout in 0 1e30; do
+  check_rc "deploy rejects --timeout $timeout" 2 \
+    "$CLI" deploy "$dspec" --ops 1000 --timeout "$timeout"
+  check_output "--timeout $timeout names the bound" "timeout_s must be" \
+    "$CLI" deploy "$dspec" --ops 1000 --timeout "$timeout"
+done
+check_rc "deploy rejects --batch -1" 2 "$CLI" deploy "$dspec" --ops 1000 --batch -1
+check_output "--batch -1 is a usage error" "needs an integer in" \
+  "$CLI" deploy "$dspec" --ops 1000 --batch -1
+check_output "--batch past one frag names the bound" "batch must be in \[1, 8188\]" \
+  "$CLI" deploy "$dspec" --ops 1000 --batch 8189
+check_rc "deploy rejects --pipeline --threads 2" 2 \
+  "$CLI" deploy "$dspec" --pipeline --threads 2 --ops 1000
+check_output "pipeline tiles are single-threaded" "threads_per_tile must be 1" \
+  "$CLI" deploy "$dspec" --pipeline --threads 2 --ops 1000
+for flag in --pipeline-sock "--link-depth 64"; do
+  # $flag is split on purpose: the flag and, where present, its value.
+  check_rc "removed deploy option exits 2: $flag" 2 "$CLI" deploy "$dspec" $flag
+  check_output "removed deploy option is unknown: $flag" "unknown deploy option" \
+    "$CLI" deploy "$dspec" $flag
+done
 
 # --- count/verify accept both forms ----------------------------------------
 check "count, positional form" "$CLI" count bitonic 8 2 1000

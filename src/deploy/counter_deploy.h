@@ -37,27 +37,21 @@ struct DeployOptions {
   std::uint32_t threads_per_tile = 2;
   std::uint64_t total_ops = 100000;
   /// Tokens per next_batch call — also the per-thread bound on values a
-  /// SIGKILL can lose.
+  /// SIGKILL can lose. In [1, 8188]: a pipeline response frag of `batch`
+  /// values must fit one link frag.
   std::uint32_t batch = 1;
   /// Restart budget: deaths beyond this (expected or not) fail the run.
   std::uint32_t max_restarts = 8;
+  /// Deadline for boot plus run, in seconds; must be in (0, 1e6].
   double timeout_s = 60.0;
 
   /// Pipelined run mode (run_pipeline_deployment): `tiles` ingress tiles
-  /// batch token *requests* into credit-based shared-memory links, one
-  /// counter tile drains them through the shared plan, one record tile
-  /// commits histories. Requires threads_per_tile == 1 (each pipeline tile
-  /// is a single stage loop). Also switched on by spec `pipeline=1`.
+  /// batch token *requests* into credit-based shared-memory links (depth
+  /// 128, burst 32), one counter tile drains them through the shared plan,
+  /// one record tile commits histories. Requires threads_per_tile == 1
+  /// (each pipeline tile is a single stage loop). Also switched on by spec
+  /// `pipeline=1`.
   bool pipeline = false;
-  /// Transport ablation for the pipeline: kLink is the shm ring;
-  /// kSocketPair reruns the same 3-stage topology over per-operation
-  /// SOCK_SEQPACKET handoffs (clean runs only) so benchmarks can price the
-  /// isolation tax with the transport as the only variable.
-  enum class PipeTransport : std::uint8_t { kLink, kSocketPair };
-  PipeTransport transport = PipeTransport::kLink;
-  /// Link geometry (link::RingOptions::depth/burst) for pipeline mode.
-  std::uint32_t link_depth = 128;
-  std::uint32_t link_burst = 32;
 };
 
 struct DeployReport {
@@ -92,7 +86,6 @@ struct DeployReport {
 
   /// Pipeline-mode extras (zero/false on classic runs).
   bool pipelined = false;
-  bool per_op_ablation = false;    ///< ran the socketpair transport, not links
   std::uint64_t dup_requests = 0;  ///< at-least-once replays dropped by record
 
   std::string to_text() const;
@@ -125,9 +118,7 @@ DeployReport run_counter_deployment(const DeployOptions& options);
 /// reliable end to end; a `die:` SIGKILL can still vaporize in-flight
 /// frags, which the report accounts against kills x 2 x batch (request +
 /// response legs) and downgrades to counting-only exactly like the classic
-/// runner. options.transport == kSocketPair swaps the shm links for per-op
-/// SOCK_SEQPACKET handoffs (same topology, clean runs only) as the
-/// benchmark ablation.
+/// runner.
 DeployReport run_pipeline_deployment(const DeployOptions& options);
 
 }  // namespace cnet::deploy

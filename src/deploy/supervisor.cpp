@@ -45,22 +45,11 @@ bool Supervisor::spawn(std::uint32_t tile, std::string* error) {
     ::_exit(main_(tile));
   }
   pids_[tile] = pid;
-  ++spawns_;
   return true;
 }
 
 bool Supervisor::alive(std::uint32_t tile) const {
   return tile < pids_.size() && pids_[tile] > 0;
-}
-
-std::uint32_t Supervisor::alive_count() const {
-  std::uint32_t n = 0;
-  for (const pid_t pid : pids_) n += pid > 0 ? 1 : 0;
-  return n;
-}
-
-pid_t Supervisor::pid(std::uint32_t tile) const {
-  return tile < pids_.size() ? pids_[tile] : -1;
 }
 
 std::vector<Supervisor::Death> Supervisor::poll() {

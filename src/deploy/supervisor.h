@@ -2,7 +2,8 @@
 // kills them on demand, and re-forks them against the same (persistent)
 // workspace fds — the mechanism half of process-level fault tolerance.
 // Policy (when to kill, when a death is fatal, when to restart) lives with
-// the caller (deploy/counter_deploy.cpp).
+// the caller: detail::supervise() in deploy/deploy_internal.cpp, the one
+// run loop both deployment runners share.
 //
 // Children are fork-without-exec: the tile entry point runs in the child
 // and the child leaves via _exit, so parent-side atexit handlers and
@@ -45,10 +46,6 @@ class Supervisor {
   bool spawn(std::uint32_t tile, std::string* error);
 
   bool alive(std::uint32_t tile) const;
-  std::uint32_t alive_count() const;
-  pid_t pid(std::uint32_t tile) const;
-  /// Total successful spawn() calls (first boots + restarts).
-  std::uint64_t total_spawns() const { return spawns_; }
 
   /// One reaped child.
   struct Death {
@@ -67,7 +64,6 @@ class Supervisor {
  private:
   std::vector<pid_t> pids_;  ///< -1 = not running
   TileMain main_;
-  std::uint64_t spawns_ = 0;
 };
 
 }  // namespace cnet::deploy

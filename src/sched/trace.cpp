@@ -62,11 +62,10 @@ bool fail(std::string* error, std::string message) {
 }  // namespace
 
 std::vector<std::uint8_t> Trace::serialize() const {
-  std::vector<std::uint8_t> out;
   std::size_t bytes = kHeaderBytes + spec.size() + workload.size();
   for (const TokenRecord& tok : tokens) bytes += kTokenMinBytes + tok.hops.size() * kHopBytes;
+  std::vector<std::uint8_t> out(kMagic, kMagic + sizeof(kMagic));
   out.reserve(bytes);
-  out.insert(out.end(), kMagic, kMagic + sizeof(kMagic));
   put_u32(&out, kVersion);
   put_u32(&out, 0);  // reserved
   put_u32(&out, static_cast<std::uint32_t>(spec.size()));

@@ -2,13 +2,14 @@
 // and the all-failures-in-one-diagnostic contract), run_pipeline_deployment
 // option gating, and — outside sanitizer builds — real fork()ed
 // ingress/counter/record tiles streaming over credit-based shm links,
-// including the `die:` SIGKILL rounds and the per-op socketpair ablation.
+// including the `die:` SIGKILL rounds.
 // Fork-based cases are skipped under ASan/TSan exactly like
 // deploy_e2e_test; CI's Release deploy-smoke job runs them for real.
 #include "deploy/counter_deploy.h"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <map>
 #include <string>
 
@@ -165,27 +166,6 @@ TEST(DeployPipeline, RejectsHostileOptionsBeforeForking) {
         << report.error;
   }
   {
-    DeployOptions options;  // the socketpair ablation cannot take kills
-    options.spec =
-        spec_of("rt:bitonic:8?ws=pipe-val&tiles=2&threads=16&fault=die:1000");
-    options.pipeline = true;
-    options.threads_per_tile = 1;
-    options.transport = DeployOptions::PipeTransport::kSocketPair;
-    const DeployReport report = run_pipeline_deployment(options);
-    EXPECT_FALSE(report.ok);
-    EXPECT_NE(report.error.find("clean-run ablation"), std::string::npos) << report.error;
-  }
-  {
-    DeployOptions options;  // link geometry is validated up front
-    options.spec = spec_of("rt:bitonic:8?ws=pipe-val&tiles=2&threads=16");
-    options.pipeline = true;
-    options.threads_per_tile = 1;
-    options.link_depth = 3;
-    const DeployReport report = run_pipeline_deployment(options);
-    EXPECT_FALSE(report.ok);
-    EXPECT_NE(report.error.find("depth"), std::string::npos) << report.error;
-  }
-  {
     DeployOptions options;  // batch 0 issues nothing
     options.spec = spec_of("rt:bitonic:8?ws=pipe-val&tiles=2&threads=16");
     options.pipeline = true;
@@ -203,6 +183,33 @@ TEST(DeployPipeline, RejectsHostileOptionsBeforeForking) {
     const DeployReport report = run_pipeline_deployment(options);
     EXPECT_FALSE(report.ok);
     EXPECT_NE(report.error.find("tiles+2"), std::string::npos) << report.error;
+  }
+  // Both runners share one check of timeout_s and batch: a deadline that
+  // is not a positive number of seconds or would overflow 64-bit ns, and a
+  // batch no response frag can carry, are rejected before fork.
+  for (const bool pipeline : {false, true}) {
+    DeployOptions base;
+    base.spec = spec_of("rt:bitonic:4?ws=pipe-val&tiles=1&threads=4");
+    base.pipeline = pipeline;
+    base.threads_per_tile = pipeline ? 1 : 4;
+    base.total_ops = 1000;
+    for (const double timeout : {-1.0, 0.0, std::nan(""), HUGE_VAL, 1e30}) {
+      DeployOptions options = base;
+      options.timeout_s = timeout;
+      const DeployReport report = run_counter_deployment(options);
+      EXPECT_FALSE(report.ok);
+      EXPECT_EQ(report.pipelined, pipeline);
+      EXPECT_NE(report.error.find("timeout_s must be"), std::string::npos)
+          << "pipeline=" << pipeline << " timeout=" << timeout << ": " << report.error;
+    }
+    for (const std::uint32_t batch : {8189u, 4294967295u}) {
+      DeployOptions options = base;
+      options.batch = batch;
+      const DeployReport report = run_counter_deployment(options);
+      EXPECT_FALSE(report.ok);
+      EXPECT_NE(report.error.find("batch must be in [1, 8188]"), std::string::npos)
+          << "pipeline=" << pipeline << " batch=" << batch << ": " << report.error;
+    }
   }
 }
 
@@ -225,7 +232,6 @@ TEST(DeployPipelineE2E, CleanLinkedPipelineIsLinearizable) {
   ASSERT_TRUE(report.error.empty()) << report.error;
   EXPECT_TRUE(report.ok) << report.to_text();
   EXPECT_TRUE(report.pipelined);
-  EXPECT_FALSE(report.per_op_ablation);
   EXPECT_EQ(report.guarantee, DeployReport::Guarantee::kLinearizable);
   EXPECT_EQ(report.tiles, 2u);
   EXPECT_EQ(report.kills, 0u);
@@ -267,23 +273,16 @@ TEST(DeployPipelineE2E, SigkillRoundDowngradesHonestlyAndLosesNothingRecorded) {
   EXPECT_NE(report.to_text().find("counting-only"), std::string::npos);
 }
 
-TEST(DeployPipelineE2E, SocketpairAblationRunsTheSameTopologyPerOp) {
+TEST(DeployPipelineE2E, LargestBatchFitsOneResponseFrag) {
   DeployOptions options;
-  options.spec = spec_of("rt:bitonic:8?ws=pipe-sock&tiles=2&threads=16");
-  options.pipeline = true;
+  options.spec = spec_of("rt:bitonic:8?ws=pipe-maxbatch&tiles=1&threads=16&pipeline=1");
   options.threads_per_tile = 1;
-  options.transport = DeployOptions::PipeTransport::kSocketPair;
-  options.total_ops = 4000;
-  options.batch = 8;  // ignored: the ablation is strictly per-op
-  const DeployReport report = run_pipeline_deployment(options);
+  options.total_ops = 20000;
+  options.batch = 8188;  // 32-byte header + 8188 values = link::kMaxMtu exactly
+  const DeployReport report = run_counter_deployment(options);
   ASSERT_TRUE(report.error.empty()) << report.error;
   EXPECT_TRUE(report.ok) << report.to_text();
-  EXPECT_TRUE(report.pipelined);
-  EXPECT_TRUE(report.per_op_ablation);
-  EXPECT_EQ(report.guarantee, DeployReport::Guarantee::kLinearizable);
-  EXPECT_EQ(report.ops_recorded, 4000u);
-  EXPECT_EQ(report.lost_values, 0u);
-  EXPECT_NE(report.to_text().find("per-op socketpairs"), std::string::npos);
+  EXPECT_EQ(report.ops_recorded, 20000u);
 }
 
 #endif  // CNET_UNDER_SANITIZER

@@ -208,7 +208,7 @@ TEST(DeployTopology, RejectsTableOverflowBeforeMaterialize) {
   b.workspace("ws");
   b.tile("t0", 0, 1);
   for (std::uint32_t i = 0; i <= shm::kMaxObjects; ++i) {
-    const std::string name = "o" + std::to_string(i);
+    const std::string name = std::string("o").append(std::to_string(i));
     b.object(name, "ws", 8, 8, true);
     b.uses(name, MapMode::kReadWrite);
   }

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <barrier>
 #include <condition_variable>
 #include <mutex>
@@ -164,25 +165,44 @@ TEST(MpSteadyState, PoolSlabsStopGrowingOnceWarm) {
   const topo::Network net = topo::make_bitonic(8);
   NetworkService service(net, {.workers = 2});
   constexpr unsigned kClients = 4;
-  // The client threads stay alive across the snapshot (their pool caches
+  // Warm-up is condition-driven, not a fixed op count: how many ops it
+  // takes to fill every thread cache depends on scheduling, so no fixed
+  // count is enough on a loaded host. Clients run warm-up rounds as long
+  // as the steady-state phase until two consecutive quiescent snapshots
+  // agree — the pool just survived one such window without growing. A
+  // pool that never settles within kMaxWarmupRounds fails.
+  constexpr int kRoundOps = 2000;
+  constexpr int kMaxWarmupRounds = 100;
+  // The client threads stay alive across the snapshots (their pool caches
   // are thread-local); main joins the barrier to read the stats while all
   // operations are quiescent.
   std::barrier sync(kClients + 1);
+  std::atomic<bool> warm{false};
   MessagePool::Stats before;
+  bool settled = false;
   {
     std::vector<std::jthread> clients;
     for (unsigned c = 0; c < kClients; ++c) {
-      clients.emplace_back([&service, &sync, c] {
-        for (int i = 0; i < 500; ++i) service.count(c % 8);  // warm-up
-        sync.arrive_and_wait();
-        sync.arrive_and_wait();
-        for (int i = 0; i < 2000; ++i) service.count(c % 8);  // steady state
+      clients.emplace_back([&service, &sync, &warm, c] {
+        do {
+          for (int i = 0; i < kRoundOps; ++i) service.count(c % 8);  // warm-up round
+          sync.arrive_and_wait();
+          sync.arrive_and_wait();
+        } while (!warm.load());
+        for (int i = 0; i < kRoundOps; ++i) service.count(c % 8);  // steady state
       });
     }
-    sync.arrive_and_wait();  // all warm-up ops complete, none in flight
-    before = service.pool_stats();
-    sync.arrive_and_wait();
+    for (int round = 1; !warm.load(); ++round) {
+      sync.arrive_and_wait();  // this round's ops complete, none in flight
+      const MessagePool::Stats now = service.pool_stats();
+      settled = round > 1 && now.slabs == before.slabs && now.nodes == before.nodes;
+      before = now;
+      if (settled || round == kMaxWarmupRounds) warm.store(true);
+      sync.arrive_and_wait();
+    }
   }
+  ASSERT_TRUE(settled) << "pool still growing after " << kMaxWarmupRounds
+                       << " warm-up rounds";
   const MessagePool::Stats after = service.pool_stats();
   EXPECT_GT(before.slabs, 0u);
   EXPECT_EQ(after.slabs, before.slabs) << "hot path allocated at steady state";

@@ -60,7 +60,6 @@
 //       construction on bitonic networks
 //   cnet_cli deploy <spec> [--tiles N] [--threads N] [--ops N] [--batch N]
 //                   [--max-restarts N] [--timeout S] [--pipeline]
-//                   [--pipeline-sock] [--link-depth N] [--link-burst N]
 //       multi-process deployment (docs/DEPLOY.md): the spec's `ws=` names a
 //       shared-memory workspace holding the compiled rt plan, worker-tile
 //       processes count through it, and a `fault=die:n` clause is realized
@@ -69,15 +68,16 @@
 //       the merged cross-process report with its honest guarantee.
 //       --pipeline (or spec `pipeline=1`) switches to the pipelined run:
 //       ingress tiles stream batched requests over credit-based shm links
-//       to a counter tile, a record tile commits histories;
-//       --pipeline-sock swaps the links for the per-op socketpair-handoff
-//       ablation (clean runs only)
+//       to a counter tile, a record tile commits histories. Numeric options
+//       parse strictly (negative or non-numeric: exit 2)
 //
 // Exit codes: 0 success, 1 a property check failed, 2 usage error (unknown
 // command, malformed spec or workload key), 130 run interrupted by SIGINT
 // (after a graceful drain and a partial report).
 #include <algorithm>
 #include <atomic>
+#include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -135,7 +135,6 @@ int usage() {
       "                    [--shed-threshold X]\n"
       "  cnet_cli deploy   <spec> [--tiles N] [--threads N] [--ops N] [--batch N]\n"
       "                    [--max-restarts N] [--timeout S] [--pipeline]\n"
-      "                    [--pipeline-sock] [--link-depth N] [--link-burst N]\n"
       "spec grammar: <family>:<structure>:<width>[?opt[&opt]...]  (docs/HARNESS.md)\n"
       "  families: sim, psim, rt, mp   structures: bitonic, periodic, tree, balancer\n"
       "  e.g. rt:bitonic:32?mcs   psim:tree:64?mcs&procs=128\n");
@@ -593,30 +592,47 @@ int cmd_deploy(const run::BackendSpec& spec, int argc, char** argv, int base) {
       }
       return argv[++i];
     };
+    // Numbers parse strictly: a negative, non-numeric or out-of-range
+    // value is a usage error, not a wrapped or zero value.
+    const auto bad_number = [&](const char* text, const char* want) {
+      std::fprintf(stderr, "deploy: %s needs %s (got '%s')\n", arg.c_str(), want, text);
+      std::exit(2);
+    };
+    const auto count = [&](std::uint64_t max) {
+      const char* text = value();
+      char* end = nullptr;
+      errno = 0;
+      const std::uint64_t n =
+          std::isdigit(static_cast<unsigned char>(*text)) ? std::strtoull(text, &end, 10) : 0;
+      if (end == nullptr || *end != '\0' || errno == ERANGE || n > max) {
+        bad_number(text, ("an integer in [0, " + std::to_string(max) + "]").c_str());
+      }
+      return n;
+    };
+    const auto seconds = [&] {
+      const char* text = value();
+      char* end = nullptr;
+      const double n =
+          std::isdigit(static_cast<unsigned char>(*text)) ? std::strtod(text, &end) : 0.0;
+      if (end == nullptr || *end != '\0') bad_number(text, "a non-negative number of seconds");
+      return n;
+    };
+    constexpr std::uint64_t kU32 = 0xffffffffu;
     if (arg == "--tiles") {
-      options.tiles = static_cast<std::uint32_t>(std::atoi(value()));
+      options.tiles = static_cast<std::uint32_t>(count(kU32));
     } else if (arg == "--threads") {
-      options.threads_per_tile = static_cast<std::uint32_t>(std::atoi(value()));
+      options.threads_per_tile = static_cast<std::uint32_t>(count(kU32));
       explicit_threads = true;
     } else if (arg == "--ops") {
-      options.total_ops = std::strtoull(value(), nullptr, 10);
+      options.total_ops = count(~0ull);
     } else if (arg == "--batch") {
-      options.batch = std::max(1u, static_cast<std::uint32_t>(std::atoi(value())));
+      options.batch = static_cast<std::uint32_t>(count(kU32));
     } else if (arg == "--max-restarts") {
-      options.max_restarts = static_cast<std::uint32_t>(std::atoi(value()));
+      options.max_restarts = static_cast<std::uint32_t>(count(kU32));
     } else if (arg == "--timeout") {
-      options.timeout_s = std::atof(value());
+      options.timeout_s = seconds();
     } else if (arg == "--pipeline") {
       options.pipeline = true;
-    } else if (arg == "--pipeline-sock") {
-      // The per-op socketpair-handoff ablation (clean runs only); exists
-      // so the isolation tax is reproducible from the command line.
-      options.pipeline = true;
-      options.transport = deploy::DeployOptions::PipeTransport::kSocketPair;
-    } else if (arg == "--link-depth") {
-      options.link_depth = static_cast<std::uint32_t>(std::atoi(value()));
-    } else if (arg == "--link-burst") {
-      options.link_burst = static_cast<std::uint32_t>(std::atoi(value()));
     } else {
       std::fprintf(stderr, "unknown deploy option '%s'\n", arg.c_str());
       return 2;
@@ -627,14 +643,7 @@ int cmd_deploy(const run::BackendSpec& spec, int argc, char** argv, int base) {
   if ((options.pipeline || options.spec.pipeline) && !explicit_threads) {
     options.threads_per_tile = 1;
   }
-  const std::uint32_t tiles = options.tiles != 0    ? options.tiles
-                              : options.spec.tiles != 0 ? options.spec.tiles
-                                                        : 2;
-  std::string error;
-  if (!deploy::validate_deploy_spec(options.spec, tiles, options.threads_per_tile, &error)) {
-    std::fprintf(stderr, "%s\n", error.c_str());
-    return 2;
-  }
+  // Spec and option errors come back in report.error, before any fork.
   const deploy::DeployReport report = deploy::run_counter_deployment(options);
   if (!report.ok && !report.error.empty()) {
     std::fprintf(stderr, "%s", report.to_text().c_str());
