@@ -76,7 +76,8 @@ BENCHMARK(BM_PlanObsOff)
     ->ThreadRange(1, 8)
     ->UseRealTime();
 
-/// Default configuration: counters on every token, clocks on every 64th.
+/// Default configuration: one RMW (the token clock) on every token, clocks
+/// on every 64th; visits are read from the balancer state, not recorded.
 void BM_PlanObsSampled(benchmark::State& state) { run_single_token_body(state); }
 BENCHMARK(BM_PlanObsSampled)
     ->Setup(setup_plan_sampled)

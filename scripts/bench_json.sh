@@ -106,6 +106,21 @@ build/bench/obs_overhead \
 tag_build_type "$obs_out"
 echo "wrote $obs_out ($(python3 -c "import json;print(len(json.load(open('$obs_out'))['benchmarks']))") benchmarks)"
 
+# Same key guard for the observability-overhead series docs/OBSERVABILITY.md
+# quotes: every instrumentation level, single tokens and batched.
+python3 - "$obs_out" <<'EOF'
+import json, sys
+required = [
+    "BM_PlanObsOff/", "BM_PlanObsSampled/", "BM_PlanObsFull/", "BM_PlanObsTraced/",
+    "BM_PlanBatchObsOff/", "BM_PlanBatchObsSampled/",
+]
+with open(sys.argv[1]) as f:
+    names = {b["name"] for b in json.load(f)["benchmarks"]}
+missing = [r for r in required if not any(n.startswith(r) for n in names)]
+if missing:
+    sys.exit(f"benchmark series missing from {sys.argv[1]}: {', '.join(missing)}")
+EOF
+
 build/bench/throughput_mp \
   --benchmark_min_time="$min_time" \
   --benchmark_format=json >"$mp_out"

@@ -207,6 +207,23 @@ check_rc "count with an argument after batch exits 2" 2 "$CLI" count bitonic 8 2
 check_rc "count, spec form, with an argument after batch exits 2" 2 \
   "$CLI" count "rt:bitonic:8" 2 1000 8 walk
 
+# --- hostile numbers: a sign, a non-digit or an out-of-range value exits 2 --
+# None of these forks. Before the strict parser, -1 wrapped to 2^32-1
+# threads or batch (std::bad_alloc, exit 134) and 'abc' read as 0 ops.
+check_rc "count rejects threads -1" 2 "$CLI" count "mp:bitonic:4" -1 100
+check_rc "count rejects batch -5" 2 "$CLI" count "rt:bitonic:4" 4 1000 -5
+check_rc "stats rejects non-numeric ops" 2 "$CLI" stats "rt:bitonic:4" 2 abc
+check_rc "count rejects ops past 2^64-1" 2 "$CLI" count "rt:bitonic:4" 2 18446744073709551616
+for arg in threads=-1 batch=-1 ops=-1 threads=4294967296 seed=+1; do
+  check_rc "run rejects $arg" 2 "$CLI" run "mp:bitonic:4" "$arg"
+done
+check_rc "record rejects ops=-1" 2 "$CLI" record "rt:bitonic:4" /tmp/cnet_cli_hostile.$$ ops=-1
+check_output "a hostile number names its key and bound" \
+  "workload key 'threads' needs an integer in \[0, 4294967295\]" \
+  "$CLI" run "mp:bitonic:4" threads=-1
+check_output "a hostile positional number names its bound" "ops needs an integer in" \
+  "$CLI" stats "rt:bitonic:4" 2 abc
+
 if [ "$failures" -ne 0 ]; then
   echo "$failures check(s) failed" >&2
   exit 1

@@ -7,6 +7,8 @@
 #include <new>
 #include <thread>
 
+#include "util/fence.h"
+
 namespace cnet::link {
 namespace {
 
@@ -141,9 +143,8 @@ bool Ring::create(void* mem, std::uint64_t size, const RingOptions& o, Ring* out
   }
   for (std::uint32_t i = 0; i < o.consumers; ++i) new (&fmt.credits_[i]) CreditLine();
   // Magic last: an attacher that races creation sees not-a-ring, not a
-  // half-formatted one.
-  std::atomic_thread_fence(std::memory_order_release);
-  hdr->magic = kRingMagic;
+  // half-formatted one (this release store pairs with attach's acquire load).
+  std::atomic_ref<std::uint64_t>(hdr->magic).store(kRingMagic, std::memory_order_release);
 
   return attach(mem, size, out, error);
 }
@@ -152,8 +153,9 @@ bool Ring::attach(void* mem, std::uint64_t size, Ring* out, std::string* error) 
   if (mem == nullptr || size < sizeof(Header)) {
     return fail(error, "region too small to hold a ring header");
   }
-  const auto* hdr = static_cast<const Header*>(mem);
-  if (hdr->magic != kRingMagic) return fail(error, "bad magic (not a cnet link ring)");
+  auto* hdr = static_cast<Header*>(mem);
+  const auto magic = std::atomic_ref<std::uint64_t>(hdr->magic).load(std::memory_order_acquire);
+  if (magic != kRingMagic) return fail(error, "bad magic (not a cnet link ring)");
   if (hdr->version != kRingVersion) {
     return fail(error, "version " + std::to_string(hdr->version) + " (this build speaks " +
                            std::to_string(kRingVersion) + ")");
@@ -228,9 +230,10 @@ Ring::Send Ring::try_send(std::uint64_t sig, const void* payload, std::uint32_t 
   // (not yet). The release fence pairs with the consumer's post-copy
   // acquire fence: any consumer that observed a payload/field store from
   // this generation is guaranteed to observe at least the marker on its
-  // seq re-check, so a torn snapshot can never validate.
+  // seq re-check, so a torn snapshot can never validate. (TSan cannot see
+  // the pair; every word moves through a relaxed atomic regardless.)
   m.seq.store(s - 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
+  tsan_blind_fence(std::memory_order_release);
   if (sz != 0) copy_words_in(dcache_ + std::uint64_t{s & dmask_} * stride_words_, payload, sz);
   m.sig.store(sig, std::memory_order_relaxed);
   m.sz.store(sz, std::memory_order_relaxed);
@@ -291,7 +294,7 @@ Consumer::Poll Consumer::poll(Frag* out) {
 }
 
 bool Consumer::check(const Frag& frag) const {
-  std::atomic_thread_fence(std::memory_order_acquire);
+  tsan_blind_fence(std::memory_order_acquire);
   return ring_->meta_[frag.seq & ring_->mask_].seq.load(std::memory_order_relaxed) ==
          frag.seq;
 }

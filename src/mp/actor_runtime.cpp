@@ -1,9 +1,9 @@
 #include "mp/actor_runtime.h"
 
 #include <atomic>
-#include <chrono>
 
 #include "util/assert.h"
+#include "util/fence.h"
 #include "util/spin.h"
 
 namespace cnet::mp {
@@ -44,14 +44,6 @@ constexpr int kIdleSweeps = 32;
 /// full responsiveness.
 constexpr std::uint32_t kBackoffMin = 4;
 constexpr std::uint32_t kBackoffMax = 1024;
-
-/// Cooperative worker pause (fault-injection park points): burn wall time
-/// holding nothing. Busy-waiting rather than sleeping keeps sub-slice
-/// pauses accurate and mimics a preempted worker still occupying its core.
-void busy_pause(std::uint64_t ns) {
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::nanoseconds(ns);
-  while (std::chrono::steady_clock::now() < deadline) cpu_relax();
-}
 
 }  // namespace
 
@@ -184,8 +176,10 @@ void ActorRuntime::enqueue(ActorId id) {
   // next_runnable: the two are totally ordered, so either our push is
   // visible to the parker's post-registration sweep (our fence first) or
   // its registration is visible to the sleepers_ load below (its fence
-  // first) and we bump + notify.
-  std::atomic_thread_fence(std::memory_order_seq_cst);
+  // first) and we bump + notify. (An RMW on sleepers_ would make every
+  // enqueue write that line.) TSan cannot see the fence, which only orders
+  // atomics for wake-up liveness: messages ride the queues' release/acquire.
+  tsan_blind_fence(std::memory_order_seq_cst);
   if (sleepers_.load(std::memory_order_seq_cst) != 0) {
     work_epoch_.fetch_add(1, std::memory_order_seq_cst);
     work_epoch_.notify_one();
@@ -230,7 +224,7 @@ bool ActorRuntime::next_runnable(std::uint32_t wid, ActorId* out) {
     // producer whose fence ordered earlier has its push seen here, and one
     // whose fence ordered later sees sleepers_ != 0 and wakes us.
     sleepers_.fetch_add(1, std::memory_order_seq_cst);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
+    tsan_blind_fence(std::memory_order_seq_cst);
     const std::uint32_t epoch = work_epoch_.load(std::memory_order_seq_cst);
     if (try_all_shards(wid, out)) {
       sleepers_.fetch_sub(1, std::memory_order_relaxed);
@@ -301,11 +295,9 @@ void ActorRuntime::worker_loop(std::uint32_t wid) {
   while (next_runnable(wid, &id)) {
     // Park point between claiming the actor and running it: the pause
     // delays this actor's turn (and whatever steals would have found us)
-    // exactly like a preemption landing after the dequeue.
-    if (options_.park_point) [[unlikely]] {
-      const std::uint64_t ns = options_.park_point(wid);
-      if (ns != 0) busy_pause(ns);
-    }
+    // exactly like a preemption landing after the dequeue, the worker still
+    // occupying its core and holding nothing.
+    if (options_.park_point) [[unlikely]] busy_wait_ns(options_.park_point(wid));
     run_actor(wid, id);
   }
   tls_shard_hint = ShardHint{};

@@ -1,6 +1,7 @@
 #include "mp/network_service.h"
 
 #include <chrono>
+#include <span>
 #include <thread>
 
 #include "fault/injector.h"
@@ -8,19 +9,10 @@
 #include "obs/backend_metrics.h"
 #include "sched/trace.h"
 #include "util/assert.h"
+#include "util/spin.h"
 
 namespace cnet::mp {
 namespace {
-
-/// The paper's W is busy time, not blocked time — same realization as the
-/// rt delay hook (run::/rt:: keep their own copy; mp sits below run in the
-/// layering, so it cannot borrow that one).
-void busy_wait_ns(std::uint64_t ns) {
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::nanoseconds(ns);
-  while (std::chrono::steady_clock::now() < deadline) {
-    // burn
-  }
-}
 
 /// The destructor's drain budget. Tokens cannot be lost (mailboxes are
 /// reliable, handlers always forward or complete), so quiescence is reached
@@ -45,13 +37,24 @@ NetworkService::NetworkService(topo::Network net, Options options)
     : net_(std::move(net)),
       fault_(options.fault),
       runtime_(runtime_options(options)),
-      node_counts_(net_.node_count(), 0),
-      output_counts_(net_.output_width(), 0) {
+      counts_(net_.node_count() + net_.output_width()) {
 #if CNET_OBS
   if (options.metrics != nullptr) {
     metrics_ = options.metrics;
-    metrics_->attach(static_cast<std::uint32_t>(net_.node_count()) + net_.output_width());
+    metrics_->attach();
     runtime_.observe_queue_depth(&metrics_->queue_depth);
+    const auto bind = [this](obs::StateCounts& counts, std::uint32_t from, std::uint32_t to) {
+      counts.bind(to - from, [this, from](std::span<std::uint64_t> out) {
+        for (std::size_t i = 0; i < out.size(); ++i) {
+          out[i] += counts_[from + i].load(std::memory_order_relaxed);
+        }
+      });
+    };
+    const auto nodes = static_cast<std::uint32_t>(net_.node_count());
+    const auto actors = static_cast<std::uint32_t>(counts_.size());
+    bind(metrics_->node_messages, 0, nodes);
+    bind(metrics_->counter_messages, nodes, actors);
+    bind(metrics_->actor_messages, 0, actors);
   }
 #endif
   // Balancer actors: route the token to output port (count++ mod fan_out)
@@ -62,17 +65,11 @@ NetworkService::NetworkService(topo::Network net, Options options)
   for (topo::NodeId id = 0; id < net_.node_count(); ++id) {
     node_actors_.push_back(runtime_.add_actor([this, id](ActorId, const Message& message) {
       const topo::Node& node = net_.node(id);
-#if CNET_OBS
-      // Sharded by the actor id: an actor is single-threaded, so its cells
-      // are effectively uncontended.
-      if (metrics_ != nullptr) {
-        metrics_->node_messages.add(id);
-        metrics_->actor_messages.add(id, id);
-      }
-#endif
-      const std::uint64_t t = node_counts_[id]++;
+      // Single writer: a load and a store, no RMW (see counts_).
+      const std::uint64_t t = counts_[id].load(std::memory_order_relaxed);
+      counts_[id].store(t + 1, std::memory_order_relaxed);
       const topo::OutLink next = node.out[t % node.fan_out];
-      if (message.payload != 0) busy_wait_ns(message.payload);
+      busy_wait_ns(message.payload);
       std::uint64_t stall = 0;
       if (fault_ != nullptr) [[unlikely]] {
         // Stall: the token lingers on this hop (keyed by the node's layer so
@@ -80,12 +77,11 @@ NetworkService::NetworkService(topo::Network net, Options options)
         // the forward itself is late. Both are busy time on the hosting
         // worker — exactly a slow link in the asynchronous model.
         stall = fault_->stall_ns(id, node.layer);
-        if (stall != 0) busy_wait_ns(stall);
+        busy_wait_ns(stall);
         const std::uint32_t to = next.node == topo::kNoNode
                                      ? static_cast<std::uint32_t>(net_.node_count()) + next.port
                                      : next.node;
-        const std::uint64_t delay = fault_->delivery_delay_ns(to);
-        if (delay != 0) busy_wait_ns(delay);
+        busy_wait_ns(fault_->delivery_delay_ns(to));
       }
       if (recorder_ != nullptr) [[unlikely]] {
         recorder_->hop(message.context, id, static_cast<std::uint32_t>(t % node.fan_out), stall);
@@ -104,14 +100,9 @@ NetworkService::NetworkService(topo::Network net, Options options)
   counter_actors_.reserve(net_.output_width());
   for (std::uint32_t port = 0; port < net_.output_width(); ++port) {
     counter_actors_.push_back(runtime_.add_actor([this, port](ActorId, const Message& message) {
-#if CNET_OBS
-      if (metrics_ != nullptr) {
-        const auto actor = static_cast<std::uint32_t>(net_.node_count()) + port;
-        metrics_->counter_messages.add(actor);
-        metrics_->actor_messages.add(actor, actor);
-      }
-#endif
-      const std::uint64_t a = output_counts_[port]++;
+      std::atomic<std::uint64_t>& count = counts_[net_.node_count() + port];
+      const std::uint64_t a = count.load(std::memory_order_relaxed);
+      count.store(a + 1, std::memory_order_relaxed);
       const std::uint64_t value = port + a * net_.output_width();
       auto* cell = static_cast<ResponseCell*>(message.context);
       // Commit before completing: the moment the client wakes, the cell
@@ -130,35 +121,41 @@ NetworkService::NetworkService(topo::Network net, Options options)
 }
 
 NetworkService::~NetworkService() {
-  // The actor-id tables and actor-local count vectors are declared after
+  // The actor-id tables and the actor counts are declared after
   // runtime_, so they are destroyed before the workers join; any token
   // still hopping at that point — possible exactly when a deadline
   // abandoned it — would be a use-after-free inside a handler. Establish
   // quiescence first.
   const DrainReport report = drain(kDtorDrainNs);
   CNET_CHECK_MSG(report.quiescent, "NetworkService destroyed with tokens still in flight");
+#if CNET_OBS
+  if (metrics_ != nullptr) {  // quiescent: these readings are the final totals
+    metrics_->node_messages.release();
+    metrics_->counter_messages.release();
+    metrics_->actor_messages.release();
+  }
+#endif
 }
 
 std::uint64_t NetworkService::count_delayed(std::uint32_t input, std::uint64_t wait_ns) {
   CNET_CHECK(input < net_.input_width());
   std::uint64_t parked = 0;
   if (try_pop_parked(&parked)) return parked;
-#if CNET_OBS
-  const std::uint64_t t_start = metrics_ != nullptr ? obs::now_ns() : 0;
-#endif
+  const std::uint64_t t_start = CNET_OBS && metrics_ != nullptr ? obs::now_ns() : 0;
   ResponseCell* cell = ResponseCellCache::acquire();
   if (recorder_ != nullptr) [[unlikely]] recorder_->issue(cell, input);
   in_flight_.fetch_add(1, std::memory_order_relaxed);
   runtime_.send(node_actors_[net_.inputs()[input].node], Message{wait_ns, cell});
   const std::uint64_t value = cell->await();
   ResponseCellCache::release(cell);
-#if CNET_OBS
-  if (metrics_ != nullptr) {
-    metrics_->tokens.add(input);
-    metrics_->count_latency_ns.record(input, obs::now_ns() - t_start);
-  }
-#endif
+  record_completion(input, t_start);
   return value;
+}
+
+void NetworkService::record_completion(std::uint32_t input, std::uint64_t start_ns) {
+  if (metrics_ == nullptr || start_ns == 0) return;
+  metrics_->tokens.add(input);
+  metrics_->count_latency_ns.record(input, obs::now_ns() - start_ns);
 }
 
 NetworkService::TimedCount NetworkService::count_until(std::uint32_t input,
@@ -175,9 +172,7 @@ NetworkService::Pending NetworkService::count_begin(std::uint32_t input,
   Pending pending;
   pending.input = input;
   if (try_pop_parked(&pending.value)) return pending;  // cell stays null
-#if CNET_OBS
-  pending.start_ns = metrics_ != nullptr ? obs::now_ns() : 0;
-#endif
+  pending.start_ns = CNET_OBS && metrics_ != nullptr ? obs::now_ns() : 0;
   pending.cell = ResponseCellCache::acquire();
   if (recorder_ != nullptr) [[unlikely]] recorder_->issue(pending.cell, input);
   in_flight_.fetch_add(1, std::memory_order_relaxed);
@@ -195,12 +190,7 @@ std::uint64_t NetworkService::count_collect(const Pending& pending) {
   if (pending.cell == nullptr) return pending.value;
   const std::uint64_t value = pending.cell->await();
   ResponseCellCache::release(pending.cell);
-#if CNET_OBS
-  if (metrics_ != nullptr && pending.start_ns != 0) {
-    metrics_->tokens.add(pending.input);
-    metrics_->count_latency_ns.record(pending.input, obs::now_ns() - pending.start_ns);
-  }
-#endif
+  record_completion(pending.input, pending.start_ns);
   return value;
 }
 
@@ -215,12 +205,7 @@ NetworkService::TimedCount NetworkService::count_collect_until(
     return {};
   }
   ResponseCellCache::release(pending.cell);
-#if CNET_OBS
-  if (metrics_ != nullptr && pending.start_ns != 0) {
-    metrics_->tokens.add(pending.input);
-    metrics_->count_latency_ns.record(pending.input, obs::now_ns() - pending.start_ns);
-  }
-#endif
+  record_completion(pending.input, pending.start_ns);
   return {true, wait.value};
 }
 

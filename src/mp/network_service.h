@@ -41,8 +41,9 @@
 // count() allocates nothing.
 //
 // Observability: point Options::metrics at an obs::MpMetrics to record the
-// per-actor message breakdown, mailbox-depth distribution, and client
-// count() latency (docs/OBSERVABILITY.md documents every metric).
+// mailbox-depth distribution and client count() latency, and to read the
+// per-actor message breakdown from the actors' own counts
+// (docs/OBSERVABILITY.md documents every metric).
 #pragma once
 
 #include <atomic>
@@ -202,6 +203,8 @@ class NetworkService {
 
   bool try_pop_parked(std::uint64_t* value);
   void park_value(std::uint64_t value);
+  /// The tokens + count_latency_ns record of a completed op (0 = untimed).
+  void record_completion(std::uint32_t input, std::uint64_t start_ns);
 
   topo::Network net_;
   obs::MpMetrics* metrics_ = nullptr;  ///< null unless CNET_OBS wiring is live
@@ -222,9 +225,10 @@ class NetworkService {
   std::vector<ActorId> node_actors_;     ///< per balancer node
   std::vector<ActorId> counter_actors_;  ///< per network output
 
-  // Actor-local state, touched only by the owning actor's handler.
-  std::vector<std::uint64_t> node_counts_;
-  std::vector<std::uint64_t> output_counts_;
+  // Per-actor counts (balancer node i, then output counter node_count + p),
+  // written only by the owning actor's handler; atomic because the metrics
+  // sink reads them.
+  std::vector<std::atomic<std::uint64_t>> counts_;
 };
 
 }  // namespace cnet::mp

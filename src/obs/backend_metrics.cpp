@@ -6,10 +6,11 @@
 
 namespace cnet::obs {
 
-void CounterMetrics::attach(std::uint32_t node_count) {
+void CounterMetrics::attach() {
+  CNET_CHECK_MSG(!attached_, "an obs::CounterMetrics observes one executor in its lifetime");
   CNET_CHECK_MSG(std::has_single_bit(sample_period), "sample_period must be a power of two");
   sample_mask_ = sample_period - 1;
-  balancer_visits.resize(node_count);
+  attached_ = true;
 }
 
 void CounterMetrics::register_into(MetricsRegistry& registry,
@@ -25,7 +26,10 @@ void CounterMetrics::register_into(MetricsRegistry& registry,
   registry.add_histogram(prefix + "hop_latency", "ns", &hop_latency_ns);
 }
 
-void MpMetrics::attach(std::uint32_t actor_count) { actor_messages.resize(actor_count); }
+void MpMetrics::attach() {
+  CNET_CHECK_MSG(!attached_, "an obs::MpMetrics observes one service in its lifetime");
+  attached_ = true;
+}
 
 void MpMetrics::register_into(MetricsRegistry& registry, const std::string& prefix) const {
   registry.add_counter(prefix + "tokens", "tokens", &tokens);

@@ -1,9 +1,10 @@
 // The concrete telemetry surface of each execution backend: one plain struct
-// of sharded metrics per backend, attached by pointer through the backend's
-// options (rt::CounterOptions::metrics, mp::NetworkService::Options::metrics,
+// of metrics per backend, attached by pointer through the backend's options
+// (rt::CounterOptions::metrics, mp::NetworkService::Options::metrics,
 // psim::MachineParams::metrics). A null pointer — or a library built with
 // CNET_OBS=0 — means the backend records nothing and its hot path is the
-// uninstrumented one.
+// uninstrumented one. Counts the executor already keeps are StateCounts
+// read from it; the rest is recorded as it happens.
 //
 // Every metric name, its unit, and its merge semantics are documented in
 // docs/OBSERVABILITY.md; register_into() publishes the struct's metrics
@@ -27,20 +28,19 @@ namespace cnet::obs {
 struct CounterMetrics {
   /// Timed-token sampling period (power of two; 1 = time every token).
   /// Latency histograms, the c2/c1 estimate, and the trace ring only see
-  /// every sample_period-th token per shard; the always-on counters
-  /// (tokens, visits, prism outcomes) see every token.
+  /// every sample_period-th token per shard; the counts see every token.
   std::uint32_t sample_period = 64;
 
-  ShardedCounter tokens;        ///< counter values handed out
-  ShardedCounter batch_calls;   ///< next_batch invocations
-  ShardedCounter sampled;       ///< tokens that took the timed path
-  ShardedCounter prism_pairs;   ///< prism visits resolved by diffraction
-  ShardedCounter prism_toggles; ///< prism visits that fell to the toggle
-  ShardedCounter mcs_acquires;  ///< MCS balancer critical-section entries
+  ShardedCounter tokens;       ///< counter values handed out; the sampling clock
+  ShardedCounter batch_calls;  ///< next_batch invocations
+  ShardedCounter sampled;      ///< tokens that took the timed path
+  ShardedCounter prism_pairs;  ///< prism visits resolved by diffraction
 
-  /// Per-balancer visit counts, indexed by topo::Network node id (the
-  /// RoutingPlan keeps topology ids).
-  ShardedCounterArray balancer_visits;
+  /// Read from the plan's state, indexed by topo::Network node id (the
+  /// RoutingPlan keeps topology ids); pass-through padding reads 0.
+  StateCounts balancer_visits;  ///< per-balancer visits
+  StateCounts mcs_acquires;     ///< MCS balancer critical-section entries
+  StateCounts prism_toggles;    ///< prism visits that fell to the toggle
 
   LogHistogram token_latency_ns;  ///< entry-to-value, sampled tokens
   LogHistogram hop_latency_ns;    ///< per-balancer traversal, sampled tokens
@@ -48,13 +48,15 @@ struct CounterMetrics {
   /// Optional flight recorder; call trace.enable() before attaching.
   TraceRing trace;
 
-  /// Called by the executor at construction; sizes balancer_visits and
-  /// freezes the sampling mask. One CounterMetrics observes one topology.
-  void attach(std::uint32_t node_count);
+  /// Called by the executor at construction; freezes the sampling mask. A
+  /// sink observes one executor in its lifetime (a second attach aborts):
+  /// its state counts cannot carry over the way its recorded totals would.
+  void attach();
 
-  /// Sampling decision for the calling thread's next token.
+  /// Counts the calling thread's next token and decides whether it is
+  /// sampled: `tokens` is the per-shard sampling clock.
   bool should_sample(std::uint32_t thread_id) noexcept {
-    return (sample_counter_.next(thread_id) & sample_mask_) == 0;
+    return (tokens.add(thread_id) & sample_mask_) == 0;
   }
 
   /// Online estimate of the effective timing ratio c2/c1: the tail/p10
@@ -75,38 +77,32 @@ struct CounterMetrics {
   void register_into(MetricsRegistry& registry, const std::string& prefix = "rt.") const;
 
  private:
-  /// Per-shard monotone counter driving should_sample().
-  struct SampleCounter {
-    struct alignas(kCacheLine) Shard {
-      std::atomic<std::uint64_t> n{0};
-    };
-    std::array<Shard, kShards> shards{};
-    std::uint64_t next(std::uint32_t thread_id) noexcept {
-      return shards[thread_id & kShardMask].n.fetch_add(1, std::memory_order_relaxed);
-    }
-  };
-
-  SampleCounter sample_counter_;
   std::uint64_t sample_mask_ = 63;
+  bool attached_ = false;
 };
 
 /// Telemetry for the message-passing backend (mp::NetworkService).
 struct MpMetrics {
-  ShardedCounter tokens;            ///< counting operations completed
-  ShardedCounter node_messages;     ///< token messages processed by balancer actors
-  ShardedCounter counter_messages;  ///< token messages processed by output-counter actors
+  ShardedCounter tokens;  ///< counting operations completed
 
+  // Read from the actors' own counts.
+  StateCounts node_messages;     ///< token messages processed by balancer actors
+  StateCounts counter_messages;  ///< token messages processed by output-counter actors
   /// Messages processed per actor: balancer actors first (by node id), then
   /// output-counter actors (node_count + port).
-  ShardedCounterArray actor_messages;
+  StateCounts actor_messages;
 
   LogHistogram count_latency_ns;  ///< client-observed count() latency
   LogHistogram queue_depth;       ///< mailbox depth observed at each enqueue
 
-  /// Called by NetworkService at construction.
-  void attach(std::uint32_t actor_count);
+  /// Called by NetworkService at construction; one service per sink, as
+  /// CounterMetrics::attach() explains.
+  void attach();
 
   void register_into(MetricsRegistry& registry, const std::string& prefix = "mp.") const;
+
+ private:
+  bool attached_ = false;
 };
 
 /// Telemetry for the simulated multiprocessor (psim::run_workload). All

@@ -3,40 +3,33 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-
-#include "util/assert.h"
+#include <numeric>
+#include <utility>
 
 namespace cnet::obs {
 
-void ShardedCounterArray::resize(std::uint32_t size) {
-  if (cells_ != nullptr) {
-    CNET_CHECK_MSG(size == size_, "ShardedCounterArray resized to a different size");
-    return;
-  }
-  CNET_CHECK(size > 0);
-  constexpr std::uint32_t kCellsPerLine = kCacheLine / sizeof(std::atomic<std::uint64_t>);
-  size_ = size;
-  stride_ = (size + kCellsPerLine - 1) / kCellsPerLine * kCellsPerLine;
-  cells_ = std::make_unique<std::atomic<std::uint64_t>[]>(
-      static_cast<std::size_t>(kShards) * stride_);
+void StateCounts::bind(std::uint32_t size, Reader reader) {
+  const std::scoped_lock lock(mutex_);
+  kept_.assign(size, 0);
+  reader_ = std::move(reader);
 }
 
-std::uint64_t ShardedCounterArray::value(std::uint32_t index) const noexcept {
-  std::uint64_t total = 0;
-  for (std::uint32_t s = 0; s < kShards; ++s) {
-    total += cells_[static_cast<std::size_t>(s) * stride_ + index].load(
-        std::memory_order_relaxed);
-  }
-  return total;
+void StateCounts::release() {
+  const std::scoped_lock lock(mutex_);
+  if (reader_) reader_(kept_);
+  reader_ = nullptr;
 }
 
-std::vector<std::uint64_t> ShardedCounterArray::values() const {
-  std::vector<std::uint64_t> out(size_, 0);
-  for (std::uint32_t s = 0; s < kShards; ++s) {
-    const std::atomic<std::uint64_t>* slab = cells_.get() + static_cast<std::size_t>(s) * stride_;
-    for (std::uint32_t i = 0; i < size_; ++i) out[i] += slab[i].load(std::memory_order_relaxed);
-  }
+std::vector<std::uint64_t> StateCounts::values() const {
+  const std::scoped_lock lock(mutex_);
+  std::vector<std::uint64_t> out = kept_;
+  if (reader_) reader_(out);
   return out;
+}
+
+std::uint64_t StateCounts::value() const {
+  const std::vector<std::uint64_t> counts = values();
+  return std::accumulate(counts.begin(), counts.end(), std::uint64_t{0});
 }
 
 double HistogramSnapshot::quantile(double q) const {

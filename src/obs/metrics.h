@@ -1,6 +1,6 @@
 // Low-overhead metrics primitives shared by all three execution backends
-// (rt, mp, psim): thread-sharded counters and log-bucketed latency
-// histograms.
+// (rt, mp, psim): thread-sharded counters, log-bucketed latency histograms,
+// and StateCounts, which read what the executors already count.
 //
 // Design rules, in order:
 //  1. A write must never contend with another thread's write. Every metric
@@ -27,7 +27,9 @@
 #include <bit>
 #include <chrono>
 #include <cstdint>
-#include <memory>
+#include <functional>
+#include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -52,12 +54,13 @@ inline std::uint64_t now_ns() {
 
 /// A single logical uint64 counter, sharded per thread.
 ///
-/// add() is one relaxed fetch_add on the caller's shard line; value() sums
-/// the shards (monotone across calls, exact once writers are quiescent).
+/// add() is one relaxed fetch_add on the caller's shard line and returns
+/// the shard's previous value; value() sums the shards (monotone across
+/// calls, exact once writers are quiescent).
 class ShardedCounter {
  public:
-  void add(std::uint32_t thread_id, std::uint64_t n = 1) noexcept {
-    shards_[thread_id & kShardMask].value.fetch_add(n, std::memory_order_relaxed);
+  std::uint64_t add(std::uint32_t thread_id, std::uint64_t n = 1) noexcept {
+    return shards_[thread_id & kShardMask].value.fetch_add(n, std::memory_order_relaxed);
   }
 
   /// Sum over shards. Exact in quiescence; otherwise a lower bound of the
@@ -75,36 +78,27 @@ class ShardedCounter {
   std::array<Shard, kShards> shards_{};
 };
 
-/// A dense array of `size` logical counters, sharded per thread: cell (s, i)
-/// lives at shard s's contiguous slab, so one thread's increments to many
-/// indices stay on lines no other shard writes. Used for per-balancer visit
-/// counts and per-actor message counts, where `size` is the node count.
-class ShardedCounterArray {
+/// Counts an executor's state already holds (an rt balancer's traversal
+/// count is its visit count), read instead of recorded a second time. The
+/// executor binds a reader over its state when it attaches the sink, so
+/// reads are monotone and exact at quiescence; before the state goes away
+/// it calls release(), which keeps the final reading for later reads.
+class StateCounts {
  public:
-  ShardedCounterArray() = default;
+  /// Adds the executor's current counts, index by index, into `out`.
+  using Reader = std::function<void(std::span<std::uint64_t> out)>;
 
-  /// Sizes the array; not thread-safe, call during setup. resize() on an
-  /// already-sized array is allowed only with the same size (the metrics
-  /// object may be attached to one backend instance at a time).
-  void resize(std::uint32_t size);
+  /// Called once, by the executor attaching the owning sink.
+  void bind(std::uint32_t size, Reader reader);
+  void release();
 
-  std::uint32_t size() const noexcept { return size_; }
-  bool empty() const noexcept { return size_ == 0; }
-
-  void add(std::uint32_t thread_id, std::uint32_t index, std::uint64_t n = 1) noexcept {
-    cells_[(thread_id & kShardMask) * stride_ + index].fetch_add(n, std::memory_order_relaxed);
-  }
-
-  /// Merged count for one index.
-  std::uint64_t value(std::uint32_t index) const noexcept;
-
-  /// Merged counts for all indices.
   std::vector<std::uint64_t> values() const;
+  std::uint64_t value() const;  ///< sum of values()
 
  private:
-  std::uint32_t size_ = 0;
-  std::uint32_t stride_ = 0;  ///< size_ rounded up to a cache line of cells
-  std::unique_ptr<std::atomic<std::uint64_t>[]> cells_;  ///< kShards * stride_
+  mutable std::mutex mutex_;  ///< orders reads against release()
+  Reader reader_;
+  std::vector<std::uint64_t> kept_;  ///< zeros until release()
 };
 
 /// Merged, immutable view of a LogHistogram at one instant.

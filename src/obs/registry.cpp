@@ -15,11 +15,6 @@ void append_json_escaped(std::string& out, const std::string& s) {
 
 }  // namespace
 
-void MetricsRegistry::add_counter(std::string name, std::string unit,
-                                  const ShardedCounter* counter) {
-  counters_.push_back({std::move(name), std::move(unit), counter});
-}
-
 void MetricsRegistry::add_gauge(std::string name, std::string unit,
                                 std::function<double()> fn) {
   gauges_.push_back({std::move(name), std::move(unit), std::move(fn)});
@@ -34,7 +29,7 @@ Snapshot MetricsRegistry::snapshot() const {
   Snapshot snap;
   snap.counters.reserve(counters_.size());
   for (const CounterEntry& e : counters_) {
-    snap.counters.push_back({e.name, e.unit, e.counter->value()});
+    snap.counters.push_back({e.name, e.unit, e.value()});
   }
   snap.gauges.reserve(gauges_.size());
   for (const GaugeEntry& e : gauges_) {

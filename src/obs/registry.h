@@ -52,8 +52,13 @@ struct Snapshot {
 
 class MetricsRegistry {
  public:
-  /// Registers a counter under `name` (borrowed pointer).
-  void add_counter(std::string name, std::string unit, const ShardedCounter* counter);
+  /// Registers a counter under `name` (borrowed pointer): a ShardedCounter,
+  /// or a StateCounts (reported as its sum).
+  template <class Counter>
+  void add_counter(std::string name, std::string unit, const Counter* counter) {
+    counters_.push_back(
+        {std::move(name), std::move(unit), [counter] { return counter->value(); }});
+  }
 
   /// Registers a derived scalar evaluated at snapshot time (e.g. the c2/c1
   /// estimate, a ratio of other metrics).
@@ -67,7 +72,7 @@ class MetricsRegistry {
  private:
   struct CounterEntry {
     std::string name, unit;
-    const ShardedCounter* counter;
+    std::function<std::uint64_t()> value;
   };
   struct GaugeEntry {
     std::string name, unit;

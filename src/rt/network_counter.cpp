@@ -1,7 +1,5 @@
 #include "rt/network_counter.h"
 
-#include <chrono>
-
 #include "util/assert.h"
 #include "util/spin.h"
 
@@ -31,12 +29,9 @@ NetworkCounter::~NetworkCounter() = default;
 
 void NetworkCounter::guard_entry() {
   guard_->on_token();
-  const std::uint64_t pad = guard_->pad_ns();
-  if (pad == 0) return;
   // Cor 3.12's pass chain, priced in time: the token is "in the network"
   // (crossing pass-through nodes) for pad_ns before its first balancer.
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::nanoseconds(pad);
-  while (std::chrono::steady_clock::now() < deadline) cpu_relax();
+  busy_wait_ns(guard_->pad_ns());
 }
 
 std::uint64_t NetworkCounter::next_hooked(std::uint32_t thread_id, std::uint32_t input,

@@ -26,8 +26,10 @@
 // the caller's stack.
 //
 // Observability: point CounterOptions::metrics at an obs::CounterMetrics to
-// record throughput, per-balancer visits, prism/MCS outcomes, and sampled
-// latencies (docs/OBSERVABILITY.md documents every metric; builds with
+// record throughput, prism pairings and sampled latencies; per-balancer
+// visits and MCS/prism-toggle counts are read from the plan's balancer
+// state, and the counter's destructor leaves their final totals in the
+// sink (docs/OBSERVABILITY.md documents every metric; builds with
 // CNET_OBS=0 compile the instrumentation out entirely).
 #pragma once
 

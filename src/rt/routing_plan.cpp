@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <new>
 #include <thread>
+#include <utility>
 
 #include "obs/backend_metrics.h"
 #include "util/assert.h"
@@ -38,20 +39,23 @@ std::uint32_t effective_prism_width(const CounterOptions& options) {
 
 }  // namespace
 
+RoutingPlan::Kind RoutingPlan::classify(const topo::Node& node, const CounterOptions& options) {
+  if (node.is_pass_through()) return Kind::kPass;
+  if (options.diffraction && node.fan_in == 1 && node.fan_out == 2) return Kind::kPrism;
+  return options.mode == BalancerMode::kMcsLocked ? Kind::kMcs : Kind::kToggle;
+}
+
 RoutingPlan::StateLayout RoutingPlan::compute_layout(const topo::Network& net,
                                                      const CounterOptions& options) {
   const std::uint32_t auto_width = effective_prism_width(options);
   StateLayout layout;
-  for (topo::NodeId id = 0; id < net.node_count(); ++id) {
-    const topo::Node& node = net.node(id);
-    if (node.is_pass_through()) continue;
-    if (options.diffraction && node.fan_in == 1 && node.fan_out == 2) {
+  for (const topo::Node& node : net.nodes()) {
+    const Kind kind = classify(node, options);
+    layout.n_toggles += kind == Kind::kToggle ? 1 : 0;
+    layout.n_mcs += kind == Kind::kMcs ? 1 : 0;
+    if (kind == Kind::kPrism) {
       ++layout.n_prisms;
       layout.n_slots += prism_width_for_layer(auto_width, node.layer);
-    } else if (options.mode == BalancerMode::kMcsLocked) {
-      ++layout.n_mcs;
-    } else {
-      ++layout.n_toggles;
     }
   }
   // Every element type is alignas(kCacheLine) with a cache-line-multiple
@@ -90,32 +94,19 @@ RoutingPlan::RoutingPlan(const topo::Network& net, const CounterOptions& options
   state_idx_.resize(n_nodes);
   succ_offset_.resize(n_nodes);
 
-  // Pass 1: classify nodes and assign dense per-kind state slots.
-  std::uint32_t n_toggles = 0, n_mcs = 0, n_prisms = 0, n_slots = 0;
+  // Pass 1: classify nodes and assign dense per-kind state slots (the same
+  // classification compute_layout() sizes the sections with).
+  std::uint32_t next_idx[static_cast<std::size_t>(Kind::kPass) + 1] = {};
   for (topo::NodeId id = 0; id < n_nodes; ++id) {
-    const topo::Node& node = net.node(id);
-    fan_out_[id] = node.fan_out;
-    if (node.is_pass_through()) {
-      kind_[id] = Kind::kPass;
-      state_idx_[id] = 0;
-    } else if (options.diffraction && node.fan_in == 1 && node.fan_out == 2) {
-      kind_[id] = Kind::kPrism;
-      state_idx_[id] = n_prisms++;
-      n_slots += prism_width_for_layer(auto_width, node.layer);
-    } else if (options.mode == BalancerMode::kMcsLocked) {
-      kind_[id] = Kind::kMcs;
-      state_idx_[id] = n_mcs++;
-    } else {
-      kind_[id] = Kind::kToggle;
-      state_idx_[id] = n_toggles++;
-    }
+    fan_out_[id] = net.node(id).fan_out;
+    kind_[id] = classify(net.node(id), options);
+    state_idx_[id] = next_idx[static_cast<std::size_t>(kind_[id])]++;
   }
   // Home the shared state: a caller-provided arena (workspace deployment)
   // or a private cache-line-aligned heap block (the in-process default).
   const StateLayout layout = compute_layout(net, options);
-  CNET_CHECK_MSG(layout.n_toggles == n_toggles && layout.n_mcs == n_mcs &&
-                     layout.n_prisms == n_prisms && layout.n_slots == n_slots,
-                 "state layout disagrees with node classification");
+  const std::uint32_t n_toggles = layout.n_toggles, n_mcs = layout.n_mcs,
+                      n_prisms = layout.n_prisms, n_slots = layout.n_slots;
   std::byte* base = nullptr;
   bool construct = true;
   if (arena.base == nullptr) {
@@ -200,16 +191,66 @@ RoutingPlan::RoutingPlan(const topo::Network& net, const CounterOptions& options
 #if CNET_OBS
   if (options.metrics != nullptr) {
     metrics_ = options.metrics;
-    metrics_->attach(n_nodes);
+    metrics_->attach();
+    bind_state_counts(net);
   }
 #endif
 }
 
 RoutingPlan::~RoutingPlan() {
+#if CNET_OBS
+  if (metrics_ != nullptr) {  // keep the final reading while the state exists
+    metrics_->balancer_visits.release();
+    metrics_->mcs_acquires.release();
+    metrics_->prism_toggles.release();
+  }
+#endif
   // Every state element is trivially destructible (atomics and the MCS
   // tail pointer), so only the owned block itself needs releasing; an
   // arena-resident plan leaves the shared state to outlive it.
   if (owned_ != nullptr) ::operator delete(owned_, std::align_val_t{kCacheLine});
+}
+
+void RoutingPlan::bind_state_counts(const topo::Network& net) {
+  // Each count is a sum of (node id, state atomic) terms. A toggle's or MCS
+  // node's count is its visit count. A prism's toggle misses the tokens it
+  // paired, so its visits are the tokens that left the outputs of the tree
+  // below it, which needs a tree: every node under a prism entered only from
+  // above (diffraction applies to 1-in/2-out nodes, which the builders place
+  // only in counting trees).
+  using Sources = std::vector<std::pair<std::uint32_t, const std::atomic<std::uint64_t>*>>;
+  Sources visits, acquires, toggles;
+  const auto n_nodes = static_cast<std::uint32_t>(kind_.size());
+  for (std::uint32_t id = 0; id < n_nodes; ++id) {
+    const std::uint32_t i = state_idx_[id];
+    if (kind_[id] == Kind::kToggle) visits.emplace_back(id, &toggles_[i].count);
+    if (kind_[id] == Kind::kMcs) visits.emplace_back(id, &mcs_[i].count);
+    if (kind_[id] == Kind::kMcs) acquires.emplace_back(id, &mcs_[i].count);
+    if (kind_[id] != Kind::kPrism) continue;
+    toggles.emplace_back(id, &prism_counts_[i].count);
+    for (std::vector<std::uint32_t> below{id}; !below.empty();) {
+      const std::uint32_t node = below.back();
+      below.pop_back();
+      for (std::uint32_t p = 0; p < fan_out_[node]; ++p) {
+        const std::uint32_t hop = succ_[succ_offset_[node] + p];
+        if ((hop & kOutputBit) != 0) {
+          visits.emplace_back(id, &*outputs_[hop & ~kOutputBit]);
+          continue;
+        }
+        CNET_CHECK_MSG(net.node(hop).fan_in == 1,
+                       "an obs sink needs every prism to head a tree (no other inputs below)");
+        below.push_back(hop);
+      }
+    }
+  }
+  const auto bind = [n_nodes](obs::StateCounts& counts, Sources sources) {
+    counts.bind(n_nodes, [sources = std::move(sources)](std::span<std::uint64_t> out) {
+      for (const auto& [id, count] : sources) out[id] += count->load(std::memory_order_relaxed);
+    });
+  };
+  bind(metrics_->balancer_visits, std::move(visits));
+  bind(metrics_->mcs_acquires, std::move(acquires));
+  bind(metrics_->prism_toggles, std::move(toggles));
 }
 
 std::uint32_t RoutingPlan::traverse(std::uint32_t node, std::uint32_t thread_id) {
@@ -223,9 +264,6 @@ std::uint32_t RoutingPlan::traverse(std::uint32_t node, std::uint32_t thread_id)
     }
     case Kind::kMcs: {
       McsState& state = mcs_[state_idx_[node]];
-#if CNET_OBS
-      if (metrics_ != nullptr) metrics_->mcs_acquires.add(thread_id);
-#endif
       McsLock::Guard guard(state.lock);
       const std::uint64_t t = state.count.load(std::memory_order_relaxed);
       state.count.store(t + 1, std::memory_order_relaxed);
@@ -240,18 +278,14 @@ std::uint32_t RoutingPlan::traverse(std::uint32_t node, std::uint32_t thread_id)
 std::uint32_t RoutingPlan::traverse_prism(std::uint32_t prism_idx, std::uint32_t thread_id) {
   const PrismDesc& state = prism_descs_[prism_idx];
   // Prism protocol: collision-race losses retry; an expired camping window
-  // falls through to the toggle.
+  // falls through to the toggle, whose count the sink reads; pairings are
+  // not in the state, so they are recorded here.
 #if CNET_OBS
-  const auto count_outcome = [&](bool paired) {
-    if (metrics_ == nullptr) return;
-    if (paired) {
-      metrics_->prism_pairs.add(thread_id);
-    } else {
-      metrics_->prism_toggles.add(thread_id);
-    }
+  const auto count_pair = [&] {
+    if (metrics_ != nullptr) metrics_->prism_pairs.add(thread_id);
   };
 #else
-  const auto count_outcome = [](bool) {};
+  const auto count_pair = [] {};
 #endif
   const std::uint64_t my_id = thread_id + 1;
   Rng& rng = prism_rng();
@@ -265,7 +299,7 @@ std::uint32_t RoutingPlan::traverse_prism(std::uint32_t prism_idx, std::uint32_t
       for (std::uint32_t i = 0; i < state.spin; ++i) {
         if (slot.load(std::memory_order_acquire) == (my_id | kPaired)) {
           slot.store(0, std::memory_order_release);
-          count_outcome(true);
+          count_pair();
           return 0;
         }
         cpu_relax();
@@ -276,7 +310,7 @@ std::uint32_t RoutingPlan::traverse_prism(std::uint32_t prism_idx, std::uint32_t
         SpinWaiter waiter;
         while (slot.load(std::memory_order_acquire) != (my_id | kPaired)) waiter.wait();
         slot.store(0, std::memory_order_release);
-        count_outcome(true);
+        count_pair();
         return 0;
       }
       ++attempt;  // camping window expired
@@ -284,13 +318,12 @@ std::uint32_t RoutingPlan::traverse_prism(std::uint32_t prism_idx, std::uint32_t
     }
     if ((seen & kPaired) == 0) {
       if (slot.compare_exchange_strong(seen, seen | kPaired, std::memory_order_acq_rel)) {
-        count_outcome(true);
+        count_pair();
         return 1;
       }
     }
   }
 
-  count_outcome(false);
   const std::uint64_t t =
       prism_counts_[prism_idx].count.fetch_add(1, std::memory_order_acq_rel);
   return static_cast<std::uint32_t>(t & 1);
@@ -299,10 +332,11 @@ std::uint32_t RoutingPlan::traverse_prism(std::uint32_t prism_idx, std::uint32_t
 std::uint32_t RoutingPlan::route(std::uint32_t thread_id, std::uint32_t input,
                                  NodeHook after_node, void* ctx) {
 #if CNET_OBS
-  // One predictable branch when built with observability; the compile-time
-  // guard removes even that from a CNET_OBS=0 build.
-  if (metrics_ != nullptr) [[unlikely]] {
-    return route_instrumented(thread_id, input, after_node, ctx);
+  // With a sink, a token pays one RMW (the token clock) and, unless sampled,
+  // runs the sink-less loops below. The compile-time guard removes even the
+  // branch from a CNET_OBS=0 build.
+  if (metrics_ != nullptr && metrics_->should_sample(thread_id)) [[unlikely]] {
+    return route_timed(thread_id, input, after_node, ctx);
   }
 #endif
   if (after_node == nullptr) {
@@ -331,24 +365,16 @@ std::uint32_t RoutingPlan::route(std::uint32_t thread_id, std::uint32_t input,
   return hop & ~kOutputBit;
 }
 
-// The instrumented twin of route(): same routing decisions, plus always-on
-// counters (token + per-balancer visit counts) and, for every
-// sample_period-th token per shard, timed hops feeding the latency
-// histograms, the c2/c1 estimator, and the trace ring. Pass-through padding
-// nodes are not balancers and are never counted as visits (they are
-// compiled out of the un-hooked tables anyway).
-std::uint32_t RoutingPlan::route_instrumented(std::uint32_t thread_id, std::uint32_t input,
-                                              NodeHook after_node, void* ctx) {
-#if CNET_OBS
+// The timed twin of route() for sampled tokens: same routing decisions, plus
+// per-hop latencies feeding the histograms, the c2/c1 estimator, and the
+// trace ring. Pass-through padding nodes are not balancers and are never
+// timed (they are compiled out of the un-hooked tables anyway).
+std::uint32_t RoutingPlan::route_timed(std::uint32_t thread_id, std::uint32_t input,
+                                       NodeHook after_node, void* ctx) {
   obs::CounterMetrics& m = *metrics_;
-  m.tokens.add(thread_id);
-  const bool sampled = m.should_sample(thread_id);
-  std::uint64_t t_start = 0;
-  std::uint64_t t_last = 0;
-  if (sampled) {
-    m.sampled.add(thread_id);
-    t_start = t_last = obs::now_ns();
-  }
+  m.sampled.add(thread_id);
+  const std::uint64_t t_start = obs::now_ns();
+  std::uint64_t t_last = t_start;
   // Hooked tokens must keep visiting pass-through nodes (the run layer's
   // W-wait fires per hook invocation), so pick the same tables route()
   // would.
@@ -357,28 +383,18 @@ std::uint32_t RoutingPlan::route_instrumented(std::uint32_t thread_id, std::uint
   while ((hop & kOutputBit) == 0) {
     const std::uint32_t port = traverse(hop, thread_id);
     if (kind_[hop] != Kind::kPass) {
-      m.balancer_visits.add(thread_id, hop);
-      if (sampled) {
-        const std::uint64_t now = obs::now_ns();
-        m.hop_latency_ns.record(thread_id, now - t_last);
-        m.trace.record(thread_id, {t_last, now - t_last, thread_id, hop,
-                                   obs::TracePhase::kHop});
-        t_last = now;
-      }
+      const std::uint64_t now = obs::now_ns();
+      m.hop_latency_ns.record(thread_id, now - t_last);
+      m.trace.record(thread_id, {t_last, now - t_last, thread_id, hop, obs::TracePhase::kHop});
+      t_last = now;
     }
     if (after_node != nullptr) after_node(ctx, hop, port);
     hop = succ[succ_offset_[hop] + port];
   }
-  if (sampled) {
-    const std::uint64_t now = obs::now_ns();
-    m.token_latency_ns.record(thread_id, now - t_start);
-    m.trace.record(thread_id,
-                   {t_start, now - t_start, thread_id, input, obs::TracePhase::kOp});
-  }
+  const std::uint64_t now = obs::now_ns();
+  m.token_latency_ns.record(thread_id, now - t_start);
+  m.trace.record(thread_id, {t_start, now - t_start, thread_id, input, obs::TracePhase::kOp});
   return hop & ~kOutputBit;
-#else
-  return route(thread_id, input, after_node, ctx);  // metrics_ is never set
-#endif
 }
 
 std::uint64_t RoutingPlan::next_hooked(std::uint32_t thread_id, std::uint32_t input,

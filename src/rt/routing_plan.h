@@ -73,12 +73,13 @@ struct CounterOptions {
   std::uint32_t max_threads = 256;
 
   /// Observability sink (borrowed; may be null). When non-null and the
-  /// library is built with CNET_OBS=1, the plan records per-counter
-  /// throughput, per-balancer visits, prism/MCS outcomes, and sampled
-  /// token/hop latencies into it (see obs/backend_metrics.h and
-  /// docs/OBSERVABILITY.md). Null — or CNET_OBS=0 — keeps the hot path
-  /// free of instrumentation. The sink must outlive the counter and may
-  /// observe only one counter at a time.
+  /// library is built with CNET_OBS=1, the plan records throughput, prism
+  /// pairings, and sampled token/hop latencies into it, and the sink reads
+  /// per-balancer visits and MCS/prism-toggle counts from the balancer
+  /// state (see obs/backend_metrics.h and docs/OBSERVABILITY.md). Null — or
+  /// CNET_OBS=0 — keeps the hot path free of instrumentation. The sink must
+  /// outlive the counter and observes one counter in its lifetime; on an
+  /// adopted PlanArena it reads every attached process's tokens.
   obs::CounterMetrics* metrics = nullptr;
 
   /// Degraded-mode guard over the c2/c1 estimator (rt/degrade_guard.h).
@@ -218,6 +219,7 @@ class RoutingPlan {
     std::size_t total = 0;
   };
   static StateLayout compute_layout(const topo::Network& net, const CounterOptions& options);
+  static Kind classify(const topo::Node& node, const CounterOptions& options);
 
   /// Packed hop: node index, or kOutputBit | network output port.
   static constexpr std::uint32_t kOutputBit = 0x80000000u;
@@ -226,8 +228,9 @@ class RoutingPlan {
   std::uint32_t traverse_prism(std::uint32_t prism_idx, std::uint32_t thread_id);
   std::uint32_t route(std::uint32_t thread_id, std::uint32_t input, NodeHook after_node,
                       void* ctx);
-  std::uint32_t route_instrumented(std::uint32_t thread_id, std::uint32_t input,
-                                   NodeHook after_node, void* ctx);
+  std::uint32_t route_timed(std::uint32_t thread_id, std::uint32_t input, NodeHook after_node,
+                            void* ctx);
+  void bind_state_counts(const topo::Network& net);
 
   std::uint32_t input_width_ = 0;
   std::uint32_t output_width_ = 0;

@@ -13,60 +13,29 @@
 #include "sim/simulator.h"
 #include "util/assert.h"
 #include "util/rng.h"
+#include "util/spin.h"
 
 namespace cnet::run {
 namespace {
 
-void busy_wait_ns(std::uint64_t ns) {
-  if (ns == 0) return;
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::nanoseconds(ns);
-  while (std::chrono::steady_clock::now() < deadline) {
-    // burn — the paper's W is busy time, not blocked time
-  }
-}
-
-struct WaitCtx {
-  std::uint64_t wait_ns;
-};
-
-void after_node_wait(void* ctx, std::uint32_t /*node*/, std::uint32_t /*port*/) {
-  busy_wait_ns(static_cast<WaitCtx*>(ctx)->wait_ns);
-}
-
-/// Hook context for faulted rt traversals: the W wait plus per-hop stall
-/// decisions. `hop` counts traversed nodes (1-based), which on the layered
+/// Hook context for hooked rt traversals: the paper's W wait, the fault
+/// injector's per-hop stalls and the schedule recorder ride one per-node
+/// hook, so a captured run sees exactly the hops (and stalls) an uncaptured
+/// one would. `hop` counts traversed nodes (1-based), which on the layered
 /// networks the builders produce is the token's layer — close enough for
 /// stall:p:ns:hop targeting (docs/ROBUSTNESS.md spells out the
-/// approximation).
-struct FaultWaitCtx {
-  std::uint64_t wait_ns;
-  fault::Injector* injector;
-  std::uint32_t thread_id;
-  std::uint32_t hop;
-};
-
-void after_node_fault(void* c, std::uint32_t /*node*/, std::uint32_t /*port*/) {
-  auto* ctx = static_cast<FaultWaitCtx*>(c);
-  ++ctx->hop;
-  busy_wait_ns(ctx->wait_ns);
-  busy_wait_ns(ctx->injector->stall_ns(ctx->thread_id, ctx->hop));
-}
-
-/// Hook context for captured rt traversals: the schedule recorder rides the
-/// same per-node hook as the W wait and the fault injector, so a captured
-/// run sees exactly the hops (and stalls) an uncaptured one would. The ctx
-/// address doubles as the recorder's token key — unique while the op is in
-/// flight, which is all the recorder needs.
-struct CaptureCtx {
-  sched::Recorder* recorder;
+/// approximation). The ctx address doubles as the recorder's token key —
+/// unique while the op is in flight, which is all the recorder needs.
+struct HookCtx {
   std::uint64_t wait_ns;
   fault::Injector* injector;  ///< may be null
+  sched::Recorder* recorder;  ///< may be null
   std::uint32_t thread_id;
   std::uint32_t hop;
 };
 
-void after_node_capture(void* c, std::uint32_t node, std::uint32_t port) {
-  auto* ctx = static_cast<CaptureCtx*>(c);
+void after_node(void* c, std::uint32_t node, std::uint32_t port) {
+  auto* ctx = static_cast<HookCtx*>(c);
   ++ctx->hop;
   busy_wait_ns(ctx->wait_ns);
   std::uint64_t stall = 0;
@@ -74,7 +43,7 @@ void after_node_capture(void* c, std::uint32_t node, std::uint32_t port) {
     stall = ctx->injector->stall_ns(ctx->thread_id, ctx->hop);
     busy_wait_ns(stall);
   }
-  ctx->recorder->hop(ctx, node, port, stall);
+  if (ctx->recorder != nullptr) ctx->recorder->hop(ctx, node, port, stall);
 }
 
 rt::CounterOptions rt_options(const BackendSpec& spec, obs::CounterMetrics* metrics) {
@@ -243,12 +212,7 @@ RtBackend::RtBackend(const BackendSpec& spec, obs::CounterMetrics* external_metr
       counter_(spec.build_network(), rt_options(spec, metrics_),
                make_plan_arena(spec, metrics_, &workspace_)) {}
 
-std::uint64_t RtBackend::count(std::uint32_t thread_id) {
-  if (fault_ != nullptr || recorder_ != nullptr) [[unlikely]] {
-    return count_delayed(thread_id, 0);
-  }
-  return counter_.next(thread_id);
-}
+std::uint64_t RtBackend::count(std::uint32_t thread_id) { return count_delayed(thread_id, 0); }
 
 void RtBackend::count_batch(std::uint32_t thread_id, std::span<std::uint64_t> out) {
   if (fault_ != nullptr || recorder_ != nullptr) [[unlikely]] {
@@ -263,21 +227,15 @@ void RtBackend::count_batch(std::uint32_t thread_id, std::span<std::uint64_t> ou
 }
 
 std::uint64_t RtBackend::count_delayed(std::uint32_t thread_id, std::uint64_t wait_ns) {
+  if (wait_ns == 0 && fault_ == nullptr && recorder_ == nullptr) [[likely]] {
+    return counter_.next(thread_id);
+  }
   const std::uint32_t input = thread_id % network().input_width();
-  if (recorder_ != nullptr) [[unlikely]] {
-    CaptureCtx ctx{recorder_, wait_ns, fault_.get(), thread_id, 0};
-    recorder_->issue(&ctx, input);
-    const std::uint64_t value = counter_.next_hooked(thread_id, input, after_node_capture, &ctx);
-    recorder_->commit(&ctx, value);
-    return value;
-  }
-  if (fault_ != nullptr) [[unlikely]] {
-    FaultWaitCtx ctx{wait_ns, fault_.get(), thread_id, 0};
-    return counter_.next_hooked(thread_id, input, after_node_fault, &ctx);
-  }
-  if (wait_ns == 0) return count(thread_id);
-  WaitCtx ctx{wait_ns};
-  return counter_.next_hooked(thread_id, input, after_node_wait, &ctx);
+  HookCtx ctx{wait_ns, fault_.get(), recorder_, thread_id, 0};
+  if (recorder_ != nullptr) recorder_->issue(&ctx, input);
+  const std::uint64_t value = counter_.next_hooked(thread_id, input, after_node, &ctx);
+  if (recorder_ != nullptr) recorder_->commit(&ctx, value);
+  return value;
 }
 
 bool RtBackend::set_recorder(sched::Recorder* recorder) {

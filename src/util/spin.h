@@ -7,6 +7,8 @@
 // handoffs on an oversubscribed machine cost a full scheduler quantum each.
 #pragma once
 
+#include <chrono>
+#include <cstdint>
 #include <thread>
 
 namespace cnet {
@@ -38,5 +40,14 @@ class SpinWaiter {
   static constexpr int kSpinLimit = 128;
   int spins_ = 0;
 };
+
+/// Burns `ns` of wall time holding the core: the paper's W, injected stalls
+/// and pauses, and Cor 3.12 pads are busy time, not blocked time, and a
+/// busy wait keeps sub-slice waits accurate.
+inline void busy_wait_ns(std::uint64_t ns) noexcept {
+  if (ns == 0) return;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::nanoseconds(ns);
+  while (std::chrono::steady_clock::now() < deadline) cpu_relax();
+}
 
 }  // namespace cnet

@@ -284,6 +284,57 @@ TEST(MpObsIntegration, MetricsMatchMessageFlow) {
   // sample count is exact: one per send.
   EXPECT_EQ(metrics.queue_depth.total(), kOps * (net.depth() + 1));
 }
+
+// The message counts are read from the actors' own counts: the service's
+// destructor must leave the final totals in the sink.
+TEST(MpObsIntegration, SinkKeepsFinalCountsAfterTheServiceIsGone) {
+  const topo::Network net = topo::make_bitonic(4);
+  obs::MpMetrics metrics;
+  constexpr std::uint64_t kOps = 200;
+  {
+    NetworkService service(net, {.workers = 2, .metrics = &metrics});
+    for (std::uint64_t i = 0; i < kOps; ++i) {
+      service.count(static_cast<std::uint32_t>(i % net.input_width()));
+    }
+  }
+  EXPECT_EQ(metrics.node_messages.value(), kOps * net.depth());
+  const std::vector<std::uint64_t> per_actor = metrics.actor_messages.values();
+  ASSERT_EQ(per_actor.size(), net.node_count() + net.output_width());
+  std::uint64_t total = 0;
+  for (const std::uint64_t n : per_actor) total += n;
+  EXPECT_EQ(total, kOps * (net.depth() + 1));
+}
+
+TEST(MpObsIntegration, LiveActorReadsNeverGoBackwards) {
+  const topo::Network net = topo::make_bitonic(4);
+  obs::MpMetrics metrics;
+  NetworkService service(net, {.workers = 2, .metrics = &metrics});
+
+  std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> reads{0};
+  std::uint64_t regressions = 0;
+  std::jthread reader([&] {
+    std::vector<std::uint64_t> last(net.node_count() + net.output_width(), 0);
+    do {
+      const std::vector<std::uint64_t> now = metrics.actor_messages.values();
+      for (std::size_t i = 0; i < now.size(); ++i) regressions += now[i] < last[i] ? 1 : 0;
+      last = now;
+      reads.fetch_add(1);
+    } while (!done.load());
+  });
+  while (reads.load() == 0) std::this_thread::yield();  // reads overlap the run
+  {
+    std::vector<std::jthread> clients;
+    for (std::uint32_t c = 0; c < 4; ++c) {
+      clients.emplace_back([&service, &net, c] {
+        for (int i = 0; i < 500; ++i) service.count(c % net.input_width());
+      });
+    }
+  }
+  done.store(true);
+  reader.join();
+  EXPECT_EQ(regressions, 0u);
+}
 #endif  // CNET_OBS
 
 }  // namespace

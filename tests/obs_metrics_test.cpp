@@ -1,10 +1,12 @@
 // Unit tests for the observability primitives (src/obs): sharded counter
-// merge semantics, log-histogram bucket boundaries and quantiles, trace-ring
-// wrap-around and Chrome JSON shape, and registry snapshot rendering.
+// merge semantics, read-through state counts, log-histogram bucket
+// boundaries and quantiles, trace-ring wrap-around and Chrome JSON shape,
+// and registry snapshot rendering.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -59,30 +61,37 @@ TEST(ShardedCounter, SnapshotsAreMonotoneWhileWritersRun) {
   stop.store(true);
 }
 
-// --- ShardedCounterArray -------------------------------------------------
+// --- StateCounts ---------------------------------------------------------
 
-TEST(ShardedCounterArray, PerIndexMerge) {
-  ShardedCounterArray array;
-  EXPECT_TRUE(array.empty());
-  array.resize(5);
-  EXPECT_EQ(array.size(), 5u);
-  for (std::uint32_t tid = 0; tid < kShards; ++tid) array.add(tid, 2);
-  array.add(0, 4, 7);
-  EXPECT_EQ(array.value(2), kShards);
-  EXPECT_EQ(array.value(4), 7u);
-  EXPECT_EQ(array.value(0), 0u);
-  const std::vector<std::uint64_t> all = array.values();
-  ASSERT_EQ(all.size(), 5u);
-  EXPECT_EQ(all[2], kShards);
-  EXPECT_EQ(all[4], 7u);
+TEST(StateCounts, ReadsTheBoundStateAndKeepsTheFinalReading) {
+  StateCounts counts;
+  EXPECT_TRUE(counts.values().empty());
+  std::vector<std::atomic<std::uint64_t>> state(3);
+  counts.bind(3, [&state](std::span<std::uint64_t> out) {
+    for (std::size_t i = 0; i < state.size(); ++i) out[i] += state[i].load();
+  });
+  EXPECT_EQ(counts.values(), (std::vector<std::uint64_t>{0, 0, 0}));
+  // Reads go through to the executor's live state...
+  state[1] = 5;
+  state[2] = 7;
+  EXPECT_EQ(counts.values(), (std::vector<std::uint64_t>{0, 5, 7}));
+  EXPECT_EQ(counts.value(), 12u);
+  // ...and after release() the final reading outlives that state.
+  counts.release();
+  state.clear();
+  EXPECT_EQ(counts.values(), (std::vector<std::uint64_t>{0, 5, 7}));
+  EXPECT_EQ(counts.value(), 12u);
 }
 
-TEST(ShardedCounterArray, ResizeToSameSizeIsIdempotent) {
-  ShardedCounterArray array;
-  array.resize(3);
-  array.add(1, 1, 5);
-  array.resize(3);  // re-attach to an identically shaped backend: allowed
-  EXPECT_EQ(array.value(1), 5u);
+TEST(StateCountsDeath, SinkObservesOneExecutorInItsLifetime) {
+  // Reattaching would restart the state counts from zero under recorded
+  // totals that kept counting; both sinks refuse.
+  CounterMetrics rt_metrics;
+  rt_metrics.attach();
+  EXPECT_DEATH(rt_metrics.attach(), "one executor in its lifetime");
+  MpMetrics mp_metrics;
+  mp_metrics.attach();
+  EXPECT_DEATH(mp_metrics.attach(), "one service in its lifetime");
 }
 
 // --- LogHistogram --------------------------------------------------------
@@ -241,9 +250,9 @@ TEST(MetricsRegistry, SnapshotCarriesAllMetricKinds) {
 
 TEST(MetricsRegistry, BackendStructsRegisterUnderPrefixedNames) {
   CounterMetrics rt_metrics;
-  rt_metrics.attach(4);
+  rt_metrics.attach();
   MpMetrics mp_metrics;
-  mp_metrics.attach(4);
+  mp_metrics.attach();
   PsimMetrics psim_metrics;
   MetricsRegistry registry;
   rt_metrics.register_into(registry);
@@ -261,7 +270,7 @@ TEST(MetricsRegistry, BackendStructsRegisterUnderPrefixedNames) {
 TEST(CounterMetrics, SamplesEveryPeriodthTokenPerShard) {
   CounterMetrics metrics;
   metrics.sample_period = 4;
-  metrics.attach(1);
+  metrics.attach();
   int sampled = 0;
   for (int i = 0; i < 16; ++i) sampled += metrics.should_sample(0) ? 1 : 0;
   EXPECT_EQ(sampled, 4);
@@ -271,7 +280,7 @@ TEST(CounterMetrics, SamplesEveryPeriodthTokenPerShard) {
 
 TEST(CounterMetrics, EstimateIsNeutralWithoutSamples) {
   CounterMetrics metrics;
-  metrics.attach(1);
+  metrics.attach();
   EXPECT_DOUBLE_EQ(metrics.c2c1_estimate(), 1.0);
 }
 

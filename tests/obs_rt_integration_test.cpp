@@ -2,10 +2,13 @@
 // token counts equal the values actually handed out, per-balancer visit
 // totals match the topology, prism and MCS outcome counters partition their
 // visits, and pass-through padding nodes are never counted as balancer
-// work.
+// work. Visits, MCS acquires and prism toggles are read from the plan's
+// balancer state, so the last tests pin what that read promises: monotone
+// while tokens run, and kept after the counter is gone.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <numeric>
 #include <thread>
@@ -169,6 +172,79 @@ TEST(ObsRtIntegration, PassThroughPaddingIsNotBalancerWork) {
   }
   // The core Bitonic[4] still accounts for every hop.
   EXPECT_EQ(total, kOps * topo::make_bitonic(4).depth());
+}
+
+TEST(ObsRtIntegration, PaddedDiffractingTreeReadsPrismVisitsFromState) {
+  // A prism's visits are the tokens that left the tree below it: behind
+  // Cor 3.12 padding, the pass-through chain still reads 0 and the prisms
+  // account for one visit per tree layer per token, split exactly into
+  // pairings and toggles.
+  const topo::Network tree = topo::make_counting_tree(8);
+  const topo::Network net = topo::make_padded(tree, 3);
+  obs::CounterMetrics metrics;
+  CounterOptions options;
+  options.diffraction = true;
+  options.max_threads = 8;
+  options.metrics = &metrics;
+  NetworkCounter counter(net, options);
+
+  constexpr unsigned kThreads = 4;
+  constexpr std::uint64_t kPerThread = 500;
+  drain(counter, kThreads, kPerThread);
+
+  const std::vector<std::uint64_t> visits = metrics.balancer_visits.values();
+  std::uint64_t prism_visits = 0;
+  for (topo::NodeId id = 0; id < net.node_count(); ++id) {
+    if (net.node(id).is_pass_through()) {
+      EXPECT_EQ(visits[id], 0u) << "pass-through node " << id << " counted as a visit";
+    } else {
+      prism_visits += visits[id];
+    }
+  }
+  EXPECT_EQ(prism_visits, kThreads * kPerThread * tree.depth());
+  EXPECT_EQ(metrics.prism_pairs.value() + metrics.prism_toggles.value(), prism_visits);
+}
+
+TEST(ObsRtIntegration, SinkKeepsFinalCountsAfterTheCounterIsGone) {
+  const topo::Network net = topo::make_bitonic(4);
+  obs::CounterMetrics metrics;
+  CounterOptions options;
+  options.mode = BalancerMode::kMcsLocked;
+  options.metrics = &metrics;
+  constexpr std::uint64_t kOps = 200;
+  {
+    NetworkCounter counter(net, options);
+    for (std::uint64_t i = 0; i < kOps; ++i) counter.next(0);
+  }
+  EXPECT_EQ(visits_total(metrics), kOps * net.depth());
+  EXPECT_EQ(metrics.mcs_acquires.value(), kOps * net.depth());
+}
+
+TEST(ObsRtIntegration, LiveVisitReadsNeverGoBackwards) {
+  const topo::Network net = topo::make_bitonic(8);
+  obs::CounterMetrics metrics;
+  CounterOptions options;
+  options.metrics = &metrics;
+  NetworkCounter counter(net, options);
+
+  std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> reads{0};
+  std::uint64_t regressions = 0;
+  std::jthread reader([&] {
+    std::vector<std::uint64_t> last(net.node_count(), 0);
+    do {
+      const std::vector<std::uint64_t> now = metrics.balancer_visits.values();
+      for (std::size_t i = 0; i < now.size(); ++i) regressions += now[i] < last[i] ? 1 : 0;
+      last = now;
+      reads.fetch_add(1);
+    } while (!done.load());
+  });
+  while (reads.load() == 0) std::this_thread::yield();  // reads overlap the run
+  drain(counter, 4, 2000);
+  done.store(true);
+  reader.join();
+  EXPECT_EQ(regressions, 0u);
+  EXPECT_EQ(visits_total(metrics), 4 * 2000 * net.depth());
 }
 
 }  // namespace

@@ -163,25 +163,52 @@ run::BackendSpec parse_spec_or_exit(const std::string& text) {
 
 bool looks_like_spec(const char* arg) { return std::strchr(arg, ':') != nullptr; }
 
-/// Applies one `key=value` workload argument; false (with a diagnostic on
-/// stderr) on unknown keys or ill-typed values.
-bool apply_workload_arg(const std::string& arg, run::Workload* workload) {
+constexpr std::uint64_t kU32 = 0xffffffffu;
+constexpr std::uint64_t kU64 = ~0ull;
+
+/// Parses `text` strictly as an integer in [0, max]. A sign, a non-digit or
+/// an out-of-range value is a usage error that names `what` and exits 2,
+/// never a wrapped or zero value.
+std::uint64_t parse_count(const std::string& what, const char* text, std::uint64_t max) {
+  char* end = nullptr;
+  errno = 0;
+  const std::uint64_t n =
+      std::isdigit(static_cast<unsigned char>(*text)) ? std::strtoull(text, &end, 10) : 0;
+  if (end == nullptr || *end != '\0' || errno == ERANGE || n > max) {
+    std::fprintf(stderr, "%s needs an integer in [0, %llu] (got '%s')\n", what.c_str(),
+                 static_cast<unsigned long long>(max), text);
+    std::exit(2);
+  }
+  return n;
+}
+
+/// Applies one `key=value` workload argument; an unknown key or an
+/// ill-typed value is a usage error (diagnostic on stderr, exit 2).
+void apply_workload_arg(const std::string& arg, run::Workload* workload) {
   const std::size_t eq = arg.find('=');
   if (eq == std::string::npos || eq == 0 || eq + 1 == arg.size()) {
     std::fprintf(stderr, "workload argument '%s' is not key=value\n", arg.c_str());
-    return false;
+    std::exit(2);
   }
   const std::string key = arg.substr(0, eq);
   const std::string value = arg.substr(eq + 1);
-  char* end = nullptr;
-  const auto as_u64 = [&] { return std::strtoull(value.c_str(), &end, 10); };
-  const auto as_f64 = [&] { return std::strtod(value.c_str(), &end); };
+  const std::string what = "workload key '" + key + "'";
+  const auto as_count = [&](std::uint64_t max) { return parse_count(what, value.c_str(), max); };
+  const auto as_f64 = [&] {
+    char* end = nullptr;
+    const double x = std::strtod(value.c_str(), &end);
+    if (*end != '\0') {
+      std::fprintf(stderr, "%s has a malformed value '%s'\n", what.c_str(), value.c_str());
+      std::exit(2);
+    }
+    return x;
+  };
   if (key == "threads") {
-    workload->threads = static_cast<std::uint32_t>(as_u64());
+    workload->threads = static_cast<std::uint32_t>(as_count(kU32));
   } else if (key == "ops") {
-    workload->total_ops = as_u64();
+    workload->total_ops = as_count(kU64);
   } else if (key == "batch") {
-    workload->batch = static_cast<std::uint32_t>(as_u64());
+    workload->batch = static_cast<std::uint32_t>(as_count(kU32));
   } else if (key == "arrival") {
     if (value == "closed") {
       workload->arrival = run::Arrival::kClosed;
@@ -191,34 +218,27 @@ bool apply_workload_arg(const std::string& arg, run::Workload* workload) {
       workload->arrival = run::Arrival::kBurst;
     } else {
       std::fprintf(stderr, "arrival '%s' is not closed, poisson, or burst\n", value.c_str());
-      return false;
+      std::exit(2);
     }
-    return true;
   } else if (key == "rate") {
     workload->rate = as_f64();
   } else if (key == "burst") {
-    workload->burst_size = static_cast<std::uint32_t>(as_u64());
+    workload->burst_size = static_cast<std::uint32_t>(as_count(kU32));
   } else if (key == "gap") {
     workload->burst_gap = as_f64();
   } else if (key == "f") {
     workload->delayed_fraction = as_f64();
   } else if (key == "wait") {
-    workload->wait = as_u64();
+    workload->wait = as_count(kU64);
   } else if (key == "seed") {
-    workload->seed = as_u64();
+    workload->seed = as_count(kU64);
   } else {
     std::fprintf(stderr,
                  "unknown workload key '%s' (valid: threads, ops, batch, arrival, rate,"
                  " burst, gap, f, wait, seed)\n",
                  key.c_str());
-    return false;
+    std::exit(2);
   }
-  if (end == nullptr || *end != '\0') {
-    std::fprintf(stderr, "workload key '%s' has a malformed value '%s'\n", key.c_str(),
-                 value.c_str());
-    return false;
-  }
-  return true;
 }
 
 int cmd_info(const std::string& kind, std::uint32_t width) {
@@ -594,37 +614,28 @@ int cmd_deploy(const run::BackendSpec& spec, int argc, char** argv, int base) {
     };
     // Numbers parse strictly: a negative, non-numeric or out-of-range
     // value is a usage error, not a wrapped or zero value.
-    const auto bad_number = [&](const char* text, const char* want) {
-      std::fprintf(stderr, "deploy: %s needs %s (got '%s')\n", arg.c_str(), want, text);
-      std::exit(2);
-    };
     const auto count = [&](std::uint64_t max) {
-      const char* text = value();
-      char* end = nullptr;
-      errno = 0;
-      const std::uint64_t n =
-          std::isdigit(static_cast<unsigned char>(*text)) ? std::strtoull(text, &end, 10) : 0;
-      if (end == nullptr || *end != '\0' || errno == ERANGE || n > max) {
-        bad_number(text, ("an integer in [0, " + std::to_string(max) + "]").c_str());
-      }
-      return n;
+      return parse_count("deploy: " + arg, value(), max);
     };
     const auto seconds = [&] {
       const char* text = value();
       char* end = nullptr;
       const double n =
           std::isdigit(static_cast<unsigned char>(*text)) ? std::strtod(text, &end) : 0.0;
-      if (end == nullptr || *end != '\0') bad_number(text, "a non-negative number of seconds");
+      if (end == nullptr || *end != '\0') {
+        std::fprintf(stderr, "deploy: %s needs a non-negative number of seconds (got '%s')\n",
+                     arg.c_str(), text);
+        std::exit(2);
+      }
       return n;
     };
-    constexpr std::uint64_t kU32 = 0xffffffffu;
     if (arg == "--tiles") {
       options.tiles = static_cast<std::uint32_t>(count(kU32));
     } else if (arg == "--threads") {
       options.threads_per_tile = static_cast<std::uint32_t>(count(kU32));
       explicit_threads = true;
     } else if (arg == "--ops") {
-      options.total_ops = count(~0ull);
+      options.total_ops = count(kU64);
     } else if (arg == "--batch") {
       options.batch = static_cast<std::uint32_t>(count(kU32));
     } else if (arg == "--max-restarts") {
@@ -778,18 +789,14 @@ int main(int argc, char** argv) {
   if (command == "run") {
     const run::BackendSpec spec = parse_spec_or_exit(kind);
     run::Workload workload;
-    for (int i = 3; i < argc; ++i) {
-      if (!apply_workload_arg(argv[i], &workload)) return 2;
-    }
+    for (int i = 3; i < argc; ++i) apply_workload_arg(argv[i], &workload);
     return cmd_run(spec, workload);
   }
   if (command == "record") {
     if (argc < 4) return usage();
     const run::BackendSpec spec = parse_spec_or_exit(kind);
     run::Workload workload;
-    for (int i = 4; i < argc; ++i) {
-      if (!apply_workload_arg(argv[i], &workload)) return 2;
-    }
+    for (int i = 4; i < argc; ++i) apply_workload_arg(argv[i], &workload);
     return cmd_record(spec, argv[3], workload);
   }
   if (command == "replay") {
@@ -814,11 +821,13 @@ int main(int argc, char** argv) {
       return usage();
     }
     run::Workload workload;
-    workload.threads = std::max(1u, static_cast<std::uint32_t>(std::atoi(argv[base])));
-    workload.total_ops = std::strtoull(argv[base + 1], nullptr, 10);
+    workload.threads =
+        std::max(1u, static_cast<std::uint32_t>(parse_count("threads", argv[base], kU32)));
+    workload.total_ops = parse_count("ops", argv[base + 1], kU64);
     workload.batch =
-        argc > base + 2 ? std::max(1u, static_cast<std::uint32_t>(std::atoi(argv[base + 2])))
-                        : 16;
+        argc > base + 2
+            ? std::max(1u, static_cast<std::uint32_t>(parse_count("batch", argv[base + 2], kU32)))
+            : 16;
     if (command == "count") {
       if (argc > base + 3) return usage();
       return cmd_run(parse_spec_or_exit(text), workload);
