@@ -124,6 +124,7 @@ BENCHMARK(BM_PlanBatchObsOff)
     ->Setup(setup_plan_off)
     ->Teardown(teardown)
     ->Args({32, 64})
+    ->Args({32, 1})
     ->ThreadRange(1, 8)
     ->UseRealTime();
 

@@ -44,17 +44,26 @@ if [ "$build_type" != "Release" ]; then
   fi
 fi
 
-# Stamps the cnet build flavour into a report's context block (in place).
-tag_build_type() {
-  python3 - "$1" "$build_type" <<'EOF'
+# Stamps the cnet build flavour and the CPUs this shell may run on (nproc)
+# into a report's context block (in place), then fails if nproc differs
+# from the report's num_cpus (every CPU online): the recording ran under a
+# restricted affinity mask, so its thread-scaling rows mean less than their
+# labels say.
+tag_context() {
+  python3 - "$1" "$build_type" "$(nproc)" <<'EOF'
 import json, sys
-path, build_type = sys.argv[1:3]
+path, build_type, nproc = sys.argv[1], sys.argv[2], int(sys.argv[3])
 with open(path) as f:
     report = json.load(f)
-report["context"]["cnet_build_type"] = build_type
+context = report["context"]
+context["cnet_build_type"] = build_type
+context["nproc"] = nproc
 with open(path, "w") as f:
     json.dump(report, f, indent=1)
     f.write("\n")
+if context.get("num_cpus") != nproc:
+    sys.exit(f"{path}: recorded with nproc {nproc} but num_cpus {context.get('num_cpus')}"
+             " (affinity-restricted); record on an unrestricted shell")
 EOF
 }
 
@@ -80,7 +89,7 @@ with open(out, "w") as f:
     json.dump(a, f, indent=1)
     f.write("\n")
 EOF
-tag_build_type "$out"
+tag_context "$out"
 echo "wrote $out ($(python3 -c "import json;print(len(json.load(open('$out'))['benchmarks']))") benchmarks)"
 
 # Key guard: downstream dashboards join on benchmark names, so a rename in
@@ -103,7 +112,7 @@ EOF
 build/bench/obs_overhead \
   --benchmark_min_time="$min_time" \
   --benchmark_format=json >"$obs_out"
-tag_build_type "$obs_out"
+tag_context "$obs_out"
 echo "wrote $obs_out ($(python3 -c "import json;print(len(json.load(open('$obs_out'))['benchmarks']))") benchmarks)"
 
 # Same key guard for the observability-overhead series docs/OBSERVABILITY.md
@@ -124,7 +133,7 @@ EOF
 build/bench/throughput_mp \
   --benchmark_min_time="$min_time" \
   --benchmark_format=json >"$mp_out"
-tag_build_type "$mp_out"
+tag_context "$mp_out"
 echo "wrote $mp_out ($(python3 -c "import json;print(len(json.load(open('$mp_out'))['benchmarks']))") benchmarks)"
 
 # Same key guard for the mp series: both topologies must be present.
@@ -161,7 +170,7 @@ with open(out, "w") as f:
     json.dump(a, f, indent=1)
     f.write("\n")
 EOF
-tag_build_type "$svc_out"
+tag_context "$svc_out"
 echo "wrote $svc_out ($(python3 -c "import json;print(len(json.load(open('$svc_out'))['benchmarks']))") benchmarks)"
 
 # The svc series is an ablation: both sides of the batched/unbatched pair

@@ -83,10 +83,11 @@ class SharedCounter {
   /// concurrent callers and < config.max_threads.
   std::uint64_t next(std::uint32_t thread_id);
 
-  /// Claims out.size() counter values at once, written in order. This
-  /// batches the contended output fetch_add; a worker that stamps requests
-  /// in blocks should prefer this. Values are
-  /// globally unique and, single-threaded, identical to repeated next().
+  /// Claims out.size() counter values at once, written in ascending order.
+  /// The batch crosses the network as one wave (one balancer step per
+  /// sub-batch); a worker that stamps requests in blocks should prefer
+  /// this. Values are globally unique and, single-threaded, identical to
+  /// repeated next().
   void next_batch(std::uint32_t thread_id, std::span<std::uint64_t> out);
 
   const topo::Network& network() const { return counter_.network(); }

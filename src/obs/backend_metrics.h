@@ -39,7 +39,6 @@ struct CounterMetrics {
   /// Read from the plan's state, indexed by topo::Network node id (the
   /// RoutingPlan keeps topology ids); pass-through padding reads 0.
   StateCounts balancer_visits;  ///< per-balancer visits
-  StateCounts mcs_acquires;     ///< MCS balancer critical-section entries
   StateCounts prism_toggles;    ///< prism visits that fell to the toggle
 
   LogHistogram token_latency_ns;  ///< entry-to-value, sampled tokens
@@ -57,6 +56,15 @@ struct CounterMetrics {
   /// sampled: `tokens` is the per-shard sampling clock.
   bool should_sample(std::uint32_t thread_id) noexcept {
     return (tokens.add(thread_id) & sample_mask_) == 0;
+  }
+
+  /// Counts the `n` tokens of one batch in a single add and returns how
+  /// many of them are sampled: the clock values in the batch's range that
+  /// are multiples of sample_period, as should_sample() would decide them.
+  std::uint64_t sample_batch(std::uint32_t thread_id, std::uint64_t n) noexcept {
+    const std::uint64_t first = tokens.add(thread_id, n);
+    const std::uint64_t period = sample_mask_ + 1;
+    return (first + n + sample_mask_) / period - (first + sample_mask_) / period;
   }
 
   /// Online estimate of the effective timing ratio c2/c1: the tail/p10

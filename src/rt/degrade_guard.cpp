@@ -12,11 +12,11 @@ DegradeGuard::DegradeGuard(Options options, const obs::CounterMetrics* metrics,
       metrics_(metrics),
       pad_len_(topo::padding_prefix_length(net_depth, options.pad_k)) {}
 
-void DegradeGuard::on_token() {
+void DegradeGuard::on_token(std::uint64_t tokens) {
   if (options_.policy == DegradePolicy::kOff || metrics_ == nullptr) return;
   if (tripped_.load(std::memory_order_relaxed)) return;  // latched: nothing to do
-  const std::uint64_t n = tokens_since_check_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (n % options_.check_period != 0) return;
+  const std::uint64_t before = tokens_since_check_.fetch_add(tokens, std::memory_order_relaxed);
+  if (before / options_.check_period == (before + tokens) / options_.check_period) return;
   // One snapshotting checker at a time; a raced boundary just skips (the
   // next boundary re-checks).
   if (checking_.exchange(true, std::memory_order_acquire)) return;

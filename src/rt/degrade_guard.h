@@ -82,10 +82,11 @@ class DegradeGuard {
   /// the Cor 3.12 prefix.
   DegradeGuard(Options options, const obs::CounterMetrics* metrics, std::uint32_t net_depth);
 
-  /// Token-path hook: counts down check_period and, on the boundary, runs
-  /// one estimator check (snapshot + quantiles — rare by construction).
-  /// Cheap once tripped: a single relaxed load.
-  void on_token();
+  /// Token-path hook: advances the token clock by `tokens` (a batch counts
+  /// all of its tokens) and, whenever the clock crosses a check_period
+  /// boundary, runs one estimator check (snapshot + quantiles — rare by
+  /// construction). Cheap once tripped: a single relaxed load.
+  void on_token(std::uint64_t tokens);
 
   /// Feeds one explicit estimate through the trip logic — the deterministic
   /// unit-test entry (also used by on_token internally). Returns tripped().

@@ -20,9 +20,8 @@ class DiffractingTree {
   /// concurrent callers and < options.max_threads.
   std::uint64_t next(std::uint32_t thread_id) { return counter_.next(thread_id, 0); }
 
-  /// Claims out.size() values in one traversal batch (see
-  /// NetworkCounter::next_batch); cheaper than repeated next() when a caller
-  /// consumes ids in blocks.
+  /// Claims out.size() values in one wave (see NetworkCounter::next_batch);
+  /// cheaper than repeated next() when a caller consumes ids in blocks.
   void next_batch(std::uint32_t thread_id, std::span<std::uint64_t> out) {
     counter_.next_batch(thread_id, 0, out);
   }

@@ -27,8 +27,8 @@ NetworkCounter::NetworkCounter(topo::Network net, CounterOptions options,
 
 NetworkCounter::~NetworkCounter() = default;
 
-void NetworkCounter::guard_entry() {
-  guard_->on_token();
+void NetworkCounter::guard_entry(std::uint64_t tokens) {
+  guard_->on_token(tokens);
   // Cor 3.12's pass chain, priced in time: the token is "in the network"
   // (crossing pass-through nodes) for pad_ns before its first balancer.
   busy_wait_ns(guard_->pad_ns());
@@ -38,7 +38,7 @@ std::uint64_t NetworkCounter::next_hooked(std::uint32_t thread_id, std::uint32_t
                                           NodeHook after_node, void* ctx) {
   CNET_CHECK(input < net_.input_width());
   CNET_CHECK(thread_id < max_threads_);
-  if (guard_) [[unlikely]] guard_entry();
+  if (guard_) [[unlikely]] guard_entry(1);
   return plan_.next_hooked(thread_id, input, after_node, ctx);
 }
 
@@ -46,9 +46,9 @@ void NetworkCounter::next_batch(std::uint32_t thread_id, std::uint32_t input,
                                 std::span<std::uint64_t> out) {
   CNET_CHECK(input < net_.input_width());
   CNET_CHECK(thread_id < max_threads_);
-  // A batch is one traversal claiming out.size() values: one guard check,
+  // A batch advances the guard's clock by its size but is one traversal:
   // one pad charge.
-  if (guard_) [[unlikely]] guard_entry();
+  if (guard_) [[unlikely]] guard_entry(out.size());
   plan_.next_batch(thread_id, input, out);
 }
 

@@ -16,7 +16,7 @@
 // Output port Y_i hands out i, i+w, i+2w, ... via a per-output atomic.
 //
 // Tokens run through a compiled rt::RoutingPlan (flattened successor tables,
-// per-kind dense balancer state, batched output claims — see
+// per-kind dense balancer state, batches crossing as one wave — see
 // routing_plan.h); NetworkCounter adds the topology copy, the argument
 // checks and the degraded-mode guard around it.
 //
@@ -79,11 +79,12 @@ class NetworkCounter {
   std::uint64_t next_hooked(std::uint32_t thread_id, std::uint32_t input, NodeHook after_node,
                             void* ctx);
 
-  /// Routes out.size() tokens entering at `input`, writing their counter
-  /// values in order. Amortizes entry lookup and batches the per-output
-  /// fetch_add (one RMW per distinct exit port). Equivalent to out.size()
-  /// successive next() calls when single-threaded; values always remain
-  /// globally unique.
+  /// Routes out.size() tokens entering at `input` as one wave
+  /// (RoutingPlan::next_batch: one balancer step per sub-batch, one
+  /// fetch_add per exit port) and writes their counter values in ascending
+  /// order. Equivalent to out.size() successive next() calls when
+  /// single-threaded on a counting network; values always remain globally
+  /// unique.
   void next_batch(std::uint32_t thread_id, std::uint32_t input, std::span<std::uint64_t> out);
 
   /// Convenience for single-input networks (trees) or "any input" use:
@@ -105,10 +106,11 @@ class NetworkCounter {
   const DegradeGuard* degrade_guard() const { return guard_.get(); }
 
  private:
-  /// Guard preamble shared by every token path: count the token toward the
-  /// estimator check cadence and, once the kPad policy has tripped, charge
-  /// the Cor 3.12 pass-chain time before the token enters the network.
-  void guard_entry();
+  /// Guard preamble shared by every token path: count the `tokens` entering
+  /// together toward the estimator check cadence and, once the kPad policy
+  /// has tripped, charge the Cor 3.12 pass-chain time once before they
+  /// enter the network.
+  void guard_entry(std::uint64_t tokens);
 
   topo::Network net_;
   std::uint32_t max_threads_;

@@ -1,6 +1,7 @@
 #include "rt/routing_plan.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <new>
 #include <thread>
@@ -16,16 +17,28 @@ namespace {
 
 constexpr std::uint64_t kPaired = 1ull << 32;
 
-/// Largest output width the batched path handles with stack-resident
-/// histograms; wider networks (none of the library builders) fall back to
-/// per-token output fetch_add.
-constexpr std::uint32_t kMaxBatchedWidth = 256;
-
 /// Per-thread RNG for prism slot choice (no cross-thread state).
 Rng& prism_rng() {
   static std::atomic<std::uint64_t> counter{0x51ed270b0a1efULL};
   thread_local Rng rng(counter.fetch_add(0x9e3779b97f4a7c15ULL, std::memory_order_relaxed));
   return rng;
+}
+
+/// A thread's wave scratch: a pending token count per wave position and a
+/// bitset of the positions that hold one. Every wave leaves both all-zero,
+/// so one scratch serves every plan the thread drives.
+struct WaveScratch {
+  std::vector<std::uint64_t> pending;
+  std::vector<std::uint64_t> live;
+};
+
+WaveScratch& wave_scratch(std::size_t positions) {
+  thread_local WaveScratch scratch;
+  if (scratch.pending.size() < positions) {
+    scratch.pending.resize(positions);
+    scratch.live.resize((positions + 63) / 64);
+  }
+  return scratch;
 }
 
 /// The root prism width the options ask for, with auto sizing resolved.
@@ -177,6 +190,17 @@ RoutingPlan::RoutingPlan(const topo::Network& net, const CounterOptions& options
   entry_fast_.reserve(entry_.size());
   for (const std::uint32_t hop : entry_) entry_fast_.push_back(resolve(hop));
 
+  // Wave order: a node's successors all sit in deeper layers, so sorting the
+  // balancers by layer places every node after all of its predecessors.
+  for (topo::NodeId id = 0; id < n_nodes; ++id) {
+    if (kind_[id] != Kind::kPass) wave_node_.push_back(id);
+  }
+  std::stable_sort(wave_node_.begin(), wave_node_.end(), [&](std::uint32_t a, std::uint32_t b) {
+    return net.node(a).layer < net.node(b).layer;
+  });
+  wave_pos_.assign(n_nodes, 0);
+  for (std::uint32_t pos = 0; pos < wave_node_.size(); ++pos) wave_pos_[wave_node_[pos]] = pos;
+
   // Homogeneity profile: with only fan-out-2 toggles left on the fast path,
   // state_idx_ == a dense renumbering and the switch can be hoisted.
   homogeneous_toggle_fan2_ = true;
@@ -201,7 +225,6 @@ RoutingPlan::~RoutingPlan() {
 #if CNET_OBS
   if (metrics_ != nullptr) {  // keep the final reading while the state exists
     metrics_->balancer_visits.release();
-    metrics_->mcs_acquires.release();
     metrics_->prism_toggles.release();
   }
 #endif
@@ -219,13 +242,12 @@ void RoutingPlan::bind_state_counts(const topo::Network& net) {
   // above (diffraction applies to 1-in/2-out nodes, which the builders place
   // only in counting trees).
   using Sources = std::vector<std::pair<std::uint32_t, const std::atomic<std::uint64_t>*>>;
-  Sources visits, acquires, toggles;
+  Sources visits, toggles;
   const auto n_nodes = static_cast<std::uint32_t>(kind_.size());
   for (std::uint32_t id = 0; id < n_nodes; ++id) {
     const std::uint32_t i = state_idx_[id];
     if (kind_[id] == Kind::kToggle) visits.emplace_back(id, &toggles_[i].count);
     if (kind_[id] == Kind::kMcs) visits.emplace_back(id, &mcs_[i].count);
-    if (kind_[id] == Kind::kMcs) acquires.emplace_back(id, &mcs_[i].count);
     if (kind_[id] != Kind::kPrism) continue;
     toggles.emplace_back(id, &prism_counts_[i].count);
     for (std::vector<std::uint32_t> below{id}; !below.empty();) {
@@ -249,30 +271,37 @@ void RoutingPlan::bind_state_counts(const topo::Network& net) {
     });
   };
   bind(metrics_->balancer_visits, std::move(visits));
-  bind(metrics_->mcs_acquires, std::move(acquires));
   bind(metrics_->prism_toggles, std::move(toggles));
 }
 
-std::uint32_t RoutingPlan::traverse(std::uint32_t node, std::uint32_t thread_id) {
+// One state step for `tokens` tokens crossing `node` together. Returns the
+// step's first count t0: its j-th token leaves on port (t0 + j) mod fan-out.
+// A lone token at a prism tries to diffract and returns its port instead.
+std::uint64_t RoutingPlan::cross(std::uint32_t node, std::uint64_t tokens,
+                                 std::uint32_t thread_id) {
+  const std::uint32_t i = state_idx_[node];
   switch (kind_[node]) {
-    case Kind::kPass:
-      return 0;
-    case Kind::kToggle: {
-      const std::uint64_t t =
-          toggles_[state_idx_[node]].count.fetch_add(1, std::memory_order_acq_rel);
-      return static_cast<std::uint32_t>(t % fan_out_[node]);
-    }
+    case Kind::kToggle:
+      return toggles_[i].count.fetch_add(tokens, std::memory_order_acq_rel);
     case Kind::kMcs: {
-      McsState& state = mcs_[state_idx_[node]];
-      McsLock::Guard guard(state.lock);
-      const std::uint64_t t = state.count.load(std::memory_order_relaxed);
-      state.count.store(t + 1, std::memory_order_relaxed);
-      return static_cast<std::uint32_t>(t % fan_out_[node]);
+      McsLock::Guard guard(mcs_[i].lock);
+      const std::uint64_t t = mcs_[i].count.load(std::memory_order_relaxed);
+      mcs_[i].count.store(t + tokens, std::memory_order_relaxed);
+      return t;
     }
     case Kind::kPrism:
-      return traverse_prism(state_idx_[node], thread_id);
+      // A sub-batch is already combined, so it takes the fall-back toggle.
+      if (tokens == 1) return traverse_prism(i, thread_id);
+      return prism_counts_[i].count.fetch_add(tokens, std::memory_order_acq_rel);
+    case Kind::kPass:
+      break;
   }
-  CNET_CHECK_MSG(false, "unreachable");
+  CNET_CHECK_MSG(false, "pass-through nodes take no state step");
+}
+
+std::uint32_t RoutingPlan::traverse(std::uint32_t node, std::uint32_t thread_id) {
+  if (kind_[node] == Kind::kPass) return 0;
+  return static_cast<std::uint32_t>(cross(node, 1, thread_id) % fan_out_[node]);
 }
 
 std::uint32_t RoutingPlan::traverse_prism(std::uint32_t prism_idx, std::uint32_t thread_id) {
@@ -405,45 +434,79 @@ std::uint64_t RoutingPlan::next_hooked(std::uint32_t thread_id, std::uint32_t in
   return port + nth * output_width_;
 }
 
-void RoutingPlan::next_batch_hooked(std::uint32_t thread_id, std::uint32_t input,
-                                    std::span<std::uint64_t> out, NodeHook after_node,
-                                    void* ctx) {
+void RoutingPlan::next_batch(std::uint32_t thread_id, std::uint32_t input,
+                             std::span<std::uint64_t> out) {
   CNET_CHECK(input < input_width_);
   if (out.empty()) return;
 #if CNET_OBS
   if (metrics_ != nullptr) [[unlikely]] metrics_->batch_calls.add(thread_id);
 #endif
-  const std::uint32_t w = output_width_;
-  if (w > kMaxBatchedWidth) {
-    for (std::uint64_t& value : out) {
-      const std::uint32_t port = route(thread_id, input, after_node, ctx);
-      const std::uint64_t nth = outputs_[port]->fetch_add(1, std::memory_order_acq_rel);
-      value = port + nth * w;
-    }
+  if (out.size() == 1) {  // a wave of one token is its walk
+    out[0] = next(thread_id, input);
     return;
   }
-
-  // Route the whole batch first (out[i] temporarily holds the exit port),
-  // then claim one contiguous block per exit port with a single fetch_add
-  // and expand values locally: the i-th batch token on port p gets
-  // p + (nth + i) * w, exactly what i separate RMWs would have produced.
-  std::uint32_t port_count[kMaxBatchedWidth];
-  std::uint64_t port_next[kMaxBatchedWidth];
-  for (std::uint32_t p = 0; p < w; ++p) port_count[p] = 0;
-  for (std::uint64_t& value : out) {
-    const std::uint32_t port = route(thread_id, input, after_node, ctx);
-    value = port;
-    ++port_count[port];
-  }
-  for (std::uint32_t p = 0; p < w; ++p) {
-    if (port_count[p] != 0) {
-      port_next[p] = outputs_[p]->fetch_add(port_count[p], std::memory_order_acq_rel);
+  const std::uint32_t w = output_width_;
+  const std::size_t n_nodes = wave_node_.size();
+  const std::size_t n_positions = n_nodes + w;
+  WaveScratch& wave = wave_scratch(n_positions);
+  std::uint64_t* const pending = wave.pending.data();
+  std::uint64_t* const live = wave.live.data();
+  const auto arrive = [&](std::uint32_t hop, std::uint64_t tokens) {
+    const std::size_t pos =
+        (hop & kOutputBit) != 0 ? n_nodes + (hop & ~kOutputBit) : wave_pos_[hop];
+    pending[pos] += tokens;
+    live[pos / 64] |= std::uint64_t{1} << (pos % 64);
+  };
+  std::uint64_t riders = out.size();
+#if CNET_OBS
+  if (metrics_ != nullptr) [[unlikely]] {
+    // The batch's sampled tokens walk alone, timed; the rest ride the wave.
+    for (std::uint64_t s = metrics_->sample_batch(thread_id, riders); s != 0; --s, --riders) {
+      arrive(kOutputBit | route_timed(thread_id, input, nullptr, nullptr), 1);
     }
   }
-  for (std::uint64_t& value : out) {
-    const auto port = static_cast<std::uint32_t>(value);
-    value = port + port_next[port]++ * w;
+#endif
+  if (riders != 0) arrive(entry_fast_[input], riders);
+
+  // Visit the live positions in ascending order. Every sub-batch bound for
+  // a node has arrived by the time it is visited, since its predecessors
+  // sit before it.
+  std::size_t filled = 0;
+  for (std::size_t word = 0; word * 64 < n_positions;) {
+    if (live[word] == 0) {
+      ++word;
+      continue;
+    }
+    const std::size_t pos = word * 64 + static_cast<std::size_t>(std::countr_zero(live[word]));
+    live[word] &= live[word] - 1;
+    const std::uint64_t c = std::exchange(pending[pos], 0);
+    if (pos >= n_nodes) {  // an exit port claims one block for its c tokens
+      const auto port = static_cast<std::uint32_t>(pos - n_nodes);
+      const std::uint64_t nth = outputs_[port]->fetch_add(c, std::memory_order_acq_rel);
+      for (std::uint64_t i = 0; i < c; ++i) out[filled++] = port + (nth + i) * w;
+      continue;
+    }
+    // Split by the t mod fan-out rule: every port gets c / fan tokens, and
+    // the c % fan ports from t0's onwards one more.
+    const std::uint32_t node = wave_node_[pos];
+    const std::uint32_t fan = fan_out_[node];
+    const std::uint32_t* succ = &succ_fast_[succ_offset_[node]];
+    const std::uint64_t t0 = cross(node, c, thread_id);
+    if (fan == 2) {  // the common case, without the divisions below
+      const auto first = static_cast<std::uint32_t>(t0 & 1);
+      arrive(succ[first], (c + 1) / 2);
+      if (c > 1) arrive(succ[first ^ 1], c / 2);
+      continue;
+    }
+    const auto first = static_cast<std::uint32_t>(t0 % fan);
+    for (std::uint32_t d = 0; d < fan && d < c; ++d) {
+      const std::uint32_t port = first + d < fan ? first + d : first + d - fan;
+      arrive(succ[port], c / fan + (d < c % fan ? 1 : 0));
+    }
   }
+  // Ascending, as k next() calls return them single-threaded on a counting
+  // network.
+  std::sort(out.begin(), out.end());
 }
 
 std::uint64_t RoutingPlan::output_count(std::uint32_t port) const {

@@ -21,12 +21,21 @@
 //     configurations), traversal runs a specialized loop with the kind switch
 //     hoisted out entirely and `% fan_out` strength-reduced to `& 1`.
 //
-// next_batch() amortizes the per-token fixed costs across a caller-supplied
-// span: one entry lookup, one hook test, and — the contended part — *one*
-// fetch_add(k) per distinct exit port instead of k separate RMWs, expanded
-// locally to port + (nth+i)*w. Values are identical to k successive next()
-// calls in the single-threaded case and remain a permutation of 0..n-1 under
-// concurrency (per-port blocks are disjoint).
+// next_batch() moves a caller-supplied batch through the network as one
+// wave. The k tokens enter as one count; each balancer they reach takes one
+// state step for the c tokens arriving together (a toggle's fetch_add(c),
+// one MCS lock hold adding c, a prism's fall-back toggle by c when c >= 2)
+// and splits c into per-port sub-batches by the t mod fan_out rule: the
+// step's first count t0 sends its j-th token out of port (t0 + j) mod
+// fan_out. Sub-batches that meet at a node merge, because the wave visits
+// nodes in layer order and touches only the nodes its tokens reach. Each
+// exit port then claims its block with one fetch_add(c), expanded locally to
+// port + (nth + i) * w. One state step for c tokens is c consecutive
+// crossings of that balancer, so a wave is a legal interleaving of its
+// tokens: the counting and step properties hold under concurrency, and
+// single-threaded a batch claims the values k next() calls would claim. It
+// returns them ascending, which on a counting network is exactly the
+// sequence those calls return.
 //
 // Single-threaded, every balancer kind routes like a toggle (t-th token out
 // of port t mod fan_out; an unpaired prism falls through to its toggle), so
@@ -162,15 +171,13 @@ class RoutingPlan {
   std::uint64_t next_hooked(std::uint32_t thread_id, std::uint32_t input, NodeHook after_node,
                             void* ctx);
 
-  /// Routes out.size() tokens, writing their counter values in order.
-  /// Equivalent to out.size() successive next() calls, but amortizes entry
-  /// lookup and batches the output-counter fetch_add per exit port.
-  void next_batch(std::uint32_t thread_id, std::uint32_t input, std::span<std::uint64_t> out) {
-    next_batch_hooked(thread_id, input, out, nullptr, nullptr);
-  }
-
-  void next_batch_hooked(std::uint32_t thread_id, std::uint32_t input,
-                         std::span<std::uint64_t> out, NodeHook after_node, void* ctx);
+  /// Routes out.size() tokens entering at `input` as one wave (see the file
+  /// comment) and writes their counter values in ascending order.
+  /// Single-threaded, on a counting network, this equals out.size()
+  /// successive next() calls; under concurrency the values stay globally
+  /// unique. With an obs sink, the batch's sampled tokens walk alone
+  /// through the timed path first and the rest ride the wave.
+  void next_batch(std::uint32_t thread_id, std::uint32_t input, std::span<std::uint64_t> out);
 
   std::uint32_t input_width() const { return input_width_; }
   std::uint32_t output_width() const { return output_width_; }
@@ -224,6 +231,7 @@ class RoutingPlan {
   /// Packed hop: node index, or kOutputBit | network output port.
   static constexpr std::uint32_t kOutputBit = 0x80000000u;
 
+  std::uint64_t cross(std::uint32_t node, std::uint64_t tokens, std::uint32_t thread_id);
   std::uint32_t traverse(std::uint32_t node, std::uint32_t thread_id);
   std::uint32_t traverse_prism(std::uint32_t prism_idx, std::uint32_t thread_id);
   std::uint32_t route(std::uint32_t thread_id, std::uint32_t input, NodeHook after_node,
@@ -246,6 +254,11 @@ class RoutingPlan {
   std::vector<std::uint32_t> entry_;       ///< per network input
   std::vector<std::uint32_t> succ_fast_;   ///< succ_ with pass chains resolved
   std::vector<std::uint32_t> entry_fast_;  ///< entry_ with pass chains resolved
+  /// Wave positions: the balancers (pass nodes excluded) in layer order,
+  /// then the exit ports. wave_node_[pos] is a balancer's node id and
+  /// wave_pos_[node] its position; exit port p sits at wave_node_.size() + p.
+  std::vector<std::uint32_t> wave_node_;
+  std::vector<std::uint32_t> wave_pos_;
 
   // --- balancer state, dense per kind, in one arena block -----------------
   // Raw pointers into either `owned_` (default: private heap block) or a

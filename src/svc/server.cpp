@@ -412,8 +412,9 @@ class Server::Loop {
     }
   }
 
-  /// rt: plain requests ride one next_batch(k) per chunk (one entry lookup
-  /// and one output fetch_add per distinct exit port for the whole chunk);
+  /// rt: plain requests ride one next_batch(k) per chunk (one wave: one
+  /// state step per balancer per sub-batch and one output fetch_add per
+  /// exit port for the whole chunk);
   /// deadline requests issue individually so each can be refused when its
   /// budget is spent — rt cannot abandon a traversal the serving thread
   /// itself executes.

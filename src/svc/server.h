@@ -26,9 +26,9 @@
 // into a pending set, and then issues them against the backend in bulk —
 // one next_batch(k) per chunk on rt, one pooled burst of k mailbox sends
 // (count_begin x k, then collect) on mp — instead of k independent
-// traversals. This moves PR 1's 1.77x batched-issue win (and mp's burst
-// pipelining) across the address-space boundary: the k requests of one
-// wake share entry lookup, output fetch_adds, and worker wakeups — and
+// traversals. This moves rt's batch wave (and mp's burst pipelining)
+// across the address-space boundary: the k requests of one wake share
+// balancer steps, output fetch_adds, and worker wakeups — and
 // their responses share one coalesced write() per connection — while each
 // request still gets its own counter value. `ServerOptions::batching =
 // false` is the ablation BENCH_svc measures: the textbook request-response

@@ -11,10 +11,13 @@
 #include <vector>
 
 #include "fault/plan.h"
+#include "obs/backend_metrics.h"
 #include "run/backend.h"
 #include "run/backend_spec.h"
 #include "run/runner.h"
 #include "rt/degrade_guard.h"
+#include "rt/network_counter.h"
+#include "topo/builders.h"
 
 namespace cnet {
 namespace {
@@ -345,6 +348,26 @@ INSTANTIATE_TEST_SUITE_P(
     chaos_name);
 
 #if CNET_OBS
+// check_period counts tokens, and a batch's tokens all count: 16 batches of
+// 64 cross the 1024-token boundary once, so the estimator is checked and
+// the pre-seeded skew (p90/p10 about 1000) trips the guard.
+TEST(DegradeGuard, BatchedTokensAdvanceTheCheckClock) {
+  obs::CounterMetrics metrics;
+  for (int i = 0; i < 200; ++i) {
+    metrics.hop_latency_ns.record(0, 100);
+    metrics.hop_latency_ns.record(0, 100'000);
+  }
+  rt::CounterOptions options;
+  options.metrics = &metrics;
+  options.degrade.policy = rt::DegradePolicy::kReport;
+  options.degrade.check_period = 1024;
+  rt::NetworkCounter counter(topo::make_bitonic(8), options);
+  ASSERT_NE(counter.degrade_guard(), nullptr);
+  std::vector<std::uint64_t> out(64);
+  for (int call = 0; call < 16; ++call) counter.next_batch(0, 0, out);
+  EXPECT_TRUE(counter.degrade_guard()->tripped());
+}
+
 // Integration trip: a heavy bimodal stall plan (half the hops 50x slower)
 // must push the online p90/p10 estimate over Cor 3.9's threshold and trip
 // the guard; under the report policy the run's guarantee degrades while the

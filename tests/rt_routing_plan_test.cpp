@@ -3,7 +3,7 @@
 // single-threaded, where MCS balancers and unpaired prisms route like
 // toggles; the hook fires once per layer, padding included; counting
 // correctness and the step property under multi-thread stress; batch ==
-// repeated single tokens.
+// repeated single tokens, on fan-outs 2 and 3 and from varying inputs.
 #include "rt/routing_plan.h"
 
 #include <gtest/gtest.h>
@@ -50,6 +50,7 @@ std::vector<TopologyCase> cases() {
       {"tree16_diffracting", [] { return topo::make_counting_tree(16); }, tree_options()},
       {"padded_bitonic8", [] { return topo::make_padded(topo::make_bitonic(8), 6); },
        CounterOptions{}},
+      {"kary3_tree9", [] { return topo::make_kary_tree(3, 2); }, CounterOptions{}},
   };
 }
 
@@ -90,19 +91,23 @@ TEST(RoutingPlanCrossCheck, HookedWalkVisitsEveryNode) {
   }
 }
 
+/// A batch of 2 is below fan-out 3 (the split leaves a port empty), and the
+/// inputs vary, so the wave must enter where the single tokens do.
 TEST(RoutingPlan, BatchMatchesSingleTokensSingleThreaded) {
   for (const TopologyCase& tc : cases()) {
     SCOPED_TRACE(tc.name);
     NetworkCounter batched(tc.make(), tc.options);
     NetworkCounter singles(tc.make(), tc.options);
+    const std::uint32_t width = batched.network().input_width();
     std::vector<std::uint64_t> from_batches;
     std::vector<std::uint64_t> from_singles;
-    for (const std::size_t batch : {std::size_t{1}, std::size_t{3}, std::size_t{16},
-                                    std::size_t{64}, std::size_t{5}}) {
+    std::uint32_t call = 0;
+    for (const std::size_t batch : {1, 2, 3, 16, 64, 5, 2, 33}) {
+      const std::uint32_t input = (call++ * 5 + 3) % width;
       std::vector<std::uint64_t> chunk(batch);
-      batched.next_batch(0, 0, chunk);
+      batched.next_batch(0, input, chunk);
       from_batches.insert(from_batches.end(), chunk.begin(), chunk.end());
-      for (std::size_t i = 0; i < batch; ++i) from_singles.push_back(singles.next(0, 0));
+      for (std::size_t i = 0; i < batch; ++i) from_singles.push_back(singles.next(0, input));
     }
     EXPECT_EQ(from_batches, from_singles);
   }
