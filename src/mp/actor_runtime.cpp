@@ -61,33 +61,33 @@ ActorRuntime::~ActorRuntime() {
 ActorId ActorRuntime::add_actor(Handler handler) {
   CNET_CHECK_MSG(workers_.empty(), "add_actor must precede start()");
   handlers_.push_back(std::move(handler));
-  actors_.push_back(std::make_unique<Actor>());
   return static_cast<ActorId>(handlers_.size() - 1);
 }
 
 void ActorRuntime::start() {
   CNET_CHECK_MSG(workers_.empty(), "start() called twice");
   workers_.reserve(options_.workers);
+  actors_ = AlignedArray<Actor>(handlers_.size());
   // An actor holds at most one run-queue entry (the SCHEDULED flag), so a
   // shard sized past the actor count can never overflow even if every
   // enqueue lands on it; the extra headroom covers slots whose pop is still
   // in flight on another worker.
   const auto capacity = static_cast<std::uint32_t>(actors_.size()) + options_.workers + 1;
-  shards_ = std::make_unique<MpmcRing[]>(options_.workers);
-  worker_stats_ = std::make_unique<WorkerStat[]>(options_.workers + kClientStatShards);
+  shards_ = AlignedArray<MpmcRing>(options_.workers);
+  worker_stats_ = AlignedArray<WorkerStat>(options_.workers + kClientStatShards);
   for (std::uint32_t i = 0; i < options_.workers; ++i) shards_[i].init(capacity);
   for (std::uint32_t i = 0; i < options_.workers; ++i) {
     workers_.emplace_back([this, i] { worker_loop(i); });
   }
 }
 
-void ActorRuntime::send(ActorId to, const Message& message) {
-  CNET_CHECK(to < handlers_.size());
+void ActorRuntime::send(ActorId to, Message message) {
+  CNET_CHECK(to < actors_.size());
   deliver(to, message, /*allow_inline=*/true);
 }
 
-void ActorRuntime::send_queued(ActorId to, const Message& message) {
-  CNET_CHECK(to < handlers_.size());
+void ActorRuntime::send_queued(ActorId to, Message message) {
+  CNET_CHECK(to < actors_.size());
   deliver(to, message, /*allow_inline=*/false);
 }
 
@@ -97,16 +97,14 @@ std::uint64_t ActorRuntime::messages_processed() const {
   // effects of those N messages ("poll the counter, then assert" is a
   // supported pattern — the tests lean on it).
   std::uint64_t total = 0;
-  if (worker_stats_ != nullptr) {
-    for (std::uint32_t i = 0; i < options_.workers + kClientStatShards; ++i) {
-      total += worker_stats_[i].processed.load(std::memory_order_acquire);
-    }
+  for (std::size_t i = 0; i < worker_stats_.size(); ++i) {
+    total += worker_stats_[i].processed.load(std::memory_order_acquire);
   }
   return total;
 }
 
-void ActorRuntime::deliver(ActorId to, const Message& message, bool allow_inline) {
-  Actor& actor = *actors_[to];
+void ActorRuntime::deliver(ActorId to, Message message, bool allow_inline) {
+  Actor& actor = actors_[to];
   MpscNode* node = pool_.acquire();
   node->msg = message;
 #if CNET_OBS
@@ -240,7 +238,7 @@ bool ActorRuntime::next_runnable(std::uint32_t wid, ActorId* out) {
 }
 
 void ActorRuntime::run_actor(std::uint32_t stat_slot, ActorId id) {
-  Actor& actor = *actors_[id];
+  Actor& actor = actors_[id];
   const Handler& handler = handlers_[id];
   int processed = 0;
   bool requeue = false;

@@ -37,6 +37,7 @@
 #include "mp/message_pool.h"
 #include "mp/mpsc_queue.h"
 #include "obs/metrics.h"
+#include "util/cacheline.h"
 
 namespace cnet::mp {
 
@@ -73,14 +74,18 @@ class ActorRuntime {
   ActorRuntime& operator=(const ActorRuntime&) = delete;
 
   /// Registers an actor; returns its id. Not thread-safe; call during setup
-  /// (before any send).
+  /// (before start()).
   ActorId add_actor(Handler handler);
 
-  /// Starts the workers. Call once after all actors are registered.
+  /// Builds every actor's mailbox and starts the workers. Call once after
+  /// all actors are registered and before any send.
   void start();
 
-  /// Delivers a message; callable from any thread and from handlers.
-  void send(ActorId to, const Message& message);
+  /// Delivers a message; callable from any thread and from handlers. The
+  /// message is two words and passes by value, so a handler whose last act
+  /// is a send makes it a tail call (an inline walk then nests one frame
+  /// less per hop).
+  void send(ActorId to, Message message);
 
   /// send() without the thread-donation fast path: the claimed actor always
   /// goes through the run queues, even from a client thread.
@@ -88,7 +93,7 @@ class ActorRuntime {
   /// inline send would run the token's whole walk on the waiting thread's
   /// own stack, making the deadline unenforceable (a thread cannot time out
   /// work it is itself executing).
-  void send_queued(ActorId to, const Message& message);
+  void send_queued(ActorId to, Message message);
 
   /// Optional mailbox-depth probe (borrowed; may be null). When set before
   /// start() and the library is built with CNET_OBS=1, every send() records
@@ -128,7 +133,7 @@ class ActorRuntime {
     std::atomic<std::uint64_t> processed{0};
   };
 
-  void deliver(ActorId to, const Message& message, bool allow_inline);
+  void deliver(ActorId to, Message message, bool allow_inline);
   void worker_loop(std::uint32_t wid);
   void enqueue(ActorId id);
   bool try_all_shards(std::uint32_t wid, ActorId* out);
@@ -149,10 +154,10 @@ class ActorRuntime {
   std::vector<Handler> handlers_;
   obs::LogHistogram* queue_depth_ = nullptr;
 
-  std::vector<std::unique_ptr<Actor>> actors_;
+  AlignedArray<Actor> actors_;  ///< one per handler, built by start()
   MessagePool pool_;
-  std::unique_ptr<MpmcRing[]> shards_;  ///< one run-queue shard per worker
-  std::unique_ptr<WorkerStat[]> worker_stats_;  ///< workers + client shards
+  AlignedArray<MpmcRing> shards_;  ///< one run-queue shard per worker
+  AlignedArray<WorkerStat> worker_stats_;  ///< workers + client shards
   std::atomic<std::uint32_t> work_epoch_{0};  ///< bumped to wake sleepers
   std::atomic<std::uint32_t> sleepers_{0};    ///< workers parked on work_epoch_
   std::atomic<bool> stopping_{false};

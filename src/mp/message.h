@@ -1,7 +1,9 @@
 // The actor runtime's message: a 64-bit payload plus a context pointer.
-// Network tokens carry their response cell through `context` and the
-// paper's per-node delay W (busy-wait nanoseconds, 0 for none) through
-// `payload` — see mp::NetworkService.
+// A network token message is a wave: `context` points at the head of an
+// intrusive list of response cells (mp/response_cell.h), one per token
+// travelling together, and `payload` carries the paper's per-node delay W
+// (busy-wait nanoseconds, 0 for none), which only a wave of one carries —
+// see mp::NetworkService.
 //
 // Split out of actor_runtime.h so the lock-free mailbox primitives
 // (mp/mpsc_queue.h, mp/message_pool.h) can name the payload type without

@@ -1,8 +1,10 @@
 #include "mp/network_service.h"
 
+#include <algorithm>
 #include <chrono>
 #include <span>
 #include <thread>
+#include <utility>
 
 #include "fault/injector.h"
 #include "mp/response_cell.h"
@@ -52,69 +54,104 @@ NetworkService::NetworkService(topo::Network net, Options options)
     };
     const auto nodes = static_cast<std::uint32_t>(net_.node_count());
     const auto actors = static_cast<std::uint32_t>(counts_.size());
-    bind(metrics_->node_messages, 0, nodes);
-    bind(metrics_->counter_messages, nodes, actors);
-    bind(metrics_->actor_messages, 0, actors);
+    bind(metrics_->node_visits, 0, nodes);
+    bind(metrics_->counter_visits, nodes, actors);
+    bind(metrics_->actor_visits, 0, actors);
   }
 #endif
-  // Balancer actors: route the token to output port (count++ mod fan_out)
-  // and forward it to the next balancer actor or counter actor. A non-zero
-  // payload is the token's per-node delay W in ns, busy-waited after the
+  // Balancer actors. A message is a wave of c >= 1 cells (see the file
+  // comment in network_service.h): read the count t once, store t + c, and
+  // deal cell j to port (t + j) mod fan_out, forwarding one message per
+  // port that got cells to the next balancer actor or counter actor. A
+  // non-zero payload is the per-node delay W in ns, busy-waited after the
   // transition and carried along unchanged.
   node_actors_.reserve(net_.node_count());
   for (topo::NodeId id = 0; id < net_.node_count(); ++id) {
-    node_actors_.push_back(runtime_.add_actor([this, id](ActorId, const Message& message) {
-      const topo::Node& node = net_.node(id);
-      // Single writer: a load and a store, no RMW (see counts_).
-      const std::uint64_t t = counts_[id].load(std::memory_order_relaxed);
-      counts_[id].store(t + 1, std::memory_order_relaxed);
-      const topo::OutLink next = node.out[t % node.fan_out];
-      busy_wait_ns(message.payload);
-      std::uint64_t stall = 0;
-      if (fault_ != nullptr) [[unlikely]] {
-        // Stall: the token lingers on this hop (keyed by the node's layer so
-        // stall:p:ns:hop plans can target one stage of the network). Delay:
-        // the forward itself is late. Both are busy time on the hosting
-        // worker — exactly a slow link in the asynchronous model.
-        stall = fault_->stall_ns(id, node.layer);
-        busy_wait_ns(stall);
-        const std::uint32_t to = next.node == topo::kNoNode
-                                     ? static_cast<std::uint32_t>(net_.node_count()) + next.port
-                                     : next.node;
-        busy_wait_ns(fault_->delivery_delay_ns(to));
-      }
-      if (recorder_ != nullptr) [[unlikely]] {
-        recorder_->hop(message.context, id, static_cast<std::uint32_t>(t % node.fan_out), stall);
-      }
-      if (next.node == topo::kNoNode) {
-        runtime_.send(counter_actors_[next.port], message);
-      } else {
-        runtime_.send(node_actors_[next.node], message);
-      }
-    }));
+    // heads[k], k >= 1: the first cell of port list k (list 0 starts at the
+    // message's head). Scratch owned by this handler, which may reuse it
+    // because the actor's turns are serialized.
+    std::vector<ResponseCell*> heads(net_.node(id).fan_out);
+    node_actors_.push_back(runtime_.add_actor(
+        [this, id, heads = std::move(heads)](ActorId, const Message& message) mutable {
+          const topo::Node& node = net_.node(id);
+          const std::uint32_t fan = node.fan_out;
+          auto* const head = static_cast<ResponseCell*>(message.context);
+          std::uint64_t c = 0;
+          for (const ResponseCell* cell = head; cell != nullptr; cell = cell->next) ++c;
+          // Single writer: a load and a store, no RMW (see counts_).
+          const std::uint64_t t = counts_[id].load(std::memory_order_relaxed);
+          counts_[id].store(t + c, std::memory_order_relaxed);
+          const auto first = static_cast<std::uint32_t>(t % fan);
+          busy_wait_ns(message.payload);
+          std::uint64_t stall = 0;
+          if (fault_ != nullptr) [[unlikely]] {
+            // Stall: the token lingers on this hop (keyed by the node's
+            // layer so stall:p:ns:hop plans can target one stage of the
+            // network). Busy time on the hosting worker — exactly a slow
+            // link in the asynchronous model.
+            stall = fault_->stall_ns(id, node.layer);
+            busy_wait_ns(stall);
+          }
+          if (recorder_ != nullptr) [[unlikely]] {
+            recorder_->hop(message.context, id, first, stall);
+          }
+          // Deal: port list k (leaving on port first + k) is cells k,
+          // k + fan, k + 2 fan, ... in wave order, so relink every cell to
+          // the one fan places on. `trail` rewrites cell j's link while
+          // `lead` walks cell j + fan; both read links not yet rewritten.
+          const std::uint64_t lists = c < fan ? c : fan;
+          ResponseCell* lead = head->next;
+          for (std::uint64_t k = 1; k < lists; ++k, lead = lead->next) heads[k] = lead;
+          ResponseCell* trail = head;
+          for (; lead != nullptr; lead = lead->next) trail = std::exchange(trail->next, lead);
+          // The last `lists` cells each end one list, and trail is at the
+          // first of them; all but the wave's final cell still point on.
+          for (std::uint64_t k = 1; k < lists; ++k) trail = std::exchange(trail->next, nullptr);
+          const auto forward = [&](std::uint32_t port, ResponseCell* cells) {
+            const topo::OutLink out = node.out[port];
+            const ActorId to =
+                out.node == topo::kNoNode ? counter_actors_[out.port] : node_actors_[out.node];
+            // Delay: the forward itself is late, also busy time.
+            if (fault_ != nullptr) [[unlikely]] busy_wait_ns(fault_->delivery_delay_ns(to));
+            runtime_.send(to, Message{message.payload, cells});
+          };
+          std::uint32_t port = first;
+          for (std::uint64_t k = 1; k < lists; ++k) {
+            port = port + 1 == fan ? 0 : port + 1;
+            forward(port, heads[k]);
+          }
+          // List 0 last: as the handler's final call, the send of an inline
+          // walk becomes a tail call instead of one more frame per hop.
+          forward(first, head);
+        }));
   }
-  // Counter actors: assign the value and wake the client through its
-  // response cell. A completion that loses to a timed-out waiter parks the
-  // value and donates the abandoned cell back to the arena (see
-  // mp/response_cell.h for the ownership handoff).
+  // Counter actors: give the j-th cell of the wave the value
+  // port + (a + j) * width and wake its client. A completion that loses to
+  // a timed-out waiter parks the value and donates the abandoned cell back
+  // to the arena (see mp/response_cell.h for the ownership handoff).
   counter_actors_.reserve(net_.output_width());
   for (std::uint32_t port = 0; port < net_.output_width(); ++port) {
     counter_actors_.push_back(runtime_.add_actor([this, port](ActorId, const Message& message) {
       std::atomic<std::uint64_t>& count = counts_[net_.node_count() + port];
-      const std::uint64_t a = count.load(std::memory_order_relaxed);
-      count.store(a + 1, std::memory_order_relaxed);
-      const std::uint64_t value = port + a * net_.output_width();
-      auto* cell = static_cast<ResponseCell*>(message.context);
-      // Commit before completing: the moment the client wakes, the cell
-      // can be released and reissued, and the recorder keys on it.
-      if (recorder_ != nullptr) [[unlikely]] recorder_->commit(cell, value);
-      if (!cell->complete(value)) {
-        park_value(value);
-        ResponseCellCache::donate_abandoned(cell);
+      const std::uint64_t a0 = count.load(std::memory_order_relaxed);
+      std::uint64_t a = a0;
+      for (auto* cell = static_cast<ResponseCell*>(message.context); cell != nullptr; ++a) {
+        // Read the link first: once completed, the cell may be reissued.
+        ResponseCell* const next = cell->next;
+        count.store(a + 1, std::memory_order_relaxed);
+        const std::uint64_t value = port + a * net_.output_width();
+        // Commit before completing: the moment the client wakes, the cell
+        // can be released and reissued, and the recorder keys on it.
+        if (recorder_ != nullptr) [[unlikely]] recorder_->commit(cell, value);
+        if (!cell->complete(value)) {
+          park_value(value);
+          ResponseCellCache::donate_abandoned(cell);
+        }
+        cell = next;
       }
-      // Last: a drain that observes zero must observe this token's
-      // delivery (or parking) too.
-      in_flight_.fetch_sub(1, std::memory_order_release);
+      // Last: a drain that observes zero must observe these tokens'
+      // deliveries (or parkings) too.
+      in_flight_.fetch_sub(a - a0, std::memory_order_release);
     }));
   }
   runtime_.start();
@@ -130,26 +167,63 @@ NetworkService::~NetworkService() {
   CNET_CHECK_MSG(report.quiescent, "NetworkService destroyed with tokens still in flight");
 #if CNET_OBS
   if (metrics_ != nullptr) {  // quiescent: these readings are the final totals
-    metrics_->node_messages.release();
-    metrics_->counter_messages.release();
-    metrics_->actor_messages.release();
+    metrics_->node_visits.release();
+    metrics_->counter_visits.release();
+    metrics_->actor_visits.release();
   }
 #endif
 }
 
-std::uint64_t NetworkService::count_delayed(std::uint32_t input, std::uint64_t wait_ns) {
+void NetworkService::issue(std::uint32_t input, std::uint64_t wait_ns, std::span<Pending> wave,
+                           bool queued) {
   CNET_CHECK(input < net_.input_width());
-  std::uint64_t parked = 0;
-  if (try_pop_parked(&parked)) return parked;
-  const std::uint64_t t_start = CNET_OBS && metrics_ != nullptr ? obs::now_ns() : 0;
-  ResponseCell* cell = ResponseCellCache::acquire();
-  if (recorder_ != nullptr) [[unlikely]] recorder_->issue(cell, input);
-  in_flight_.fetch_add(1, std::memory_order_relaxed);
-  runtime_.send(node_actors_[net_.inputs()[input].node], Message{wait_ns, cell});
-  const std::uint64_t value = cell->await();
-  ResponseCellCache::release(cell);
-  record_completion(input, t_start);
-  return value;
+  const std::uint64_t start_ns = CNET_OBS && metrics_ != nullptr ? obs::now_ns() : 0;
+  ResponseCell* head = nullptr;
+  ResponseCell* tail = nullptr;
+  std::uint64_t tokens = 0;
+  for (Pending& pending : wave) {
+    pending = Pending{};
+    pending.input = input;
+    if (try_pop_parked(&pending.value)) continue;  // cell stays null
+    pending.start_ns = start_ns;
+    pending.cell = ResponseCellCache::acquire();
+    if (recorder_ != nullptr) [[unlikely]] recorder_->issue(pending.cell, input);
+    (head == nullptr ? head : tail->next) = pending.cell;
+    tail = pending.cell;
+    ++tokens;
+  }
+  if (tokens == 0) return;
+  in_flight_.fetch_add(tokens, std::memory_order_relaxed);
+  // send_queued, not send, for the asynchronous entry points: the runtime's
+  // inline fast path would donate THIS thread to run the wave's entire walk
+  // (stalls included), and a deadline-bounded collect cannot time out work
+  // its own thread is executing. An asynchronously issued wave is hosted by
+  // the workers from hop one.
+  const ActorId entry = node_actors_[net_.inputs()[input].node];
+  const auto send = [&](ResponseCell* cell) {
+    if (queued) {
+      runtime_.send_queued(entry, Message{wait_ns, cell});
+    } else {
+      runtime_.send(entry, Message{wait_ns, cell});
+    }
+  };
+  if (fault_ == nullptr && recorder_ == nullptr) [[likely]] {
+    send(head);
+    return;
+  }
+  // Stalls, delivery delays and capture are per hop and per token: keep
+  // their rates independent of the batch size with one message per token.
+  for (ResponseCell* cell = head; cell != nullptr;) {
+    ResponseCell* const next = std::exchange(cell->next, nullptr);
+    send(cell);
+    cell = next;
+  }
+}
+
+std::uint64_t NetworkService::count_delayed(std::uint32_t input, std::uint64_t wait_ns) {
+  Pending pending;
+  issue(input, wait_ns, {&pending, 1}, /*queued=*/false);
+  return count_collect(pending);
 }
 
 void NetworkService::record_completion(std::uint32_t input, std::uint64_t start_ns) {
@@ -168,22 +242,23 @@ NetworkService::TimedCount NetworkService::count_until(std::uint32_t input,
 
 NetworkService::Pending NetworkService::count_begin(std::uint32_t input,
                                                     std::uint64_t wait_ns) {
-  CNET_CHECK(input < net_.input_width());
   Pending pending;
-  pending.input = input;
-  if (try_pop_parked(&pending.value)) return pending;  // cell stays null
-  pending.start_ns = CNET_OBS && metrics_ != nullptr ? obs::now_ns() : 0;
-  pending.cell = ResponseCellCache::acquire();
-  if (recorder_ != nullptr) [[unlikely]] recorder_->issue(pending.cell, input);
-  in_flight_.fetch_add(1, std::memory_order_relaxed);
-  // send_queued, not send: the runtime's inline fast path would
-  // donate THIS thread to run the token's entire walk (stalls included),
-  // which would serialize a burst of begins and make a deadline-bounded
-  // collect unenforceable (a thread cannot time out work it is itself
-  // executing). An asynchronously issued token is hosted by the workers
-  // from hop one.
-  runtime_.send_queued(node_actors_[net_.inputs()[input].node], Message{wait_ns, pending.cell});
+  issue(input, wait_ns, {&pending, 1}, /*queued=*/true);
   return pending;
+}
+
+void NetworkService::count_begin_batch(std::uint32_t input, std::span<Pending> out) {
+  issue(input, 0, out, /*queued=*/true);
+}
+
+void NetworkService::count_batch(std::uint32_t input, std::span<std::uint64_t> out) {
+  thread_local std::vector<Pending> wave;  // reused: a warm batch allocates nothing
+  wave.resize(out.size());
+  issue(input, 0, wave, /*queued=*/false);
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = count_collect(wave[i]);
+  // Ascending, as out.size() count() calls return them single-threaded on
+  // a counting network.
+  std::sort(out.begin(), out.end());
 }
 
 std::uint64_t NetworkService::count_collect(const Pending& pending) {

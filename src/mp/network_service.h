@@ -1,7 +1,7 @@
 // Message-passing execution of a balancing network: every balancer and every
-// output counter is an actor; a counting operation is a token message that
-// hops from actor to actor and finally delivers its value back to the
-// waiting client.
+// output counter is an actor; a counting operation is a token that hops
+// from actor to actor and finally delivers its value back to the waiting
+// client.
 //
 // This realizes the message-passing half of the paper's §2 model on real
 // threads: balancer transitions are serialized per actor (instantaneous
@@ -10,6 +10,22 @@
 // The paper's per-node delay W is injectable per token (count_delayed):
 // the hosting worker busy-waits W ns after each balancer transition before
 // forwarding, the message-passing analogue of rt's next_hooked() hook.
+//
+// Waves: a token message carries c >= 1 tokens, as a list of their
+// response cells (mp/message.h). A balancer's t-th token leaves on port
+// t mod fan-out and transitions are instantaneous, so a balancer actor
+// reads its count t once, deals cell j to port (t + j) mod fan-out in list
+// order, stores t + c and sends one message per port that got cells. A
+// counter actor gives its j-th cell the value port + (a + j) * width. So a
+// wave entering a quiescent counting network collects the values c
+// sequential count() calls would return, and on a tree cell j gets exactly
+// the j-th of them. A single operation is a wave of one: count,
+// count_delayed, count_begin, count_begin_batch and count_batch share one
+// issue path, and the actors have one code path for any c. W, stalls,
+// delivery delays and recorder hops apply per message, and only waves of
+// one carry them: a batch issued while a fault injector or recorder is
+// attached travels as one wave of one per token, as rt's batched claim
+// falls back to single tokens.
 //
 // Fault injection (Options::fault, see fault/injector.h): token stalls are
 // extra busy time after a balancer transition, delivery delays are extra
@@ -42,14 +58,15 @@
 //
 // Observability: point Options::metrics at an obs::MpMetrics to record the
 // mailbox-depth distribution and client count() latency, and to read the
-// per-actor message breakdown from the actors' own counts
-// (docs/OBSERVABILITY.md documents every metric).
+// per-actor visit breakdown (tokens, not messages) from the actors' own
+// counts (docs/OBSERVABILITY.md documents every metric).
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <mutex>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -73,7 +90,7 @@ class ResponseCell;  // mp/response_cell.h
 
 /// Message-passing execution of one topo::Network: balancer node i is actor
 /// i, output counter p is actor node_count + p (the actor-index convention
-/// obs::MpMetrics::actor_messages follows).
+/// obs::MpMetrics::actor_visits follows).
 class NetworkService {
  public:
   struct Options {
@@ -145,15 +162,30 @@ class NetworkService {
     std::uint64_t start_ns = 0;    ///< issue timestamp (metrics; 0 = untimed)
   };
 
-  /// Boundary-batching entry point: issues the token and returns without
-  /// waiting, so a caller multiplexing many clients (the svc front-end) can
-  /// put k tokens in flight with one burst of mailbox sends and only then
-  /// start collecting. The send always goes through the run queues
-  /// (send_queued) — an inline send would execute the whole walk on the
-  /// issuing thread, serializing the burst and making a later deadline-bound
-  /// collect unenforceable. Every Pending must be resolved by exactly one
-  /// count_collect / count_collect_until before the service is destroyed.
+  /// Asynchronous entry point: issues the token and returns without
+  /// waiting. The send always goes through the run queues (send_queued) —
+  /// an inline send would execute the whole walk on the issuing thread and
+  /// make a later deadline-bound collect unenforceable. Every Pending must
+  /// be resolved by exactly one count_collect / count_collect_until before
+  /// the service is destroyed.
   Pending count_begin(std::uint32_t input, std::uint64_t wait_ns);
+
+  /// Boundary-batching entry point: issues out.size() tokens through
+  /// `input` as one wave (one message, queued like count_begin's) and
+  /// returns without waiting, so a caller multiplexing many clients (the
+  /// svc front-end) puts a whole chunk in flight with one mailbox send.
+  /// out[i] is the i-th token's handle, resolved exactly as count_begin's.
+  /// Slots the parked-ticket buffer satisfies carry their value and no
+  /// cell. With a fault injector or recorder attached, every token travels
+  /// as its own message (see the file comment).
+  void count_begin_batch(std::uint32_t input, std::span<Pending> out);
+
+  /// Claims out.size() values through `input` as one wave and blocks until
+  /// all arrive. The send may run the wave inline on the caller's thread,
+  /// as count() does. The values are written in ascending order, so a
+  /// single-threaded batch equals out.size() count() calls on every
+  /// counting network.
+  void count_batch(std::uint32_t input, std::span<std::uint64_t> out);
 
   /// Blocks until the pending operation's value arrives and returns it.
   std::uint64_t count_collect(const Pending& pending);
@@ -191,7 +223,10 @@ class NetworkService {
   const topo::Network& network() const { return net_; }
 
   /// Messages handled by all actors so far (balancer hops + counter
-  /// deliveries); see obs::MpMetrics for the per-actor breakdown.
+  /// deliveries). A message carries a whole wave or sub-wave, so on a tree
+  /// a wave of any size is one message per actor it reaches; where
+  /// sub-waves meet again (bitonic, periodic) each arrives as its own
+  /// message. obs::MpMetrics counts tokens (visits) per actor instead.
   std::uint64_t messages_processed() const { return runtime_.messages_processed(); }
 
   /// Mailbox-node pool counters; the steady-state allocation tests pin
@@ -200,6 +235,12 @@ class NetworkService {
 
  private:
   static ActorRuntime::Options runtime_options(const Options& options);
+
+  /// The one issue path behind every entry point: fills each slot of
+  /// `wave` from the parked-ticket buffer or with a fresh cell, then sends
+  /// the cells to `input`'s entry actor as one message (one per cell under
+  /// faults or capture), queued or allowing the inline fast path.
+  void issue(std::uint32_t input, std::uint64_t wait_ns, std::span<Pending> wave, bool queued);
 
   bool try_pop_parked(std::uint64_t* value);
   void park_value(std::uint64_t value);
@@ -225,9 +266,9 @@ class NetworkService {
   std::vector<ActorId> node_actors_;     ///< per balancer node
   std::vector<ActorId> counter_actors_;  ///< per network output
 
-  // Per-actor counts (balancer node i, then output counter node_count + p),
-  // written only by the owning actor's handler; atomic because the metrics
-  // sink reads them.
+  // Per-actor token counts (balancer node i, then output counter
+  // node_count + p), advanced by c per wave and written only by the owning
+  // actor's handler; atomic because the metrics sink reads them.
   std::vector<std::atomic<std::uint64_t>> counts_;
 };
 

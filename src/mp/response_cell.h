@@ -11,6 +11,17 @@
 // and every wait and notify in the process would share one waiter count and
 // one wake-all futex. Plain heap cells spread over several buckets.
 //
+// Waves: a token message (mp/message.h) carries a list of cells, one per
+// token that travels in it, linked through `next`. The link is a plain
+// pointer, not an atomic: the issuing client writes it, each balancer
+// actor relinks the cells it deals to its output ports, and the next
+// holder reads it, with every hand-off ordered by the mailbox's release
+// push and acquire pop. A counter actor reads `next` before complete(),
+// since the moment a cell completes its waiter may release and reissue it
+// in another wave. The link makes a cell 16 bytes, and glibc serves 16
+// bytes from the same 32-byte chunk it served the 8-byte slot from, so the
+// bucket spread above is unchanged.
+//
 // Deadlines and cancellation: count_until() adds a third party to the
 // rendezvous — a waiter that gives up. Ownership of the value is decided by
 // a single CAS on the slot: the timed-out waiter CASes kPending ->
@@ -66,7 +77,14 @@ class ResponseCell {
   };
 
   /// Re-arm a recycled cell. Call before handing it to a token.
-  void reset() { slot_.store(kPending, std::memory_order_relaxed); }
+  void reset() {
+    slot_.store(kPending, std::memory_order_relaxed);
+    next = nullptr;
+  }
+
+  /// The next cell of the wave this cell travels in; null ends the list
+  /// (see the file comment for who writes it and when).
+  ResponseCell* next = nullptr;
 
   /// Delivers `value`. Returns false when the waiter already cancelled: the
   /// caller then owns the value (park it) and the cell (donate it to the

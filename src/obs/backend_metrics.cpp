@@ -32,8 +32,8 @@ void MpMetrics::attach() {
 
 void MpMetrics::register_into(MetricsRegistry& registry, const std::string& prefix) const {
   registry.add_counter(prefix + "tokens", "tokens", &tokens);
-  registry.add_counter(prefix + "node_messages", "messages", &node_messages);
-  registry.add_counter(prefix + "counter_messages", "messages", &counter_messages);
+  registry.add_counter(prefix + "node_visits", "tokens", &node_visits);
+  registry.add_counter(prefix + "counter_visits", "tokens", &counter_visits);
   registry.add_histogram(prefix + "count_latency", "ns", &count_latency_ns);
   registry.add_histogram(prefix + "queue_depth", "messages", &queue_depth);
 }

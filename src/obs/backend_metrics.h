@@ -93,15 +93,17 @@ struct CounterMetrics {
 struct MpMetrics {
   ShardedCounter tokens;  ///< counting operations completed
 
-  // Read from the actors' own counts.
-  StateCounts node_messages;     ///< token messages processed by balancer actors
-  StateCounts counter_messages;  ///< token messages processed by output-counter actors
-  /// Messages processed per actor: balancer actors first (by node id), then
+  // Read from the actors' own counts. A visit is one token passing one
+  // actor; a message carrying c tokens is c visits, so these count tokens,
+  // not messages (node_visits = tokens x depth on a uniform network).
+  StateCounts node_visits;     ///< token visits to balancer actors
+  StateCounts counter_visits;  ///< token visits to output-counter actors
+  /// Visits per actor: balancer actors first (by node id), then
   /// output-counter actors (node_count + port).
-  StateCounts actor_messages;
+  StateCounts actor_visits;
 
   LogHistogram count_latency_ns;  ///< client-observed count() latency
-  LogHistogram queue_depth;       ///< mailbox depth observed at each enqueue
+  LogHistogram queue_depth;       ///< mailbox depth (messages) observed at each enqueue
 
   /// Called by NetworkService at construction; one service per sink, as
   /// CounterMetrics::attach() explains.

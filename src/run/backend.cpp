@@ -90,6 +90,15 @@ mp::NetworkService::Options mp_options(const BackendSpec& spec, obs::MpMetrics* 
   return options;
 }
 
+/// An mp pending handle in the backend-neutral form, and back.
+CountingBackend::PendingCount from_service(const mp::NetworkService::Pending& p) {
+  return {p.cell, p.value, p.input, p.start_ns};
+}
+
+mp::NetworkService::Pending to_service(const CountingBackend::PendingCount& p) {
+  return {static_cast<mp::ResponseCell*>(p.handle), p.value, p.input, p.start_ns};
+}
+
 std::unique_ptr<fault::Injector> make_injector(const BackendSpec& spec) {
   return spec.fault.any() ? std::make_unique<fault::Injector>(spec.fault) : nullptr;
 }
@@ -182,6 +191,10 @@ CountingBackend::PendingCount CountingBackend::count_begin(std::uint32_t, std::u
   return {};
 }
 
+void CountingBackend::count_begin_batch(std::uint32_t thread_id, std::span<PendingCount> out) {
+  for (PendingCount& pending : out) pending = count_begin(thread_id, 0);
+}
+
 std::uint64_t CountingBackend::count_collect(const PendingCount&) {
   CNET_CHECK_MSG(false, "count_collect() on a backend without async issue");
   return 0;
@@ -268,6 +281,10 @@ std::uint64_t MpBackend::count(std::uint32_t thread_id) {
   return service_.count(thread_id % network().input_width());
 }
 
+void MpBackend::count_batch(std::uint32_t thread_id, std::span<std::uint64_t> out) {
+  service_.count_batch(thread_id % network().input_width(), out);
+}
+
 std::uint64_t MpBackend::count_delayed(std::uint32_t thread_id, std::uint64_t wait_ns) {
   return service_.count_delayed(thread_id % network().input_width(), wait_ns);
 }
@@ -282,22 +299,24 @@ CountingBackend::TimedCount MpBackend::count_until(std::uint32_t thread_id,
 
 CountingBackend::PendingCount MpBackend::count_begin(std::uint32_t thread_id,
                                                      std::uint64_t wait_ns) {
-  const mp::NetworkService::Pending p =
-      service_.count_begin(thread_id % network().input_width(), wait_ns);
-  return {p.cell, p.value, p.input, p.start_ns};
+  return from_service(service_.count_begin(thread_id % network().input_width(), wait_ns));
+}
+
+void MpBackend::count_begin_batch(std::uint32_t thread_id, std::span<PendingCount> out) {
+  thread_local std::vector<mp::NetworkService::Pending> wave;  // reused across calls
+  wave.resize(out.size());
+  service_.count_begin_batch(thread_id % network().input_width(), wave);
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = from_service(wave[i]);
 }
 
 std::uint64_t MpBackend::count_collect(const PendingCount& pending) {
-  return service_.count_collect({static_cast<mp::ResponseCell*>(pending.handle),
-                                 pending.value, pending.input, pending.start_ns});
+  return service_.count_collect(to_service(pending));
 }
 
 CountingBackend::TimedCount MpBackend::count_collect_until(
     const PendingCount& pending, std::chrono::steady_clock::time_point deadline) {
-  const mp::NetworkService::TimedCount result = service_.count_collect_until(
-      {static_cast<mp::ResponseCell*>(pending.handle), pending.value, pending.input,
-       pending.start_ns},
-      deadline);
+  const mp::NetworkService::TimedCount result =
+      service_.count_collect_until(to_service(pending), deadline);
   return {result.ok, result.value};
 }
 

@@ -112,6 +112,11 @@ class CountingBackend {
   /// Issues one operation without waiting (CHECK-fails unless
   /// supports_async_count()).
   virtual PendingCount count_begin(std::uint32_t thread_id, std::uint64_t wait_ns);
+  /// Issues out.size() operations without waiting, out[i] resolved exactly
+  /// as a count_begin handle. mp sends them as one wave (one token message
+  /// that each balancer actor splits by its own count); the default calls
+  /// count_begin(thread_id, 0) per slot.
+  virtual void count_begin_batch(std::uint32_t thread_id, std::span<PendingCount> out);
   /// Blocks for the pending operation's value.
   virtual std::uint64_t count_collect(const PendingCount& pending);
   /// Deadline-bounded collect against an absolute steady_clock deadline;
@@ -215,11 +220,14 @@ class MpBackend final : public CountingBackend {
   const char* time_unit() const override { return "ns"; }
 
   std::uint64_t count(std::uint32_t thread_id) override;
+  /// One wave through the service (mp::NetworkService::count_batch).
+  void count_batch(std::uint32_t thread_id, std::span<std::uint64_t> out) override;
   std::uint64_t count_delayed(std::uint32_t thread_id, std::uint64_t wait_ns) override;
   TimedCount count_until(std::uint32_t thread_id, std::uint64_t wait_ns,
                          std::uint64_t timeout_ns) override;
   bool supports_async_count() const override { return true; }
   PendingCount count_begin(std::uint32_t thread_id, std::uint64_t wait_ns) override;
+  void count_begin_batch(std::uint32_t thread_id, std::span<PendingCount> out) override;
   std::uint64_t count_collect(const PendingCount& pending) override;
   TimedCount count_collect_until(const PendingCount& pending,
                                  std::chrono::steady_clock::time_point deadline) override;

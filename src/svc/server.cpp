@@ -379,19 +379,25 @@ class Server::Loop {
     pending_.clear();
   }
 
-  /// mp: one pooled burst of mailbox sends per chunk — every token is in
-  /// flight before the first collect blocks, so the chunk costs one
-  /// traversal of wall-clock, not k.
+  /// The issue id for one batched chunk. The rotor spreads successive
+  /// chunks over this loop's slice of the entry inputs (a batch enters at
+  /// thread_id mod input_width); slices are disjoint across loops, so
+  /// concurrent chunks never share a thread id.
+  std::uint32_t batch_issue_id() {
+    return issue_base_ + static_cast<std::uint32_t>(batch_rotor_++ % issue_slots_);
+  }
+
+  /// mp: one wave per chunk — a single token message that each balancer
+  /// actor splits by its own count, in flight before the first collect
+  /// blocks. Each request is still collected on its own, so deadline
+  /// frames keep the slot-CAS cancellation.
   void serve_batched_async() {
     const std::uint32_t cap = s_.options_.max_batch;
     std::vector<run::CountingBackend::PendingCount> handles;
     for (std::size_t base = 0; base < pending_.size(); base += cap) {
       const std::size_t n = std::min<std::size_t>(cap, pending_.size() - base);
-      handles.clear();
-      handles.reserve(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        handles.push_back(s_.backend_.count_begin(issue_id(pending_[base + i].conn), 0));
-      }
+      handles.resize(n);
+      s_.backend_.count_begin_batch(batch_issue_id(), handles);
       stats_.batches.fetch_add(1, std::memory_order_relaxed);
       for (std::size_t i = 0; i < n; ++i) {
         const PendingRequest& p = pending_[base + i];
@@ -433,13 +439,7 @@ class Server::Loop {
     for (std::size_t base = 0; base < plain.size(); base += cap) {
       const std::size_t n = std::min<std::size_t>(cap, plain.size() - base);
       values.resize(n);
-      // The rotor spreads successive chunks over this loop's slice of the
-      // entry inputs (count_batch enters at thread_id mod input_width);
-      // slices are disjoint across loops, so concurrent chunks never share
-      // a thread id.
-      const std::uint32_t thread_id =
-          issue_base_ + static_cast<std::uint32_t>(batch_rotor_++ % issue_slots_);
-      s_.backend_.count_batch(thread_id, values);
+      s_.backend_.count_batch(batch_issue_id(), values);
       stats_.batches.fetch_add(1, std::memory_order_relaxed);
       for (std::size_t i = 0; i < n; ++i) respond_ok(*plain[base + i], values[i]);
     }
@@ -585,7 +585,7 @@ bool Server::start(std::string* error) {
   const auto fail = [&](const std::string& message) {
     if (error != nullptr) *error = message;
     loops_.clear();  // Loop destructors close any fds already open
-    shards_.clear();
+    shards_ = AlignedArray<StatShard>();
     return false;
   };
   if (!backend_.live()) {
@@ -644,12 +644,11 @@ bool Server::start(std::string* error) {
   // Disjoint thread-id slices: loop i issues with ids in
   // [i*slots, (i+1)*slots), keeping rt's uniqueness contract across loops.
   const std::uint32_t slots = std::max(1u, max_threads / n_loops);
-  shards_.reserve(n_loops);
+  shards_ = AlignedArray<StatShard>(n_loops);
   loops_.reserve(n_loops);
   for (std::uint32_t i = 0; i < n_loops; ++i) {
-    shards_.push_back(std::make_unique<StatShard>());
     loops_.push_back(
-        std::make_unique<Loop>(*this, listeners[i], i * slots, slots, *shards_[i]));
+        std::make_unique<Loop>(*this, listeners[i], i * slots, slots, shards_[i]));
     if (!loops_.back()->init()) {
       return fail("epoll setup failed: " + std::string(std::strerror(errno)));
     }
@@ -678,17 +677,17 @@ void Server::stop() {
 Server::Stats Server::stats() const {
   Stats s;
   for (const auto& shard : shards_) {
-    s.connections_accepted += shard->accepted.load(std::memory_order_relaxed);
-    s.connections_closed += shard->closed.load(std::memory_order_relaxed);
-    s.requests += shard->requests.load(std::memory_order_relaxed);
-    s.responses_ok += shard->ok.load(std::memory_order_relaxed);
-    s.responses_timeout += shard->timeout.load(std::memory_order_relaxed);
-    s.responses_shed += shard->shed.load(std::memory_order_relaxed);
-    s.protocol_errors += shard->protocol_errors.load(std::memory_order_relaxed);
-    s.batches += shard->batches.load(std::memory_order_relaxed);
+    s.connections_accepted += shard.accepted.load(std::memory_order_relaxed);
+    s.connections_closed += shard.closed.load(std::memory_order_relaxed);
+    s.requests += shard.requests.load(std::memory_order_relaxed);
+    s.responses_ok += shard.ok.load(std::memory_order_relaxed);
+    s.responses_timeout += shard.timeout.load(std::memory_order_relaxed);
+    s.responses_shed += shard.shed.load(std::memory_order_relaxed);
+    s.protocol_errors += shard.protocol_errors.load(std::memory_order_relaxed);
+    s.batches += shard.batches.load(std::memory_order_relaxed);
     s.largest_batch =
-        std::max(s.largest_batch, shard->largest_batch.load(std::memory_order_relaxed));
-    s.wakes += shard->wakes.load(std::memory_order_relaxed);
+        std::max(s.largest_batch, shard.largest_batch.load(std::memory_order_relaxed));
+    s.wakes += shard.wakes.load(std::memory_order_relaxed);
   }
   return s;
 }

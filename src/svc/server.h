@@ -23,12 +23,12 @@
 //
 // The perf core within each loop is *boundary batching*: one event-loop
 // wake drains every readable connection, coalescing the decoded requests
-// into a pending set, and then issues them against the backend in bulk —
-// one next_batch(k) per chunk on rt, one pooled burst of k mailbox sends
-// (count_begin x k, then collect) on mp — instead of k independent
-// traversals. This moves rt's batch wave (and mp's burst pipelining)
-// across the address-space boundary: the k requests of one wake share
-// balancer steps, output fetch_adds, and worker wakeups — and
+// into a pending set, and then issues them against the backend in bulk as
+// one wave per chunk — one next_batch(k) on rt, one k-token message on mp
+// (count_begin_batch, then a collect per request) — instead of k
+// independent traversals. This moves the batch wave across the
+// address-space boundary: the k requests of one wake share balancer steps
+// (rt) or actor messages (mp), output fetch_adds and worker wakeups — and
 // their responses share one coalesced write() per connection — while each
 // request still gets its own counter value. `ServerOptions::batching =
 // false` is the ablation BENCH_svc measures: the textbook request-response
@@ -79,6 +79,7 @@
 
 #include "run/backend.h"
 #include "svc/frame.h"
+#include "util/cacheline.h"
 
 namespace cnet::svc {
 
@@ -208,7 +209,7 @@ class Server {
   std::atomic<bool> timing_tripped_{false};
 
   /// Shards outlive the loops so stats() remains readable after stop().
-  std::vector<std::unique_ptr<StatShard>> shards_;
+  AlignedArray<StatShard> shards_;
   std::vector<std::unique_ptr<Loop>> loops_;
   std::vector<std::thread> loop_threads_;
 };

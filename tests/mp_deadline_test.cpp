@@ -108,6 +108,44 @@ TEST(MpDeadline, DrainReportsStraysAtItsDeadline) {
   EXPECT_EQ(service.take_parked().size(), 1u);
 }
 
+TEST(MpDeadline, AbandonedWaveCellsParkTheirValues) {
+  // Every other cell of a 64-token wave is collected at a deadline already
+  // past. The wave queues behind a token whose W keeps the only worker busy
+  // on the root actor for 50 ms, so those collects miss: each abandons its
+  // cell, and the counter actor parks that value while completing the rest
+  // of its list. Collected plus parked values are exactly the issued range,
+  // and every miss is one deadline timeout.
+  const topo::Network net = topo::make_counting_tree(8);
+  NetworkService service(net, {.workers = 1});
+  const NetworkService::Pending blocker = service.count_begin(0, /*wait_ns=*/50'000'000);
+  std::vector<NetworkService::Pending> wave(64);
+  service.count_begin_batch(0, wave);
+  const auto past = std::chrono::steady_clock::now() - std::chrono::seconds(1);
+  std::vector<std::uint64_t> values;
+  std::uint64_t misses = 0;
+  for (std::size_t j = 0; j < wave.size(); j += 2) {
+    const NetworkService::TimedCount result = service.count_collect_until(wave[j], past);
+    if (result.ok) {
+      values.push_back(result.value);
+    } else {
+      ++misses;
+    }
+  }
+  for (std::size_t j = 1; j < wave.size(); j += 2) {
+    values.push_back(service.count_collect(wave[j]));
+  }
+  values.push_back(service.count_collect(blocker));
+  EXPECT_GT(misses, 0u);
+  ASSERT_TRUE(service.drain(kLongDrainNs).quiescent);
+  EXPECT_EQ(service.robustness_stats().deadline_timeouts, misses);
+  const std::vector<std::uint64_t> parked = service.take_parked();
+  EXPECT_EQ(parked.size(), misses);
+  values.insert(values.end(), parked.begin(), parked.end());
+  std::sort(values.begin(), values.end());
+  ASSERT_EQ(values.size(), wave.size() + 1);
+  for (std::uint64_t i = 0; i < values.size(); ++i) EXPECT_EQ(values[i], i);
+}
+
 TEST(MpDeadlineCells, AbandonedCellsAreDonatedAndReadopted) {
   const topo::Network net = topo::make_bitonic(4);
   fault::Injector injector(plan_or_die("stall:1:5000000"));

@@ -1,8 +1,8 @@
 // mp runtime + service behaviour: per-actor FIFO, message counts that match
 // the topology, and counting-property values equal to the sequential
-// reference (topo::SequentialRouter). The steady-state suites pin the
-// allocation guarantees (pool slabs and response cells stop growing once
-// warm).
+// reference (topo::SequentialRouter), for single tokens and for waves. The
+// steady-state suites pin the allocation guarantees (pool slabs and
+// response cells stop growing once warm).
 #include "mp/network_service.h"
 
 #include <gtest/gtest.h>
@@ -11,6 +11,7 @@
 #include <atomic>
 #include <barrier>
 #include <condition_variable>
+#include <iterator>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "mp/actor_runtime.h"
 #include "mp/response_cell.h"
 #include "obs/backend_metrics.h"
+#include "sched/trace.h"
 #include "topo/builders.h"
 
 namespace cnet::mp {
@@ -125,6 +127,87 @@ TEST(MpNetworkService, DelayedCountsStillCountCorrectly) {
     const auto input = static_cast<std::uint32_t>(i % 4);
     EXPECT_EQ(service.count_delayed(input, /*wait_ns=*/500), reference.next_value(input));
   }
+}
+
+// A wave of c tokens is one message that every balancer actor splits by its
+// own count: entering a quiescent network it collects the values c
+// sequential count() calls return — the same set on every counting
+// network, and cell for cell on a tree, where every actor sees the wave as
+// one message. Even batches go through count_begin_batch (the svc path),
+// odd ones through the blocking count_batch, which returns them ascending.
+TEST(MpNetworkService, WaveMatchesSequentialRouter) {
+  struct Shape {
+    const char* name;
+    topo::Network net;
+    bool tree;
+  };
+  const Shape shapes[] = {
+      {"bitonic[8]", topo::make_bitonic(8), false},
+      {"periodic[8]", topo::make_periodic(8), false},
+      {"tree[8]", topo::make_counting_tree(8), true},
+      {"tree[16]", topo::make_counting_tree(16), true},
+      {"kary(3,2)", topo::make_kary_tree(3, 2), true},
+      {"bitonic[32]", topo::make_bitonic(32), false},
+  };
+  const std::uint32_t sizes[] = {1, 2, 3, 16, 64, 5, 2, 33, 100};
+  for (const Shape& shape : shapes) {
+    SCOPED_TRACE(shape.name);
+    NetworkService service(shape.net, {.workers = 2});
+    topo::SequentialRouter reference(shape.net);
+    for (std::uint32_t k = 0; k < std::size(sizes); ++k) {
+      const std::uint32_t input = (5 * k + 3) % shape.net.input_width();
+      std::vector<std::uint64_t> expected(sizes[k]);
+      for (std::uint64_t& value : expected) value = reference.next_value(input);
+      std::vector<std::uint64_t> got(sizes[k]);
+      if (k % 2 == 0) {
+        std::vector<NetworkService::Pending> wave(sizes[k]);
+        service.count_begin_batch(input, wave);
+        for (std::size_t j = 0; j < wave.size(); ++j) got[j] = service.count_collect(wave[j]);
+        if (!shape.tree) {
+          std::sort(expected.begin(), expected.end());
+          std::sort(got.begin(), got.end());
+        }
+      } else {
+        service.count_batch(input, got);
+        std::sort(expected.begin(), expected.end());
+      }
+      EXPECT_EQ(got, expected) << "batch " << k << " of " << sizes[k];
+    }
+  }
+}
+
+TEST(MpNetworkService, WaveSendsOneMessagePerReachedActor) {
+  // A wave of 64 on tree[8] reaches all 7 balancers and all 8 counters
+  // with one message each; as 64 single tokens it would take 64 * 4.
+  const topo::Network net = topo::make_counting_tree(8);
+  NetworkService service(net, {.workers = 2});
+  const std::uint64_t before = service.messages_processed();
+  std::vector<std::uint64_t> values(64);
+  service.count_batch(0, values);
+  for (std::uint64_t i = 0; i < values.size(); ++i) EXPECT_EQ(values[i], i);
+  // The processed counter is bumped after each turn: poll, then pin.
+  const std::uint64_t expected = before + net.node_count() + net.output_width();
+  ASSERT_EQ(expected, before + 15);
+  while (service.messages_processed() < expected) std::this_thread::yield();
+  EXPECT_EQ(service.messages_processed(), expected);
+}
+
+TEST(MpNetworkService, WaveFallsBackToTokensUnderCapture) {
+  // Recorder hops are per token: with capture on, a batch travels as one
+  // message per token so every token records its whole path.
+  const topo::Network net = topo::make_bitonic(8);
+  NetworkService service(net, {.workers = 2});
+  sched::Recorder recorder;
+  service.set_recorder(&recorder);
+  std::vector<std::uint64_t> values(8);
+  service.count_batch(0, values);
+  for (std::uint64_t i = 0; i < values.size(); ++i) EXPECT_EQ(values[i], i);
+  service.set_recorder(nullptr);
+  const sched::Trace trace = recorder.finish({}, "", "");
+  ASSERT_EQ(trace.tokens.size(), 8u);
+  std::size_t hops = 0;
+  for (const sched::TokenRecord& token : trace.tokens) hops += token.hops.size();
+  EXPECT_EQ(hops, 8u * net.depth());
 }
 
 /// Param = topology * 2 + worker variant: the uniqueness sweep covers every
@@ -267,12 +350,12 @@ TEST(MpObsIntegration, MetricsMatchMessageFlow) {
   EXPECT_EQ(metrics.count_latency_ns.total(), kOps);
   // Uniform network: each operation is depth balancer hops plus one counter
   // delivery, and the per-actor breakdown sums to the same totals.
-  EXPECT_EQ(metrics.node_messages.value(), kOps * net.depth());
-  EXPECT_EQ(metrics.counter_messages.value(), kOps);
+  EXPECT_EQ(metrics.node_visits.value(), kOps * net.depth());
+  EXPECT_EQ(metrics.counter_visits.value(), kOps);
   const auto node_count = static_cast<std::uint32_t>(net.node_count());
   std::uint64_t node_total = 0;
   std::uint64_t counter_total = 0;
-  const std::vector<std::uint64_t> per_actor = metrics.actor_messages.values();
+  const std::vector<std::uint64_t> per_actor = metrics.actor_visits.values();
   ASSERT_EQ(per_actor.size(), node_count + net.output_width());
   for (std::uint32_t a = 0; a < per_actor.size(); ++a) {
     (a < node_count ? node_total : counter_total) += per_actor[a];
@@ -285,7 +368,7 @@ TEST(MpObsIntegration, MetricsMatchMessageFlow) {
   EXPECT_EQ(metrics.queue_depth.total(), kOps * (net.depth() + 1));
 }
 
-// The message counts are read from the actors' own counts: the service's
+// The visit counts are read from the actors' own counts: the service's
 // destructor must leave the final totals in the sink.
 TEST(MpObsIntegration, SinkKeepsFinalCountsAfterTheServiceIsGone) {
   const topo::Network net = topo::make_bitonic(4);
@@ -297,8 +380,8 @@ TEST(MpObsIntegration, SinkKeepsFinalCountsAfterTheServiceIsGone) {
       service.count(static_cast<std::uint32_t>(i % net.input_width()));
     }
   }
-  EXPECT_EQ(metrics.node_messages.value(), kOps * net.depth());
-  const std::vector<std::uint64_t> per_actor = metrics.actor_messages.values();
+  EXPECT_EQ(metrics.node_visits.value(), kOps * net.depth());
+  const std::vector<std::uint64_t> per_actor = metrics.actor_visits.values();
   ASSERT_EQ(per_actor.size(), net.node_count() + net.output_width());
   std::uint64_t total = 0;
   for (const std::uint64_t n : per_actor) total += n;
@@ -316,7 +399,7 @@ TEST(MpObsIntegration, LiveActorReadsNeverGoBackwards) {
   std::jthread reader([&] {
     std::vector<std::uint64_t> last(net.node_count() + net.output_width(), 0);
     do {
-      const std::vector<std::uint64_t> now = metrics.actor_messages.values();
+      const std::vector<std::uint64_t> now = metrics.actor_visits.values();
       for (std::size_t i = 0; i < now.size(); ++i) regressions += now[i] < last[i] ? 1 : 0;
       last = now;
       reads.fetch_add(1);

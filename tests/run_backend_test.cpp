@@ -71,6 +71,16 @@ TEST(RunBackend, RtExternalMetricsSinkIsBorrowed) {
 #endif
 }
 
+TEST(RunBackend, MpBatchAndDelayedMatchPlainCounting) {
+  auto backend = backend_ok("mp:bitonic:8?actors=2");
+  std::vector<std::uint64_t> values(10);
+  backend->count_batch(0, values);  // one wave, values ascending
+  for (std::uint64_t i = 0; i < values.size(); ++i) EXPECT_EQ(values[i], i);
+  for (int i = 0; i < 6; ++i) values.push_back(backend->count_delayed(0, 100));
+  std::sort(values.begin(), values.end());
+  for (std::uint64_t i = 0; i < values.size(); ++i) EXPECT_EQ(values[i], i);
+}
+
 TEST(RunBackend, MpCountsThroughActors) {
   auto backend = backend_ok("mp:bitonic:4?actors=2");
   EXPECT_TRUE(backend->live());

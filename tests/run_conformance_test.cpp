@@ -85,7 +85,7 @@ TEST(RunConformance, BatchedWorkloadOnLiveFamilies) {
   Workload workload;
   workload.threads = 3;
   workload.total_ops = 300;
-  workload.batch = 4;  // mp has no native batch: falls back to count() loops
+  workload.batch = 4;  // each batch is one wave on both families
   workload.seed = 99;
   for (const std::string spec : {"rt:tree:8?diffraction=on", "mp:tree:8?actors=2"}) {
     SCOPED_TRACE(spec);

@@ -119,6 +119,25 @@ TEST(SvcServer, EndToEndMpTree8) {
   EXPECT_GE(stats.largest_batch, 1u);
 }
 
+TEST(SvcServer, MpChunksTravelAsWaves) {
+  // One loop, as the documented serve config runs: each window of 32
+  // requests arrives in one wake and its chunk crosses tree[8] as one wave,
+  // at most 15 messages (7 balancers + 8 counters) instead of 4 per request.
+  ServerOptions options;
+  options.loops = 1;
+  ServerUnderTest s("mp:tree:8?actors=2", options);
+  ASSERT_TRUE(s.started) << s.start_error;
+  const mp::NetworkService& service = dynamic_cast<run::MpBackend&>(*s.backend).service();
+  const std::uint64_t before = service.messages_processed();
+  const lin::History history = run_clients(s.server->port(), 4, 1024, 32);
+  ASSERT_EQ(history.size(), 4096u);
+  check_history(history, s.backend->network().output_width());
+  const std::uint64_t messages = service.messages_processed() - before;
+  EXPECT_LT(messages, 2 * history.size())
+      << static_cast<double>(messages) / static_cast<double>(history.size())
+      << " messages per request";
+}
+
 TEST(SvcServer, EndToEndRtBitonic8) {
   ServerUnderTest s("rt:bitonic:8");
   ASSERT_TRUE(s.started) << s.start_error;
