@@ -24,7 +24,7 @@ int main() {
     for (std::uint32_t k : {3u, 4u, 6u}) {
       const double c1 = 1.0;
       const double c2 = static_cast<double>(k) * c1;
-      const std::uint32_t prescribed = theory::padding_prefix_length(h, k);
+      const std::uint32_t prescribed = topo::padding_prefix_length(h, k);
       for (std::uint32_t prefix :
            {0u, prescribed / 2, prescribed - 1, prescribed, prescribed + 1, 2 * prescribed}) {
         const sim::ScenarioResult r =

@@ -13,7 +13,8 @@
 // traversal pass per block, one output fetch_add per exit port), the shape a
 // real timestamp service uses. Every ID in a block is claimed within that
 // block's [start, end] interval, so the audit stays sound. batch=1 recovers
-// the one-call-per-ID behaviour.
+// the one-call-per-ID behaviour. The program exits 1 unless the IDs issued
+// are exactly 0..N-1, each once.
 //
 //   $ ./examples/id_generator [threads] [ops_per_thread] [batch]
 #include <algorithm>
@@ -26,7 +27,8 @@
 #include <vector>
 
 #include "lin/checker.h"
-#include "rt/diffracting_tree.h"
+#include "rt/network_counter.h"
+#include "topo/builders.h"
 
 int main(int argc, char** argv) {
   const unsigned threads = argc > 1 ? static_cast<unsigned>(std::atoi(argv[1])) : 8;
@@ -34,7 +36,10 @@ int main(int argc, char** argv) {
   const std::size_t batch =
       argc > 3 ? static_cast<std::size_t>(std::max(1, std::atoi(argv[3]))) : 8;
 
-  cnet::rt::DiffractingTree tree(32);
+  // A diffracting tree [21]: the counting tree with prism balancers.
+  cnet::rt::CounterOptions options;
+  options.diffraction = true;
+  cnet::rt::NetworkCounter tree(cnet::topo::make_counting_tree(32), options);
 
   using Clock = std::chrono::steady_clock;
   const auto t0 = Clock::now();
@@ -47,11 +52,12 @@ int main(int argc, char** argv) {
   // checker (1 ms lag bound — far beyond any op duration here).
   cnet::lin::WindowedChecker audit(1e6);
   std::mutex audit_mutex;
+  std::vector<std::vector<std::uint64_t>> issued(threads);
 
   {
     std::vector<std::jthread> workers;
     for (unsigned t = 0; t < threads; ++t) {
-      workers.emplace_back([&, t] {
+      workers.emplace_back([&, t, &mine = issued[t]] {
         std::vector<cnet::lin::Operation> local;
         local.reserve(256);
         std::vector<std::uint64_t> ids(batch);
@@ -60,9 +66,10 @@ int main(int argc, char** argv) {
               std::min(batch, static_cast<std::size_t>(per_thread - done));
           const std::span<std::uint64_t> block(ids.data(), n);
           const double start = now_ns();
-          tree.next_batch(t, block);
+          tree.next_batch(t, 0, block);
           const double end = now_ns();
           for (const std::uint64_t id : block) local.push_back({start, end, id, t});
+          mine.insert(mine.end(), block.begin(), block.end());
           done += static_cast<int>(n);
           if (local.size() >= 256) {
             const std::scoped_lock lock(audit_mutex);
@@ -77,8 +84,17 @@ int main(int argc, char** argv) {
   }
   audit.finish();
 
-  const double total = static_cast<double>(audit.total_ops());
-  std::printf("issued %.0f unique IDs from %u threads\n", total, threads);
+  std::vector<std::uint64_t> all;
+  for (const auto& mine : issued) all.insert(all.end(), mine.begin(), mine.end());
+  std::sort(all.begin(), all.end());
+  for (std::uint64_t i = 0; i < all.size(); ++i) {
+    if (all[i] != i) {
+      std::printf("FAIL: rank %llu holds ID %llu\n", static_cast<unsigned long long>(i),
+                  static_cast<unsigned long long>(all[i]));
+      return 1;
+    }
+  }
+  std::printf("issued %zu unique IDs (exactly 0..N-1) from %u threads\n", all.size(), threads);
   std::printf("real-time order violations (Def 2.4): %llu (%.5f%%)\n",
               static_cast<unsigned long long>(audit.nonlinearizable_ops()),
               audit.fraction() * 100.0);

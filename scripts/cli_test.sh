@@ -187,6 +187,10 @@ check_output "--batch -1 is a usage error" "needs an integer in" \
   "$CLI" deploy "$dspec" --ops 1000 --batch -1
 check_output "--batch past one frag names the bound" "batch must be in \[1, 8188\]" \
   "$CLI" deploy "$dspec" --ops 1000 --batch 8189
+check_rc "deploy rejects the obs knobs its tiles would drop" 2 \
+  "$CLI" deploy "$dspec&metrics&degrade=report" --ops 1000
+check_output "dropped degrade knob is named" "degrade does not deploy" \
+  "$CLI" deploy "$dspec&metrics&degrade=report" --ops 1000
 check_rc "deploy rejects --pipeline --threads 2" 2 \
   "$CLI" deploy "$dspec" --pipeline --threads 2 --ops 1000
 check_output "pipeline tiles are single-threaded" "threads_per_tile must be 1" \

@@ -97,6 +97,14 @@ bool validate_deploy_spec(const run::BackendSpec& spec, std::uint32_t tiles,
     return fail("diffraction cannot cross processes (prism pairing camps on live peers; "
                 "a SIGKILLed partner would poison slots)");
   }
+  if (spec.degrade != run::DegradeMode::kOff) {
+    return fail("degrade does not deploy (the guard watches an obs sink, and deploy tiles "
+                "keep none)");
+  }
+  if (spec.metrics) {
+    return fail("metrics does not deploy (deploy tiles drive the workspace plan with no "
+                "obs sink)");
+  }
   if (tiles == 0 || tiles > kMaxTiles) {
     return fail("tiles must be in [1, " + std::to_string(kMaxTiles) + "] (got " +
                 std::to_string(tiles) + ")");

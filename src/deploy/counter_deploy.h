@@ -94,7 +94,8 @@ struct DeployReport {
 /// Whether `spec` can be deployed across processes: rt family on the
 /// compiled plan with fetch-add balancers (MCS queue nodes live on caller
 /// stacks and prism pairing camps on live peers — neither survives a
-/// cross-process SIGKILL), a thread budget covering tiles x
+/// cross-process SIGKILL), no `metrics` or `degrade=` (tiles keep no obs
+/// sink, so either knob would be dropped), a thread budget covering tiles x
 /// threads_per_tile, and a fault plan that is empty or die-only (`die:n`
 /// here means a real SIGKILL every n completed operations). Returns false
 /// with a diagnostic otherwise.

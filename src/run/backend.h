@@ -193,8 +193,6 @@ class RtBackend final : public CountingBackend {
   bool set_recorder(sched::Recorder* recorder) override;
   rt::DegradeGuard::Status degrade_status() const override;
 
-  /// The executor itself, for embedders that outgrow the interface.
-  rt::NetworkCounter& counter() { return counter_; }
   /// The attached sink (owned or external); null when metrics are off.
   obs::CounterMetrics* metrics() const { return metrics_; }
 

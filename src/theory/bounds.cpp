@@ -32,11 +32,6 @@ double bitonic_wave_threshold(std::uint32_t width) {
   return (3.0 + static_cast<double>(log2_exact(width))) / 2.0;
 }
 
-std::uint32_t padding_prefix_length(std::uint32_t depth, std::uint32_t k) {
-  CNET_CHECK(k >= 2);
-  return depth * (k - 2);
-}
-
 std::uint32_t padded_depth(std::uint32_t depth, std::uint32_t k) {
   CNET_CHECK(k >= 2);
   return depth * (k - 1);

@@ -30,11 +30,9 @@ bool violation_constructible(double c1, double c2);
 /// non-linearizable: (3 + log w) / 2.
 double bitonic_wave_threshold(std::uint32_t width);
 
-/// Cor 3.12: pass-through prefix length h*(k-2) that makes a depth-h uniform
-/// counting network linearizable when c2 < k*c1 (k >= 2 known a priori).
-std::uint32_t padding_prefix_length(std::uint32_t depth, std::uint32_t k);
-
-/// Depth of the padded network: h*(k-1).
+/// Cor 3.12: depth h*(k-1) of a depth-h uniform counting network behind the
+/// h*(k-2) pass-through prefix (topo::padding_prefix_length) that keeps it
+/// linearizable when c2 < k*c1 (k >= 2 known a priori).
 std::uint32_t padded_depth(std::uint32_t depth, std::uint32_t k);
 
 /// Depth formulas of the constructions (cross-checked against the builders).

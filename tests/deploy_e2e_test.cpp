@@ -39,6 +39,12 @@ TEST(DeployValidate, RejectsCrossProcessHostileSpecs) {
   // Prism pairing camps on a live partner; a killed one poisons the slot.
   EXPECT_FALSE(
       validate_deploy_spec(spec_of("rt:tree:8?diffraction&threads=16"), 2, 2, &error));
+  // Tiles keep no obs sink, so a metrics or degrade knob would be dropped.
+  EXPECT_FALSE(validate_deploy_spec(spec_of("rt:bitonic:8?threads=16&metrics"), 2, 2, &error));
+  EXPECT_NE(error.find("metrics"), std::string::npos) << error;
+  EXPECT_FALSE(validate_deploy_spec(spec_of("rt:bitonic:8?threads=16&metrics&degrade=report"),
+                                    2, 2, &error));
+  EXPECT_NE(error.find("degrade"), std::string::npos) << error;
   // tiles x threads_per_tile must fit the spec's thread-id budget.
   EXPECT_FALSE(validate_deploy_spec(spec_of("rt:bitonic:8?threads=4"), 4, 2, &error));
   EXPECT_FALSE(validate_deploy_spec(spec_of("rt:bitonic:8?threads=16"), 0, 2, &error));

@@ -6,7 +6,6 @@
 
 #include <vector>
 
-#include "core/counting_network.h"
 #include "psim/machine.h"
 #include "rt/network_counter.h"
 #include "sim/simulator.h"
@@ -101,17 +100,6 @@ TEST(CrossBackend, QuiescentDistributionIdenticalAcrossBackends) {
   simulator.run();
 
   EXPECT_EQ(simulator.output_counts(), router.output_counts());
-}
-
-TEST(CrossBackend, SharedCounterMatchesSequentialRouter) {
-  SharedCounter::Config config;
-  config.topology = Topology::kTree;
-  config.width = 8;
-  config.diffraction = false;
-  SharedCounter counter(config);
-  const topo::Network reference_net = make_network(Topology::kTree, 8);
-  topo::SequentialRouter router(reference_net);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(counter.next(0), router.next_value(0));
 }
 
 }  // namespace

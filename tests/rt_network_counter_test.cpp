@@ -6,7 +6,6 @@
 #include <thread>
 #include <vector>
 
-#include "rt/diffracting_tree.h"
 #include "topo/builders.h"
 
 namespace cnet::rt {
@@ -72,6 +71,10 @@ TEST_P(CounterConfigs, ConcurrentValuesFormRange) {
     case 4:
       net = topo::make_padded(topo::make_bitonic(8), 10);
       break;
+    case 5:  // a diffracting tree [21]
+      net = topo::make_counting_tree(32);
+      options.diffraction = true;
+      break;
     default:
       FAIL();
   }
@@ -82,35 +85,18 @@ TEST_P(CounterConfigs, ConcurrentValuesFormRange) {
   EXPECT_EQ(counter.issued(), values.size());
 }
 
-INSTANTIATE_TEST_SUITE_P(Configs, CounterConfigs, ::testing::Range(0, 5));
+INSTANTIATE_TEST_SUITE_P(Configs, CounterConfigs, ::testing::Range(0, 6));
 
 TEST(NetworkCounter, TreeSingleInputConvenience) {
-  NetworkCounter counter(topo::make_counting_tree(8));
-  // next(thread_id) uses input thread_id % 1 == 0 for trees.
-  for (std::uint64_t i = 0; i < 20; ++i) EXPECT_EQ(counter.next(3), i);
-}
-
-TEST(DiffractingTree, SequentialValues) {
-  DiffractingTree tree(16);
-  EXPECT_EQ(tree.width(), 16u);
-  for (std::uint64_t i = 0; i < 50; ++i) EXPECT_EQ(tree.next(0), i);
-}
-
-TEST(DiffractingTree, ConcurrentRange) {
-  DiffractingTree tree(32);
-  const unsigned n_threads = std::min(16u, std::max(2u, std::thread::hardware_concurrency()));
-  std::vector<std::vector<std::uint64_t>> values(n_threads);
-  {
-    std::vector<std::jthread> threads;
-    for (unsigned t = 0; t < n_threads; ++t) {
-      threads.emplace_back([&, t] {
-        for (int i = 0; i < 20000; ++i) values[t].push_back(tree.next(t));
-      });
+  for (const bool diffraction : {false, true}) {
+    CounterOptions options;
+    options.diffraction = diffraction;
+    NetworkCounter counter(topo::make_counting_tree(8), options);
+    // next(thread_id) uses input thread_id % 1 == 0 for trees.
+    for (std::uint64_t i = 0; i < 20; ++i) {
+      EXPECT_EQ(counter.next(3), i) << "diffraction=" << diffraction;
     }
   }
-  std::vector<std::uint64_t> all;
-  for (auto& v : values) all.insert(all.end(), v.begin(), v.end());
-  expect_range(all);
 }
 
 TEST(NetworkCounter, PerThreadValuesStrictlyIncrease) {

@@ -258,7 +258,7 @@ int cmd_info(const std::string& kind, std::uint32_t width) {
                 " (Lemma 3.7), padding for always-linearizable %u nodes (Cor 3.12)\n",
                 c2, theory::finish_start_separation(net.depth(), 1.0, c2),
                 theory::start_start_separation(net.depth(), 1.0, c2),
-                theory::padding_prefix_length(net.depth(), static_cast<std::uint32_t>(c2)));
+                topo::padding_prefix_length(net.depth(), static_cast<std::uint32_t>(c2)));
   }
   return 0;
 }
