@@ -58,7 +58,7 @@ void BM_LinkPingPong(benchmark::State& state) {
   }
 
   std::thread echo([&req, &res] {
-    link::Consumer c = req.consumer(0);
+    link::Consumer c = req.consumer();
     std::uint64_t buf[8];
     while (true) {
       link::Frag meta;
@@ -67,14 +67,13 @@ void BM_LinkPingPong(benchmark::State& state) {
         std::this_thread::yield();
         continue;
       }
-      if (st != link::Consumer::Poll::kFrag) continue;
       c.advance();
       if (meta.ctl != 0) return;  // stop frag
       res.send(meta.sig, buf, meta.sz, 0, nullptr);
     }
   });
 
-  link::Consumer back = res.consumer(0);
+  link::Consumer back = res.consumer();
   std::uint64_t payload[2] = {0, 0};
   std::uint64_t buf[8];
   std::uint64_t seq = 0;

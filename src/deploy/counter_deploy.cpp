@@ -13,15 +13,10 @@ namespace cnet::deploy {
 namespace {
 
 using detail::ControlBlock;
-using detail::kCtlObj;
-using detail::kCursorObj;
 using detail::kMaxTiles;
-using detail::kPlanObj;
 using detail::now_ns;
 using detail::OpRecord;
 using detail::StreamCursor;
-
-std::string hist_name(std::uint32_t tile) { return "tile" + std::to_string(tile) + ".hist"; }
 
 /// Per-thread worker loop inside a tile: resume from the committed cursor,
 /// batch tokens through the shared plan, record-then-commit each value.
@@ -59,9 +54,8 @@ int tile_main(const DeployOptions& options, const detail::Deployment& d, std::ui
               int ws_fd) {
   detail::TileEnv env;
   if (const int rc = detail::open_tile(ws_fd, &env)) return rc;
-  auto* hist = static_cast<OpRecord*>(env.ws.find(hist_name(tile)));
   const std::unique_ptr<rt::RoutingPlan> plan = detail::attach_plan(env.ws, options.spec);
-  if (hist == nullptr || plan == nullptr) return 11;
+  if (plan == nullptr) return 11;
   if (!detail::boot_barrier(env.ctl, tile)) return 0;
 
   const std::uint32_t T = options.threads_per_tile;
@@ -71,7 +65,7 @@ int tile_main(const DeployOptions& options, const detail::Deployment& d, std::ui
   for (std::uint32_t gid = tile * T; gid < (tile + 1) * T; ++gid) {
     const detail::Stream& stream = d.streams[gid];
     threads.emplace_back(tile_thread, std::ref(*plan), env.ctl, env.cursors, total_threads,
-                         hist + stream.base, stream.quota, gid, options.batch);
+                         env.hist + stream.base, stream.quota, gid, options.batch);
   }
   for (std::thread& th : threads) th.join();
   return 0;
@@ -135,24 +129,13 @@ DeployReport run_counter_deployment(const DeployOptions& options) {
     return detail::failed(std::move(report), error);
   }
 
-  // One stream per (tile, thread); each tile's threads share its history
-  // object, one quota-sized slice each.
+  // One stream per (tile, thread); tile i runs streams [i*T, (i+1)*T).
   detail::Deployment d(options.spec);
   d.tiles = tiles;
-  const std::vector<std::uint64_t> tile_quota = run::issuer_quotas(options.total_ops, tiles);
-  for (std::uint32_t i = 0; i < tiles; ++i) {
-    std::uint64_t base = 0;
-    for (const std::uint64_t quota : run::issuer_quotas(tile_quota[i], T)) {
-      d.streams.push_back({hist_name(i), base, quota});
-      base += quota;
+  for (const std::uint64_t tile_quota : run::issuer_quotas(options.total_ops, tiles)) {
+    for (const std::uint64_t quota : run::issuer_quotas(tile_quota, T)) {
+      d.streams.push_back({quota});
     }
-    d.builder.object(hist_name(i), d.ws, alignof(OpRecord),
-                     std::max<std::uint64_t>(tile_quota[i], 1) * sizeof(OpRecord));
-    d.builder.tile("worker" + std::to_string(i), i * T, T)
-        .uses(kPlanObj, MapMode::kReadWrite)
-        .uses(kCtlObj, MapMode::kReadWrite)
-        .uses(kCursorObj, MapMode::kReadWrite)
-        .uses(hist_name(i), MapMode::kReadWrite);
   }
   // A killed tile loses at most the batch each of its threads had claimed
   // but not yet recorded, and those tokens skew the plan's exits at most as

@@ -102,11 +102,11 @@ struct DeployReport {
 bool validate_deploy_spec(const run::BackendSpec& spec, std::uint32_t tiles,
                           std::uint32_t threads_per_tile, std::string* error);
 
-/// Builds the deploy topology (workspace, plan/control/history objects,
-/// one tile per worker with a disjoint thread slice), materializes it,
-/// boots the tiles, runs `total_ops` operations through the shared plan,
-/// delivers and recovers from SIGKILLs per the spec's `die:` plan, merges
-/// the per-tile histories, and checks the result. Must be called from a
+/// Lays out the deployment's one workspace (plan, control block, stream
+/// cursors and history slices), boots one tile per worker, runs
+/// `total_ops` operations through the shared plan, delivers and recovers
+/// from SIGKILLs per the spec's `die:` plan, merges the per-stream
+/// histories, and checks the result. Must be called from a
 /// single-threaded process (fork). Dispatches to run_pipeline_deployment
 /// when options.pipeline or spec `pipeline=1` is set.
 DeployReport run_counter_deployment(const DeployOptions& options);

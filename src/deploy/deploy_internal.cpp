@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <map>
+#include <iterator>
 #include <new>
 #include <thread>
 
@@ -57,22 +57,51 @@ DeployReport supervise(const DeployOptions& options, Deployment& d, DeployReport
   const topo::Network net = options.spec.build_network();
   const rt::CounterOptions copts = counter_options(options.spec);
   const auto streams = static_cast<std::uint32_t>(d.streams.size());
+  std::uint64_t records = 0;
+  for (Stream& stream : d.streams) {
+    stream.base = records;
+    records += stream.quota;
+  }
 
-  // The objects every deployment shares; runner tiles map them by name.
-  d.builder.workspace(d.ws);
-  d.builder.object(kPlanObj, d.ws, rt::RoutingPlan::state_align(),
-                   std::max<std::uint64_t>(rt::RoutingPlan::state_footprint(net, copts), 1),
-                   /*multi_writer=*/true);
-  d.builder.object(kCtlObj, d.ws, alignof(ControlBlock), sizeof(ControlBlock),
-                   /*multi_writer=*/true);
-  d.builder.object(kCursorObj, d.ws, alignof(StreamCursor),
-                   std::uint64_t{streams} * sizeof(StreamCursor), /*multi_writer=*/true);
+  // The one workspace: the shared objects, the runner's, then a ring per
+  // link, sized with the allocator's own placement rule so every alloc
+  // below fits exactly. All of it is laid out before the first fork.
+  const std::uint64_t shared[][2] = {  // {align, footprint} per kSharedObjects entry
+      {rt::RoutingPlan::state_align(),
+       std::max<std::uint64_t>(rt::RoutingPlan::state_footprint(net, copts), 1)},
+      {alignof(ControlBlock), sizeof(ControlBlock)},
+      {alignof(StreamCursor), std::uint64_t{streams} * sizeof(StreamCursor)},
+      {alignof(OpRecord), std::max<std::uint64_t>(records, 1) * sizeof(OpRecord)}};
+  static_assert(sizeof(shared) / sizeof(shared[0]) == std::size(kSharedObjects));
+  std::vector<Object> objects;
+  for (std::size_t i = 0; i < std::size(kSharedObjects); ++i) {
+    objects.push_back({kSharedObjects[i], shared[i][0], shared[i][1]});
+  }
+  objects.insert(objects.end(), d.objects.begin(), d.objects.end());
   std::string error;
-  Topology topology;
-  if (!d.builder.finish(&topology, &error)) return failed(std::move(report), error);
-  std::map<std::string, shm::Workspace> workspaces;
-  if (!materialize(topology, &workspaces, &error)) return failed(std::move(report), error);
-  shm::Workspace& ws = workspaces.at(d.ws);
+  for (const Link& declared : d.links) {
+    if (!link::Ring::validate(declared.ring, &error)) {
+      return failed(std::move(report), "deploy: link '" + declared.name + "': " + error);
+    }
+    objects.push_back({declared.name, link::Ring::align(), link::Ring::footprint(declared.ring)});
+  }
+  std::uint64_t size = 0;
+  for (const Object& o : objects) size = shm::align_up(size, o.align) + o.footprint;
+  shm::Workspace ws;
+  if (!shm::Workspace::create(d.ws, size, &ws, &error)) return failed(std::move(report), error);
+  for (const Object& object : objects) {
+    if (ws.alloc(object.name, object.align, object.footprint, &error) == nullptr) {
+      return failed(std::move(report), error);
+    }
+  }
+  for (const Link& declared : d.links) {
+    std::uint64_t footprint = 0;
+    void* mem = ws.find(declared.name, &footprint);
+    link::Ring ring;
+    if (!link::Ring::create(mem, footprint, declared.ring, &ring, &error)) {
+      return failed(std::move(report), "deploy: link '" + declared.name + "': " + error);
+    }
+  }
 
   // Construct the shared state once, supervisor-side; tiles only attach.
   std::uint64_t plan_footprint = 0;
@@ -81,6 +110,7 @@ DeployReport supervise(const DeployOptions& options, Deployment& d, DeployReport
   auto* ctl = new (ws.find(kCtlObj)) ControlBlock();
   auto* cursors = static_cast<StreamCursor*>(ws.find(kCursorObj));
   for (std::uint32_t s = 0; s < streams; ++s) new (&cursors[s]) StreamCursor();
+  const auto* hist = static_cast<const OpRecord*>(ws.find(kHistObj));
   if (d.construct) d.construct(ws);
 
   const int ws_fd = ws.fd();
@@ -192,13 +222,12 @@ DeployReport supervise(const DeployOptions& options, Deployment& d, DeployReport
 
   // Merge every stream's slice below its committed watermark.
   for (std::uint32_t s = 0; s < streams; ++s) {
-    const Stream& stream = d.streams[s];
-    const auto* hist = static_cast<const OpRecord*>(ws.find(stream.hist)) + stream.base;
+    const OpRecord* slice = hist + d.streams[s].base;
     const std::uint64_t committed = cursors[s].committed.load(std::memory_order_acquire);
     for (std::uint64_t k = 0; k < committed; ++k) {
-      report.history.push_back(lin::Operation{static_cast<double>(hist[k].start_ns),
-                                              static_cast<double>(hist[k].end_ns),
-                                              hist[k].value, hist[k].actor});
+      report.history.push_back(lin::Operation{static_cast<double>(slice[k].start_ns),
+                                              static_cast<double>(slice[k].end_ns),
+                                              slice[k].value, slice[k].actor});
     }
   }
   report.ops_recorded = report.history.size();
@@ -297,7 +326,8 @@ int open_tile(int ws_fd, TileEnv* env) {
   if (!shm::Workspace::attach(ws_fd, &env->ws, &error)) return 10;
   env->ctl = static_cast<ControlBlock*>(env->ws.find(kCtlObj));
   env->cursors = static_cast<StreamCursor*>(env->ws.find(kCursorObj));
-  return env->ctl == nullptr || env->cursors == nullptr ? 11 : 0;
+  env->hist = static_cast<OpRecord*>(env->ws.find(kHistObj));
+  return env->ctl == nullptr || env->cursors == nullptr || env->hist == nullptr ? 11 : 0;
 }
 
 std::unique_ptr<rt::RoutingPlan> attach_plan(shm::Workspace& ws, const run::BackendSpec& spec) {

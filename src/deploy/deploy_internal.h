@@ -1,11 +1,11 @@
 // Shared guts of the process-tile runners (counter_deploy.cpp,
-// pipeline_deploy.cpp): the workspace-resident control block and
-// commit-after-record stream cursors, the tile-side attach/boot/hold
-// helpers, and supervise() — the one boot/kill/merge/check path both
-// runners hand their declared topology to. A runner keeps only what
-// actually differs: its objects and tiles, its tile bodies, a victim
-// filter, and two per-kill bounds. Internal to src/deploy — tests and
-// tools stay on the counter_deploy.h surface.
+// pipeline_deploy.cpp): the workspace-resident control block,
+// commit-after-record stream cursors and history slices, the tile-side
+// attach/boot/hold helpers, and supervise() — the one
+// layout/boot/kill/merge/check path both runners hand their deployment
+// to. A runner keeps only what actually differs: its objects and links,
+// its tile bodies, a victim filter, and two per-kill bounds. Internal to
+// src/deploy — tests and tools stay on the counter_deploy.h surface.
 #pragma once
 
 #include <time.h>
@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "deploy/counter_deploy.h"
-#include "deploy/topology.h"
+#include "link/ring.h"
 #include "rt/routing_plan.h"
 #include "run/backend_spec.h"
 #include "shm/workspace.h"
@@ -33,6 +33,10 @@ inline constexpr std::uint32_t kMaxBatch = 8188;
 inline constexpr char kPlanObj[] = "rt.plan";
 inline constexpr char kCtlObj[] = "deploy.ctl";
 inline constexpr char kCursorObj[] = "deploy.cursors";
+inline constexpr char kHistObj[] = "deploy.hist";
+/// The objects supervise() places in every workspace, in this order,
+/// before the runner's.
+inline constexpr const char* kSharedObjects[] = {kPlanObj, kCtlObj, kCursorObj, kHistObj};
 
 inline std::uint64_t now_ns() {
   timespec ts{};
@@ -112,12 +116,25 @@ bool check_options(const DeployOptions& options, std::uint32_t tiles, std::uint3
                    std::string* error);
 
 /// One history stream — a (tile, thread) pair in the classic runner, one
-/// ingress tile in the pipeline: its slice of a history object, the ops it
-/// records, and (by index) its StreamCursor in kCursorObj.
+/// ingress tile in the pipeline: the ops it records, its slice of
+/// kHistObj, and (by index) its StreamCursor in kCursorObj.
 struct Stream {
-  std::string hist;         ///< history object holding the slice
-  std::uint64_t base = 0;   ///< first OpRecord of the slice
   std::uint64_t quota = 0;  ///< ops the stream records
+  std::uint64_t base = 0;   ///< first OpRecord of the slice; set by supervise()
+};
+
+/// A runner-owned workspace object.
+struct Object {
+  std::string name;
+  std::uint64_t align = 0;
+  std::uint64_t footprint = 0;
+};
+
+/// A link::Ring that supervise() formats in a workspace object of the same
+/// name; tiles attach it by that name.
+struct Link {
+  std::string name;
+  link::RingOptions ring;  ///< depth, burst, mtu
 };
 
 /// What a runner hands supervise(): everything that differs between the
@@ -127,10 +144,11 @@ struct Deployment {
       : ws(spec.ws.empty() ? "cnet-deploy" : spec.ws) {}
 
   std::string ws;  ///< workspace name
-  /// The runner's own objects, tiles and links. supervise() adds the
-  /// workspace and the shared objects (kPlanObj, kCtlObj, and kCursorObj
-  /// with one cursor per stream) before finish().
-  Builder builder;
+  /// The runner's own objects and links. supervise() places them after the
+  /// shared ones: kPlanObj, kCtlObj, kCursorObj (one cursor per stream)
+  /// and kHistObj (every stream's slice).
+  std::vector<Object> objects;
+  std::vector<Link> links;
   std::uint32_t tiles = 0;  ///< processes to fork, numbered 0..tiles-1
   std::vector<Stream> streams;
   std::uint64_t loss_per_kill = 0;   ///< claimed values one SIGKILL can orphan
@@ -150,7 +168,8 @@ struct Deployment {
   std::function<std::string(DeployReport* report)> collect;
 };
 
-/// Materializes the deployment, constructs the shared plan and control
+/// Lays out the one workspace (the shared objects, the runner's objects
+/// and a formatted ring per link), constructs the shared plan and control
 /// state, forks every tile behind the boot barrier, supervises the run
 /// (restarts, the die: schedule as held, kill-at-reap SIGKILLs, stop once
 /// every stream is committed), merges the stream histories below their
@@ -165,6 +184,7 @@ struct TileEnv {
   shm::Workspace ws;
   ControlBlock* ctl = nullptr;
   StreamCursor* cursors = nullptr;
+  OpRecord* hist = nullptr;  ///< kHistObj; a stream's slice starts at its base
 };
 
 /// Re-attaches the inherited workspace fd. Nonzero = tile exit code:

@@ -3,9 +3,9 @@
 // into credit-based shm links (link::Ring), one counter tile drains them
 // through the workspace-resident compiled plan, one record tile commits
 // per-stream histories. Requests stay in flight across stages — the
-// isolation tax is paid per *burst*, not per operation. Boot, kills,
-// merge and checks are the shared supervise() (deploy_internal.h); this
-// file declares the topology and the three tile bodies.
+// isolation tax is paid per *burst*, not per operation. Layout, boot,
+// kills, merge and checks are the shared supervise() (deploy_internal.h);
+// this file lists its objects and links and the three tile bodies.
 //
 // Crash model (all state in the workspace, like counter_deploy):
 //   - ingress i persists its published-request count in pipe.cursors and
@@ -27,6 +27,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <iterator>
 #include <new>
 #include <span>
 #include <thread>
@@ -39,24 +40,24 @@
 namespace cnet::deploy {
 namespace {
 
-using detail::kCtlObj;
-using detail::kCursorObj;
 using detail::kMaxTiles;
-using detail::kPlanObj;
 using detail::now_ns;
 using detail::OpRecord;
 
 constexpr char kReqCursorObj[] = "pipe.cursors";
 constexpr char kRecStateObj[] = "pipe.recstate";
 
-std::string stream_hist(std::uint32_t stream) {
-  return "stream" + std::to_string(stream) + ".hist";
-}
 std::string req_link_name(std::uint32_t stream) { return "req" + std::to_string(stream); }
 constexpr char kResLink[] = "res";
 /// Link geometry (link::RingOptions::depth/burst) of every pipeline link.
 constexpr std::uint32_t kLinkDepth = 128;
 constexpr std::uint32_t kLinkBurst = 32;
+
+/// Most ingress streams: every tile slot but the counter's and the record's.
+constexpr std::uint32_t kMaxStreams = kMaxTiles - 2;
+// The widest layout — the shared objects, two pipeline objects, a request
+// link per stream and the response link — fits one workspace.
+static_assert(std::size(detail::kSharedObjects) + 2 + kMaxStreams + 1 <= shm::kMaxObjects);
 
 /// One token-request frag, ingress -> counter.
 struct ReqFrag {
@@ -130,7 +131,7 @@ std::uint32_t record_tile(std::uint32_t streams) { return 1 + streams; }
 /// Exit code 12: a link object failed Ring::attach (corrupt geometry).
 int attach_link(shm::Workspace& ws, const std::string& link_name, link::Ring* out) {
   std::uint64_t footprint = 0;
-  void* mem = ws.find("link." + link_name, &footprint);
+  void* mem = ws.find(link_name, &footprint);
   if (mem == nullptr) return 11;
   std::string error;
   if (!link::Ring::attach(mem, footprint, out, &error)) return 12;
@@ -183,7 +184,7 @@ int counter_main(const run::BackendSpec& spec, const PipeShape& shape, int ws_fd
   std::vector<link::Consumer> req_in(shape.streams);
   for (std::uint32_t s = 0; s < shape.streams; ++s) {
     if (const int rc = attach_link(env.ws, req_link_name(s), &req_rings[s])) return rc;
-    req_in[s] = req_rings[s].consumer(0);
+    req_in[s] = req_rings[s].consumer();
   }
   link::Ring res_ring;
   if (const int rc = attach_link(env.ws, kResLink, &res_ring)) return rc;
@@ -198,8 +199,7 @@ int counter_main(const run::BackendSpec& spec, const PipeShape& shape, int ws_fd
     for (std::uint32_t s = 0; s < shape.streams; ++s) {
       link::Frag meta;
       ReqFrag req;
-      const auto poll = req_in[s].read(&meta, &req, sizeof(req));
-      if (poll != link::Consumer::Poll::kFrag) continue;  // reliable: never overrun
+      if (req_in[s].read(&meta, &req, sizeof(req)) != link::Consumer::Poll::kFrag) continue;
       progress = true;
       const std::uint32_t n = std::min(req.count, shape.batch);
       plan->next_batch(/*thread=*/0, req.stream % input_width,
@@ -226,19 +226,14 @@ int counter_main(const run::BackendSpec& spec, const PipeShape& shape, int ws_fd
   return 0;
 }
 
-int record_main(const PipeShape& shape, int ws_fd) {
+int record_main(const PipeShape& shape, const std::vector<detail::Stream>& streams, int ws_fd) {
   detail::TileEnv env;
   if (const int rc = detail::open_tile(ws_fd, &env)) return rc;
   auto* rec = static_cast<RecState*>(env.ws.find(kRecStateObj));
   if (rec == nullptr) return 11;
-  std::vector<OpRecord*> hist(shape.streams);
-  for (std::uint32_t s = 0; s < shape.streams; ++s) {
-    hist[s] = static_cast<OpRecord*>(env.ws.find(stream_hist(s)));
-    if (hist[s] == nullptr) return 11;
-  }
   link::Ring res_ring;
   if (const int rc = attach_link(env.ws, kResLink, &res_ring)) return rc;
-  link::Consumer in = res_ring.consumer(0);
+  link::Consumer in = res_ring.consumer();
   if (!detail::boot_barrier(env.ctl, record_tile(shape.streams))) return 0;
 
   const auto total_recorded = [&] {
@@ -251,8 +246,8 @@ int record_main(const PipeShape& shape, int ws_fd) {
   std::vector<std::uint8_t> buf(sizeof(ResFrag) + std::size_t{shape.batch} * 8);
   while (total_recorded() < shape.total_reqs) {
     link::Frag meta;
-    const auto poll = in.read(&meta, buf.data(), static_cast<std::uint32_t>(buf.size()));
-    if (poll != link::Consumer::Poll::kFrag) {
+    if (in.read(&meta, buf.data(), static_cast<std::uint32_t>(buf.size())) !=
+        link::Consumer::Poll::kFrag) {
       if (env.ctl->stop.load(std::memory_order_acquire) != 0) return 0;
       std::this_thread::sleep_for(std::chrono::microseconds(50));
       continue;
@@ -267,8 +262,9 @@ int record_main(const PipeShape& shape, int ws_fd) {
       rs.gaps.fetch_add(1, std::memory_order_relaxed);  // reliable links: cannot happen
     } else {
       const std::uint64_t base = res->req_seq * shape.batch;
+      OpRecord* slice = env.hist + streams[res->stream].base;
       for (std::uint32_t j = 0; j < res->count; ++j) {
-        OpRecord& op = hist[res->stream][base + j];
+        OpRecord& op = slice[base + j];
         op.start_ns = res->start_ns;
         op.end_ns = res->end_ns;
         op.value = vals[j];
@@ -303,10 +299,10 @@ DeployReport run_pipeline_deployment(const DeployOptions& options) {
                           "must be 1 (got " +
                               std::to_string(options.threads_per_tile) + ")");
   }
-  if (streams > kMaxTiles - 2) {
+  if (streams > kMaxStreams) {
     return detail::failed(std::move(report),
                           "deploy: pipeline needs counter+record slots; tiles must be <= " +
-                              std::to_string(kMaxTiles - 2));
+                              std::to_string(kMaxStreams));
   }
   if (std::uint64_t{streams} + 2 > options.spec.max_threads) {
     return detail::failed(std::move(report),
@@ -324,44 +320,19 @@ DeployReport run_pipeline_deployment(const DeployOptions& options) {
   d.loss_per_kill = 2 * std::uint64_t{options.batch};
   d.slack_per_kill = options.batch;
 
-  // Declare the deployment through the builder so link geometry, object
-  // footprints, and writer discipline are validated before anything forks.
-  d.builder.object(kReqCursorObj, d.ws, alignof(IngressCursor),
-                   std::uint64_t{streams} * sizeof(IngressCursor), /*multi_writer=*/true);
-  d.builder.object(kRecStateObj, d.ws, alignof(RecState),
-                   std::uint64_t{streams} * sizeof(RecState));
+  // Ingress s produces into link req<s> and the counter consumes it; the
+  // counter produces into res and the record tile consumes it.
+  for (std::uint32_t s = 0; s < streams; ++s) d.streams.push_back({shape.quota[s]});
+  d.objects = {
+      {kReqCursorObj, alignof(IngressCursor), std::uint64_t{streams} * sizeof(IngressCursor)},
+      {kRecStateObj, alignof(RecState), std::uint64_t{streams} * sizeof(RecState)}};
   for (std::uint32_t s = 0; s < streams; ++s) {
-    d.streams.push_back({stream_hist(s), 0, shape.quota[s]});
-    d.builder.object(stream_hist(s), d.ws, alignof(OpRecord),
-                     std::max<std::uint64_t>(shape.quota[s], 1) * sizeof(OpRecord));
+    d.links.push_back({req_link_name(s), {kLinkDepth, kLinkBurst, sizeof(ReqFrag)}});
   }
-  d.builder.tile("counter", counter_tile(), 1)
-      .uses(kPlanObj, MapMode::kReadWrite)
-      .uses(kCtlObj, MapMode::kReadWrite)
-      .uses(kCursorObj, MapMode::kReadOnly);
-  for (std::uint32_t s = 0; s < streams; ++s) {
-    d.builder.tile("ingress" + std::to_string(s), ingress_tile(s), 1)
-        .uses(kCtlObj, MapMode::kReadWrite)
-        .uses(kCursorObj, MapMode::kReadOnly)
-        .uses(kReqCursorObj, MapMode::kReadWrite);
-  }
-  d.builder.tile("record", record_tile(streams), 1)
-      .uses(kCtlObj, MapMode::kReadWrite)
-      .uses(kCursorObj, MapMode::kReadWrite)
-      .uses(kRecStateObj, MapMode::kReadWrite);
-  for (std::uint32_t s = 0; s < streams; ++s) {
-    d.builder.uses(stream_hist(s), MapMode::kReadWrite);
-  }
-  for (std::uint32_t s = 0; s < streams; ++s) {
-    d.builder.link(req_link_name(s), d.ws, "ingress" + std::to_string(s), kLinkDepth,
-                   kLinkBurst, sizeof(ReqFrag));
-    d.builder.uses_link("ingress" + std::to_string(s), req_link_name(s), LinkDir::kOut);
-    d.builder.uses_link("counter", req_link_name(s), LinkDir::kIn);
-  }
-  d.builder.link(kResLink, d.ws, "counter", kLinkDepth, kLinkBurst,
-                 static_cast<std::uint32_t>(sizeof(ResFrag) + std::uint64_t{shape.batch} * 8));
-  d.builder.uses_link("counter", kResLink, LinkDir::kOut);
-  d.builder.uses_link("record", kResLink, LinkDir::kIn);
+  d.links.push_back(
+      {kResLink,
+       {kLinkDepth, kLinkBurst,
+        static_cast<std::uint32_t>(sizeof(ResFrag) + std::uint64_t{shape.batch} * 8)}});
 
   IngressCursor* ingress = nullptr;
   RecState* rec = nullptr;
@@ -375,7 +346,7 @@ DeployReport run_pipeline_deployment(const DeployOptions& options) {
   };
   d.tile_main = [&](std::uint32_t tile, int ws_fd) {
     if (tile == counter_tile()) return counter_main(options.spec, shape, ws_fd);
-    if (tile == record_tile(streams)) return record_main(shape, ws_fd);
+    if (tile == record_tile(streams)) return record_main(shape, d.streams, ws_fd);
     return ingress_main(shape, tile - 1, ws_fd);
   };
   // An ingress that already published everything may be exiting; a SIGKILL

@@ -7,8 +7,6 @@
 #include <new>
 #include <thread>
 
-#include "util/fence.h"
-
 namespace cnet::link {
 namespace {
 
@@ -21,28 +19,6 @@ bool fail(std::string* error, const std::string& why) {
   return false;
 }
 
-// Payload words move through relaxed atomic accesses (not memcpy): an
-// unreliable consumer can race a chunk overwrite by design, and the race
-// must be benign under the memory model — the post-copy seq check discards
-// the torn snapshot — rather than formally undefined (and TSan-flagged).
-void copy_words_in(std::uint64_t* dst, const void* src, std::uint32_t sz) {
-  const auto* bytes = static_cast<const std::byte*>(src);
-  for (std::uint32_t i = 0; i * 8 < sz; ++i) {
-    std::uint64_t w = 0;
-    std::memcpy(&w, bytes + i * 8, std::min<std::uint32_t>(8, sz - i * 8));
-    std::atomic_ref<std::uint64_t>(dst[i]).store(w, std::memory_order_relaxed);
-  }
-}
-
-void copy_words_out(void* dst, const std::uint64_t* src, std::uint32_t sz) {
-  auto* bytes = static_cast<std::byte*>(dst);
-  for (std::uint32_t i = 0; i * 8 < sz; ++i) {
-    const std::uint64_t w = std::atomic_ref<std::uint64_t>(const_cast<std::uint64_t&>(src[i]))
-                                .load(std::memory_order_relaxed);
-    std::memcpy(bytes + i * 8, &w, std::min<std::uint32_t>(8, sz - i * 8));
-  }
-}
-
 }  // namespace
 
 struct alignas(64) Ring::Header {
@@ -50,22 +26,20 @@ struct alignas(64) Ring::Header {
   std::uint32_t version = 0;
   std::uint32_t depth = 0;
   std::uint32_t burst = 0;
-  std::uint32_t consumers = 0;
   std::uint32_t mtu = 0;
-  std::uint32_t reliable_mask = 0;
-  /// Next seq to publish. Producer-owned; consumers read it only to resync
-  /// after an overrun, the restarted producer to recover its cursor.
+  /// Next seq to publish. Producer-owned; a restarted producer recovers its
+  /// cursor from it.
   std::atomic<std::uint64_t> pub_seq{0};
 };
 
-/// One mcache line. sig/sz/ctl are relaxed atomics, not plain fields: a
-/// lapped consumer may read them while the producer overwrites the slot,
-/// and the seq re-check (not field-level ordering) rejects the snapshot.
+/// One mcache line. sig/sz/ctl are plain fields: the seq release-store
+/// publishes them, and the credit line keeps the producer off a slot the
+/// consumer may still be reading.
 struct alignas(64) Ring::FragMeta {
   std::atomic<std::uint64_t> seq;
-  std::atomic<std::uint64_t> sig;
-  std::atomic<std::uint32_t> sz;
-  std::atomic<std::uint32_t> ctl;
+  std::uint64_t sig = 0;
+  std::uint32_t sz = 0;
+  std::uint32_t ctl = 0;
 };
 
 struct alignas(64) Ring::CreditLine {
@@ -81,10 +55,6 @@ bool Ring::validate(const RingOptions& o, std::string* error) {
     return fail(error, "burst " + std::to_string(o.burst) + " must be in [1, depth) = [1, " +
                            std::to_string(o.depth) + ")");
   }
-  if (o.consumers == 0 || o.consumers > kMaxConsumers) {
-    return fail(error, "consumers " + std::to_string(o.consumers) + " must be in [1, " +
-                           std::to_string(kMaxConsumers) + "]");
-  }
   if (o.mtu == 0 || o.mtu > kMaxMtu) {
     return fail(error, "mtu " + std::to_string(o.mtu) + " must be in [1, " +
                            std::to_string(kMaxMtu) + "]");
@@ -94,23 +64,24 @@ bool Ring::validate(const RingOptions& o, std::string* error) {
 
 std::uint64_t Ring::footprint(const RingOptions& o) {
   if (!validate(o, nullptr)) return 0;
-  const std::uint64_t stride = align_up(o.mtu, 64);
-  return align_up(sizeof(Header), 64) + std::uint64_t{o.depth} * sizeof(FragMeta) +
-         std::uint64_t{o.consumers} * sizeof(CreditLine) + 2 * std::uint64_t{o.depth} * stride;
+  return sizeof(Header) + sizeof(CreditLine) +
+         std::uint64_t{o.depth} * (sizeof(FragMeta) + align_up(o.mtu, 64));
 }
 
-void Ring::wire(void* mem, std::uint32_t depth, std::uint32_t consumers, std::uint32_t mtu) {
+void Ring::wire(void* mem, std::uint32_t depth, std::uint32_t mtu) {
   auto* bytes = static_cast<std::byte*>(mem);
   hdr_ = reinterpret_cast<Header*>(bytes);
-  bytes += align_up(sizeof(Header), 64);
-  meta_ = reinterpret_cast<FragMeta*>(bytes);
-  bytes += std::uint64_t{depth} * sizeof(FragMeta);
-  credits_ = reinterpret_cast<CreditLine*>(bytes);
-  bytes += std::uint64_t{consumers} * sizeof(CreditLine);
-  dcache_ = reinterpret_cast<std::uint64_t*>(bytes);
+  meta_ = reinterpret_cast<FragMeta*>(bytes + sizeof(Header));
+  // The credit line sits past the meta slots, away from the header line the
+  // producer writes on every send.
+  credit_ = reinterpret_cast<CreditLine*>(meta_ + depth);
+  dcache_ = reinterpret_cast<std::byte*>(credit_ + 1);
   mask_ = depth - 1;
-  dmask_ = 2 * depth - 1;
-  stride_words_ = static_cast<std::uint32_t>(align_up(mtu, 64) / 8);
+  stride_ = static_cast<std::uint32_t>(align_up(mtu, 64));
+}
+
+std::byte* Ring::chunk(std::uint64_t seq) const {
+  return dcache_ + std::uint64_t{seq & mask_} * stride_;
 }
 
 bool Ring::create(void* mem, std::uint64_t size, const RingOptions& o, Ring* out,
@@ -127,21 +98,19 @@ bool Ring::create(void* mem, std::uint64_t size, const RingOptions& o, Ring* out
   }
 
   Ring fmt;
-  fmt.wire(mem, o.depth, o.consumers, o.mtu);
+  fmt.wire(mem, o.depth, o.mtu);
   Header* hdr = new (fmt.hdr_) Header();
   hdr->version = kRingVersion;
   hdr->depth = o.depth;
   hdr->burst = o.burst;
-  hdr->consumers = o.consumers;
   hdr->mtu = o.mtu;
-  hdr->reliable_mask = o.reliable_mask & ((1u << o.consumers) - 1);  // consumers <= 16
+  new (fmt.credit_) CreditLine();
   for (std::uint32_t i = 0; i < o.depth; ++i) {
     auto* m = new (&fmt.meta_[i]) FragMeta();
-    // i - depth (wrapping): "one full lap before seq 0", so the signed
-    // diff against any wanted seq is negative until the slot publishes.
+    // i - depth (wrapping): "one full lap before seq 0", so the slot never
+    // matches a wanted seq until it publishes.
     m->seq.store(std::uint64_t{i} - o.depth, std::memory_order_relaxed);
   }
-  for (std::uint32_t i = 0; i < o.consumers; ++i) new (&fmt.credits_[i]) CreditLine();
   // Magic last: an attacher that races creation sees not-a-ring, not a
   // half-formatted one (this release store pairs with attach's acquire load).
   std::atomic_ref<std::uint64_t>(hdr->magic).store(kRingMagic, std::memory_order_release);
@@ -160,47 +129,28 @@ bool Ring::attach(void* mem, std::uint64_t size, Ring* out, std::string* error) 
     return fail(error, "version " + std::to_string(hdr->version) + " (this build speaks " +
                            std::to_string(kRingVersion) + ")");
   }
-  RingOptions o;
-  o.depth = hdr->depth;
-  o.burst = hdr->burst;
-  o.consumers = hdr->consumers;
-  o.mtu = hdr->mtu;
-  o.reliable_mask = hdr->reliable_mask;
+  const RingOptions o{hdr->depth, hdr->burst, hdr->mtu};
   if (!validate(o, error)) return false;
   if (size < footprint(o)) {
     return fail(error, "region of " + std::to_string(size) +
                            " bytes is truncated for its declared geometry");
   }
 
-  out->wire(mem, o.depth, o.consumers, o.mtu);
-  out->credit_floor_ = out->min_reliable_consumed();
+  out->wire(mem, o.depth, o.mtu);
+  out->consumed_ = out->consumed_seq();
   return true;
 }
 
 std::uint32_t Ring::depth() const { return hdr_->depth; }
 std::uint32_t Ring::burst() const { return hdr_->burst; }
-std::uint32_t Ring::consumers() const { return hdr_->consumers; }
 std::uint32_t Ring::mtu() const { return hdr_->mtu; }
-bool Ring::reliable(std::uint32_t consumer) const {
-  return (hdr_->reliable_mask >> consumer) & 1u;
-}
 
 std::uint64_t Ring::producer_seq() const {
   return hdr_->pub_seq.load(std::memory_order_acquire);
 }
 
-std::uint64_t Ring::consumed_seq(std::uint32_t index) const {
-  return credits_[index].consumed.load(std::memory_order_acquire);
-}
-
-std::uint64_t Ring::min_reliable_consumed() const {
-  std::uint64_t floor = hdr_->pub_seq.load(std::memory_order_acquire);
-  for (std::uint32_t i = 0; i < hdr_->consumers; ++i) {
-    if (!reliable(i)) continue;
-    const std::uint64_t c = credits_[i].consumed.load(std::memory_order_acquire);
-    if (static_cast<std::int64_t>(c - floor) < 0) floor = c;
-  }
-  return floor;
+std::uint64_t Ring::consumed_seq() const {
+  return credit_->consumed.load(std::memory_order_acquire);
 }
 
 void Ring::resync_producer() {
@@ -210,34 +160,27 @@ void Ring::resync_producer() {
   // no assumptions.
   while (meta_[s & mask_].seq.load(std::memory_order_acquire) == s) ++s;
   hdr_->pub_seq.store(s, std::memory_order_release);
-  credit_floor_ = min_reliable_consumed();
+  consumed_ = consumed_seq();
 }
 
 Ring::Send Ring::try_send(std::uint64_t sig, const void* payload, std::uint32_t sz,
                           std::uint32_t ctl) {
   if (sz > hdr_->mtu) return Send::kTooBig;
   const std::uint64_t s = hdr_->pub_seq.load(std::memory_order_relaxed);
-  if (hdr_->reliable_mask != 0 &&
-      s - credit_floor_ >= std::uint64_t{hdr_->depth} - hdr_->burst) {
-    credit_floor_ = min_reliable_consumed();
-    if (s - credit_floor_ >= std::uint64_t{hdr_->depth} - hdr_->burst) return Send::kNoCredit;
+  const std::uint64_t window = std::uint64_t{hdr_->depth} - hdr_->burst;
+  if (s - consumed_ >= window) {
+    consumed_ = consumed_seq();
+    if (s - consumed_ >= window) return Send::kNoCredit;
   }
 
+  // The consumer's credit line is past frag s - depth, the slot's previous
+  // tenant, so nobody reads this slot or its chunk while they are rewritten.
+  // The seq release-store publishes the payload and fields together.
   FragMeta& m = meta_[s & mask_];
-  // Seqlock-shaped publish. The in-progress marker s-1 cannot be mistaken
-  // for a published frag of this slot (s-1 maps elsewhere): a reader
-  // wanting s-depth sees diff > 0 (overrun), one wanting s sees diff < 0
-  // (not yet). The release fence pairs with the consumer's post-copy
-  // acquire fence: any consumer that observed a payload/field store from
-  // this generation is guaranteed to observe at least the marker on its
-  // seq re-check, so a torn snapshot can never validate. (TSan cannot see
-  // the pair; every word moves through a relaxed atomic regardless.)
-  m.seq.store(s - 1, std::memory_order_relaxed);
-  tsan_blind_fence(std::memory_order_release);
-  if (sz != 0) copy_words_in(dcache_ + std::uint64_t{s & dmask_} * stride_words_, payload, sz);
-  m.sig.store(sig, std::memory_order_relaxed);
-  m.sz.store(sz, std::memory_order_relaxed);
-  m.ctl.store(ctl, std::memory_order_relaxed);
+  if (sz != 0) std::memcpy(chunk(s), payload, sz);
+  m.sig = sig;
+  m.sz = sz;
+  m.ctl = ctl;
   m.seq.store(s, std::memory_order_release);
   hdr_->pub_seq.store(s + 1, std::memory_order_release);
   return Send::kOk;
@@ -261,63 +204,35 @@ bool Ring::send(std::uint64_t sig, const void* payload, std::uint32_t sz, std::u
   }
 }
 
-Consumer Ring::consumer(std::uint32_t index) {
+Consumer Ring::consumer() {
   Consumer c;
   c.ring_ = this;
-  c.index_ = index;
-  c.seq_ = credits_[index].consumed.load(std::memory_order_acquire);
+  c.seq_ = consumed_seq();
   return c;
 }
 
 Consumer::Poll Consumer::poll(Frag* out) {
-  Ring::FragMeta& m = ring_->meta_[seq_ & ring_->mask_];
-  const std::uint64_t q = m.seq.load(std::memory_order_acquire);
-  const auto diff = static_cast<std::int64_t>(q - seq_);
-  if (diff < 0) return Poll::kEmpty;
-  if (diff > 0) {
-    // Lapped. q is either the published seq now in this slot (q ≡ seq_ mod
-    // depth) or the next generation's in-progress marker (q+1 ≡ seq_):
-    // resume at the oldest frag this slot can still deliver.
-    const std::uint64_t resume = ((q & ring_->mask_) == (seq_ & ring_->mask_)) ? q : q + 1;
-    skipped_ += resume - seq_;
-    seq_ = resume;
-    ++overruns_;
-    ring_->credits_[index_].consumed.store(seq_, std::memory_order_release);
-    return Poll::kOverrun;
-  }
+  const Ring::FragMeta& m = ring_->meta_[seq_ & ring_->mask_];
+  if (m.seq.load(std::memory_order_acquire) != seq_) return Poll::kEmpty;
   out->seq = seq_;
-  out->sig = m.sig.load(std::memory_order_relaxed);
-  out->sz = std::min(m.sz.load(std::memory_order_relaxed), ring_->hdr_->mtu);
-  out->ctl = m.ctl.load(std::memory_order_relaxed);
-  out->data = ring_->dcache_ + std::uint64_t{seq_ & ring_->dmask_} * ring_->stride_words_;
+  out->sig = m.sig;
+  out->sz = std::min(m.sz, ring_->hdr_->mtu);
+  out->ctl = m.ctl;
+  out->data = ring_->chunk(seq_);
   return Poll::kFrag;
 }
 
-bool Consumer::check(const Frag& frag) const {
-  tsan_blind_fence(std::memory_order_acquire);
-  return ring_->meta_[frag.seq & ring_->mask_].seq.load(std::memory_order_relaxed) ==
-         frag.seq;
-}
-
 Consumer::Poll Consumer::read(Frag* meta, void* dst, std::uint32_t cap) {
-  Frag f;
-  const Poll st = poll(&f);
+  const Poll st = poll(meta);
   if (st != Poll::kFrag) return st;
-  const std::uint32_t n = std::min(f.sz, cap);
-  if (n != 0) copy_words_out(dst, static_cast<const std::uint64_t*>(f.data), n);
-  if (!check(f)) {
-    ++overruns_;
-    return Poll::kOverrun;  // cursor unmoved; the next poll resyncs
-  }
-  *meta = f;
-  meta->sz = n;
-  meta->data = nullptr;
+  meta->sz = std::min(meta->sz, cap);
+  if (meta->sz != 0) std::memcpy(dst, meta->data, meta->sz);
   return Poll::kFrag;
 }
 
 void Consumer::advance() {
   ++seq_;
-  ring_->credits_[index_].consumed.store(seq_, std::memory_order_release);
+  ring_->credit_->consumed.store(seq_, std::memory_order_release);
 }
 
 }  // namespace cnet::link

@@ -1,50 +1,44 @@
-// Credit-based shared-memory SPMC link — the fd_tango mcache/dcache shape
+// Credit-based shared-memory SPSC link — the fd_tango mcache/dcache shape
 // sized for a shm::Workspace object (docs/DEPLOY.md "Links and pipelined
 // deployments").
 //
-// One Ring is a single-producer, multi-consumer frag stream laid out as
+// One Ring is a single-producer, single-consumer frag stream laid out as
 // three regions inside one 64-byte-aligned allocation:
 //
 //   - the frag ring (mcache analogue): `depth` cache-line FragMeta slots,
 //     each holding {seq, sig, sz, ctl}. Slot `s & (depth-1)` carries frag
 //     seq s; the seq field is published with a release store *after* the
-//     payload, so a consumer that reads `slot.seq == wanted` owns a fully
-//     visible frag. Slots are initialized to `i - depth` (unsigned wrap) so
-//     the signed diff `slot.seq - wanted` cleanly separates the three poll
-//     outcomes: < 0 not yet published, == 0 ready, > 0 the producer lapped
-//     this consumer (overrun).
-//   - the payload region (dcache analogue): 2 x depth chunks of
-//     align_up(mtu, 64) bytes. Frag s writes chunk `s & (2*depth - 1)`; the
-//     2x slack guarantees the producer republishes a chunk's *meta slot*
-//     (an intervening generation) strictly before scribbling the chunk
-//     again, which is what makes the consumer's speculative copy + seq
-//     re-check sound (see ring.cpp for the fence protocol).
-//   - per-consumer credit lines: each consumer release-stores its consumed
-//     seq in its own cache line. A *reliable* producer stalls while
-//     `seq - min(reliable consumed) >= depth - burst`, so a reliable
-//     consumer is never overrun — and, because reuse stays `burst` slots
-//     behind the slowest reliable consumer, never even sees a torn frag.
-//     Unreliable consumers trade that for freedom: they can fall behind
-//     arbitrarily, detect the lap via the seq check, and resync forward,
-//     counting what they skipped.
+//     payload and the other fields, so a consumer that acquire-loads
+//     `slot.seq == wanted` sees the whole frag. Slots start at `i - depth`
+//     (one lap before seq 0), so a slot reads "not yet" until it publishes.
+//   - the consumer's credit line: it release-stores its consumed seq in a
+//     cache line of its own. The producer stalls while
+//     `seq - consumed >= depth - burst`, so it rewrites a slot only after
+//     the consumer has advanced past the frag that used it before.
+//   - the payload region (dcache analogue): `depth` chunks of
+//     align_up(mtu, 64) bytes; frag s writes chunk `s & (depth-1)`.
+//
+// Together the seq publish and the credit line make every read safe: the
+// consumer sees frag s only after its seq release-store, and nothing of
+// frag s is rewritten before the consumer's credit line has passed it.
 //
 // Restart story (the deploy layer's crash model): all ring state lives in
-// the shared region, so a producer that dies mid-publish leaves either an
-// unpublished slot (in-progress marker, republished verbatim on restart)
-// or a published slot the stale pub_seq cursor has not counted yet —
-// resync_producer() scans forward over already-published slots and never
-// rewrites one. A restarted consumer resumes from its credit line.
+// the shared region. A producer that dies mid-publish leaves either an
+// unpublished slot (rewritten on restart) or a published slot the stale
+// pub_seq cursor has not counted yet — resync_producer() scans forward
+// over already-published slots and never rewrites one. A restarted
+// consumer resumes from its credit line.
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
 namespace cnet::link {
 
 inline constexpr std::uint64_t kRingMagic = 0x434e45544c4b3031ull;  // "CNETLK01"
-inline constexpr std::uint32_t kRingVersion = 1;
-inline constexpr std::uint32_t kMaxConsumers = 16;
+inline constexpr std::uint32_t kRingVersion = 2;
 inline constexpr std::uint32_t kMinDepth = 2;
 inline constexpr std::uint32_t kMaxDepth = 1u << 20;
 inline constexpr std::uint32_t kMaxMtu = 1u << 16;
@@ -52,22 +46,16 @@ inline constexpr std::uint32_t kMaxMtu = 1u << 16;
 struct RingOptions {
   /// Frag slots; power of two in [kMinDepth, kMaxDepth].
   std::uint32_t depth = 128;
-  /// Credit slack: a reliable producer keeps `depth - burst` frags of
-  /// headroom over the slowest reliable consumer. In [1, depth).
+  /// Credit slack: the producer keeps `depth - burst` frags of headroom
+  /// over the consumer. In [1, depth).
   std::uint32_t burst = 32;
-  /// Consumer count in [1, kMaxConsumers]; index = credit-line index.
-  std::uint32_t consumers = 1;
   /// Max payload bytes per frag, in [1, kMaxMtu]; chunks are padded to 64.
   std::uint32_t mtu = 256;
-  /// Bit i set = consumer i is reliable (participates in flow control).
-  std::uint32_t reliable_mask = ~0u;
 };
 
-/// One frag as seen by a consumer. After poll() the view is *speculative*:
-/// `data` points into the shared payload region and `sig/sz/ctl` may be
-/// torn by a concurrent overwrite — nothing is trustworthy until check()
-/// confirms the slot still carries `seq`. read() wraps the whole
-/// poll/copy/check dance.
+/// One frag as seen by the consumer. `data` points into the shared payload
+/// chunk and stays valid until advance(): the producer does not rewrite a
+/// slot the credit line has not passed.
 struct Frag {
   std::uint64_t seq = 0;
   std::uint64_t sig = 0;
@@ -78,51 +66,37 @@ struct Frag {
 
 class Ring;
 
-/// A consumer's cursor over one ring: process-local position + stats, with
-/// the consumed watermark persisted in the ring's credit line (so a
-/// restarted consumer resumes where its predecessor committed).
+/// The consumer's cursor over one ring: a process-local position, with the
+/// consumed watermark persisted in the ring's credit line (so a restarted
+/// consumer resumes where its predecessor committed).
 class Consumer {
  public:
   enum class Poll : std::uint8_t {
-    kFrag,     ///< a frag is visible at seq()
-    kEmpty,    ///< nothing published past seq() yet
-    kOverrun,  ///< the producer lapped us; the cursor resynced forward
+    kFrag,   ///< a frag is visible at seq()
+    kEmpty,  ///< nothing published past seq() yet
   };
 
   Consumer() = default;
 
-  /// Speculative peek at frag seq(). kFrag fills `out` with a view into
-  /// the shared region (sz clamped to mtu); confirm with check() after
-  /// copying anything out. On kOverrun the cursor jumps forward to the
-  /// oldest still-reachable frag and `skipped()` grows by the gap.
+  /// Peek at frag seq(). kFrag fills `out` with a view into the shared
+  /// region (sz clamped to mtu).
   Poll poll(Frag* out);
 
-  /// True iff the slot still carries `frag.seq` — i.e. everything read
-  /// from the view since poll() was a consistent snapshot.
-  bool check(const Frag& frag) const;
-
-  /// Copy-out read: poll, copy min(sz, cap) payload bytes into `dst`
-  /// (written in 8-byte words: dst must hold align_up(min(sz, cap), 8)),
-  /// then check. A mid-copy overwrite reports kOverrun without advancing,
-  /// and the next poll resyncs.
+  /// Copy-out read: poll, then copy min(sz, cap) payload bytes into `dst`;
+  /// `meta->sz` reports the bytes copied.
   Poll read(Frag* meta, void* dst, std::uint32_t cap);
 
   /// Consume the current frag: step the cursor and release-store it into
-  /// this consumer's credit line (the producer's flow-control input and
-  /// the restart watermark).
+  /// the credit line (the producer's flow-control input and the restart
+  /// watermark).
   void advance();
 
   std::uint64_t seq() const { return seq_; }
-  std::uint64_t overruns() const { return overruns_; }  ///< overrun events
-  std::uint64_t skipped() const { return skipped_; }    ///< frags lost to laps
 
  private:
   friend class Ring;
   Ring* ring_ = nullptr;
-  std::uint32_t index_ = 0;
   std::uint64_t seq_ = 0;
-  std::uint64_t overruns_ = 0;
-  std::uint64_t skipped_ = 0;
 };
 
 /// Non-owning view of a ring living in caller memory (a workspace object,
@@ -141,25 +115,22 @@ class Ring {
                      std::string* error);
   static bool attach(void* mem, std::uint64_t size, Ring* out, std::string* error);
 
-  bool valid() const { return hdr_ != nullptr; }
   std::uint32_t depth() const;
   std::uint32_t burst() const;
-  std::uint32_t consumers() const;
   std::uint32_t mtu() const;
-  bool reliable(std::uint32_t consumer) const;
 
   /// Next seq the producer will publish.
   std::uint64_t producer_seq() const;
-  /// What consumer `index` has durably consumed (its credit line).
-  std::uint64_t consumed_seq(std::uint32_t index) const;
+  /// What the consumer has durably consumed (its credit line).
+  std::uint64_t consumed_seq() const;
 
   /// Producer-side restart recovery: advance pub_seq over slots a dead
   /// predecessor published but never counted. Never rewrites a published
   /// slot. Call once after attach(), before the first send.
   void resync_producer();
 
-  /// Publish one frag. kNoCredit = a reliable consumer is `depth - burst`
-  /// behind; kTooBig = sz > mtu. Single producer only.
+  /// Publish one frag. kNoCredit = the consumer is `depth - burst` behind;
+  /// kTooBig = sz > mtu. Single producer only.
   Send try_send(std::uint64_t sig, const void* payload, std::uint32_t sz,
                 std::uint32_t ctl = 0);
 
@@ -168,8 +139,8 @@ class Ring {
   bool send(std::uint64_t sig, const void* payload, std::uint32_t sz, std::uint32_t ctl,
             const std::atomic<std::uint32_t>* stop);
 
-  /// Cursor for credit line `index`, starting at the durable consumed seq.
-  Consumer consumer(std::uint32_t index);
+  /// The consumer's cursor, starting at the durable consumed seq.
+  Consumer consumer();
 
  private:
   friend class Consumer;
@@ -177,18 +148,17 @@ class Ring {
   struct FragMeta;
   struct CreditLine;
 
-  std::uint64_t min_reliable_consumed() const;
   /// Resolves region pointers/masks from a validated geometry.
-  void wire(void* mem, std::uint32_t depth, std::uint32_t consumers, std::uint32_t mtu);
+  void wire(void* mem, std::uint32_t depth, std::uint32_t mtu);
+  std::byte* chunk(std::uint64_t seq) const;
 
   Header* hdr_ = nullptr;
   FragMeta* meta_ = nullptr;
-  CreditLine* credits_ = nullptr;
-  std::uint64_t* dcache_ = nullptr;
-  std::uint32_t mask_ = 0;         ///< depth - 1
-  std::uint32_t dmask_ = 0;        ///< 2 * depth - 1 (payload chunks)
-  std::uint32_t stride_words_ = 0; ///< chunk stride in u64 words
-  std::uint64_t credit_floor_ = 0; ///< producer-local cached min consumed
+  CreditLine* credit_ = nullptr;
+  std::byte* dcache_ = nullptr;
+  std::uint32_t mask_ = 0;      ///< depth - 1
+  std::uint32_t stride_ = 0;    ///< chunk stride in bytes
+  std::uint64_t consumed_ = 0;  ///< producer-local cached credit line
 };
 
 }  // namespace cnet::link

@@ -6,17 +6,17 @@
 
 namespace cnet::rt {
 
-DegradeGuard::DegradeGuard(Options options, const obs::CounterMetrics* metrics,
+DegradeGuard::DegradeGuard(DegradePolicy policy, const obs::CounterMetrics* metrics,
                            std::uint32_t net_depth)
-    : options_(options),
+    : policy_(policy),
       metrics_(metrics),
-      pad_len_(topo::padding_prefix_length(net_depth, options.pad_k)) {}
+      pad_len_(topo::padding_prefix_length(net_depth, kPadK)) {}
 
 void DegradeGuard::on_token(std::uint64_t tokens) {
-  if (options_.policy == DegradePolicy::kOff || metrics_ == nullptr) return;
+  if (policy_ == DegradePolicy::kOff || metrics_ == nullptr) return;
   if (tripped_.load(std::memory_order_relaxed)) return;  // latched: nothing to do
   const std::uint64_t before = tokens_since_check_.fetch_add(tokens, std::memory_order_relaxed);
-  if (before / options_.check_period == (before + tokens) / options_.check_period) return;
+  if (before / kCheckPeriod == (before + tokens) / kCheckPeriod) return;
   // One snapshotting checker at a time; a raced boundary just skips (the
   // next boundary re-checks).
   if (checking_.exchange(true, std::memory_order_acquire)) return;
@@ -27,7 +27,7 @@ void DegradeGuard::on_token(std::uint64_t tokens) {
 void DegradeGuard::check_metrics() {
 #if CNET_OBS
   const obs::HistogramSnapshot hops = metrics_->hop_latency_ns.snapshot();
-  if (hops.total < options_.min_samples) return;
+  if (hops.total < kMinSamples) return;
   const double p10 = hops.quantile(0.1);
   const double p90 = hops.quantile(0.9);
   check_estimate(hops.quantile_ratio(0.1, 0.9), p10, p90);
@@ -35,17 +35,17 @@ void DegradeGuard::check_metrics() {
 }
 
 bool DegradeGuard::check_estimate(double estimate, double hop_p10, double hop_p90) {
-  if (options_.policy == DegradePolicy::kOff) return false;
+  if (policy_ == DegradePolicy::kOff) return false;
   if (tripped_.load(std::memory_order_acquire)) return true;
   last_estimate_.store(estimate, std::memory_order_relaxed);
-  if (!(estimate > options_.threshold)) return false;
+  if (!(estimate > kThreshold)) return false;
 
   // Trip. The quantiles are written before the tripped_ release-store, so a
   // reader that sees tripped() == true also sees them.
   trip_estimate_ = estimate;
   trip_hop_p10_ = hop_p10;
   trip_hop_p90_ = hop_p90;
-  if (options_.policy == DegradePolicy::kPad) {
+  if (policy_ == DegradePolicy::kPad) {
     // Price one Cor 3.12 pass hop at the measured c1 (the hop-latency p10
     // is its observable counterpart); clamp to >= 1 ns so a degenerate
     // quantile still produces a non-zero pad.
@@ -59,7 +59,7 @@ bool DegradeGuard::check_estimate(double estimate, double hop_p10, double hop_p9
 
 DegradeGuard::Status DegradeGuard::status() const {
   Status s;
-  s.policy = options_.policy;
+  s.policy = policy_;
   s.tripped = tripped_.load(std::memory_order_acquire);
   s.pad_len = pad_len_;
   if (s.tripped) {

@@ -54,19 +54,16 @@ enum class DegradePolicy : std::uint8_t {
 
 class DegradeGuard {
  public:
-  struct Options {
-    DegradePolicy policy = DegradePolicy::kOff;
-    /// Trip when estimate > threshold. Cor 3.9's bound is 2.0.
-    double threshold = 2.0;
-    /// Hop-latency samples required before the estimate is trusted (a
-    /// handful of early samples make a meaningless ratio).
-    std::uint64_t min_samples = 128;
-    /// Ratio bound k the padded fallback is built for (Cor 3.12 prescribes
-    /// prefix length from k when a worse ratio is known).
-    std::uint32_t pad_k = 4;
-    /// Tokens between estimator checks (per guard, relaxed counting).
-    std::uint32_t check_period = 1024;
-  };
+  /// Trip when estimate > kThreshold: Cor 3.9's bound.
+  static constexpr double kThreshold = 2.0;
+  /// Hop-latency samples required before the estimate is trusted (a
+  /// handful of early samples make a meaningless ratio).
+  static constexpr std::uint64_t kMinSamples = 128;
+  /// Ratio bound k the padded fallback is built for (Cor 3.12 prescribes
+  /// prefix length from k when a worse ratio is known).
+  static constexpr std::uint32_t kPadK = 4;
+  /// Tokens between estimator checks (per guard, relaxed counting).
+  static constexpr std::uint32_t kCheckPeriod = 1024;
 
   struct Status {
     DegradePolicy policy = DegradePolicy::kOff;
@@ -75,15 +72,16 @@ class DegradeGuard {
     double hop_p10 = 0.0;   ///< offending hop quantiles at trip time
     double hop_p90 = 0.0;
     std::uint64_t pad_ns = 0;  ///< per-token pre-entry pad (kPad, tripped)
-    std::uint32_t pad_len = 0; ///< Cor 3.12 prefix length for pad_k
+    std::uint32_t pad_len = 0; ///< Cor 3.12 prefix length for kPadK
   };
 
   /// `metrics` is borrowed and must outlive the guard; `net_depth` sizes
   /// the Cor 3.12 prefix.
-  DegradeGuard(Options options, const obs::CounterMetrics* metrics, std::uint32_t net_depth);
+  DegradeGuard(DegradePolicy policy, const obs::CounterMetrics* metrics,
+               std::uint32_t net_depth);
 
   /// Token-path hook: advances the token clock by `tokens` (a batch counts
-  /// all of its tokens) and, whenever the clock crosses a check_period
+  /// all of its tokens) and, whenever the clock crosses a kCheckPeriod
   /// boundary, runs one estimator check (snapshot + quantiles — rare by
   /// construction). Cheap once tripped: a single relaxed load.
   void on_token(std::uint64_t tokens);
@@ -102,12 +100,11 @@ class DegradeGuard {
   }
 
   Status status() const;
-  const Options& options() const { return options_; }
 
  private:
   void check_metrics();
 
-  Options options_;
+  DegradePolicy policy_;
   const obs::CounterMetrics* metrics_;
   std::uint32_t pad_len_;
 

@@ -19,7 +19,7 @@ NetworkCounter::NetworkCounter(topo::Network net, CounterOptions options,
 #if CNET_OBS
   // The guard watches the obs hop-latency estimator, so it only exists when
   // there is a sink to watch (and never in a CNET_OBS=0 build).
-  if (options.degrade.policy != DegradePolicy::kOff && options.metrics != nullptr) {
+  if (options.degrade != DegradePolicy::kOff && options.metrics != nullptr) {
     guard_ = std::make_unique<DegradeGuard>(options.degrade, options.metrics, net_.depth());
   }
 #endif

@@ -91,11 +91,11 @@ struct CounterOptions {
   /// adopted PlanArena it reads every attached process's tokens.
   obs::CounterMetrics* metrics = nullptr;
 
-  /// Degraded-mode guard over the c2/c1 estimator (rt/degrade_guard.h).
+  /// Degraded-mode guard policy over the c2/c1 estimator (rt/degrade_guard.h).
   /// Effective only with a metrics sink in a CNET_OBS build — the guard
   /// watches metrics->hop_latency_ns; without the estimator there is
   /// nothing to trip on, and NetworkCounter leaves the guard unconstructed.
-  DegradeGuard::Options degrade{};
+  DegradePolicy degrade = DegradePolicy::kOff;
 };
 
 /// Called after each node traversal when instrumenting a token's walk: the

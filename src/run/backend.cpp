@@ -53,9 +53,9 @@ rt::CounterOptions rt_options(const BackendSpec& spec, obs::CounterMetrics* metr
   options.prism_width = spec.prism_width;
   options.max_threads = spec.max_threads;
   options.metrics = metrics;
-  options.degrade.policy = spec.degrade == DegradeMode::kPad      ? rt::DegradePolicy::kPad
-                           : spec.degrade == DegradeMode::kReport ? rt::DegradePolicy::kReport
-                                                                  : rt::DegradePolicy::kOff;
+  options.degrade = spec.degrade == DegradeMode::kPad      ? rt::DegradePolicy::kPad
+                    : spec.degrade == DegradeMode::kReport ? rt::DegradePolicy::kReport
+                                                           : rt::DegradePolicy::kOff;
   return options;
 }
 

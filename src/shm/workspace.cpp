@@ -30,10 +30,6 @@ bool valid_name(std::string_view name) {
   return true;
 }
 
-std::uint64_t align_up(std::uint64_t value, std::uint64_t align) {
-  return (value + align - 1) & ~(align - 1);
-}
-
 bool fail(std::string* error, const std::string& why) {
   if (error != nullptr) *error = "shm::Workspace: " + why;
   return false;

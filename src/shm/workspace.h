@@ -13,16 +13,14 @@
 // restarted re-attaches the same fd (or path), validates magic/version, and
 // resolves each object by name to wherever its own mmap landed — the state
 // itself never moves, only the view of it. This is the firedancer workspace
-// idiom (fd_wksp/fd_topob) scaled down to what the counter deployment needs.
+// idiom (fd_wksp) scaled down to what the counter deployment needs.
 //
 // Concurrency contract: alloc() is single-builder — exactly one process
-// (the deploy supervisor) lays out the workspace before any other process
-// attaches; attached processes only find(). The data region's contents are
-// whatever the objects make of them (the rt plan state is std::atomic,
-// which is address-free and lock-free on every target we build for).
-//
-// This is the *placement* layer. Which processes map which objects, in what
-// mode, is declared one level up in deploy::Builder (deploy/topology.h).
+// (the deploy supervisor, deploy/deploy_internal.h) lays out the workspace
+// before any other process attaches; attached processes only find(). The
+// data region's contents are whatever the objects make of them (the rt
+// plan state is std::atomic, which is address-free and lock-free on every
+// target we build for).
 #pragma once
 
 #include <cstddef>
@@ -47,6 +45,15 @@ inline constexpr std::size_t kMaxNameLen = 47;
 /// (one page), so align_up(offset, align) yields an aligned address in every
 /// process regardless of where mmap placed the segment.
 inline constexpr std::uint64_t kMaxObjectAlign = 4096;
+
+/// The bump allocator's placement rule: an object aligned to `align` (a
+/// power of two) lands at the first multiple of `align` at or past the
+/// cursor. alloc() places with it, so a caller that sums
+/// `align_up(size, align) + footprint` over its objects, in alloc order,
+/// gets the exact data footprint create() needs.
+constexpr std::uint64_t align_up(std::uint64_t cursor, std::uint64_t align) {
+  return (cursor + align - 1) & ~(align - 1);
+}
 
 /// How Workspace::create backs the segment.
 struct CreateOptions {

@@ -549,17 +549,14 @@ class Server::Loop {
 
   void bury() { graveyard_.clear(); }
 
-  /// One admission check per wake: the backend's own DegradeGuard trip is
-  /// always honoured; the server-side threshold (when configured) latches
-  /// on the same online estimate the guard watches. The latch is shared
-  /// across loops — a trip here sheds everywhere.
+  /// One admission check per wake: a tripped backend DegradeGuard latches
+  /// timing shed. The latch is shared across loops — a trip here sheds
+  /// everywhere.
   void check_timing() {
     if (s_.timing_tripped_.load(std::memory_order_relaxed)) return;
-    bool trip = s_.backend_.degrade_status().tripped;
-    if (!trip && s_.options_.c2c1_shed_threshold > 0.0) {
-      trip = s_.backend_.c2c1_estimate() > s_.options_.c2c1_shed_threshold;
+    if (s_.backend_.degrade_status().tripped) {
+      s_.timing_tripped_.store(true, std::memory_order_release);
     }
-    if (trip) s_.timing_tripped_.store(true, std::memory_order_release);
   }
 
   Server& s_;

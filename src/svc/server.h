@@ -39,9 +39,9 @@
 // an unbounded queue):
 //   * backlog    — pending requests beyond max_pending are shed on arrival
 //                  (per loop; the cap bounds one wake's coalesced batch);
-//   * timing     — when the backend's online c2/c1 estimate crosses
-//                  c2c1_shed_threshold (Cor 3.9's bound is 2), or the rt
-//                  DegradeGuard reports tripped, the server latches into
+//   * timing     — when the rt DegradeGuard reports tripped (its online
+//                  c2/c1 estimate crossed Cor 3.9's bound of 2; spec
+//                  `metrics&degrade=report|pad`), the server latches into
 //                  timing shed: the linearizability claim behind the
 //                  service is void, so new work is refused rather than
 //                  served with a silently weaker guarantee (the latch
@@ -112,11 +112,6 @@ struct ServerOptions {
   /// Backlog admission cap: requests decoded while this many are already
   /// pending in the current wake are shed (kBacklogShed). Per loop.
   std::uint32_t max_pending = 4096;
-
-  /// Timing admission: shed once the backend's online c2/c1 estimate
-  /// exceeds this (0 disables; Cor 3.9's bound is 2.0). The rt
-  /// DegradeGuard's own trip is honoured regardless.
-  double c2c1_shed_threshold = 0.0;
 
   /// A connection buffering more than this many unwritten response bytes
   /// is dropped (kOverloadedConn).

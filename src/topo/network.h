@@ -16,9 +16,9 @@
 // analysis (Def 2.1) and by the simulators.
 //
 // Naming note: cnet::topo is the balancing-network wiring diagram — the
-// math object. The *process* topology (which OS processes map which
+// math object. The *process* layout (which OS processes share which
 // shared-memory objects) is the separate cnet::deploy layer
-// (deploy/topology.h, docs/DEPLOY.md); a deployment executes one
+// (deploy/counter_deploy.h, docs/DEPLOY.md); a deployment executes one
 // topo::Network whose compiled state lives in a shm::Workspace.
 #pragma once
 

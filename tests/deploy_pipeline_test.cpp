@@ -1,8 +1,7 @@
-// The pipelined deployment: Builder link validation (geometry, wiring,
-// and the all-failures-in-one-diagnostic contract), run_pipeline_deployment
-// option gating, and — outside sanitizer builds — real fork()ed
-// ingress/counter/record tiles streaming over credit-based shm links,
-// including the `die:` SIGKILL rounds.
+// The pipelined deployment: run_pipeline_deployment option gating and —
+// outside sanitizer builds — real fork()ed ingress/counter/record tiles
+// streaming over credit-based shm links, including the `die:` SIGKILL
+// rounds and the widest layout.
 // Fork-based cases are skipped under ASan/TSan exactly like
 // deploy_e2e_test; CI's Release deploy-smoke job runs them for real.
 #include "deploy/counter_deploy.h"
@@ -10,12 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <map>
 #include <string>
 
-#include "deploy/topology.h"
 #include "lin/checker.h"
-#include "link/ring.h"
 #include "run/backend_spec.h"
 
 namespace cnet::deploy {
@@ -23,132 +19,6 @@ namespace {
 
 run::BackendSpec spec_of(const std::string& text) {
   return run::parse_spec_or_die(text);
-}
-
-/// The smallest healthy linked topology: one producer tile, one consumer
-/// tile, one link between them (the link synthesizes its backing object).
-Builder linked() {
-  Builder b;
-  b.workspace("ws");
-  b.tile("prod", 0, 1);
-  b.tile("cons", 1, 1);
-  b.link("req", "ws", "prod", /*depth=*/8, /*burst=*/2, /*mtu=*/64);
-  b.uses_link("prod", "req", LinkDir::kOut);
-  b.uses_link("cons", "req", LinkDir::kIn);
-  return b;
-}
-
-TEST(DeployLinks, HealthyLinkedGraphValidatesAndMaterializes) {
-  Builder b = linked();
-  Topology topo;
-  std::string error;
-  ASSERT_TRUE(b.finish(&topo, &error)) << error;
-
-  // The link synthesized its backing object and mapped both sides RW.
-  const LinkSpec* link = topo.find_link("req");
-  ASSERT_NE(link, nullptr);
-  const ObjectSpec* obj = topo.find_object(link->object_name());
-  ASSERT_NE(obj, nullptr);
-  EXPECT_EQ(obj->align, link::Ring::align());
-  EXPECT_NE(topo.to_text().find("req"), std::string::npos);
-
-  // materialize() formats a live ring inside the workspace object.
-  std::map<std::string, shm::Workspace> live;
-  ASSERT_TRUE(materialize(topo, &live, &error)) << error;
-  std::uint64_t footprint = 0;
-  void* mem = live.at("ws").find(link->object_name(), &footprint);
-  ASSERT_NE(mem, nullptr);
-  link::Ring ring;
-  ASSERT_TRUE(link::Ring::attach(mem, footprint, &ring, &error)) << error;
-  EXPECT_EQ(ring.depth(), 8u);
-  EXPECT_EQ(ring.burst(), 2u);
-  EXPECT_EQ(ring.consumers(), 1u);
-  EXPECT_TRUE(ring.reliable(0));
-}
-
-TEST(DeployLinks, RejectsWiringMistakes) {
-  Topology topo;
-  std::string error;
-  {
-    Builder b = linked();  // same link declared twice
-    b.link("req", "ws", "prod", 8, 2, 64);
-    EXPECT_FALSE(b.finish(&topo, &error));
-    EXPECT_NE(error.find("declared twice"), std::string::npos) << error;
-  }
-  {
-    Builder b;  // kOut from a tile the link does not name as producer
-    b.workspace("ws");
-    b.tile("prod", 0, 1);
-    b.tile("cons", 1, 1);
-    b.link("req", "ws", "prod", 8, 2, 64);
-    b.uses_link("cons", "req", LinkDir::kOut);
-    b.uses_link("cons", "req", LinkDir::kIn);
-    EXPECT_FALSE(b.finish(&topo, &error));
-    EXPECT_NE(error.find("declares itself producer"), std::string::npos) << error;
-  }
-  {
-    Builder b;  // producer never declares its kOut side
-    b.workspace("ws");
-    b.tile("prod", 0, 1);
-    b.tile("cons", 1, 1);
-    b.link("req", "ws", "prod", 8, 2, 64);
-    b.uses_link("cons", "req", LinkDir::kIn);
-    EXPECT_FALSE(b.finish(&topo, &error));
-    EXPECT_NE(error.find("never declared uses_link"), std::string::npos) << error;
-  }
-  {
-    Builder b;  // a link nobody reads moves nothing
-    b.workspace("ws");
-    b.tile("prod", 0, 1);
-    b.link("req", "ws", "prod", 8, 2, 64);
-    b.uses_link("prod", "req", LinkDir::kOut);
-    EXPECT_FALSE(b.finish(&topo, &error));
-    EXPECT_NE(error.find("no consumer"), std::string::npos) << error;
-  }
-  {
-    Builder b = linked();  // a use naming a link that was never declared
-    b.uses_link("cons", "ghost", LinkDir::kIn);
-    EXPECT_FALSE(b.finish(&topo, &error));
-    EXPECT_NE(error.find("unknown link 'ghost'"), std::string::npos) << error;
-  }
-  {
-    Builder b = linked();  // a use naming a tile that was never declared
-    b.uses_link("nobody", "req", LinkDir::kIn);
-    EXPECT_FALSE(b.finish(&topo, &error));
-    EXPECT_NE(error.find("unknown tile 'nobody'"), std::string::npos) << error;
-  }
-  {
-    Builder b;  // ring geometry is validated at finish(), before any fork
-    b.workspace("ws");
-    b.tile("prod", 0, 1);
-    b.tile("cons", 1, 1);
-    b.link("req", "ws", "prod", /*depth=*/3, /*burst=*/2, /*mtu=*/64);
-    b.uses_link("prod", "req", LinkDir::kOut);
-    b.uses_link("cons", "req", LinkDir::kIn);
-    EXPECT_FALSE(b.finish(&topo, &error));
-    EXPECT_NE(error.find("depth"), std::string::npos) << error;
-  }
-}
-
-TEST(DeployLinks, FinishAggregatesEveryFailureIntoOneDiagnostic) {
-  // Three independent mistakes — duplicate workspace, a link with no
-  // consumer, and an overlapping thread slice — must all come back from a
-  // single finish() call, joined into one message.
-  Builder b;
-  b.workspace("ws").workspace("ws");
-  b.tile("prod", 0, 2);
-  b.tile("late", 1, 2);  // overlaps prod at thread 1
-  b.link("req", "ws", "prod", 8, 2, 64);
-  b.uses_link("prod", "req", LinkDir::kOut);
-  Topology topo;
-  std::string error;
-  EXPECT_FALSE(b.finish(&topo, &error));
-  EXPECT_NE(error.find("deploy topology: "), std::string::npos) << error;
-  EXPECT_NE(error.find("'ws' declared twice"), std::string::npos) << error;
-  EXPECT_NE(error.find("link 'req' has no consumer"), std::string::npos) << error;
-  EXPECT_NE(error.find("overlap"), std::string::npos) << error;
-  // Joined, not truncated: the separators prove multiple entries survived.
-  EXPECT_NE(error.find("; "), std::string::npos) << error;
 }
 
 // --- run_pipeline_deployment option gating (no fork needed) -----------------
@@ -283,6 +153,22 @@ TEST(DeployPipelineE2E, LargestBatchFitsOneResponseFrag) {
   ASSERT_TRUE(report.error.empty()) << report.error;
   EXPECT_TRUE(report.ok) << report.to_text();
   EXPECT_EQ(report.ops_recorded, 20000u);
+}
+
+// The widest pipeline the tile bound accepts: 30 ingress streams plus the
+// counter and record tiles, a request link per stream, one workspace.
+TEST(DeployPipelineE2E, WidestAcceptedLayoutFitsOneWorkspace) {
+  DeployOptions options;
+  options.spec = spec_of("rt:bitonic:8?ws=pipe-wide&tiles=30&threads=64&pipeline=1");
+  options.threads_per_tile = 1;
+  options.total_ops = 3000;
+  options.batch = 8;
+  const DeployReport report = run_counter_deployment(options);
+  ASSERT_TRUE(report.error.empty()) << report.error;
+  EXPECT_TRUE(report.ok) << report.to_text();
+  EXPECT_EQ(report.tiles, 30u);
+  EXPECT_EQ(report.ops_recorded, 3000u);
+  EXPECT_TRUE(report.counting_ok) << report.counting_message;
 }
 
 #endif  // CNET_UNDER_SANITIZER

@@ -248,10 +248,7 @@ TEST(FaultSpec, DegradeRequiresMetrics) {
 // --- DegradeGuard ---------------------------------------------------------
 
 TEST(DegradeGuard, TripsOnceAboveThresholdAndLatches) {
-  rt::DegradeGuard::Options options;
-  options.policy = rt::DegradePolicy::kReport;
-  options.threshold = 2.0;
-  rt::DegradeGuard guard(options, nullptr, /*net_depth=*/6);
+  rt::DegradeGuard guard(rt::DegradePolicy::kReport, nullptr, /*net_depth=*/6);
   EXPECT_FALSE(guard.check_estimate(1.5, 100.0, 150.0));
   EXPECT_FALSE(guard.tripped());
   EXPECT_DOUBLE_EQ(guard.status().estimate, 1.5);  // last checked, pre-trip
@@ -268,12 +265,9 @@ TEST(DegradeGuard, TripsOnceAboveThresholdAndLatches) {
 }
 
 TEST(DegradeGuard, PadPolicyPricesTheCor312Prefix) {
-  rt::DegradeGuard::Options options;
-  options.policy = rt::DegradePolicy::kPad;
-  options.pad_k = 4;
   const std::uint32_t depth = 6;
-  rt::DegradeGuard guard(options, nullptr, depth);
-  const std::uint32_t pad_len = topo::padding_prefix_length(depth, options.pad_k);
+  rt::DegradeGuard guard(rt::DegradePolicy::kPad, nullptr, depth);
+  const std::uint32_t pad_len = topo::padding_prefix_length(depth, rt::DegradeGuard::kPadK);
   ASSERT_GT(pad_len, 0u);
   EXPECT_EQ(guard.pad_ns(), 0u);  // no pad before the trip
   EXPECT_TRUE(guard.check_estimate(5.0, /*hop_p10=*/200.0, /*hop_p90=*/1000.0));
@@ -283,7 +277,7 @@ TEST(DegradeGuard, PadPolicyPricesTheCor312Prefix) {
 }
 
 TEST(DegradeGuard, OffPolicyNeverTrips) {
-  rt::DegradeGuard guard({}, nullptr, 6);
+  rt::DegradeGuard guard(rt::DegradePolicy::kOff, nullptr, 6);
   EXPECT_FALSE(guard.check_estimate(100.0, 1.0, 100.0));
   EXPECT_FALSE(guard.tripped());
 }
@@ -348,7 +342,7 @@ INSTANTIATE_TEST_SUITE_P(
     chaos_name);
 
 #if CNET_OBS
-// check_period counts tokens, and a batch's tokens all count: 16 batches of
+// kCheckPeriod counts tokens, and a batch's tokens all count: 16 batches of
 // 64 cross the 1024-token boundary once, so the estimator is checked and
 // the pre-seeded skew (p90/p10 about 1000) trips the guard.
 TEST(DegradeGuard, BatchedTokensAdvanceTheCheckClock) {
@@ -359,8 +353,7 @@ TEST(DegradeGuard, BatchedTokensAdvanceTheCheckClock) {
   }
   rt::CounterOptions options;
   options.metrics = &metrics;
-  options.degrade.policy = rt::DegradePolicy::kReport;
-  options.degrade.check_period = 1024;
+  options.degrade = rt::DegradePolicy::kReport;
   rt::NetworkCounter counter(topo::make_bitonic(8), options);
   ASSERT_NE(counter.degrade_guard(), nullptr);
   std::vector<std::uint64_t> out(64);

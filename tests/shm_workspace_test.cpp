@@ -1,7 +1,7 @@
 // shm::Workspace edge cases: allocation discipline (alignment, footprint
-// exhaustion, name rules, table capacity), re-attach after a simulated
-// crash, and rejection of segments that are not (or no longer) valid
-// workspaces — magic/version mismatch, truncation.
+// exhaustion, exact sizing by align_up, name rules, table capacity),
+// re-attach after a simulated crash, and rejection of segments that are
+// not (or no longer) valid workspaces — magic/version mismatch, truncation.
 #include "shm/workspace.h"
 
 #include <fcntl.h>
@@ -88,6 +88,30 @@ TEST(ShmWorkspace, FootprintExhaustionIsDiagnosed) {
   const std::uint64_t used = ws.used();
   EXPECT_EQ(ws.alloc("overflow2", 64, 200, &error), nullptr);
   EXPECT_EQ(ws.used(), used);
+}
+
+TEST(ShmWorkspace, AlignUpSumMatchesAllocExactly) {
+  // A caller sizes a workspace by summing align_up(size, align) +
+  // footprint over its objects, in alloc order (the deploy supervisor
+  // does). That must be exactly what alloc() consumes — every object
+  // lands, alignment padding included, with zero slack left.
+  struct Obj {
+    const char* name;
+    std::uint64_t align;
+    std::uint64_t footprint;
+  };
+  const Obj objects[] = {{"a", 64, 100}, {"b", 4096, 64}, {"c", 64, 1000}};
+  std::uint64_t size = 0;
+  for (const Obj& o : objects) size = align_up(size, o.align) + o.footprint;
+  EXPECT_EQ(size, 4096u + 64 + 1000);  // a at 0, b padded to 4096, c right after
+
+  Workspace ws;
+  std::string error;
+  ASSERT_TRUE(Workspace::create("exact", size, &ws, &error)) << error;
+  for (const Obj& o : objects) {
+    ASSERT_NE(ws.alloc(o.name, o.align, o.footprint, &error), nullptr) << error;
+  }
+  EXPECT_EQ(ws.remaining(), 0u);  // the accounting was exact, not padded
 }
 
 TEST(ShmWorkspace, LayoutTableCapacityIsEnforced) {

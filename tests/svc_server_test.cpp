@@ -259,6 +259,59 @@ TEST(SvcServer, TimingShedLatchesLikeDegradeGuard) {
   EXPECT_TRUE(s.server->timing_tripped());
 }
 
+#if CNET_OBS
+TEST(SvcServer, TrippedDegradeGuardAloneLatchesTimingShed) {
+  // Nothing calls trip_timing_shed() here: a stall plan skews the rt hop
+  // latencies until the backend's DegradeGuard (report policy) sees its
+  // c2/c1 estimate cross Cor 3.9's bound and trips, and the server's
+  // per-wake admission check latches timing shed from that trip alone.
+  ServerOptions options;
+  options.loops = 1;
+  ServerUnderTest s("rt:bitonic:8?metrics&degrade=report&fault=stall:0.3:20000,seed:7",
+                    options);
+  ASSERT_TRUE(s.started) << s.start_error;
+  Client client;
+  std::string error;
+  ASSERT_TRUE(client.connect("127.0.0.1", s.server->port(), &error)) << error;
+
+  constexpr std::uint64_t kMaxRequests = 20000;
+  constexpr std::uint32_t kWindow = 32;
+  std::uint64_t id = 0;
+  std::uint64_t ok = 0;
+  bool shed = false;
+  while (!shed && id < kMaxRequests) {
+    for (std::uint32_t i = 0; i < kWindow; ++i) client.queue_count(id++);
+    ASSERT_TRUE(client.flush(&error)) << error;
+    for (std::uint32_t i = 0; i < kWindow; ++i) {
+      Response response;
+      ASSERT_TRUE(client.recv_response(&response, &error)) << error;
+      if (response.status == Status::kOk) {
+        ++ok;
+        continue;
+      }
+      ASSERT_EQ(response.status, Status::kShed);
+      EXPECT_EQ(response.error, WireError::kTimingShed);
+      shed = true;
+    }
+  }
+  ASSERT_TRUE(shed) << "no timing shed after " << id << " requests";
+  EXPECT_GT(ok, 0u);  // the guard needs served traffic before it can trip
+  EXPECT_TRUE(s.backend->degrade_status().tripped);
+  EXPECT_TRUE(s.server->timing_tripped());
+  // Latched: every later request is refused the same way.
+  for (std::uint64_t n = 0; n < 3; ++n) {
+    Response response;
+    ASSERT_TRUE(client.count(id++, &response, &error)) << error;
+    EXPECT_EQ(response.status, Status::kShed);
+    EXPECT_EQ(response.error, WireError::kTimingShed);
+  }
+}
+#else  // !CNET_OBS
+TEST(SvcServer, TrippedDegradeGuardAloneLatchesTimingShed) {
+  GTEST_SKIP() << "library built with CNET_OBS=0; the rt DegradeGuard is compiled out";
+}
+#endif  // CNET_OBS
+
 TEST(SvcServer, RejectsSimulatedBackends) {
   ServerUnderTest s("sim:bitonic:8");
   EXPECT_FALSE(s.started);

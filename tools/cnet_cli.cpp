@@ -35,7 +35,6 @@
 //       chrome://tracing JSON of sampled token hops
 //   cnet_cli serve <spec> [--port N] [--host A] [--uds PATH] [--loops N]
 //                  [--unbatched] [--max-batch N] [--max-pending N]
-//                  [--shed-threshold X]
 //       serve the backend over TCP (docs/SERVICE.md protocol) — or over a
 //       UNIX-domain socket with --uds — until SIGINT, sharded over N
 //       independent event loops (default: the hardware concurrency); winds
@@ -132,7 +131,6 @@ int usage() {
       "  cnet_cli stats    <spec | kind width> <threads> <ops> [batch] [trace.json]\n"
       "  cnet_cli serve    <spec> [--port N] [--host A] [--uds PATH] [--loops N]\n"
       "                    [--unbatched] [--max-batch N] [--max-pending N]\n"
-      "                    [--shed-threshold X]\n"
       "  cnet_cli deploy   <spec> [--tiles N] [--threads N] [--ops N] [--batch N]\n"
       "                    [--max-restarts N] [--timeout S] [--pipeline]\n"
       "spec grammar: <family>:<structure>:<width>[?opt[&opt]...]  (docs/HARNESS.md)\n"
@@ -548,8 +546,6 @@ int cmd_serve(const run::BackendSpec& spec, int argc, char** argv, int base) {
       options.max_batch = std::max(1, std::atoi(value()));
     } else if (arg == "--max-pending") {
       options.max_pending = std::max(1, std::atoi(value()));
-    } else if (arg == "--shed-threshold") {
-      options.c2c1_shed_threshold = std::atof(value());
     } else {
       std::fprintf(stderr, "unknown serve option '%s'\n", arg.c_str());
       return 2;
