@@ -42,7 +42,7 @@ check_output() {
 }
 
 # --- usage covers every command, and usage errors exit 2 -------------------
-for cmd in info dot verify simulate workload exhaustive run count stats serve \
+for cmd in info dot verify exhaustive run count stats serve \
            record replay search deploy; do
   check_output "usage mentions '$cmd'" "cnet_cli $cmd" "$CLI"
 done
@@ -202,14 +202,32 @@ for flag in --pipeline-sock "--link-depth 64"; do
     "$CLI" deploy "$dspec" $flag
 done
 
-# --- count/verify accept both forms ----------------------------------------
-check "count, positional form" "$CLI" count bitonic 8 2 1000
+# --- every network is a spec ----------------------------------------------
+# The positional `<kind> <width>` forms are gone: before, a bad width
+# aborted inside topo::builders (exit 134) and `workload`/`simulate` took
+# hostile numbers through atoi.
 check "count, spec form" "$CLI" count "rt:bitonic:8?mcs" 2 1000
-check "verify, positional form" "$CLI" verify bitonic 8 50
 check "verify, spec form" "$CLI" verify "sim:periodic:8" 50
-check_rc "count with an argument after batch exits 2" 2 "$CLI" count bitonic 8 2 1000 8 walk
 check_rc "count, spec form, with an argument after batch exits 2" 2 \
   "$CLI" count "rt:bitonic:8" 2 1000 8 walk
+check_rc "info with a positional network exits 2" 2 "$CLI" info bitonic 3
+check_rc "dot with a positional network exits 2" 2 "$CLI" dot tree 6
+check_rc "exhaustive with a positional network exits 2" 2 "$CLI" exhaustive bitonic 3 2 3
+check_rc "the removed workload command exits 2" 2 "$CLI" workload bitonic 0 25 100 50
+check_rc "the removed simulate command exits 2" 2 "$CLI" simulate bitonic 8 -5 3
+check_rc "info on a degenerate width exits 2" 2 "$CLI" info "sim:bitonic:3"
+check_output "info, spec form" "depth (links)    : 6" "$CLI" info "sim:bitonic:8"
+check_output "dot, spec form" "digraph" "$CLI" dot "rt:tree:8"
+check_output "exhaustive, spec form, finds nothing at c2 = 2c1" "no violating schedule" \
+  "$CLI" exhaustive "sim:balancer:2" 3
+check_rc "exhaustive, spec form, exits 1 on a violation at c2 = 3c1" 1 \
+  "$CLI" exhaustive "sim:balancer:2?c2=3" 3
+check_rc "exhaustive rejects a live family" 2 "$CLI" exhaustive "rt:bitonic:4" 2
+check_rc "exhaustive rejects tokens past its bound" 2 "$CLI" exhaustive "sim:bitonic:4" 9
+check_rc "exhaustive rejects a non-numeric step" 2 "$CLI" exhaustive "sim:bitonic:4" 2 8 abc
+check_rc "exhaustive rejects a network too deep to enumerate" 2 \
+  "$CLI" exhaustive "sim:bitonic:64" 2
+check_rc "verify rejects non-numeric trials" 2 "$CLI" verify "sim:bitonic:8" abc
 
 # --- hostile numbers: a sign, a non-digit or an out-of-range value exits 2 --
 # None of these forks. Before the strict parser, -1 wrapped to 2^32-1

@@ -19,12 +19,12 @@ using detail::OpRecord;
 using detail::StreamCursor;
 
 /// Per-thread worker loop inside a tile: resume from the committed cursor,
-/// batch tokens through the shared plan, record-then-commit each value.
-void tile_thread(rt::RoutingPlan& plan, ControlBlock* ctl, StreamCursor* cursors,
+/// batch tokens through the shared counter, record-then-commit each value.
+void tile_thread(rt::NetworkCounter& counter, ControlBlock* ctl, StreamCursor* cursors,
                  std::uint32_t total_threads, OpRecord* slice, std::uint64_t quota,
                  std::uint32_t gid, std::uint32_t batch) {
   StreamCursor& cursor = cursors[gid];
-  const std::uint32_t input = gid % plan.input_width();
+  const std::uint32_t input = gid % counter.input_width();
   std::vector<std::uint64_t> values(batch);
   std::uint64_t k = cursor.committed.load(std::memory_order_acquire);
   while (k < quota) {
@@ -32,7 +32,7 @@ void tile_thread(rt::RoutingPlan& plan, ControlBlock* ctl, StreamCursor* cursors
     if (!detail::wait_for_hold(ctl, cursors, total_threads)) return;
     const auto span = static_cast<std::size_t>(std::min<std::uint64_t>(batch, quota - k));
     const std::uint64_t start = now_ns();
-    plan.next_batch(gid, input, std::span<std::uint64_t>(values.data(), span));
+    counter.next_batch(gid, input, std::span<std::uint64_t>(values.data(), span));
     const std::uint64_t end = now_ns();
     for (std::size_t j = 0; j < span; ++j) {
       OpRecord& rec = slice[k + j];
@@ -47,15 +47,15 @@ void tile_thread(rt::RoutingPlan& plan, ControlBlock* ctl, StreamCursor* cursors
 }
 
 /// The forked tile body: re-attach the workspace from the inherited fd,
-/// resolve every object by name, adopt the shared plan state, and count —
+/// resolve every object by name, adopt the shared counter state, and count —
 /// one thread per stream of this tile. Exit codes: 0 done, 10 attach
 /// failed, 11 an object is missing.
 int tile_main(const DeployOptions& options, const detail::Deployment& d, std::uint32_t tile,
               int ws_fd) {
   detail::TileEnv env;
   if (const int rc = detail::open_tile(ws_fd, &env)) return rc;
-  const std::unique_ptr<rt::RoutingPlan> plan = detail::attach_plan(env.ws, options.spec);
-  if (plan == nullptr) return 11;
+  const std::unique_ptr<rt::NetworkCounter> counter = detail::attach_plan(env.ws, options.spec);
+  if (counter == nullptr) return 11;
   if (!detail::boot_barrier(env.ctl, tile)) return 0;
 
   const std::uint32_t T = options.threads_per_tile;
@@ -64,7 +64,7 @@ int tile_main(const DeployOptions& options, const detail::Deployment& d, std::ui
   threads.reserve(T);
   for (std::uint32_t gid = tile * T; gid < (tile + 1) * T; ++gid) {
     const detail::Stream& stream = d.streams[gid];
-    threads.emplace_back(tile_thread, std::ref(*plan), env.ctl, env.cursors, total_threads,
+    threads.emplace_back(tile_thread, std::ref(*counter), env.ctl, env.cursors, total_threads,
                          env.hist + stream.base, stream.quota, gid, options.batch);
   }
   for (std::thread& th : threads) th.join();
@@ -91,7 +91,7 @@ bool validate_deploy_spec(const run::BackendSpec& spec, std::uint32_t tiles,
     return fail("diffraction cannot cross processes (prism pairing camps on live peers; "
                 "a SIGKILLed partner would poison slots)");
   }
-  if (spec.degrade != run::DegradeMode::kOff) {
+  if (spec.degrade != rt::DegradePolicy::kOff) {
     return fail("degrade does not deploy (the guard watches an obs sink, and deploy tiles "
                 "keep none)");
   }

@@ -6,6 +6,7 @@
 #include <iterator>
 #include <new>
 #include <thread>
+#include <utility>
 
 #include "deploy/supervisor.h"
 #include "lin/checker.h"
@@ -54,8 +55,8 @@ bool check_options(const DeployOptions& options, std::uint32_t tiles, std::uint3
 }
 
 DeployReport supervise(const DeployOptions& options, Deployment& d, DeployReport report) {
-  const topo::Network net = options.spec.build_network();
-  const rt::CounterOptions copts = counter_options(options.spec);
+  topo::Network net = options.spec.build_network();
+  const rt::CounterOptions copts = options.spec.counter_options();
   const auto streams = static_cast<std::uint32_t>(d.streams.size());
   std::uint64_t records = 0;
   for (Stream& stream : d.streams) {
@@ -67,8 +68,8 @@ DeployReport supervise(const DeployOptions& options, Deployment& d, DeployReport
   // link, sized with the allocator's own placement rule so every alloc
   // below fits exactly. All of it is laid out before the first fork.
   const std::uint64_t shared[][2] = {  // {align, footprint} per kSharedObjects entry
-      {rt::RoutingPlan::state_align(),
-       std::max<std::uint64_t>(rt::RoutingPlan::state_footprint(net, copts), 1)},
+      {rt::NetworkCounter::state_align(),
+       std::max<std::uint64_t>(rt::NetworkCounter::state_footprint(net, copts), 1)},
       {alignof(ControlBlock), sizeof(ControlBlock)},
       {alignof(StreamCursor), std::uint64_t{streams} * sizeof(StreamCursor)},
       {alignof(OpRecord), std::max<std::uint64_t>(records, 1) * sizeof(OpRecord)}};
@@ -106,7 +107,8 @@ DeployReport supervise(const DeployOptions& options, Deployment& d, DeployReport
   // Construct the shared state once, supervisor-side; tiles only attach.
   std::uint64_t plan_footprint = 0;
   void* plan_base = ws.find(kPlanObj, &plan_footprint);
-  rt::RoutingPlan plan(net, copts, rt::PlanArena{plan_base, plan_footprint, false});
+  rt::NetworkCounter counter(std::move(net), copts,
+                             rt::PlanArena{plan_base, plan_footprint, false});
   auto* ctl = new (ws.find(kCtlObj)) ControlBlock();
   auto* cursors = static_cast<StreamCursor*>(ws.find(kCursorObj));
   for (std::uint32_t s = 0; s < streams; ++s) new (&cursors[s]) StreamCursor();
@@ -218,7 +220,7 @@ DeployReport supervise(const DeployOptions& options, Deployment& d, DeployReport
 
   report.kills = kills;
   report.restarts = restarts;
-  report.issued = plan.issued();
+  report.issued = counter.issued();
 
   // Merge every stream's slice below its committed watermark.
   for (std::uint32_t s = 0; s < streams; ++s) {
@@ -249,11 +251,11 @@ DeployReport supervise(const DeployOptions& options, Deployment& d, DeployReport
     if (!why.empty()) return failed(std::move(report), why);
   }
 
-  // Checks. The step property comes from the plan's own per-output
+  // Checks. The step property comes from the counter's own per-output
   // counters — the ground truth even when a kill lost recorded values.
-  const std::uint32_t w = net.output_width();
+  const std::uint32_t w = counter.output_width();
   std::vector<std::uint64_t> per_output(w);
-  for (std::uint32_t p = 0; p < w; ++p) per_output[p] = plan.output_count(p);
+  for (std::uint32_t p = 0; p < w; ++p) per_output[p] = counter.output_count(p);
   if (kills == 0) {
     report.step_ok = topo::has_step_property(per_output);
   } else {
@@ -330,12 +332,13 @@ int open_tile(int ws_fd, TileEnv* env) {
   return env->ctl == nullptr || env->cursors == nullptr || env->hist == nullptr ? 11 : 0;
 }
 
-std::unique_ptr<rt::RoutingPlan> attach_plan(shm::Workspace& ws, const run::BackendSpec& spec) {
+std::unique_ptr<rt::NetworkCounter> attach_plan(shm::Workspace& ws,
+                                                const run::BackendSpec& spec) {
   std::uint64_t footprint = 0;
   void* base = ws.find(kPlanObj, &footprint);
   if (base == nullptr) return nullptr;
-  return std::make_unique<rt::RoutingPlan>(spec.build_network(), counter_options(spec),
-                                           rt::PlanArena{base, footprint, /*attach=*/true});
+  return std::make_unique<rt::NetworkCounter>(spec.build_network(), spec.counter_options(),
+                                              rt::PlanArena{base, footprint, /*attach=*/true});
 }
 
 bool boot_barrier(ControlBlock* ctl, std::uint32_t tile) {

@@ -19,7 +19,7 @@
 
 #include "deploy/counter_deploy.h"
 #include "link/ring.h"
-#include "rt/routing_plan.h"
+#include "rt/network_counter.h"
 #include "run/backend_spec.h"
 #include "shm/workspace.h"
 
@@ -88,14 +88,6 @@ struct OpRecord {
   std::uint32_t actor = 0;
   std::uint32_t pad_ = 0;
 };
-
-inline rt::CounterOptions counter_options(const run::BackendSpec& spec) {
-  rt::CounterOptions options;
-  options.mode = rt::BalancerMode::kFetchAdd;  // validate_deploy_spec rejected mcs
-  options.diffraction = false;
-  options.max_threads = spec.max_threads;
-  return options;
-}
 
 /// Worker processes: options.tiles, else spec `tiles=`, else 2.
 inline std::uint32_t tile_count(const DeployOptions& options) {
@@ -191,8 +183,10 @@ struct TileEnv {
 /// 10 attach failed, 11 a shared object is missing.
 int open_tile(int ws_fd, TileEnv* env);
 
-/// Adopts the plan supervise() built in the workspace; null if missing.
-std::unique_ptr<rt::RoutingPlan> attach_plan(shm::Workspace& ws, const run::BackendSpec& spec);
+/// Adopts the counter state supervise() built in the workspace's kPlanObj;
+/// null if missing.
+std::unique_ptr<rt::NetworkCounter> attach_plan(shm::Workspace& ws,
+                                                const run::BackendSpec& spec);
 
 /// Marks `tile` ready and waits for go; false when the run stops first.
 bool boot_barrier(ControlBlock* ctl, std::uint32_t tile);

@@ -177,8 +177,8 @@ int ingress_main(const PipeShape& shape, std::uint32_t stream, int ws_fd) {
 int counter_main(const run::BackendSpec& spec, const PipeShape& shape, int ws_fd) {
   detail::TileEnv env;
   if (const int rc = detail::open_tile(ws_fd, &env)) return rc;
-  const std::unique_ptr<rt::RoutingPlan> plan = detail::attach_plan(env.ws, spec);
-  if (plan == nullptr) return 11;
+  const std::unique_ptr<rt::NetworkCounter> counter = detail::attach_plan(env.ws, spec);
+  if (counter == nullptr) return 11;
 
   std::vector<link::Ring> req_rings(shape.streams);
   std::vector<link::Consumer> req_in(shape.streams);
@@ -193,7 +193,7 @@ int counter_main(const run::BackendSpec& spec, const PipeShape& shape, int ws_fd
 
   std::vector<std::uint8_t> out(sizeof(ResFrag) + std::size_t{shape.batch} * 8);
   std::vector<std::uint64_t> values(shape.batch);
-  const std::uint32_t input_width = plan->input_width();
+  const std::uint32_t input_width = counter->input_width();
   while (env.ctl->stop.load(std::memory_order_acquire) == 0) {
     bool progress = false;
     for (std::uint32_t s = 0; s < shape.streams; ++s) {
@@ -202,8 +202,8 @@ int counter_main(const run::BackendSpec& spec, const PipeShape& shape, int ws_fd
       if (req_in[s].read(&meta, &req, sizeof(req)) != link::Consumer::Poll::kFrag) continue;
       progress = true;
       const std::uint32_t n = std::min(req.count, shape.batch);
-      plan->next_batch(/*thread=*/0, req.stream % input_width,
-                       std::span<std::uint64_t>(values.data(), n));
+      counter->next_batch(/*thread=*/0, req.stream % input_width,
+                          std::span<std::uint64_t>(values.data(), n));
       auto* res = reinterpret_cast<ResFrag*>(out.data());
       res->req_seq = req.req_seq;
       res->start_ns = req.start_ns;

@@ -20,8 +20,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <vector>
 
 #include "fault/plan.h"
 #include "util/cacheline.h"
@@ -40,34 +38,9 @@ class Injector {
     std::uint64_t stall_ns = 0; ///< total injected stall time
   };
 
-  /// One recorded decision draw (see enable_log()). ns == 0 means the
-  /// stream was consulted but injected nothing — recording those too is
-  /// what lets a capture attribute *which* op drew which stall, something
-  /// the aggregate Stats cannot do.
-  struct Decision {
-    enum class Kind : std::uint8_t { kStall, kPause, kDelay, kDeath };
-    Kind kind = Kind::kStall;
-    std::uint32_t id = 0;     ///< stream id the decision was drawn for
-    std::uint32_t layer = 0;  ///< 1-based layer (stall) / 0 elsewhere
-    std::uint64_t ns = 0;     ///< injected length; die: 1 = died, 0 = spared
-  };
-
   explicit Injector(FaultPlan plan);
 
   const FaultPlan& plan() const { return plan_; }
-
-  /// Starts recording every decision draw (including no-injection draws)
-  /// into an in-order log readable via decision_log(). Off by default: the
-  /// enabled check is one relaxed load on the hot path, the log itself is
-  /// mutex-appended and meant for capture/debug runs, not benchmarks.
-  void enable_log() { log_enabled_.store(true, std::memory_order_relaxed); }
-
-  /// Snapshot of the decision log in global draw order (exact in
-  /// quiescence; concurrent draws order by log-mutex acquisition).
-  std::vector<Decision> decision_log() const {
-    const std::scoped_lock lock(log_mutex_);
-    return log_;
-  }
 
   /// Stall decision for the token stream `id` (thread id on rt, node id on
   /// mp, token id on sim) crossing a hop out of 1-based layer `layer`.
@@ -76,9 +49,6 @@ class Injector {
     if (!plan_.has_stalls()) return 0;
     if (plan_.stall_hop != kAnyHop && layer != plan_.stall_hop) return 0;
     const bool hit = stream(stall_streams_, id).chance(plan_.stall_prob);
-    if (log_enabled_.load(std::memory_order_relaxed)) [[unlikely]] {
-      log_decision({Decision::Kind::kStall, id, layer, hit ? plan_.stall_ns : 0});
-    }
     if (!hit) return 0;
     stats_stalls_.fetch_add(1, std::memory_order_relaxed);
     stats_stall_ns_.fetch_add(plan_.stall_ns, std::memory_order_relaxed);
@@ -89,9 +59,6 @@ class Injector {
   std::uint64_t pause_ns(std::uint32_t worker) {
     if (!plan_.has_pauses()) return 0;
     const bool hit = stream(pause_streams_, worker).chance(plan_.pause_prob);
-    if (log_enabled_.load(std::memory_order_relaxed)) [[unlikely]] {
-      log_decision({Decision::Kind::kPause, worker, 0, hit ? plan_.pause_ns : 0});
-    }
     if (!hit) return 0;
     stats_pauses_.fetch_add(1, std::memory_order_relaxed);
     return plan_.pause_ns;
@@ -101,9 +68,6 @@ class Injector {
   std::uint64_t delivery_delay_ns(std::uint32_t actor) {
     if (!plan_.has_delays()) return 0;
     const bool hit = stream(delay_streams_, actor).chance(plan_.delay_prob);
-    if (log_enabled_.load(std::memory_order_relaxed)) [[unlikely]] {
-      log_decision({Decision::Kind::kDelay, actor, 0, hit ? plan_.delay_ns : 0});
-    }
     if (!hit) return 0;
     stats_delays_.fetch_add(1, std::memory_order_relaxed);
     return plan_.delay_ns;
@@ -117,9 +81,6 @@ class Injector {
     // beat; period and phase are plan-determined, not RNG-drawn, so a
     // test can predict exactly which ops die.
     const bool dies = (op_index + id) % plan_.die_every == plan_.die_every - 1;
-    if (log_enabled_.load(std::memory_order_relaxed)) [[unlikely]] {
-      log_decision({Decision::Kind::kDeath, id, 0, dies ? 1u : 0u});
-    }
     if (!dies) return false;
     stats_deaths_.fetch_add(1, std::memory_order_relaxed);
     return true;
@@ -178,11 +139,6 @@ class Injector {
     return Draw{streams[id & (kStreams - 1)]};
   }
 
-  void log_decision(Decision d) {
-    const std::scoped_lock lock(log_mutex_);
-    log_.push_back(d);
-  }
-
   FaultPlan plan_;
   std::unique_ptr<Stream[]> stall_streams_;
   std::unique_ptr<Stream[]> pause_streams_;
@@ -193,10 +149,6 @@ class Injector {
   std::atomic<std::uint64_t> stats_delays_{0};
   std::atomic<std::uint64_t> stats_deaths_{0};
   std::atomic<std::uint64_t> stats_stall_ns_{0};
-
-  std::atomic<bool> log_enabled_{false};
-  mutable std::mutex log_mutex_;
-  std::vector<Decision> log_;
 };
 
 }  // namespace cnet::fault

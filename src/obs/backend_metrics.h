@@ -21,10 +21,9 @@
 
 namespace cnet::obs {
 
-/// Telemetry for the real-thread backend (rt::NetworkCounter /
-/// rt::RoutingPlan). One instance observes one counter; construct,
-/// optionally tune `sample_period` / enable `trace`, then hand the pointer
-/// to rt::CounterOptions::metrics.
+/// Telemetry for the real-thread backend (rt::NetworkCounter). One instance
+/// observes one counter; construct, optionally tune `sample_period` /
+/// enable `trace`, then hand the pointer to rt::CounterOptions::metrics.
 struct CounterMetrics {
   /// Timed-token sampling period (power of two; 1 = time every token).
   /// Latency histograms, the c2/c1 estimate, and the trace ring only see
@@ -36,8 +35,8 @@ struct CounterMetrics {
   ShardedCounter sampled;      ///< tokens that took the timed path
   ShardedCounter prism_pairs;  ///< prism visits resolved by diffraction
 
-  /// Read from the plan's state, indexed by topo::Network node id (the
-  /// RoutingPlan keeps topology ids); pass-through padding reads 0.
+  /// Read from the counter's balancer state, indexed by topo::Network node
+  /// id (the compiled tables keep topology ids); pass-through padding reads 0.
   StateCounts balancer_visits;  ///< per-balancer visits
   StateCounts prism_toggles;    ///< prism visits that fell to the toggle
 

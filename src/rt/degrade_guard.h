@@ -17,10 +17,10 @@
 //               entering the network. On real threads this IS the padded
 //               routing table: a literal topo::make_padded network would
 //               compile its pass chains away on the fast path (see
-//               rt/routing_plan.h — pass nodes cost only time, never
-//               routing), and a *fresh* padded plan could not inherit the
-//               live balancer state mid-run without duplicating values.
-//               Sharing the plan and charging the pass-chain time at entry
+//               rt/network_counter.h — pass nodes cost only time, never
+//               routing), and a *fresh* padded counter could not inherit
+//               the live balancer state mid-run without duplicating values.
+//               Keeping the counter and charging the pass-chain time at entry
 //               preserves both the counting state and the Cor 3.12 timing
 //               semantics.
 //   * kReport — measurement posture (cf. quantitative quiescent

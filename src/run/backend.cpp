@@ -46,36 +46,22 @@ void after_node(void* c, std::uint32_t node, std::uint32_t port) {
   if (ctx->recorder != nullptr) ctx->recorder->hop(ctx, node, port, stall);
 }
 
-rt::CounterOptions rt_options(const BackendSpec& spec, obs::CounterMetrics* metrics) {
-  rt::CounterOptions options;
-  options.mode = spec.mcs ? rt::BalancerMode::kMcsLocked : rt::BalancerMode::kFetchAdd;
-  options.diffraction = spec.diffraction;
-  options.prism_width = spec.prism_width;
-  options.max_threads = spec.max_threads;
-  options.metrics = metrics;
-  options.degrade = spec.degrade == DegradeMode::kPad      ? rt::DegradePolicy::kPad
-                    : spec.degrade == DegradeMode::kReport ? rt::DegradePolicy::kReport
-                                                           : rt::DegradePolicy::kOff;
-  return options;
-}
-
-/// Workspace placement for `ws=` specs: the counter's plan state goes into
-/// a named shm segment this backend creates and owns. In-process behavior
+/// Workspace placement for `ws=` specs: the counter's state goes into a
+/// named shm segment this backend creates and owns. In-process behavior
 /// is identical to heap placement — this is the single-process half of the
 /// deployment story (deploy/counter_deploy.cpp runs the multi-process
 /// half, where tiles attach instead of create). A spec without ws= returns
-/// the empty arena, i.e. the plan allocates privately as before.
+/// the empty arena, i.e. the counter allocates privately as before.
 rt::PlanArena make_plan_arena(const BackendSpec& spec, obs::CounterMetrics* metrics,
                               shm::Workspace* workspace) {
   if (spec.ws.empty()) return {};
-  const rt::CounterOptions options = rt_options(spec, metrics);
   const std::size_t footprint =
-      rt::NetworkCounter::plan_state_footprint(spec.build_network(), options);
+      rt::NetworkCounter::state_footprint(spec.build_network(), spec.counter_options(metrics));
   std::string error;
   const bool created = shm::Workspace::create(
       spec.ws, std::max<std::uint64_t>(footprint, 1), workspace, &error);
   CNET_CHECK_MSG(created, error.c_str());
-  void* base = workspace->alloc("rt.plan", rt::RoutingPlan::state_align(),
+  void* base = workspace->alloc("rt.plan", rt::NetworkCounter::state_align(),
                                 std::max<std::uint64_t>(footprint, 1), &error);
   CNET_CHECK_MSG(base != nullptr, error.c_str());
   return rt::PlanArena{base, footprint, /*attach=*/false};
@@ -144,12 +130,6 @@ class FaultLinkModel final : public sim::DelayModel {
   sim::DelayModel& base_;
   fault::Injector& injector_;
 };
-
-std::vector<std::uint64_t> split_ops(std::uint64_t total, std::uint32_t threads) {
-  std::vector<std::uint64_t> quota(threads, total / threads);
-  for (std::uint32_t t = 0; t < total % threads; ++t) ++quota[t];
-  return quota;
-}
 
 }  // namespace
 
@@ -222,7 +202,7 @@ RtBackend::RtBackend(const BackendSpec& spec, obs::CounterMetrics* external_metr
                          : nullptr),
       metrics_(external_metrics != nullptr ? external_metrics : owned_metrics_.get()),
       fault_(make_injector(spec)),
-      counter_(spec.build_network(), rt_options(spec, metrics_),
+      counter_(spec.build_network(), spec.counter_options(metrics_),
                make_plan_arena(spec, metrics_, &workspace_)) {}
 
 std::uint64_t RtBackend::count(std::uint32_t thread_id) { return count_delayed(thread_id, 0); }
@@ -420,7 +400,7 @@ SimulatedRun SimBackend::simulate(const Workload& workload) {
     // exit by at most one step.
     const auto n_delayed = static_cast<std::uint32_t>(
         std::lround(workload.delayed_fraction * static_cast<double>(threads)));
-    std::vector<std::uint64_t> quota = split_ops(total, threads);
+    std::vector<std::uint64_t> quota = issuer_quotas(total, threads);
     std::vector<sim::TokenId> current(threads, 0);
     std::vector<char> active(threads, 0);
     std::uint64_t in_flight = 0;

@@ -202,8 +202,8 @@ class RtBackend final : public CountingBackend {
   std::unique_ptr<fault::Injector> fault_;  ///< set iff the spec carries a plan
   sched::Recorder* recorder_ = nullptr;     ///< borrowed; null = capture off
   /// Live iff the spec asked for workspace placement (`ws=`): the counter's
-  /// plan state then lives in this named shared segment instead of the
-  /// heap. Declared before counter_ — the arena must outlive the plan.
+  /// balancer state then lives in this named shared segment instead of the
+  /// heap. Declared before counter_ — the arena must outlive the counter.
   shm::Workspace workspace_;
   rt::NetworkCounter counter_;
 };

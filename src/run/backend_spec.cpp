@@ -163,11 +163,11 @@ bool apply_rt_option(const Parser& p, const Option& opt, BackendSpec* spec) {
   }
   if (opt.key == "degrade") {
     if (opt.value == "pad") {
-      spec->degrade = DegradeMode::kPad;
+      spec->degrade = rt::DegradePolicy::kPad;
       return true;
     }
     if (opt.value == "report") {
-      spec->degrade = DegradeMode::kReport;
+      spec->degrade = rt::DegradePolicy::kReport;
       return true;
     }
     return p.fail("option 'degrade' takes pad|report (got '" + std::string(opt.value) + "')");
@@ -332,7 +332,7 @@ bool validate_combination(const Parser& p, BackendSpec* spec) {
       }
     }
   }
-  if (spec->degrade != DegradeMode::kOff && !spec->metrics) {
+  if (spec->degrade != rt::DegradePolicy::kOff && !spec->metrics) {
     return p.fail(
         "option 'degrade' requires metrics=on (the guard watches the obs "
         "c2/c1 estimator)");
@@ -454,8 +454,8 @@ std::string BackendSpec::to_string() const {
       if (max_threads != defaults.max_threads) {
         opts.push_back("threads=" + std::to_string(max_threads));
       }
-      if (degrade == DegradeMode::kPad) opts.push_back("degrade=pad");
-      if (degrade == DegradeMode::kReport) opts.push_back("degrade=report");
+      if (degrade == rt::DegradePolicy::kPad) opts.push_back("degrade=pad");
+      if (degrade == rt::DegradePolicy::kReport) opts.push_back("degrade=report");
       if (!ws.empty()) opts.push_back("ws=" + ws);
       if (tiles != defaults.tiles) opts.push_back("tiles=" + std::to_string(tiles));
       if (pipeline) opts.push_back("pipeline=1");
@@ -508,6 +508,17 @@ topo::Network BackendSpec::build_network() const {
     net = topo::make_padded(net, topo::padding_prefix_length(net.depth(), pad_ratio));
   }
   return net;
+}
+
+rt::CounterOptions BackendSpec::counter_options(obs::CounterMetrics* sink) const {
+  rt::CounterOptions options;
+  options.mode = mcs ? rt::BalancerMode::kMcsLocked : rt::BalancerMode::kFetchAdd;
+  options.diffraction = diffraction;
+  options.prism_width = prism_width;
+  options.max_threads = max_threads;
+  options.metrics = sink;
+  options.degrade = degrade;
+  return options;
 }
 
 BackendSpec parse_spec_or_die(std::string_view text) {

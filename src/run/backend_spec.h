@@ -21,6 +21,7 @@
 #include <string_view>
 
 #include "fault/plan.h"
+#include "rt/network_counter.h"
 #include "topo/network.h"
 
 namespace cnet::run {
@@ -47,15 +48,6 @@ const char* structure_name(Structure structure);
 enum class DelayKind : std::uint8_t {
   kUniform,  ///< i.i.d. Uniform[c1, c2]
   kFixed,    ///< every link takes exactly c1 (synchronous executions)
-};
-
-/// rt degraded-mode policy (`degrade=pad|report`): what the DegradeGuard
-/// does when the online c2/c1 estimate crosses the Cor 3.9 threshold (see
-/// rt/degrade_guard.h for the semantics of each policy).
-enum class DegradeMode : std::uint8_t {
-  kOff,
-  kPad,     ///< engage Cor 3.12 pass-through padding live
-  kReport,  ///< downgrade the run's guarantee to counting-only
 };
 
 /// Parsed, validated description of one backend instance. Fields outside the
@@ -91,10 +83,11 @@ struct BackendSpec {
   std::uint32_t prism_width = 0;
   /// `threads=<n>`: upper bound on concurrent caller ids (rt only).
   std::uint32_t max_threads = 256;
-  /// `degrade=pad|report`: degraded-mode guard policy (rt only; requires
+  /// `degrade=pad|report`: what the rt DegradeGuard does when the online
+  /// c2/c1 estimate crosses the Cor 3.9 threshold (rt only; requires
   /// metrics=on, since the guard watches the obs c2/c1 estimator).
-  DegradeMode degrade = DegradeMode::kOff;
-  /// `ws=<name>`: place the compiled plan's shared balancer state in a
+  rt::DegradePolicy degrade = rt::DegradePolicy::kOff;
+  /// `ws=<name>`: place the rt counter's shared balancer state in a
   /// named shm::Workspace instead of the process heap (rt only). In-process
   /// runs behave identically; this is the knob that makes the state
   /// relocatable for `cnet_cli deploy` (deploy/).
@@ -132,6 +125,11 @@ struct BackendSpec {
   /// pad_ratio > 2). The spec was validated at parse time, so this cannot
   /// fail for a parsed spec; hand-rolled specs still get builder CHECKs.
   topo::Network build_network() const;
+
+  /// The rt section as rt::NetworkCounter options, observed by `sink`
+  /// (borrowed; null = none). Every rt counter a spec builds — the rt
+  /// backend's and a deployment's shared one — takes its options from here.
+  rt::CounterOptions counter_options(obs::CounterMetrics* sink = nullptr) const;
 };
 
 /// Parses `text` into `*out`. On failure returns false and, when `error` is

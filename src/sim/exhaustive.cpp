@@ -20,10 +20,11 @@ class Enumerator {
  public:
   Enumerator(const topo::Network& net, const ExhaustiveParams& params)
       : net_(&net), params_(params) {
-    CNET_CHECK(params.tokens >= 1 && params.tokens <= 8);
+    CNET_CHECK(params.tokens >= 1 && params.tokens <= ExhaustiveParams::kMaxTokens);
     CNET_CHECK(params.c1 > 0.0 && params.c2 >= params.c1);
     CNET_CHECK(params.entry_slots >= 1 && params.entry_step > 0.0);
-    CNET_CHECK_MSG(net.depth() <= 16, "delay masks are enumerated per layer");
+    CNET_CHECK_MSG(net.depth() <= ExhaustiveParams::kMaxDepth,
+                   "delay masks are enumerated per layer");
     choices_.resize(params.tokens);
   }
 

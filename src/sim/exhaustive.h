@@ -25,6 +25,11 @@
 namespace cnet::sim {
 
 struct ExhaustiveParams {
+  /// Enumeration bounds: at most kMaxTokens tokens, each choosing one
+  /// delay mask over at most kMaxDepth layers.
+  static constexpr std::uint32_t kMaxTokens = 8;
+  static constexpr std::uint32_t kMaxDepth = 16;
+
   std::uint32_t tokens = 3;
   double c1 = 1.0;
   double c2 = 3.0;

@@ -39,7 +39,6 @@ class Client {
   /// Buffered sends — nothing hits the socket until flush().
   void queue_count(std::uint64_t request_id);
   void queue_count_until(std::uint64_t request_id, std::uint64_t budget_ns);
-  std::size_t queued_bytes() const { return out_.size(); }
 
   /// Writes every buffered frame. False (and closed) on a socket error.
   bool flush(std::string* error);

@@ -1,34 +1,31 @@
 // cnet command-line tool: build, inspect, verify, and exercise counting
 // networks without writing code.
 //
-// Topology commands (info, dot, simulate, workload, exhaustive) take the
-// legacy positional form. The measurement commands (run, count, stats,
-// verify) are spec-driven: anywhere they accept a network they take a
-// BackendSpec string — `<family>:<structure>:<width>[?opt[&opt]...]`, e.g.
-// `rt:bitonic:32?mcs` or `psim:tree:64?mcs&procs=128` (grammar in
-// docs/HARNESS.md). count/stats/verify also still accept the positional
-// `<kind> <width>` form, which is rewritten to a spec internally.
+// Every network on the command line is named by a BackendSpec string —
+// `<family>:<structure>:<width>[?opt[&opt]...]`, e.g. `rt:bitonic:32?mcs`
+// or `psim:tree:64?mcs&procs=128` (grammar in docs/HARNESS.md) — so a bad
+// width or option is a usage error, never an abort inside topo::builders.
+// info, dot and verify only need the topology and take a spec of any family.
 //
-//   cnet_cli info <bitonic|periodic|tree> <width>
+//   cnet_cli info <spec>
 //       structure summary: depth, nodes, layers, uniformity, theory bounds
-//   cnet_cli dot <bitonic|periodic|tree> <width>
+//   cnet_cli dot <spec>
 //       Graphviz rendering on stdout
-//   cnet_cli verify <spec | kind width> [trials] [max-per-input]
+//   cnet_cli verify <spec> [trials] [max-per-input]
 //       randomized counting-property verification
-//   cnet_cli simulate <bitonic|periodic|tree> <width> <tokens> <c2/c1> [seed]
-//       random execution in the paper's timing model + Def 2.4 analysis
-//   cnet_cli workload <bitonic|tree> <n> <F%> <W> [ops] [seed]
-//       the paper's §5 experiment on the simulated multiprocessor
-//   cnet_cli exhaustive <bitonic|periodic|tree> <width> <tokens> <c2/c1> [slots] [step]
-//       exhaustive schedule search for Def 2.4 violations
+//   cnet_cli exhaustive <sim-spec> <tokens> [slots] [step]
+//       exhaustive schedule search for Def 2.4 violations, with link times
+//       c1 and c2 from the sim spec; exit 1 when one is found
 //   cnet_cli run <spec> [key=value ...]
 //       any workload on any backend through the unified harness; prints the
 //       full RunReport. Keys: threads, ops, batch, arrival, rate, burst,
-//       gap, f, wait, seed
-//   cnet_cli count <spec | kind width> <threads> <ops> [batch]
+//       gap, f, wait, seed. On sim it is the random execution in the
+//       paper's timing model, on psim the §5 experiment (with avg Tog and
+//       (Tog+W)/Tog)
+//   cnet_cli count <spec> <threads> <ops> [batch]
 //       closed-loop counting throughput (sugar for `run` with a closed
 //       workload); exit 1 if the counting or step property fails
-//   cnet_cli stats <spec | kind width> <threads> <ops> [batch] [trace.json]
+//   cnet_cli stats <spec> <threads> <ops> [batch] [trace.json]
 //       like count on the rt family, with the observability layer attached:
 //       prints the metrics snapshot (docs/OBSERVABILITY.md), the busiest
 //       balancers, and the online c2/c1 estimate; optionally dumps a
@@ -78,10 +75,10 @@
 #include <cctype>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <thread>
@@ -89,7 +86,6 @@
 
 #include "deploy/counter_deploy.h"
 #include "obs/backend_metrics.h"
-#include "psim/machine.h"
 #include "run/backend.h"
 #include "run/runner.h"
 #include "sched/replay.h"
@@ -97,13 +93,11 @@
 #include "sched/trace.h"
 #include "svc/server.h"
 #include "sim/exhaustive.h"
-#include "sim/scenarios.h"
 #include "theory/bounds.h"
 #include "topo/builders.h"
 #include "topo/dot.h"
 #include "topo/validate.h"
 #include "util/rng.h"
-#include "util/table.h"
 
 namespace {
 
@@ -113,13 +107,10 @@ int usage() {
   std::fprintf(
       stderr,
       "usage:\n"
-      "  cnet_cli info     <bitonic|periodic|tree> <width>\n"
-      "  cnet_cli dot      <bitonic|periodic|tree> <width>\n"
-      "  cnet_cli verify   <spec | kind width> [trials] [max-per-input]\n"
-      "  cnet_cli simulate <bitonic|periodic|tree> <width> <tokens> <c2/c1> [seed]\n"
-      "  cnet_cli workload <bitonic|tree> <n> <F%%> <W> [ops] [seed]\n"
-      "  cnet_cli exhaustive <bitonic|periodic|tree> <width> <tokens> <c2/c1>"
-      " [slots] [step]\n"
+      "  cnet_cli info     <spec>\n"
+      "  cnet_cli dot      <spec>\n"
+      "  cnet_cli verify   <spec> [trials] [max-per-input]\n"
+      "  cnet_cli exhaustive <sim-spec> <tokens> [slots] [step]\n"
       "  cnet_cli run      <spec> [threads=N] [ops=N] [batch=N]\n"
       "                    [arrival=closed|poisson|burst] [rate=X] [burst=N] [gap=X]\n"
       "                    [f=X] [wait=N] [seed=N]\n"
@@ -127,8 +118,8 @@ int usage() {
       "  cnet_cli replay   <trace.bin>\n"
       "  cnet_cli search   <spec> [--budget N] [--procs N] [--ops N] [--stalls N]\n"
       "                    [--stall-cycles N] [--json PATH]\n"
-      "  cnet_cli count    <spec | kind width> <threads> <ops> [batch]\n"
-      "  cnet_cli stats    <spec | kind width> <threads> <ops> [batch] [trace.json]\n"
+      "  cnet_cli count    <spec> <threads> <ops> [batch]\n"
+      "  cnet_cli stats    <spec> <threads> <ops> [batch] [trace.json]\n"
       "  cnet_cli serve    <spec> [--port N] [--host A] [--uds PATH] [--loops N]\n"
       "                    [--unbatched] [--max-batch N] [--max-pending N]\n"
       "  cnet_cli deploy   <spec> [--tiles N] [--threads N] [--ops N] [--batch N]\n"
@@ -137,14 +128,6 @@ int usage() {
       "  families: sim, psim, rt, mp   structures: bitonic, periodic, tree, balancer\n"
       "  e.g. rt:bitonic:32?mcs   psim:tree:64?mcs&procs=128\n");
   return 2;
-}
-
-topo::Network build(const std::string& kind, std::uint32_t width) {
-  if (kind == "bitonic") return topo::make_bitonic(width);
-  if (kind == "periodic") return topo::make_periodic(width);
-  if (kind == "tree") return topo::make_counting_tree(width);
-  std::fprintf(stderr, "unknown topology '%s'\n", kind.c_str());
-  std::exit(2);
 }
 
 /// Parses `text` as a BackendSpec; on failure prints the diagnostic and
@@ -159,22 +142,22 @@ run::BackendSpec parse_spec_or_exit(const std::string& text) {
   return spec;
 }
 
-bool looks_like_spec(const char* arg) { return std::strchr(arg, ':') != nullptr; }
-
 constexpr std::uint64_t kU32 = 0xffffffffu;
 constexpr std::uint64_t kU64 = ~0ull;
 
-/// Parses `text` strictly as an integer in [0, max]. A sign, a non-digit or
-/// an out-of-range value is a usage error that names `what` and exits 2,
+/// Parses `text` strictly as an integer in [min, max]. A sign, a non-digit
+/// or an out-of-range value is a usage error that names `what` and exits 2,
 /// never a wrapped or zero value.
-std::uint64_t parse_count(const std::string& what, const char* text, std::uint64_t max) {
+std::uint64_t parse_count(const std::string& what, const char* text, std::uint64_t max,
+                          std::uint64_t min = 0) {
   char* end = nullptr;
   errno = 0;
   const std::uint64_t n =
       std::isdigit(static_cast<unsigned char>(*text)) ? std::strtoull(text, &end, 10) : 0;
-  if (end == nullptr || *end != '\0' || errno == ERANGE || n > max) {
-    std::fprintf(stderr, "%s needs an integer in [0, %llu] (got '%s')\n", what.c_str(),
-                 static_cast<unsigned long long>(max), text);
+  if (end == nullptr || *end != '\0' || errno == ERANGE || n < min || n > max) {
+    std::fprintf(stderr, "%s needs an integer in [%llu, %llu] (got '%s')\n", what.c_str(),
+                 static_cast<unsigned long long>(min), static_cast<unsigned long long>(max),
+                 text);
     std::exit(2);
   }
   return n;
@@ -239,8 +222,7 @@ void apply_workload_arg(const std::string& arg, run::Workload* workload) {
   }
 }
 
-int cmd_info(const std::string& kind, std::uint32_t width) {
-  const topo::Network net = build(kind, width);
+int cmd_info(const topo::Network& net) {
   std::printf("%s\n", net.name().c_str());
   std::printf("  inputs x outputs : %u x %u\n", net.input_width(), net.output_width());
   std::printf("  depth (links)    : %u\n", net.depth());
@@ -274,67 +256,40 @@ int cmd_verify(const topo::Network& net, std::uint64_t trials, std::uint64_t max
   return 1;
 }
 
-int cmd_simulate(const std::string& kind, std::uint32_t width, std::uint32_t tokens,
-                 double ratio, std::uint64_t seed) {
-  const topo::Network net = build(kind, width);
-  sim::RandomExecutionParams params;
-  params.tokens = tokens;
-  params.c1 = 1.0;
-  params.c2 = ratio;
-  params.mean_interarrival = 0.05;
-  params.seed = seed;
-  const sim::ScenarioResult result = sim::random_execution(net, params);
-  std::printf("%s, %u tokens, c2/c1 = %.2f, seed %llu\n", net.name().c_str(), tokens, ratio,
-              static_cast<unsigned long long>(seed));
-  std::printf("  non-linearizable ops: %llu (%.4f%%), worst inversion %llu\n",
-              static_cast<unsigned long long>(result.analysis.nonlinearizable_ops),
-              result.analysis.fraction() * 100.0,
-              static_cast<unsigned long long>(result.analysis.worst_inversion));
-  std::printf("  theory: violations %s for this ratio (threshold 2.0)\n",
-              theory::violation_constructible(1.0, ratio) ? "constructible" : "impossible");
-  return 0;
-}
-
-int cmd_workload(const std::string& kind, std::uint32_t n, double f_percent, std::uint64_t wait,
-                 std::uint64_t ops, std::uint64_t seed) {
-  const bool tree = kind == "tree";
-  const topo::Network net = tree ? topo::make_counting_tree(32) : topo::make_bitonic(32);
-  psim::MachineParams params;
-  params.processors = n;
-  params.total_ops = ops;
-  params.delayed_fraction = f_percent / 100.0;
-  params.wait_cycles = wait;
-  params.use_diffraction = tree;
-  params.seed = seed;
-  const psim::MachineResult result = psim::run_workload(net, params);
-  std::printf("%s, n = %u, F = %.0f%%, W = %llu, %llu ops (seed %llu)\n", net.name().c_str(), n,
-              f_percent, static_cast<unsigned long long>(wait),
-              static_cast<unsigned long long>(ops), static_cast<unsigned long long>(seed));
-  std::printf("  avg Tog             : %.1f cycles\n", result.avg_tog);
-  std::printf("  avg c2/c1 (Fig 7)   : %.2f\n", result.avg_c2_over_c1);
-  std::printf("  non-linearizable ops: %llu of %zu (%.3f%%)\n",
-              static_cast<unsigned long long>(result.analysis.nonlinearizable_ops),
-              result.history.size(), result.analysis.fraction() * 100.0);
-  std::printf("  toggles/diffractions: %llu / %llu\n",
-              static_cast<unsigned long long>(result.toggles),
-              static_cast<unsigned long long>(result.diffractions));
-  std::printf("  makespan            : %llu cycles\n",
-              static_cast<unsigned long long>(result.makespan));
-  return 0;
-}
-
-int cmd_exhaustive(const std::string& kind, std::uint32_t width, std::uint32_t tokens,
-                   double ratio, std::uint32_t slots, double step) {
-  const topo::Network net = build(kind, width);
-  sim::ExhaustiveParams params;
-  params.tokens = tokens;
-  params.c1 = 1.0;
-  params.c2 = ratio;
-  params.entry_slots = slots;
-  params.entry_step = step;
+int cmd_exhaustive(const run::BackendSpec& spec, int argc, char** argv, int base) {
+  if (spec.family != run::Family::kSim) {
+    std::fprintf(stderr, "exhaustive reads c1 and c2 from a sim spec (got '%s')\n",
+                 spec.to_string().c_str());
+    return 2;
+  }
+  if (argc <= base || argc > base + 3) return usage();
+  using Params = sim::ExhaustiveParams;
+  const topo::Network net = spec.build_network();
+  if (net.depth() > Params::kMaxDepth || spec.c2 < spec.c1) {
+    std::fprintf(stderr, "exhaustive needs depth <= %u and c2 >= c1 (got depth %u in '%s')\n",
+                 Params::kMaxDepth, net.depth(), spec.to_string().c_str());
+    return 2;
+  }
+  Params params;
+  params.tokens =
+      static_cast<std::uint32_t>(parse_count("tokens", argv[base], Params::kMaxTokens, 1));
+  params.c1 = spec.c1;
+  params.c2 = spec.c2;
+  params.entry_slots =
+      argc > base + 1 ? static_cast<std::uint32_t>(parse_count("slots", argv[base + 1], kU32, 1))
+                      : 8;
+  if (argc > base + 2) {
+    char* end = nullptr;
+    params.entry_step = std::strtod(argv[base + 2], &end);
+    if (*end != '\0' || !(params.entry_step > 0.0 && std::isfinite(params.entry_step))) {
+      std::fprintf(stderr, "step needs a positive number (got '%s')\n", argv[base + 2]);
+      return 2;
+    }
+  }
   const sim::ExhaustiveResult result = sim::exhaustive_search(net, params);
-  std::printf("%s, %u tokens, c2/c1 = %.2f, %u-slot lattice (step %.3f)\n", net.name().c_str(),
-              tokens, ratio, slots, step);
+  std::printf("%s, %u tokens, c1 = %.2f, c2 = %.2f, %u-slot lattice (step %.3f)\n",
+              net.name().c_str(), params.tokens, params.c1, params.c2, params.entry_slots,
+              params.entry_step);
   std::printf("  schedules checked: %llu\n",
               static_cast<unsigned long long>(result.schedules_checked));
   if (!result.violation_found) {
@@ -731,105 +686,63 @@ int cmd_stats(const run::BackendSpec& spec, const run::Workload& workload,
 int main(int argc, char** argv) {
   if (argc < 3) return usage();
   const std::string command = argv[1];
-  const std::string kind = argv[2];
-  if (command == "info" && argc >= 4) {
-    return cmd_info(kind, static_cast<std::uint32_t>(std::atoi(argv[3])));
+  const std::string arg = argv[2];
+  if (command == "info" && argc == 3) {
+    return cmd_info(parse_spec_or_exit(arg).build_network());
   }
-  if (command == "dot" && argc >= 4) {
-    std::cout << topo::to_dot(build(kind, static_cast<std::uint32_t>(std::atoi(argv[3]))));
+  if (command == "dot" && argc == 3) {
+    std::cout << topo::to_dot(parse_spec_or_exit(arg).build_network());
     return 0;
   }
-  if (command == "verify") {
-    // Spec form: `verify <spec> [trials] [max]`. Positional form:
-    // `verify <kind> <width> [trials] [max]`, rewritten to a sim spec (the
-    // family is irrelevant — verify only needs the topology).
-    std::string text;
-    int base;
-    if (looks_like_spec(argv[2])) {
-      text = kind;
-      base = 3;
-    } else if (argc >= 4) {
-      text = "sim:" + kind + ":" + argv[3];
-      base = 4;
-    } else {
-      return usage();
-    }
-    const run::BackendSpec spec = parse_spec_or_exit(text);
-    return cmd_verify(spec.build_network(),
-                      argc > base ? std::strtoull(argv[base], nullptr, 10) : 500,
-                      argc > base + 1 ? std::strtoull(argv[base + 1], nullptr, 10) : 32);
+  if (command == "verify" && argc <= 5) {
+    const topo::Network net = parse_spec_or_exit(arg).build_network();
+    return cmd_verify(net, argc > 3 ? parse_count("trials", argv[3], kU64) : 500,
+                      argc > 4 ? parse_count("max-per-input", argv[4], kU64) : 32);
   }
-  if (command == "simulate" && argc >= 6) {
-    return cmd_simulate(kind, static_cast<std::uint32_t>(std::atoi(argv[3])),
-                        static_cast<std::uint32_t>(std::atoi(argv[4])), std::atof(argv[5]),
-                        argc > 6 ? std::strtoull(argv[6], nullptr, 10) : 1);
-  }
-  if (command == "exhaustive" && argc >= 6) {
-    return cmd_exhaustive(kind, static_cast<std::uint32_t>(std::atoi(argv[3])),
-                          static_cast<std::uint32_t>(std::atoi(argv[4])), std::atof(argv[5]),
-                          argc > 6 ? static_cast<std::uint32_t>(std::atoi(argv[6])) : 8,
-                          argc > 7 ? std::atof(argv[7]) : 0.5);
-  }
-  if (command == "workload" && argc >= 6) {
-    return cmd_workload(kind, static_cast<std::uint32_t>(std::atoi(argv[3])),
-                        std::atof(argv[4]), std::strtoull(argv[5], nullptr, 10),
-                        argc > 6 ? std::strtoull(argv[6], nullptr, 10) : 5000,
-                        argc > 7 ? std::strtoull(argv[7], nullptr, 10) : 1);
+  if (command == "exhaustive") {
+    return cmd_exhaustive(parse_spec_or_exit(arg), argc, argv, 3);
   }
   if (command == "serve") {
-    return cmd_serve(parse_spec_or_exit(kind), argc, argv, 3);
+    return cmd_serve(parse_spec_or_exit(arg), argc, argv, 3);
   }
   if (command == "deploy") {
-    return cmd_deploy(parse_spec_or_exit(kind), argc, argv, 3);
+    return cmd_deploy(parse_spec_or_exit(arg), argc, argv, 3);
   }
   if (command == "run") {
-    const run::BackendSpec spec = parse_spec_or_exit(kind);
+    const run::BackendSpec spec = parse_spec_or_exit(arg);
     run::Workload workload;
     for (int i = 3; i < argc; ++i) apply_workload_arg(argv[i], &workload);
     return cmd_run(spec, workload);
   }
   if (command == "record") {
     if (argc < 4) return usage();
-    const run::BackendSpec spec = parse_spec_or_exit(kind);
+    const run::BackendSpec spec = parse_spec_or_exit(arg);
     run::Workload workload;
     for (int i = 4; i < argc; ++i) apply_workload_arg(argv[i], &workload);
     return cmd_record(spec, argv[3], workload);
   }
   if (command == "replay") {
-    return cmd_replay(kind);
+    return cmd_replay(arg);
   }
   if (command == "search") {
-    return cmd_search(parse_spec_or_exit(kind), argc, argv, 3);
+    return cmd_search(parse_spec_or_exit(arg), argc, argv, 3);
   }
-  if (command == "count" || command == "stats") {
-    // `<spec> <threads> <ops> [batch]` or `<kind> <width> <threads> <ops>
-    // [batch]`, plus stats' optional trace.json tail; the positional form
-    // defaults to the rt family (the original behaviour of both commands).
-    std::string text;
-    int base;
-    if (looks_like_spec(argv[2]) && argc >= 5) {
-      text = kind;
-      base = 3;
-    } else if (argc >= 6) {
-      text = "rt:" + kind + ":" + argv[3];
-      base = 4;
-    } else {
-      return usage();
-    }
+  if ((command == "count" || command == "stats") && argc >= 5) {
+    // `<spec> <threads> <ops> [batch]`, plus stats' optional trace.json tail.
+    const run::BackendSpec spec = parse_spec_or_exit(arg);
     run::Workload workload;
     workload.threads =
-        std::max(1u, static_cast<std::uint32_t>(parse_count("threads", argv[base], kU32)));
-    workload.total_ops = parse_count("ops", argv[base + 1], kU64);
+        std::max(1u, static_cast<std::uint32_t>(parse_count("threads", argv[3], kU32)));
+    workload.total_ops = parse_count("ops", argv[4], kU64);
     workload.batch =
-        argc > base + 2
-            ? std::max(1u, static_cast<std::uint32_t>(parse_count("batch", argv[base + 2], kU32)))
-            : 16;
+        argc > 5 ? std::max(1u, static_cast<std::uint32_t>(parse_count("batch", argv[5], kU32)))
+                 : 16;
     if (command == "count") {
-      if (argc > base + 3) return usage();
-      return cmd_run(parse_spec_or_exit(text), workload);
+      if (argc > 6) return usage();
+      return cmd_run(spec, workload);
     }
-    const std::string trace_path = argc > base + 3 ? argv[base + 3] : "";
-    return cmd_stats(parse_spec_or_exit(text), workload, trace_path);
+    const std::string trace_path = argc > 6 ? argv[6] : "";
+    return cmd_stats(spec, workload, trace_path);
   }
   return usage();
 }
