@@ -51,6 +51,14 @@ check_rc "unknown command is a usage error" 2 "$CLI" frobnicate bitonic 8
 check_rc "malformed spec exits 2" 2 "$CLI" run "bogus:bitonic:8"
 check_rc "degenerate width exits 2" 2 "$CLI" run "rt:bitonic:1"
 check_rc "unknown workload key exits 2" 2 "$CLI" run "rt:bitonic:8" banana=1
+check_rc "non-finite rate exits 2" 2 \
+  timeout 20 "$CLI" run "sim:bitonic:8" arrival=poisson rate=nan ops=10
+check_rc "non-finite delayed fraction exits 2" 2 \
+  timeout 20 "$CLI" run "rt:bitonic:8" threads=4 ops=1000 f=nan wait=100
+check_rc "infinite burst gap exits 2" 2 \
+  timeout 20 "$CLI" run "sim:bitonic:8" arrival=burst gap=inf ops=10
+check_output "non-finite diagnostic names the key" "workload key 'f' needs a finite number" \
+  timeout 20 "$CLI" run "rt:bitonic:8" threads=4 ops=1000 f=nan wait=100
 check_output "spec diagnostics echo the spec" "bogus:bitonic:8" \
   "$CLI" run "bogus:bitonic:8"
 
@@ -101,6 +109,14 @@ check_rc "replay of a missing trace exits 2" 2 "$CLI" replay "$trace_file"
 check_output "search finds the section-4 schedule" '"magnitude": 3' \
   "$CLI" search "psim:bitonic:4" --procs 5 --ops 1 --stalls 2 --budget 2000
 check_rc "search on a live family exits 2" 2 "$CLI" search "rt:bitonic:4"
+# Numeric flags parse strictly (under timeout: a flag that slipped through
+# would start a search instead of exiting).
+for flags in "--ops 1x" "--procs 0" "--stalls -1" "--budget abc" "--stall-cycles 5k"; do
+  check_rc "search rejects $flags" 2 \
+    timeout 20 "$CLI" search "psim:bitonic:4" --procs 5 --ops 1 --stalls 2 --budget 10 $flags
+done
+check_output "search diagnostic names the flag" "search --ops needs an integer" \
+  timeout 20 "$CLI" search "psim:bitonic:4" --procs 5 --ops 1x --stalls 2 --budget 10
 
 # --- SIGINT drains and exits 130 -------------------------------------------
 # A closed-loop run big enough to outlive the sleep; the handler must wind
@@ -140,6 +156,16 @@ check_rc "serve rejects rt thread space smaller than loops" 2 \
   "$CLI" serve "rt:bitonic:8?threads=2" --loops 4
 check_output "rt/loops diagnostic names the slice requirement" "thread-id slice" \
   "$CLI" serve "rt:bitonic:8?threads=2" --loops 4
+# Numeric flags parse strictly (under timeout: a flag that slipped through
+# would start serving instead of exiting).
+for flags in "--port 70000x" "--port 70000" "--port -1" "--loops 2x" "--max-batch abc" \
+             "--max-batch 0" "--max-pending 0" "--max-pending 9x"; do
+  check_rc "serve rejects $flags" 2 timeout 20 "$CLI" serve "mp:tree:8" $flags
+done
+check_output "serve diagnostic names the flag" "serve --port needs an integer in \[0, 65535\]" \
+  timeout 20 "$CLI" serve "mp:tree:8" --port 70000x
+check_output "serve diagnostic names --max-batch" "serve --max-batch needs an integer" \
+  timeout 20 "$CLI" serve "mp:tree:8" --max-batch abc
 
 # A two-loop server on an ephemeral port; SIGINT must stop accepting, drain
 # every loop, print the merged serving stats, and exit 130 — the same

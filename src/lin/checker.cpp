@@ -5,96 +5,107 @@
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
+#include <limits>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/assert.h"
 
 namespace cnet::lin {
 
+namespace {
+
+/// Marks "no operation placed here yet" in value_order's rank table.
+constexpr std::size_t kUnplaced = ~std::size_t{0};
+
+/// Operation indices in ascending value order. A history whose values are
+/// exactly 0..n-1 (every complete live run) places each op at its value's
+/// rank in one pass; any other history sorts (value, index) pairs once.
+std::vector<std::size_t> value_order(const History& history) {
+  const std::size_t n = history.size();
+  std::vector<std::size_t> order(n, kUnplaced);
+  std::size_t i = 0;
+  for (; i < n; ++i) {
+    const std::uint64_t value = history[i].value;
+    if (value >= n || order[value] != kUnplaced) break;
+    order[value] = i;
+  }
+  if (i == n) return order;
+
+  std::vector<std::pair<std::uint64_t, std::size_t>> keys(n);
+  for (i = 0; i < n; ++i) keys[i] = {history[i].value, i};
+  std::sort(keys.begin(), keys.end());
+  for (i = 0; i < n; ++i) order[i] = keys[i].second;
+  return order;
+}
+
+/// The last rank q >= from with min_end[q] < t, given min_end[from] < t.
+/// min_end is non-decreasing, so gallop up from `from` and bisect the last
+/// step: O(log(q - from)).
+std::size_t last_rank_before(const double* min_end, std::size_t from, std::size_t n, double t) {
+  std::size_t lo = from;  // min_end[lo] < t
+  std::size_t step = 1;
+  while (step < n - lo && min_end[lo + step] < t) {
+    lo += step;
+    step *= 2;
+  }
+  const double* past = std::partition_point(min_end + lo + 1, min_end + std::min(n, lo + step),
+                                            [t](double end) { return end < t; });
+  return static_cast<std::size_t>(past - min_end) - 1;
+}
+
+/// The one Def 2.4 sweep; returns the worst inversion. O is
+/// non-linearizable iff the least end time among operations with a strictly
+/// larger value comes before O.start. Walking the ranks of `order` from the
+/// top keeps that minimum in one pass; min_end[r] is the least end time at
+/// ranks >= r, non-decreasing in r, so the last rank whose minimum is still
+/// before O.start holds the largest value completed before O started.
+/// Appends each violator's index to *violators when given.
+std::uint64_t sweep(const History& history, const std::vector<std::size_t>& order,
+                    std::vector<std::size_t>* violators) {
+  const std::size_t n = order.size();
+  const auto min_end = std::make_unique_for_overwrite<double[]>(n + 1);
+  min_end[n] = std::numeric_limits<double>::infinity();
+  std::uint64_t worst = 0;
+  std::size_t above = n;  // first rank holding a strictly larger value
+  std::uint64_t last_value = 0;  // value at rank r + 1, the one walked last
+  for (std::size_t r = n; r-- > 0;) {
+    const Operation& op = history[order[r]];
+    CNET_CHECK_MSG(op.start <= op.end, "operation ends before it starts");
+    if (r + 1 < n && last_value != op.value) above = r + 1;
+    if (min_end[above] < op.start) {
+      const std::size_t q = last_rank_before(min_end.get(), above, n, op.start);
+      worst = std::max(worst, history[order[q]].value - op.value);
+      if (violators != nullptr) violators->push_back(order[r]);
+    }
+    min_end[r] = std::min(min_end[r + 1], op.end);
+    last_value = op.value;
+  }
+  return worst;
+}
+
+}  // namespace
+
 CheckResult check(const History& history) {
   CheckResult result;
   result.total_ops = history.size();
-  if (history.empty()) return result;
-
-  // Sweep events in time order. At equal times, starts are processed before
-  // ends so that an op ending exactly when another starts counts as
-  // overlapping (strict precedence only).
-  struct Event {
-    double time;
-    bool is_end;  // false = start
-    std::size_t op;
-  };
-  std::vector<Event> events;
-  events.reserve(history.size() * 2);
-  for (std::size_t i = 0; i < history.size(); ++i) {
-    CNET_CHECK_MSG(history[i].start <= history[i].end, "operation ends before it starts");
-    events.push_back({history[i].start, false, i});
-    events.push_back({history[i].end, true, i});
-  }
-  std::sort(events.begin(), events.end(), [](const Event& a, const Event& b) {
-    if (a.time != b.time) return a.time < b.time;
-    if (a.is_end != b.is_end) return !a.is_end;  // starts first
-    return a.op < b.op;
-  });
-
-  std::uint64_t max_completed = 0;
-  bool any_completed = false;
-  for (const Event& ev : events) {
-    const Operation& op = history[ev.op];
-    if (ev.is_end) {
-      if (!any_completed || op.value > max_completed) {
-        max_completed = op.value;
-        any_completed = true;
-      }
-    } else if (any_completed && max_completed > op.value) {
-      ++result.nonlinearizable_ops;
-      result.worst_inversion = std::max(result.worst_inversion, max_completed - op.value);
-      result.violating_ops.push_back(ev.op);
-    }
-  }
+  result.worst_inversion = sweep(history, value_order(history), &result.violating_ops);
+  result.nonlinearizable_ops = result.violating_ops.size();
+  // Report violators in start order, as a time sweep meets them.
+  std::sort(result.violating_ops.begin(), result.violating_ops.end(),
+            [&history](std::size_t a, std::size_t b) {
+              if (history[a].start != history[b].start) return history[a].start < history[b].start;
+              return a < b;
+            });
   return result;
 }
 
 std::uint64_t inversion_magnitude(const History& history) {
-  if (history.empty()) return 0;
-  // Same sweep as check(), keeping only the running maximum: starts before
-  // ends at equal times, so exact-touch counts as overlap, not precedence.
-  struct Event {
-    double time;
-    bool is_end;  // false = start
-    std::size_t op;
-  };
-  std::vector<Event> events;
-  events.reserve(history.size() * 2);
-  for (std::size_t i = 0; i < history.size(); ++i) {
-    CNET_CHECK_MSG(history[i].start <= history[i].end, "operation ends before it starts");
-    events.push_back({history[i].start, false, i});
-    events.push_back({history[i].end, true, i});
-  }
-  std::sort(events.begin(), events.end(), [](const Event& a, const Event& b) {
-    if (a.time != b.time) return a.time < b.time;
-    if (a.is_end != b.is_end) return !a.is_end;  // starts first
-    return a.op < b.op;
-  });
-
-  std::uint64_t worst = 0;
-  std::uint64_t max_completed = 0;
-  bool any_completed = false;
-  for (const Event& ev : events) {
-    const Operation& op = history[ev.op];
-    if (ev.is_end) {
-      if (!any_completed || op.value > max_completed) {
-        max_completed = op.value;
-        any_completed = true;
-      }
-    } else if (any_completed && max_completed > op.value) {
-      worst = std::max(worst, max_completed - op.value);
-    }
-  }
-  return worst;
+  return sweep(history, value_order(history), nullptr);
 }
 
 SeqConsistencyResult check_sequential_consistency(const History& history) {
@@ -115,22 +126,30 @@ SeqConsistencyResult check_sequential_consistency(const History& history) {
 }
 
 bool values_form_range(const History& history, std::string* message) {
+  // n values, each below n and none repeated, are exactly 0..n-1.
+  const std::size_t n = history.size();
+  std::vector<bool> seen(n);
+  bool ok = true;
+  for (const Operation& op : history) {
+    ok = op.value < n && !seen[op.value];
+    if (!ok) break;
+    seen[op.value] = true;
+  }
+  if (ok || message == nullptr) return ok;
+
+  // Name the first rank, in sorted order, that holds the wrong value; a
+  // failing history has one.
   std::vector<std::uint64_t> values;
-  values.reserve(history.size());
+  values.reserve(n);
   for (const Operation& op : history) values.push_back(op.value);
   std::sort(values.begin(), values.end());
-  for (std::uint64_t i = 0; i < values.size(); ++i) {
-    if (values[i] != i) {
-      if (message) {
-        std::ostringstream msg;
-        msg << "counting violated: rank " << i << " holds value " << values[i] << " ("
-            << values.size() << " ops total)";
-        *message = msg.str();
-      }
-      return false;
-    }
-  }
-  return true;
+  std::uint64_t rank = 0;
+  while (values[rank] == rank) ++rank;
+  std::ostringstream msg;
+  msg << "counting violated: rank " << rank << " holds value " << values[rank] << " ("
+      << n << " ops total)";
+  *message = msg.str();
+  return false;
 }
 
 WindowedChecker::WindowedChecker(double lag) : lag_(lag) { CNET_CHECK(lag >= 0.0); }

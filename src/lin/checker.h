@@ -5,11 +5,16 @@
 // fraction of non-linearizable operations is the paper's headline metric
 // (the y-axis of Figures 5 and 6).
 //
-// The offline checker runs in O(n log n): sweep operations by time,
-// maintaining the maximum value among operations already completed; an
-// operation is non-linearizable iff that running maximum at its start time
-// exceeds its own value. Ties (O'.end == O.start) count as overlap, not
-// precedence, matching the strict "completely precedes" of Def 2.3/2.4.
+// The offline checker ranks operations by value instead of sorting them by
+// time: O is non-linearizable iff the least end time among operations with
+// a strictly larger value comes before O.start, so one walk down the ranks
+// with a running minimum of end times decides every operation. When the
+// values are exactly 0..n-1 (every complete live run) each op sits at its
+// value's rank and the analysis is O(n) plus O(v log v) to report the v
+// violators in start order; any other history (duplicates, gaps) first
+// sorts its n (value, index) pairs, O(n log n). Ties (O'.end == O.start)
+// count as overlap, not precedence, matching the strict "completely
+// precedes" of Def 2.3/2.4.
 #pragma once
 
 #include <cstdint>
@@ -28,7 +33,8 @@ struct CheckResult {
   /// Largest inversion observed: max over non-linearizable ops O of
   /// (max completed value before O.start) - O.value. 0 when linearizable.
   std::uint64_t worst_inversion = 0;
-  /// Indices (into the input history) of the non-linearizable operations.
+  /// Indices (into the input history) of the non-linearizable operations,
+  /// by start time, then index.
   std::vector<std::size_t> violating_ops;
 
   bool linearizable() const { return nonlinearizable_ops == 0; }
@@ -39,7 +45,7 @@ struct CheckResult {
   }
 };
 
-/// Full Def 2.4 analysis of a history (any order; the checker sorts).
+/// Full Def 2.4 analysis of a history, given in any order.
 ///
 /// Note that for this object class Def 2.4 decides *full* linearizability
 /// [13], not just a necessary condition: a fetch-and-increment history with
@@ -52,9 +58,10 @@ CheckResult check(const History& history);
 
 /// The worst_inversion of check() without materializing the violation list:
 /// the largest (max completed value before O.start) - O.value over the
-/// history, 0 when linearizable. This is the adversarial schedule search's
-/// objective (sched/search.h) — it scores thousands of candidate schedules,
-/// so the per-op bookkeeping of the full analysis is deliberately skipped.
+/// history, 0 when linearizable. Same sweep and cost as check() less the
+/// violators' start-order sort: O(n) on values 0..n-1, O(n log n) otherwise.
+/// This is the adversarial schedule search's objective (sched/search.h) —
+/// it scores thousands of candidate schedules.
 std::uint64_t inversion_magnitude(const History& history);
 
 /// Sequential-consistency analysis, specialised to counting (cf. Lamport
@@ -82,8 +89,9 @@ SeqConsistencyResult check_sequential_consistency(const History& history);
 
 /// True iff the multiset of returned values is exactly {0, 1, ..., n-1}:
 /// the correctness condition of a counting network that completed n
-/// operations from a fresh state. On failure, *message explains the first
-/// discrepancy.
+/// operations from a fresh state. One O(n) pass over a seen-bitmap; on
+/// failure, *message names the first rank, in sorted order, that holds the
+/// wrong value.
 bool values_form_range(const History& history, std::string* message);
 
 /// Incremental checker for long-running systems with bounded memory.

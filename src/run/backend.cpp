@@ -360,12 +360,12 @@ SimBackend::SimBackend(const BackendSpec& spec)
 SimulatedRun SimBackend::simulate(const Workload& workload) {
   SimulatedRun out;
   const std::uint32_t threads = std::max(1u, workload.threads);
-  if (workload.arrival == Arrival::kPoisson && workload.rate <= 0.0) {
+  if (workload.arrival == Arrival::kPoisson && !(workload.rate > 0.0)) {
     out.error = "poisson arrivals need rate > 0";
     return out;
   }
   if (workload.arrival == Arrival::kBurst &&
-      (workload.burst_gap <= 0.0 || workload.burst_size == 0)) {
+      (!(workload.burst_gap > 0.0) || workload.burst_size == 0)) {
     out.error = "burst arrivals need burst_gap > 0 and burst_size >= 1";
     return out;
   }

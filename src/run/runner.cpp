@@ -160,7 +160,7 @@ RunReport Runner::run(CountingBackend& backend, const Workload& workload,
                   "schedule capture requires a live rt or mp backend (a simulated "
                   "backend's schedule is its params — serialize those instead)");
   }
-  if (workload.delayed_fraction < 0.0 || workload.delayed_fraction > 1.0) {
+  if (!(workload.delayed_fraction >= 0.0 && workload.delayed_fraction <= 1.0)) {
     return reject(std::move(report), "delayed_fraction must be in [0, 1]");
   }
   const Family family = backend.spec().family;
@@ -171,11 +171,11 @@ RunReport Runner::run(CountingBackend& backend, const Workload& workload,
   }
 
   if (backend.live()) {
-    if (workload.arrival == Arrival::kPoisson && workload.rate <= 0.0) {
+    if (workload.arrival == Arrival::kPoisson && !(workload.rate > 0.0)) {
       return reject(std::move(report), "poisson arrivals need rate > 0");
     }
     if (workload.arrival == Arrival::kBurst &&
-        (workload.burst_gap <= 0.0 || workload.burst_size == 0)) {
+        (!(workload.burst_gap > 0.0) || workload.burst_size == 0)) {
       return reject(std::move(report), "burst arrivals need burst_gap > 0 and burst_size >= 1");
     }
     const std::uint32_t threads = workload.threads;

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "util/rng.h"
 
@@ -13,18 +17,72 @@ Operation op(double start, double end, std::uint64_t value) {
   return Operation{start, end, value, 0};
 }
 
-/// O(n^2) reference implementation of Def 2.4.
-std::uint64_t brute_force_violations(const History& h) {
-  std::uint64_t violations = 0;
-  for (const Operation& o : h) {
+/// O(n^2) reference implementation of Def 2.4: the whole CheckResult, with
+/// the violators in (start, index) order.
+CheckResult brute_force(const History& h) {
+  CheckResult result;
+  result.total_ops = h.size();
+  for (std::size_t i = 0; i < h.size(); ++i) {
+    std::uint64_t max_completed = 0;
+    bool any_completed = false;
     for (const Operation& other : h) {
-      if (other.end < o.start && other.value > o.value) {
-        ++violations;
-        break;
+      if (other.end < h[i].start && (!any_completed || other.value > max_completed)) {
+        max_completed = other.value;
+        any_completed = true;
       }
     }
+    if (any_completed && max_completed > h[i].value) {
+      ++result.nonlinearizable_ops;
+      result.worst_inversion = std::max(result.worst_inversion, max_completed - h[i].value);
+      result.violating_ops.push_back(i);
+    }
   }
-  return violations;
+  std::stable_sort(result.violating_ops.begin(), result.violating_ops.end(),
+                   [&h](std::size_t a, std::size_t b) { return h[a].start < h[b].start; });
+  return result;
+}
+
+void expect_same(const CheckResult& got, const CheckResult& want) {
+  EXPECT_EQ(got.total_ops, want.total_ops);
+  EXPECT_EQ(got.nonlinearizable_ops, want.nonlinearizable_ops);
+  EXPECT_EQ(got.worst_inversion, want.worst_inversion);
+  EXPECT_EQ(got.violating_ops, want.violating_ops);
+}
+
+/// Values drawn from a small range: they repeat.
+History duplicate_valued_history(Rng& rng) {
+  History h;
+  for (int i = 0; i < 200; ++i) {
+    const double start = rng.unit() * 100.0;
+    const double dur = rng.unit() * 20.0;
+    h.push_back(op(start, start + dur, rng.below(40)));
+  }
+  return h;
+}
+
+/// Shaped like a run::Runner history: 4 closed-loop issuers on an integer
+/// clock (so ends often equal other ops' starts), concatenated issuer by
+/// issuer, with values 0..n-1 in a locally disordered order: the rank of a
+/// jittered point inside each op.
+History runner_shaped_history(Rng& rng) {
+  History h;
+  std::vector<std::int64_t> point;
+  for (std::uint32_t issuer = 0; issuer < 4; ++issuer) {
+    std::int64_t t = 0;
+    for (int i = 0; i < 50; ++i) {
+      const auto dur = static_cast<std::int64_t>(1 + rng.below(8));
+      h.push_back(Operation{static_cast<double>(t), static_cast<double>(t + dur), 0, issuer});
+      point.push_back(t + static_cast<std::int64_t>(rng.below(static_cast<std::uint64_t>(dur))) +
+                      static_cast<std::int64_t>(rng.below(9)) - 4);
+      t += dur + static_cast<std::int64_t>(rng.below(2));
+    }
+  }
+  std::vector<std::size_t> by_point(h.size());
+  for (std::size_t i = 0; i < by_point.size(); ++i) by_point[i] = i;
+  std::stable_sort(by_point.begin(), by_point.end(),
+                   [&point](std::size_t a, std::size_t b) { return point[a] < point[b]; });
+  for (std::size_t rank = 0; rank < by_point.size(); ++rank) h[by_point[rank]].value = rank;
+  return h;
 }
 
 TEST(Checker, EmptyHistory) {
@@ -97,23 +155,34 @@ class CheckerRandom : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(CheckerRandom, MatchesBruteForce) {
   Rng rng(GetParam());
-  History h;
-  const int n = 200;
-  for (int i = 0; i < n; ++i) {
-    const double start = rng.unit() * 100.0;
-    const double dur = rng.unit() * 20.0;
-    h.push_back(op(start, start + dur, rng.below(40)));
+  // Repeated values take the checker's sort branch; the Runner-shaped
+  // permutation and a shuffled one (long inversions) take the no-sort one.
+  History shuffled = runner_shaped_history(rng);
+  for (std::size_t i = shuffled.size(); i > 1; --i) {
+    std::swap(shuffled[i - 1].value, shuffled[rng.below(i)].value);
   }
-  EXPECT_EQ(check(h).nonlinearizable_ops, brute_force_violations(h));
+  for (const History& h : {duplicate_valued_history(rng), runner_shaped_history(rng), shuffled}) {
+    const CheckResult result = check(h);
+    expect_same(result, brute_force(h));
+    EXPECT_EQ(inversion_magnitude(h), result.worst_inversion);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CheckerRandom, ::testing::Range<std::uint64_t>(0, 10));
 
 TEST(ValuesFormRange, Basics) {
   std::string msg;
+  EXPECT_TRUE(values_form_range({}, &msg));
   EXPECT_TRUE(values_form_range({op(0, 1, 1), op(0, 1, 0), op(0, 1, 2)}, &msg));
+  EXPECT_TRUE(msg.empty());
+  // Each message names the first rank, in sorted order, holding a wrong value.
   EXPECT_FALSE(values_form_range({op(0, 1, 0), op(0, 1, 2)}, &msg));
-  EXPECT_NE(msg.find("counting violated"), std::string::npos);
+  EXPECT_EQ(msg, "counting violated: rank 1 holds value 2 (2 ops total)");
+  EXPECT_FALSE(values_form_range({op(0, 1, 1), op(0, 1, 0), op(0, 1, 1)}, &msg));
+  EXPECT_EQ(msg, "counting violated: rank 2 holds value 1 (3 ops total)");
+  EXPECT_FALSE(values_form_range({op(0, 1, 3), op(0, 1, 0), op(0, 1, 1)}, &msg));
+  EXPECT_EQ(msg, "counting violated: rank 2 holds value 3 (3 ops total)");
+  EXPECT_FALSE(values_form_range({op(0, 1, 1)}, nullptr));
 }
 
 }  // namespace

@@ -15,9 +15,10 @@ TEST(McsToggleBalancer, AlternatesSequentially) {
   McsToggleBalancer balancer(engine, mem, 1, 2);
   Rng rng(1);
   std::vector<std::uint32_t> ports;
-  auto task = [&]() -> Coro<> {
+  const auto body = [&]() -> Coro<> {
     for (int i = 0; i < 6; ++i) ports.push_back(co_await balancer.traverse(0, rng));
-  }();
+  };
+  auto task = body();
   task.start();
   engine.run();
   EXPECT_EQ(ports, (std::vector<std::uint32_t>{0, 1, 0, 1, 0, 1}));
@@ -31,9 +32,10 @@ TEST(McsToggleBalancer, WiderFanOutRoundRobins) {
   McsToggleBalancer balancer(engine, mem, 1, 4);
   Rng rng(1);
   std::vector<std::uint32_t> ports;
-  auto task = [&]() -> Coro<> {
+  const auto body = [&]() -> Coro<> {
     for (int i = 0; i < 8; ++i) ports.push_back(co_await balancer.traverse(0, rng));
-  }();
+  };
+  auto task = body();
   task.start();
   engine.run();
   EXPECT_EQ(ports, (std::vector<std::uint32_t>{0, 1, 2, 3, 0, 1, 2, 3}));
@@ -141,10 +143,11 @@ TEST(DiffractingBalancer, LoneTokenFallsToToggle) {
   prism.spin = 100;
   DiffractingBalancer balancer(engine, mem, 1, prism);
   std::uint32_t port = 9;
-  auto task = [&]() -> Coro<> {
+  const auto body = [&]() -> Coro<> {
     Rng rng(5);
     port = co_await balancer.traverse(0, rng);
-  }();
+  };
+  auto task = body();
   task.start();
   engine.run();
   EXPECT_EQ(port, 0u);  // first toggle goes up

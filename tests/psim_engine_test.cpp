@@ -12,12 +12,13 @@ namespace {
 TEST(Engine, SleepAdvancesClock) {
   Engine engine;
   std::vector<Cycle> wakeups;
-  auto task = [&]() -> Coro<> {
+  const auto body = [&]() -> Coro<> {
     co_await engine.sleep(10);
     wakeups.push_back(engine.now());
     co_await engine.sleep(5);
     wakeups.push_back(engine.now());
-  }();
+  };
+  auto task = body();
   task.start();
   engine.run();
   EXPECT_TRUE(task.done());
@@ -27,10 +28,11 @@ TEST(Engine, SleepAdvancesClock) {
 TEST(Engine, SleepZeroDoesNotSuspend) {
   Engine engine;
   bool ran = false;
-  auto task = [&]() -> Coro<> {
+  const auto body = [&]() -> Coro<> {
     co_await engine.sleep(0);
     ran = true;
-  }();
+  };
+  auto task = body();
   task.start();
   // No engine.run() needed: sleep(0) continues inline.
   EXPECT_TRUE(ran);
@@ -90,10 +92,11 @@ TEST(Engine, NestedCoroutinesComposeViaSymmetricTransfer) {
   } helper{engine, trace};
 
   std::uint64_t result = 0;
-  auto task = [&]() -> Coro<> {
+  const auto body = [&]() -> Coro<> {
     result = co_await helper.middle();
     trace.push_back("outer-end");
-  }();
+  };
+  auto task = body();
   task.start();
   engine.run();
   EXPECT_EQ(result, 84u);
@@ -120,7 +123,8 @@ TEST(Engine, DeterministicEventCount) {
 
 TEST(EngineDeath, SchedulingIntoThePast) {
   Engine engine;
-  auto task = [&]() -> Coro<> { co_await engine.sleep(100); }();
+  const auto body = [&]() -> Coro<> { co_await engine.sleep(100); };
+  auto task = body();
   task.start();
   engine.run();
   EXPECT_EQ(engine.now(), 100u);

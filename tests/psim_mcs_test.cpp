@@ -16,13 +16,14 @@ TEST(McsLock, UncontendedAcquireRelease) {
   Memory mem(engine, MemParams{10, 4});
   McsLock lock(mem, 4);
   bool done = false;
-  auto task = [&]() -> Coro<> {
+  const auto body = [&]() -> Coro<> {
     co_await lock.acquire(0);
     co_await lock.release(0);
     co_await lock.acquire(0);  // reacquirable after release
     co_await lock.release(0);
     done = true;
-  }();
+  };
+  auto task = body();
   task.start();
   engine.run();
   EXPECT_TRUE(done);

@@ -14,11 +14,12 @@ TEST(Memory, LoadStoreRoundTrip) {
   Memory mem(engine, MemParams{10, 4});
   const std::uint32_t a = mem.alloc(5);
   std::uint64_t seen = 0;
-  auto task = [&]() -> Coro<> {
+  const auto body = [&]() -> Coro<> {
     seen = co_await mem.load(a);
     co_await mem.store(a, 9);
     seen += co_await mem.load(a);
-  }();
+  };
+  auto task = body();
   task.start();
   engine.run();
   EXPECT_EQ(seen, 14u);
@@ -30,10 +31,11 @@ TEST(Memory, AccessCostsLatency) {
   Memory mem(engine, MemParams{25, 4});
   const std::uint32_t a = mem.alloc(0);
   Cycle after = 0;
-  auto task = [&]() -> Coro<> {
+  const auto body = [&]() -> Coro<> {
     co_await mem.load(a);
     after = engine.now();
-  }();
+  };
+  auto task = body();
   task.start();
   engine.run();
   EXPECT_EQ(after, 25u);
@@ -97,7 +99,8 @@ TEST(Memory, SwapReturnsPrevious) {
   Memory mem(engine, MemParams{5, 2});
   const std::uint32_t a = mem.alloc(7);
   std::uint64_t old = 0;
-  auto task = [&]() -> Coro<> { old = co_await mem.swap(a, 11); }();
+  const auto body = [&]() -> Coro<> { old = co_await mem.swap(a, 11); };
+  auto task = body();
   task.start();
   engine.run();
   EXPECT_EQ(old, 7u);
@@ -110,10 +113,11 @@ TEST(Memory, CasSucceedsAndFails) {
   const std::uint32_t a = mem.alloc(3);
   std::uint64_t first = 0;
   std::uint64_t second = 0;
-  auto task = [&]() -> Coro<> {
+  const auto body = [&]() -> Coro<> {
     first = co_await mem.cas(a, 3, 8);   // succeeds: returns 3
     second = co_await mem.cas(a, 3, 9);  // fails: returns 8, value unchanged
-  }();
+  };
+  auto task = body();
   task.start();
   engine.run();
   EXPECT_EQ(first, 3u);
@@ -185,11 +189,12 @@ TEST(Memory, AccessCounterCounts) {
   Engine engine;
   Memory mem(engine, MemParams{5, 2});
   const std::uint32_t a = mem.alloc(0);
-  auto task = [&]() -> Coro<> {
+  const auto body = [&]() -> Coro<> {
     co_await mem.load(a);
     co_await mem.store(a, 1);
     co_await mem.fetch_add(a, 1);
-  }();
+  };
+  auto task = body();
   task.start();
   engine.run();
   EXPECT_EQ(mem.accesses(), 3u);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -130,8 +131,12 @@ TEST(RunBackend, SimRejectsDegenerateOpenLoopParameters) {
   workload.arrival = Arrival::kPoisson;
   workload.rate = 0.0;
   EXPECT_FALSE(backend_ok("sim:bitonic:8")->simulate(workload).ok);
+  workload.rate = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(backend_ok("sim:bitonic:8")->simulate(workload).ok);
   workload.arrival = Arrival::kBurst;
   workload.burst_gap = 0.0;
+  EXPECT_FALSE(backend_ok("sim:bitonic:8")->simulate(workload).ok);
+  workload.burst_gap = std::numeric_limits<double>::quiet_NaN();
   EXPECT_FALSE(backend_ok("sim:bitonic:8")->simulate(workload).ok);
 }
 

@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -177,6 +178,14 @@ TEST(RunConformance, RunnerRejectsImpossibleCombinations) {
   bad_fraction.threads = 4;
   bad_fraction.delayed_fraction = 1.5;
   EXPECT_FALSE(run_spec("mp:bitonic:4", bad_fraction).ok);
+  bad_fraction.delayed_fraction = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(run_spec("rt:bitonic:8", bad_fraction).ok);
+
+  Workload nan_rate;
+  nan_rate.arrival = Arrival::kPoisson;
+  nan_rate.rate = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(run_spec("rt:bitonic:8", nan_rate).ok);
+  EXPECT_FALSE(run_spec("sim:bitonic:8", nan_rate).ok);
 
   Workload wide;
   wide.threads = 9;

@@ -178,8 +178,9 @@ void apply_workload_arg(const std::string& arg, run::Workload* workload) {
   const auto as_f64 = [&] {
     char* end = nullptr;
     const double x = std::strtod(value.c_str(), &end);
-    if (*end != '\0') {
-      std::fprintf(stderr, "%s has a malformed value '%s'\n", what.c_str(), value.c_str());
+    if (*end != '\0' || !std::isfinite(x)) {
+      std::fprintf(stderr, "%s needs a finite number (got '%s')\n", what.c_str(),
+                   value.c_str());
       std::exit(2);
     }
     return x;
@@ -429,27 +430,25 @@ int cmd_search(const run::BackendSpec& spec, int argc, char** argv, int base) {
       }
       return argv[++i];
     };
+    const auto count = [&](std::uint64_t max, std::uint64_t min) {
+      return parse_count("search " + arg, value(), max, min);
+    };
     if (arg == "--budget") {
-      options.budget = std::strtoull(value(), nullptr, 10);
+      options.budget = count(kU64, 1);
     } else if (arg == "--procs") {
-      options.procs = static_cast<std::uint32_t>(std::atoi(value()));
+      options.procs = static_cast<std::uint32_t>(count(kU32, 1));
     } else if (arg == "--ops") {
-      options.ops_per_proc = static_cast<std::uint32_t>(std::atoi(value()));
+      options.ops_per_proc = static_cast<std::uint32_t>(count(kU32, 1));
     } else if (arg == "--stalls") {
-      options.max_stalls = static_cast<std::uint32_t>(std::atoi(value()));
+      options.max_stalls = static_cast<std::uint32_t>(count(kU32, 1));
     } else if (arg == "--stall-cycles") {
-      options.stall_cycles = std::strtoull(value(), nullptr, 10);
+      options.stall_cycles = count(kU64, 0);
     } else if (arg == "--json") {
       json_path = value();
     } else {
       std::fprintf(stderr, "unknown search option '%s'\n", arg.c_str());
       return 2;
     }
-  }
-  if (options.procs == 0 || options.ops_per_proc == 0 || options.budget == 0 ||
-      options.max_stalls == 0) {
-    std::fprintf(stderr, "search needs --procs, --ops, --stalls, and --budget all >= 1\n");
-    return 2;
   }
   const topo::Network net = spec.build_network();
   const sched::SearchResult result = sched::search(net, options);
@@ -478,29 +477,31 @@ int cmd_serve(const run::BackendSpec& spec, int argc, char** argv, int base) {
       }
       return argv[++i];
     };
+    const auto count = [&](std::uint64_t max, std::uint64_t min) {
+      return parse_count("serve " + arg, value(), max, min);
+    };
     if (arg == "--port") {
-      options.port = static_cast<std::uint16_t>(std::atoi(value()));
+      options.port = static_cast<std::uint16_t>(count(0xffff, 0));
     } else if (arg == "--host") {
       options.host = value();
     } else if (arg == "--uds") {
       options.uds_path = value();
     } else if (arg == "--loops") {
-      const int loops = std::atoi(value());
+      const std::uint64_t loops = count(kU32, 0);
       if (loops < 1) {
         std::fprintf(stderr,
-                     "serve --loops must be >= 1 (got '%d'): the server needs at"
-                     " least one event loop; omit the flag for the default"
-                     " (hardware concurrency)\n",
-                     loops);
+                     "serve --loops must be >= 1: the server needs at least one"
+                     " event loop; omit the flag for the default (hardware"
+                     " concurrency)\n");
         return 2;
       }
       options.loops = static_cast<std::uint32_t>(loops);
     } else if (arg == "--unbatched") {
       options.batching = false;
     } else if (arg == "--max-batch") {
-      options.max_batch = std::max(1, std::atoi(value()));
+      options.max_batch = static_cast<std::uint32_t>(count(kU32, 1));
     } else if (arg == "--max-pending") {
-      options.max_pending = std::max(1, std::atoi(value()));
+      options.max_pending = static_cast<std::uint32_t>(count(kU32, 1));
     } else {
       std::fprintf(stderr, "unknown serve option '%s'\n", arg.c_str());
       return 2;
