@@ -1,12 +1,15 @@
 #!/usr/bin/env bash
 # Shell-level contract test for cnet_cli: usage text, exit codes, and the
-# spec-driven commands. Run via ctest (cli_shell_test) with CNET_CLI set to
-# the built binary, or standalone:
+# spec-driven commands, plus cnet_loadgen's flag parsing. Run via ctest
+# (cli_shell_test) with CNET_CLI and CNET_LOADGEN set to the built
+# binaries, or standalone:
 #
-#   CNET_CLI=build/tools/cnet_cli scripts/cli_test.sh
+#   CNET_CLI=build/tools/cnet_cli CNET_LOADGEN=build/tools/cnet_loadgen \
+#     scripts/cli_test.sh
 set -u
 
 CLI="${CNET_CLI:?set CNET_CLI to the cnet_cli binary}"
+LOADGEN="${CNET_LOADGEN:?set CNET_LOADGEN to the cnet_loadgen binary}"
 failures=0
 
 check() {
@@ -166,6 +169,16 @@ check_output "serve diagnostic names the flag" "serve --port needs an integer in
   timeout 20 "$CLI" serve "mp:tree:8" --port 70000x
 check_output "serve diagnostic names --max-batch" "serve --max-batch needs an integer" \
   timeout 20 "$CLI" serve "mp:tree:8" --max-batch abc
+
+# cnet_loadgen parses its flags as strictly. Each bad flag comes before
+# --port 0: a lenient parser would read past it and stop at usage (exit 2
+# as well), so the echoed value is what shows the strict parser refused it.
+for flags in "--port 70000x" "--ops abc" "--rate nan" "--deadline-fraction 2" \
+             "--connections 1025"; do
+  check_rc "loadgen rejects $flags" 2 timeout 20 "$LOADGEN" $flags --port 0
+  check_output "loadgen echoes the value of $flags" "(got '${flags#* }')" \
+    timeout 20 "$LOADGEN" $flags --port 0
+done
 
 # A two-loop server on an ephemeral port; SIGINT must stop accepting, drain
 # every loop, print the merged serving stats, and exit 130 — the same

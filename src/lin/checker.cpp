@@ -125,9 +125,10 @@ SeqConsistencyResult check_sequential_consistency(const History& history) {
   return result;
 }
 
-bool values_form_range(const History& history, std::string* message) {
+bool values_form_range(const History& history, std::string* message,
+                       std::span<const std::uint64_t> extra) {
   // n values, each below n and none repeated, are exactly 0..n-1.
-  const std::size_t n = history.size();
+  const std::size_t n = history.size() + extra.size();
   std::vector<bool> seen(n);
   bool ok = true;
   for (const Operation& op : history) {
@@ -135,11 +136,15 @@ bool values_form_range(const History& history, std::string* message) {
     if (!ok) break;
     seen[op.value] = true;
   }
+  for (std::size_t i = 0; ok && i < extra.size(); ++i) {
+    ok = extra[i] < n && !seen[extra[i]];
+    if (ok) seen[extra[i]] = true;
+  }
   if (ok || message == nullptr) return ok;
 
   // Name the first rank, in sorted order, that holds the wrong value; a
-  // failing history has one.
-  std::vector<std::uint64_t> values;
+  // failing multiset has one.
+  std::vector<std::uint64_t> values(extra.begin(), extra.end());
   values.reserve(n);
   for (const Operation& op : history) values.push_back(op.value);
   std::sort(values.begin(), values.end());

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <map>
 #include <queue>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -87,12 +88,14 @@ struct SeqConsistencyResult {
 
 SeqConsistencyResult check_sequential_consistency(const History& history);
 
-/// True iff the multiset of returned values is exactly {0, 1, ..., n-1}:
-/// the correctness condition of a counting network that completed n
-/// operations from a fresh state. One O(n) pass over a seen-bitmap; on
-/// failure, *message names the first rank, in sorted order, that holds the
-/// wrong value.
-bool values_form_range(const History& history, std::string* message);
+/// True iff the multiset of the history's values plus `extra` is exactly
+/// {0, 1, ..., n-1}: the correctness condition of a counting network that
+/// issued n values from a fresh state. `extra` holds issued values no op
+/// returned (the values a live run's drain reclaimed from abandoned ops).
+/// One O(n) pass over a seen-bitmap; on failure, *message names the first
+/// rank, in sorted order, that holds the wrong value.
+bool values_form_range(const History& history, std::string* message,
+                       std::span<const std::uint64_t> extra = {});
 
 /// Incremental checker for long-running systems with bounded memory.
 ///

@@ -76,15 +76,6 @@ mp::NetworkService::Options mp_options(const BackendSpec& spec, obs::MpMetrics* 
   return options;
 }
 
-/// An mp pending handle in the backend-neutral form, and back.
-CountingBackend::PendingCount from_service(const mp::NetworkService::Pending& p) {
-  return {p.cell, p.value, p.input, p.start_ns};
-}
-
-mp::NetworkService::Pending to_service(const CountingBackend::PendingCount& p) {
-  return {static_cast<mp::ResponseCell*>(p.handle), p.value, p.input, p.start_ns};
-}
-
 std::unique_ptr<fault::Injector> make_injector(const BackendSpec& spec) {
   return spec.fault.any() ? std::make_unique<fault::Injector>(spec.fault) : nullptr;
 }
@@ -159,31 +150,30 @@ SimulatedRun CountingBackend::simulate(const Workload&) {
 CountingBackend::TimedCount CountingBackend::count_until(std::uint32_t thread_id,
                                                          std::uint64_t wait_ns,
                                                          std::uint64_t timeout_ns) {
-  // No cancellation machinery: run to completion and say so. The Runner
-  // distinguishes ok-late from abandoned, so this never fakes a timeout.
-  (void)timeout_ns;
-  return {true, count_delayed(thread_id, wait_ns)};
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::nanoseconds(timeout_ns);
+  return count_collect_until(count_begin(thread_id, wait_ns), deadline);
 }
 
-CountingBackend::PendingCount CountingBackend::count_begin(std::uint32_t, std::uint64_t) {
-  CNET_CHECK_MSG(false, "count_begin() on a backend without async issue — "
-                        "check supports_async_count() first");
-  return {};
+CountingBackend::PendingCount CountingBackend::count_begin(std::uint32_t thread_id,
+                                                           std::uint64_t wait_ns) {
+  return {.value = count_delayed(thread_id, wait_ns)};
 }
 
 void CountingBackend::count_begin_batch(std::uint32_t thread_id, std::span<PendingCount> out) {
   for (PendingCount& pending : out) pending = count_begin(thread_id, 0);
 }
 
-std::uint64_t CountingBackend::count_collect(const PendingCount&) {
-  CNET_CHECK_MSG(false, "count_collect() on a backend without async issue");
-  return 0;
+std::uint64_t CountingBackend::count_collect(const PendingCount& pending) {
+  return pending.value;
 }
 
 CountingBackend::TimedCount CountingBackend::count_collect_until(
-    const PendingCount&, std::chrono::steady_clock::time_point) {
-  CNET_CHECK_MSG(false, "count_collect_until() on a backend without async issue");
-  return {};
+    const PendingCount& pending, std::chrono::steady_clock::time_point) {
+  // A ready handle's op already completed: no cancellation machinery, and
+  // the Runner distinguishes ok-late from abandoned, so this never fakes a
+  // timeout.
+  return {true, pending.value};
 }
 
 CountingBackend::DrainResult CountingBackend::drain(std::uint64_t) {
@@ -217,6 +207,13 @@ void RtBackend::count_batch(std::uint32_t thread_id, std::span<std::uint64_t> ou
     return;
   }
   counter_.next_batch(thread_id, thread_id % network().input_width(), out);
+}
+
+void RtBackend::count_begin_batch(std::uint32_t thread_id, std::span<PendingCount> out) {
+  thread_local std::vector<std::uint64_t> values;  // reused: a warm chunk allocates nothing
+  values.resize(out.size());
+  count_batch(thread_id, values);
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = PendingCount{.value = values[i]};
 }
 
 std::uint64_t RtBackend::count_delayed(std::uint32_t thread_id, std::uint64_t wait_ns) {
@@ -269,35 +266,22 @@ std::uint64_t MpBackend::count_delayed(std::uint32_t thread_id, std::uint64_t wa
   return service_.count_delayed(thread_id % network().input_width(), wait_ns);
 }
 
-CountingBackend::TimedCount MpBackend::count_until(std::uint32_t thread_id,
-                                                   std::uint64_t wait_ns,
-                                                   std::uint64_t timeout_ns) {
-  const mp::NetworkService::TimedCount result =
-      service_.count_until(thread_id % network().input_width(), wait_ns, timeout_ns);
-  return {result.ok, result.value};
-}
-
 CountingBackend::PendingCount MpBackend::count_begin(std::uint32_t thread_id,
                                                      std::uint64_t wait_ns) {
-  return from_service(service_.count_begin(thread_id % network().input_width(), wait_ns));
+  return service_.count_begin(thread_id % network().input_width(), wait_ns);
 }
 
 void MpBackend::count_begin_batch(std::uint32_t thread_id, std::span<PendingCount> out) {
-  thread_local std::vector<mp::NetworkService::Pending> wave;  // reused across calls
-  wave.resize(out.size());
-  service_.count_begin_batch(thread_id % network().input_width(), wave);
-  for (std::size_t i = 0; i < out.size(); ++i) out[i] = from_service(wave[i]);
+  service_.count_begin_batch(thread_id % network().input_width(), out);
 }
 
 std::uint64_t MpBackend::count_collect(const PendingCount& pending) {
-  return service_.count_collect(to_service(pending));
+  return service_.count_collect(pending);
 }
 
 CountingBackend::TimedCount MpBackend::count_collect_until(
     const PendingCount& pending, std::chrono::steady_clock::time_point deadline) {
-  const mp::NetworkService::TimedCount result =
-      service_.count_collect_until(to_service(pending), deadline);
-  return {result.ok, result.value};
+  return service_.count_collect_until(pending, deadline);
 }
 
 bool MpBackend::set_recorder(sched::Recorder* recorder) {

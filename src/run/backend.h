@@ -2,8 +2,10 @@
 // from a BackendSpec. Two execution styles share it:
 //
 //   * live backends (rt, mp) execute individual operations on the caller's
-//     threads — count()/count_batch()/count_delayed(); the Runner drives
-//     them with real-thread load generators and wall-clock timestamps.
+//     threads — count()/count_batch()/count_delayed(), or issue then collect
+//     (count_begin()/count_collect(), which svc::Server serves every batch
+//     through); the Runner drives them with real-thread load generators and
+//     wall-clock timestamps.
 //   * simulated backends (sim, psim) execute a whole Workload in virtual
 //     time — simulate() returns the finished history and makespan.
 //
@@ -77,51 +79,50 @@ class CountingBackend {
   /// balancer transition.
   virtual std::uint64_t count_delayed(std::uint32_t thread_id, std::uint64_t wait_ns);
 
-  /// Outcome of a deadline-bounded operation.
-  struct TimedCount {
-    bool ok = false;          ///< value obtained before the deadline
-    std::uint64_t value = 0;  ///< valid iff ok
-  };
+  /// Outcome of a deadline-bounded operation: `value` is valid iff `ok`.
+  using TimedCount = mp::NetworkService::TimedCount;
 
-  /// Deadline-bounded count_delayed. mp implements real abandonment (the
-  /// token flies on; its value is parked for recycling — see
-  /// mp/network_service.h). On rt the caller IS the executor, so there is
-  /// no one to hand the traversal to: the default completes normally and
-  /// reports ok, which the Runner surfaces as "deadline not enforceable"
-  /// rather than pretending an abandonment happened.
+  /// Deadline-bounded count_delayed: the deadline is taken before issue,
+  /// then count_begin and count_collect_until run. mp implements real
+  /// abandonment (the token flies on; its value is parked for recycling —
+  /// see mp/network_service.h). On rt the caller IS the executor, so there
+  /// is no one to hand the traversal to: the op completes in count_begin
+  /// and reports ok, which the Runner surfaces as "deadline not
+  /// enforceable" rather than pretending an abandonment happened.
   virtual TimedCount count_until(std::uint32_t thread_id, std::uint64_t wait_ns,
                                  std::uint64_t timeout_ns);
 
-  // -- asynchronous issue (boundary batching) ---------------------------
-  /// Handle to one asynchronously issued operation (count_begin). POD;
-  /// resolve with exactly one count_collect / count_collect_until.
-  struct PendingCount {
-    void* handle = nullptr;   ///< backend-private; null = `value` is ready
-    std::uint64_t value = 0;  ///< valid iff handle == nullptr
-    std::uint32_t input = 0;  ///< backend-private bookkeeping
-    std::uint64_t start_ns = 0;
-  };
+  // -- issue, then collect (boundary batching) --------------------------
+  /// Handle to one issued operation (count_begin). POD; resolve with
+  /// exactly one count_collect / count_collect_until. A null `cell` is a
+  /// ready handle: `value` already holds the op's value. mp hands out
+  /// in-flight handles (its token is hosted by the service's workers);
+  /// every other backend hands out ready ones.
+  using PendingCount = mp::NetworkService::Pending;
 
-  /// True when the backend can put many operations in flight from one
-  /// caller thread (mp: a token is hosted by the service's workers). The
-  /// svc front-end uses this to turn k pending requests into one burst of
-  /// issues instead of k blocking round trips; backends whose operations
-  /// execute on the caller's own thread (rt) say false and are batched
-  /// through count_batch instead.
+  /// True when an issued operation can be abandoned in flight (mp: a
+  /// collect that times out cancels its token and parks the value).
+  /// False where count_begin runs the op to completion on the caller's
+  /// thread (rt), so a deadline can only be honoured before issue: the svc
+  /// front-end refuses a kCountUntil whose budget is already spent instead
+  /// of issuing it.
   virtual bool supports_async_count() const { return false; }
-  /// Issues one operation without waiting (CHECK-fails unless
-  /// supports_async_count()).
+  /// Issues one operation. The default runs it on the caller's thread
+  /// (count_delayed) and returns a ready handle.
   virtual PendingCount count_begin(std::uint32_t thread_id, std::uint64_t wait_ns);
-  /// Issues out.size() operations without waiting, out[i] resolved exactly
-  /// as a count_begin handle. mp sends them as one wave (one token message
-  /// that each balancer actor splits by its own count); the default calls
-  /// count_begin(thread_id, 0) per slot.
+  /// Issues out.size() operations, out[i] resolved exactly as a
+  /// count_begin handle. mp sends them as one wave (one token message that
+  /// each balancer actor splits by its own count); rt claims them with one
+  /// count_batch (one next_batch wave) and returns ready handles, values
+  /// ascending; the default calls count_begin(thread_id, 0) per slot.
   virtual void count_begin_batch(std::uint32_t thread_id, std::span<PendingCount> out);
-  /// Blocks for the pending operation's value.
+  /// The pending operation's value, blocking until it arrives. The default
+  /// resolves ready handles, the only kind the default count_begin makes.
   virtual std::uint64_t count_collect(const PendingCount& pending);
   /// Deadline-bounded collect against an absolute steady_clock deadline;
   /// on mp a timeout abandons the operation on the real slot-CAS
-  /// cancellation path (the value is parked for recycling).
+  /// cancellation path (the value is parked for recycling). A ready handle
+  /// is ok whatever the deadline.
   virtual TimedCount count_collect_until(const PendingCount& pending,
                                          std::chrono::steady_clock::time_point deadline);
 
@@ -186,6 +187,8 @@ class RtBackend final : public CountingBackend {
   std::uint64_t count(std::uint32_t thread_id) override;
   void count_batch(std::uint32_t thread_id, std::span<std::uint64_t> out) override;
   std::uint64_t count_delayed(std::uint32_t thread_id, std::uint64_t wait_ns) override;
+  /// One count_batch over the whole span; every handle comes back ready.
+  void count_begin_batch(std::uint32_t thread_id, std::span<PendingCount> out) override;
 
   void register_metrics(obs::MetricsRegistry& registry) const override;
   double c2c1_estimate() const override;
@@ -221,8 +224,6 @@ class MpBackend final : public CountingBackend {
   /// One wave through the service (mp::NetworkService::count_batch).
   void count_batch(std::uint32_t thread_id, std::span<std::uint64_t> out) override;
   std::uint64_t count_delayed(std::uint32_t thread_id, std::uint64_t wait_ns) override;
-  TimedCount count_until(std::uint32_t thread_id, std::uint64_t wait_ns,
-                         std::uint64_t timeout_ns) override;
   bool supports_async_count() const override { return true; }
   PendingCount count_begin(std::uint32_t thread_id, std::uint64_t wait_ns) override;
   void count_begin_batch(std::uint32_t thread_id, std::span<PendingCount> out) override;

@@ -116,29 +116,6 @@ void live_issuer(CountingBackend& backend, const Workload& workload, std::uint32
   }
 }
 
-/// Counting check over the history's values plus the values the post-run
-/// drain reclaimed: together they must be exactly {0..n-1}. Every value
-/// the outputs issued is accounted for — completed, recycled into a later
-/// operation, or recovered from the parked buffer — with no duplicates.
-bool counting_with_reclaimed(const lin::History& history,
-                             const std::vector<std::uint64_t>& reclaimed,
-                             std::string* message) {
-  std::vector<std::uint64_t> values;
-  values.reserve(history.size() + reclaimed.size());
-  for (const lin::Operation& op : history) values.push_back(op.value);
-  values.insert(values.end(), reclaimed.begin(), reclaimed.end());
-  std::sort(values.begin(), values.end());
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (values[i] == i) continue;
-    *message = values[i] < i
-                   ? "value " + std::to_string(values[i]) +
-                         " appears more than once (history + reclaimed)"
-                   : "value " + std::to_string(i) + " missing (history + reclaimed)";
-    return false;
-  }
-  return true;
-}
-
 RunReport reject(RunReport report, std::string why) {
   report.ok = false;
   report.error = std::move(why);
@@ -235,12 +212,10 @@ RunReport Runner::run(CountingBackend& backend, const Workload& workload,
   // Uniform post-run analysis: Def 2.4, counting property, step property,
   // latency/throughput, and the obs snapshot.
   report.analysis = lin::check(report.history);
-  if (report.reclaimed_values.empty()) {
-    report.counting_ok = lin::values_form_range(report.history, &report.counting_message);
-  } else {
-    report.counting_ok = counting_with_reclaimed(report.history, report.reclaimed_values,
-                                                 &report.counting_message);
-  }
+  // Reclaimed values were issued too: every value the outputs handed out
+  // is completed, recycled into a later op, or recovered by the drain.
+  report.counting_ok = lin::values_form_range(report.history, &report.counting_message,
+                                              report.reclaimed_values);
   std::vector<std::uint64_t> per_output(backend.network().output_width(), 0);
   for (const lin::Operation& op : report.history) {
     ++per_output[op.value % per_output.size()];

@@ -371,10 +371,8 @@ class Server::Loop {
         serve_one(p);
         if (!p.conn->dead) flush(p.conn);
       }
-    } else if (s_.backend_.supports_async_count()) {
-      serve_batched_async();
     } else {
-      serve_batched_sync();
+      serve_batched();
     }
     pending_.clear();
   }
@@ -387,88 +385,60 @@ class Server::Loop {
     return issue_base_ + static_cast<std::uint32_t>(batch_rotor_++ % issue_slots_);
   }
 
-  /// mp: one wave per chunk — a single token message that each balancer
-  /// actor splits by its own count, in flight before the first collect
-  /// blocks. Each request is still collected on its own, so deadline
-  /// frames keep the slot-CAS cancellation.
-  void serve_batched_async() {
-    const std::uint32_t cap = s_.options_.max_batch;
-    std::vector<run::CountingBackend::PendingCount> handles;
-    for (std::size_t base = 0; base < pending_.size(); base += cap) {
-      const std::size_t n = std::min<std::size_t>(cap, pending_.size() - base);
-      handles.resize(n);
-      s_.backend_.count_begin_batch(batch_issue_id(), handles);
-      stats_.batches.fetch_add(1, std::memory_order_relaxed);
-      for (std::size_t i = 0; i < n; ++i) {
-        const PendingRequest& p = pending_[base + i];
-        if (p.request.op == Op::kCount) {
-          respond_ok(p, s_.backend_.count_collect(handles[i]));
-        } else {
-          // The real cancellation path: a deadline that fires here runs the
-          // slot-CAS cancel and parks the token's value for recycling.
-          const run::CountingBackend::TimedCount timed =
-              s_.backend_.count_collect_until(handles[i], p.deadline);
-          if (timed.ok) {
-            respond_ok(p, timed.value);
-          } else {
-            respond_timeout(p);
-          }
-        }
+  /// One wave per chunk on every live backend: count_begin_batch is one
+  /// next_batch on rt and one token message on mp, and then each request
+  /// collects its own handle, so a deadline frame on mp keeps the slot-CAS
+  /// cancellation.
+  void serve_batched() {
+    const bool can_abandon = s_.backend_.supports_async_count();
+    for (std::size_t next = 0; next < pending_.size();) {
+      chunk_.clear();
+      const Clock::time_point now = can_abandon ? Clock::time_point{} : Clock::now();
+      while (next < pending_.size() && chunk_.size() < s_.options_.max_batch) {
+        const PendingRequest& p = pending_[next++];
+        if (can_abandon || !refuse_spent(p, now)) chunk_.push_back(&p);
       }
+      if (chunk_.empty()) continue;
+      handles_.resize(chunk_.size());
+      s_.backend_.count_begin_batch(batch_issue_id(), handles_);
+      stats_.batches.fetch_add(1, std::memory_order_relaxed);
+      for (std::size_t i = 0; i < chunk_.size(); ++i) collect(*chunk_[i], handles_[i]);
     }
   }
 
-  /// rt: plain requests ride one next_batch(k) per chunk (one wave: one
-  /// state step per balancer per sub-batch and one output fetch_add per
-  /// exit port for the whole chunk);
-  /// deadline requests issue individually so each can be refused when its
-  /// budget is spent — rt cannot abandon a traversal the serving thread
-  /// itself executes.
-  void serve_batched_sync() {
-    std::vector<const PendingRequest*> plain;
-    plain.reserve(pending_.size());
-    for (const PendingRequest& p : pending_) {
-      if (p.request.op == Op::kCount) {
-        plain.push_back(&p);
-      } else {
-        serve_one(p);
-      }
-    }
-    const std::uint32_t cap = s_.options_.max_batch;
-    std::vector<std::uint64_t> values;
-    for (std::size_t base = 0; base < plain.size(); base += cap) {
-      const std::size_t n = std::min<std::size_t>(cap, plain.size() - base);
-      values.resize(n);
-      s_.backend_.count_batch(batch_issue_id(), values);
-      stats_.batches.fetch_add(1, std::memory_order_relaxed);
-      for (std::size_t i = 0; i < n; ++i) respond_ok(*plain[base + i], values[i]);
-    }
-  }
-
-  /// The unbatched path (ablation baseline) and the batched path's
-  /// per-request cases: one independent backend operation per request.
+  /// The unbatched ablation: one independent backend operation per
+  /// request, under the same deadline rule as serve_batched.
   void serve_one(const PendingRequest& p) {
     const std::uint32_t thread_id = issue_id(p.conn);
     if (p.request.op == Op::kCount) {
       respond_ok(p, s_.backend_.count(thread_id));
-      if (!s_.options_.batching) stats_.batches.fetch_add(1, std::memory_order_relaxed);
+    } else if (s_.backend_.supports_async_count() || !refuse_spent(p, Clock::now())) {
+      collect(p, s_.backend_.count_begin(thread_id, 0));
+    } else {
+      return;  // refused before issue
+    }
+    stats_.batches.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  /// For a backend that cannot abandon an issued op (rt runs it on this
+  /// thread): a kCountUntil whose budget died in the queue is answered
+  /// kTimeout before issue and claims no value. Honest deadline
+  /// propagation is a refusal to start, not a value delivered late.
+  bool refuse_spent(const PendingRequest& p, Clock::time_point now) {
+    if (p.request.op != Op::kCountUntil || now < p.deadline) return false;
+    respond_timeout(p);
+    return true;
+  }
+
+  /// Answers an issued request: a plain collect for kCount, one bounded by
+  /// the frame's deadline for kCountUntil.
+  void collect(const PendingRequest& p, const run::CountingBackend::PendingCount& handle) {
+    if (p.request.op == Op::kCount) {
+      respond_ok(p, s_.backend_.count_collect(handle));
       return;
     }
-    const Clock::time_point now = Clock::now();
-    if (!s_.backend_.supports_async_count() && now >= p.deadline) {
-      // The budget died in the queue and this backend cannot interrupt a
-      // running traversal; honest deadline propagation is a refusal to
-      // start, not a value delivered late.
-      respond_timeout(p);
-      return;
-    }
-    const auto remaining = p.deadline > now
-                               ? std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                     p.deadline - now)
-                                     .count()
-                               : 0;
     const run::CountingBackend::TimedCount timed =
-        s_.backend_.count_until(thread_id, 0, static_cast<std::uint64_t>(remaining));
+        s_.backend_.count_collect_until(handle, p.deadline);
     if (timed.ok) {
       respond_ok(p, timed.value);
     } else {
@@ -569,6 +539,8 @@ class Server::Loop {
   std::unordered_map<int, std::unique_ptr<Conn>> conns_;
   std::vector<std::unique_ptr<Conn>> graveyard_;
   std::vector<PendingRequest> pending_;
+  std::vector<const PendingRequest*> chunk_;            ///< serve_batched scratch
+  std::vector<run::CountingBackend::PendingCount> handles_;  ///< serve_batched scratch
   std::uint32_t next_conn_id_ = 0;
   std::uint64_t batch_rotor_ = 0;
 };

@@ -24,16 +24,17 @@
 // The perf core within each loop is *boundary batching*: one event-loop
 // wake drains every readable connection, coalescing the decoded requests
 // into a pending set, and then issues them against the backend in bulk as
-// one wave per chunk — one next_batch(k) on rt, one k-token message on mp
-// (count_begin_batch, then a collect per request) — instead of k
-// independent traversals. This moves the batch wave across the
-// address-space boundary: the k requests of one wake share balancer steps
-// (rt) or actor messages (mp), output fetch_adds and worker wakeups — and
-// their responses share one coalesced write() per connection — while each
-// request still gets its own counter value. `ServerOptions::batching =
-// false` is the ablation BENCH_svc measures: the textbook request-response
-// loop, one backend issue and one response write per request, in arrival
-// order.
+// one wave per chunk, the same way on every live backend: one
+// count_begin_batch per chunk of up to max_batch requests (one
+// next_batch(k) on rt, one k-token message on mp), then a collect per
+// request — instead of k independent traversals. This moves the batch wave
+// across the address-space boundary: the k requests of one wake share
+// balancer steps (rt) or actor messages (mp), output fetch_adds and worker
+// wakeups — and their responses share one coalesced write() per
+// connection — while each request still gets its own counter value.
+// `ServerOptions::batching = false` is the ablation BENCH_svc measures: the
+// textbook request-response loop, one backend issue and one response write
+// per request, in arrival order.
 //
 // Admission control / backpressure (all answered with Status::kShed, never
 // an unbounded queue):
@@ -53,13 +54,14 @@
 //                  max_write_buffer is dropped.
 //
 // Deadline propagation: a kCountUntil frame's budget starts at *receipt*
-// (decode time) and rides onto the backend's real cancellation path — on mp
-// the collect is deadline-bounded, so a timeout runs the slot-CAS
+// (decode time) and bounds its collect — on mp a timeout runs the slot-CAS
 // cancellation and parks the value for recycling (mp.deadline_timeouts
-// counts it); rt cannot interrupt a traversal that runs on the serving
-// thread, so a budget that is already spent when the request is issued is
-// answered kTimeout without executing, and a live one executes to
-// completion (docs/SERVICE.md spells out the per-family matrix).
+// counts it). A backend that cannot abandon an issued op
+// (!supports_async_count(): rt runs the wave on the serving thread and
+// hands back ready handles) gets no say after issue, so a frame whose
+// budget is already spent when its chunk is issued is answered kTimeout
+// without executing, and a live one executes to completion
+// (docs/SERVICE.md spells out the per-family matrix).
 //
 // Threading: each event-loop thread owns its connections and issues all
 // their backend operations (mp operations still execute on the service's
@@ -131,7 +133,8 @@ class Server {
     std::uint64_t responses_timeout = 0;
     std::uint64_t responses_shed = 0;
     std::uint64_t protocol_errors = 0;  ///< malformed frames (conn dropped)
-    std::uint64_t batches = 0;          ///< backend issue calls (batched path)
+    std::uint64_t batches = 0;          ///< backend issue calls (per chunk, or per
+                                        ///< issued request when unbatched)
     std::uint64_t largest_batch = 0;    ///< max requests coalesced in one wake
     std::uint64_t wakes = 0;            ///< epoll wakes that served requests
   };

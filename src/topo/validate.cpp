@@ -1,7 +1,7 @@
 #include "topo/validate.h"
 
-#include <algorithm>
 #include <sstream>
+#include <utility>
 
 #include "util/assert.h"
 
@@ -86,23 +86,6 @@ VerifyResult verify_counting_random(const Network& net, std::uint64_t max_per_in
     ++result.vectors_checked;
   }
   return result;
-}
-
-bool values_are_range(const std::vector<std::uint64_t>& values, std::string* message) {
-  std::vector<std::uint64_t> sorted = values;
-  std::sort(sorted.begin(), sorted.end());
-  for (std::uint64_t i = 0; i < sorted.size(); ++i) {
-    if (sorted[i] != i) {
-      if (message) {
-        std::ostringstream msg;
-        msg << "expected value " << i << " at rank " << i << ", found " << sorted[i]
-            << " (total " << sorted.size() << " values)";
-        *message = msg.str();
-      }
-      return false;
-    }
-  }
-  return true;
 }
 
 }  // namespace cnet::topo

@@ -48,10 +48,4 @@ VerifyResult verify_counting_exhaustive(const Network& net, std::uint64_t max_pe
 VerifyResult verify_counting_random(const Network& net, std::uint64_t max_per_input,
                                     std::uint64_t trials, Rng& rng);
 
-/// Sanity checks beyond counting: with m total tokens the values handed out
-/// by the output counters are exactly {0, 1, ..., m-1}. Returns false and a
-/// message on violation. (True for every counting network; used to validate
-/// concurrent executors against the topology.)
-bool values_are_range(const std::vector<std::uint64_t>& values, std::string* message);
-
 }  // namespace cnet::topo

@@ -183,6 +183,38 @@ TEST(ValuesFormRange, Basics) {
   EXPECT_FALSE(values_form_range({op(0, 1, 3), op(0, 1, 0), op(0, 1, 1)}, &msg));
   EXPECT_EQ(msg, "counting violated: rank 2 holds value 3 (3 ops total)");
   EXPECT_FALSE(values_form_range({op(0, 1, 1)}, nullptr));
+
+  // Extra values (a drain's reclaimed ones) count as issued: history plus
+  // extra must be the range together.
+  const std::vector<std::uint64_t> reclaimed = {3, 1};
+  EXPECT_TRUE(values_form_range({op(0, 1, 2), op(0, 1, 0)}, &msg, reclaimed));
+  EXPECT_FALSE(values_form_range({op(0, 1, 1), op(0, 1, 0), op(0, 1, 2)}, &msg, reclaimed));
+  EXPECT_EQ(msg, "counting violated: rank 2 holds value 1 (5 ops total)");
+  EXPECT_FALSE(values_form_range({op(0, 1, 2), op(0, 1, 4)}, &msg, reclaimed));
+  EXPECT_EQ(msg, "counting violated: rank 0 holds value 1 (4 ops total)");
+}
+
+// A bare list of values, with no history, goes in as the extra values.
+bool values_are_range(const std::vector<std::uint64_t>& values, std::string* message) {
+  return values_form_range({}, message, values);
+}
+
+TEST(ValuesAreRange, AcceptsPermutationsOfRange) {
+  std::string msg;
+  EXPECT_TRUE(values_are_range({}, &msg));
+  EXPECT_TRUE(values_are_range({0}, &msg));
+  EXPECT_TRUE(values_are_range({2, 0, 1}, &msg));
+  EXPECT_TRUE(msg.empty());
+}
+
+TEST(ValuesAreRange, RejectsGapsAndDuplicates) {
+  std::string msg;
+  EXPECT_FALSE(values_are_range({0, 2}, &msg));
+  EXPECT_EQ(msg, "counting violated: rank 1 holds value 2 (2 ops total)");
+  EXPECT_FALSE(values_are_range({0, 0, 1}, &msg));
+  EXPECT_EQ(msg, "counting violated: rank 1 holds value 0 (3 ops total)");
+  EXPECT_FALSE(values_are_range({1, 2, 3}, &msg));
+  EXPECT_EQ(msg, "counting violated: rank 0 holds value 1 (3 ops total)");
 }
 
 }  // namespace

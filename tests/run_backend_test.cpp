@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <limits>
 #include <memory>
 #include <string>
@@ -89,6 +90,38 @@ TEST(RunBackend, MpCountsThroughActors) {
   for (int i = 0; i < 32; ++i) values.push_back(backend->count(static_cast<std::uint32_t>(i)));
   std::sort(values.begin(), values.end());
   for (std::uint64_t i = 0; i < values.size(); ++i) EXPECT_EQ(values[i], i);
+}
+
+TEST(RunBackend, EveryLiveBackendBeginsBatchesAndCollects) {
+  // The issue-then-collect contract svc::Server serves every batch through,
+  // driven through the base interface alone: rt claims the chunk with one
+  // next_batch and hands back ready handles in ascending order, mp sends
+  // one wave and hands back in-flight ones, which a bitonic network deals
+  // values by its split rule rather than in slot order.
+  for (const char* spec : {"rt:bitonic:8", "mp:bitonic:8"}) {
+    SCOPED_TRACE(spec);
+    const std::unique_ptr<CountingBackend> owned = backend_ok(spec);
+    CountingBackend& backend = *owned;
+    std::vector<CountingBackend::PendingCount> wave(12);
+    backend.count_begin_batch(0, wave);
+    std::vector<std::uint64_t> values;
+    for (const CountingBackend::PendingCount& pending : wave) {
+      values.push_back(backend.count_collect(pending));
+    }
+    if (owned->spec().family == Family::kRt) {
+      EXPECT_TRUE(std::is_sorted(values.begin(), values.end()));
+    }
+    std::sort(values.begin(), values.end());
+    for (std::uint64_t i = 0; i < values.size(); ++i) EXPECT_EQ(values[i], i);
+  }
+  // A ready handle's op already completed, so no deadline can time it out.
+  const std::unique_ptr<CountingBackend> rt = backend_ok("rt:bitonic:8");
+  const CountingBackend::PendingCount ready = rt->count_begin(0, 0);
+  EXPECT_EQ(ready.cell, nullptr);
+  const CountingBackend::TimedCount timed =
+      rt->count_collect_until(ready, std::chrono::steady_clock::time_point{});
+  EXPECT_TRUE(timed.ok);
+  EXPECT_EQ(timed.value, 0u);
 }
 
 TEST(RunBackend, SimSimulatesClosedLoop) {

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <memory>
 #include <mutex>
@@ -215,6 +216,29 @@ TEST(SvcServer, RtDeadlineHonestRefusalWhenBudgetSpent) {
   EXPECT_EQ(response.status, Status::kTimeout);
   ASSERT_TRUE(client.count_until(2, 1000000000ull, &response, &error)) << error;
   EXPECT_EQ(response.status, Status::kOk);
+
+  // One pipelined wake mixing the two with plain counts: the spent budget
+  // is refused before its chunk is issued, so it claims no value and the
+  // three served values are gapless.
+  client.queue_count(3);
+  client.queue_count_until(4, 1);
+  client.queue_count(5);
+  client.queue_count_until(6, 1000000000ull);
+  ASSERT_TRUE(client.flush(&error)) << error;
+  std::vector<std::uint64_t> served;
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(client.recv_response(&response, &error)) << error;
+    if (response.request_id == 4) {
+      EXPECT_EQ(response.status, Status::kTimeout);
+      continue;
+    }
+    EXPECT_EQ(response.status, Status::kOk) << "request " << response.request_id;
+    served.push_back(response.value);
+  }
+  ASSERT_EQ(served.size(), 3u);
+  std::sort(served.begin(), served.end());
+  EXPECT_EQ(served.back() - served.front(), 2u);
+  EXPECT_EQ(served[1], served.front() + 1);
 }
 
 TEST(SvcServer, BacklogShedWhenPendingOverCap) {
@@ -505,30 +529,35 @@ TEST(SvcServer, UdsRejectsOverlongPath) {
 }
 
 TEST(SvcServer, MixedOpsConcurrentClients) {
-  ServerUnderTest s("mp:tree:8?actors=2");
-  ASSERT_TRUE(s.started) << s.start_error;
-  std::vector<std::jthread> threads;
-  for (std::uint32_t c = 0; c < 3; ++c) {
-    threads.emplace_back([&, c] {
-      Client client;
-      std::string error;
-      ASSERT_TRUE(client.connect("127.0.0.1", s.server->port(), &error)) << error;
-      for (std::uint64_t i = 0; i < 100; ++i) {
-        Response response;
-        const std::uint64_t id = (static_cast<std::uint64_t>(c) << 40) | i;
-        if (i % 3 == 0) {
-          // A one-second budget never expires here: same result as count.
-          ASSERT_TRUE(client.count_until(id, 1000000000ull, &response, &error)) << error;
-        } else {
-          ASSERT_TRUE(client.count(id, &response, &error)) << error;
+  // Both live families serve plain and deadline frames through the same
+  // batched path.
+  for (const char* spec : {"mp:tree:8?actors=2", "rt:bitonic:8"}) {
+    SCOPED_TRACE(spec);
+    ServerUnderTest s(spec);
+    ASSERT_TRUE(s.started) << s.start_error;
+    std::vector<std::jthread> threads;
+    for (std::uint32_t c = 0; c < 3; ++c) {
+      threads.emplace_back([&, c] {
+        Client client;
+        std::string error;
+        ASSERT_TRUE(client.connect("127.0.0.1", s.server->port(), &error)) << error;
+        for (std::uint64_t i = 0; i < 100; ++i) {
+          Response response;
+          const std::uint64_t id = (static_cast<std::uint64_t>(c) << 40) | i;
+          if (i % 3 == 0) {
+            // A one-second budget never expires here: same result as count.
+            ASSERT_TRUE(client.count_until(id, 1000000000ull, &response, &error)) << error;
+          } else {
+            ASSERT_TRUE(client.count(id, &response, &error)) << error;
+          }
+          ASSERT_EQ(response.status, Status::kOk);
+          ASSERT_EQ(response.request_id, id);
         }
-        ASSERT_EQ(response.status, Status::kOk);
-        ASSERT_EQ(response.request_id, id);
-      }
-    });
+      });
+    }
+    threads.clear();
+    EXPECT_EQ(s.server->stats().responses_ok, 300u);
   }
-  threads.clear();
-  EXPECT_EQ(s.server->stats().responses_ok, 300u);
 }
 
 }  // namespace

@@ -80,21 +80,6 @@ TEST(VerifyRandom, ReportsTrialCount) {
   EXPECT_EQ(result.vectors_checked, 123u);
 }
 
-TEST(ValuesAreRange, AcceptsPermutationsOfRange) {
-  std::string msg;
-  EXPECT_TRUE(values_are_range({}, &msg));
-  EXPECT_TRUE(values_are_range({0}, &msg));
-  EXPECT_TRUE(values_are_range({2, 0, 1}, &msg));
-}
-
-TEST(ValuesAreRange, RejectsGapsAndDuplicates) {
-  std::string msg;
-  EXPECT_FALSE(values_are_range({0, 2}, &msg));
-  EXPECT_NE(msg.find("rank 1"), std::string::npos);
-  EXPECT_FALSE(values_are_range({0, 0, 1}, &msg));
-  EXPECT_FALSE(values_are_range({1, 2, 3}, &msg));
-}
-
 TEST(CountsForVector, AllTokensOnOneWire) {
   // A counting network must count even with maximally skewed input.
   const Network net = make_bitonic(8);

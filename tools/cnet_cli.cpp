@@ -73,9 +73,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cctype>
-#include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -99,9 +97,12 @@
 #include "topo/validate.h"
 #include "util/rng.h"
 
+#include "flag_parse.h"
+
 namespace {
 
 using namespace cnet;
+using namespace cnet::tools;
 
 int usage() {
   std::fprintf(
@@ -142,27 +143,6 @@ run::BackendSpec parse_spec_or_exit(const std::string& text) {
   return spec;
 }
 
-constexpr std::uint64_t kU32 = 0xffffffffu;
-constexpr std::uint64_t kU64 = ~0ull;
-
-/// Parses `text` strictly as an integer in [min, max]. A sign, a non-digit
-/// or an out-of-range value is a usage error that names `what` and exits 2,
-/// never a wrapped or zero value.
-std::uint64_t parse_count(const std::string& what, const char* text, std::uint64_t max,
-                          std::uint64_t min = 0) {
-  char* end = nullptr;
-  errno = 0;
-  const std::uint64_t n =
-      std::isdigit(static_cast<unsigned char>(*text)) ? std::strtoull(text, &end, 10) : 0;
-  if (end == nullptr || *end != '\0' || errno == ERANGE || n < min || n > max) {
-    std::fprintf(stderr, "%s needs an integer in [%llu, %llu] (got '%s')\n", what.c_str(),
-                 static_cast<unsigned long long>(min), static_cast<unsigned long long>(max),
-                 text);
-    std::exit(2);
-  }
-  return n;
-}
-
 /// Applies one `key=value` workload argument; an unknown key or an
 /// ill-typed value is a usage error (diagnostic on stderr, exit 2).
 void apply_workload_arg(const std::string& arg, run::Workload* workload) {
@@ -176,14 +156,7 @@ void apply_workload_arg(const std::string& arg, run::Workload* workload) {
   const std::string what = "workload key '" + key + "'";
   const auto as_count = [&](std::uint64_t max) { return parse_count(what, value.c_str(), max); };
   const auto as_f64 = [&] {
-    char* end = nullptr;
-    const double x = std::strtod(value.c_str(), &end);
-    if (*end != '\0' || !std::isfinite(x)) {
-      std::fprintf(stderr, "%s needs a finite number (got '%s')\n", what.c_str(),
-                   value.c_str());
-      std::exit(2);
-    }
-    return x;
+    return parse_finite(what, value.c_str(), -kUnbounded, kUnbounded);
   };
   if (key == "threads") {
     workload->threads = static_cast<std::uint32_t>(as_count(kU32));
@@ -280,12 +253,7 @@ int cmd_exhaustive(const run::BackendSpec& spec, int argc, char** argv, int base
       argc > base + 1 ? static_cast<std::uint32_t>(parse_count("slots", argv[base + 1], kU32, 1))
                       : 8;
   if (argc > base + 2) {
-    char* end = nullptr;
-    params.entry_step = std::strtod(argv[base + 2], &end);
-    if (*end != '\0' || !(params.entry_step > 0.0 && std::isfinite(params.entry_step))) {
-      std::fprintf(stderr, "step needs a positive number (got '%s')\n", argv[base + 2]);
-      return 2;
-    }
+    params.entry_step = parse_finite("step", argv[base + 2], 0.0, kUnbounded, /*above_min=*/true);
   }
   const sim::ExhaustiveResult result = sim::exhaustive_search(net, params);
   std::printf("%s, %u tokens, c1 = %.2f, c2 = %.2f, %u-slot lattice (step %.3f)\n",

@@ -23,7 +23,8 @@
 // --check verifies the counting property over the wire: every kOk value
 // distinct, and together forming a gapless range when the generator is the
 // server's only client. Exit codes: 0 ok, 1 check failed or shed/errors
-// when checking, 2 usage/connect error.
+// when checking, 2 usage/connect error (a malformed or out-of-range number
+// is a usage error that echoes the value).
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -40,9 +41,12 @@
 #include "util/rng.h"
 #include "util/stats.h"
 
+#include "flag_parse.h"
+
 namespace {
 
 using namespace cnet;
+using namespace cnet::tools;
 using Clock = std::chrono::steady_clock;
 
 struct Options {
@@ -180,31 +184,36 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // Numbers parse strictly (tools/flag_parse.h). A connection is a
+    // thread, hence the cap on --connections.
+    const auto count = [&](std::uint64_t max, std::uint64_t min) {
+      return parse_count(arg, value(), max, min);
+    };
     if (arg == "--host") {
       options.host = value();
     } else if (arg == "--port") {
-      options.port = static_cast<std::uint16_t>(std::atoi(value()));
+      options.port = static_cast<std::uint16_t>(count(0xffff, 1));
     } else if (arg == "--uds") {
       options.uds_path = value();
     } else if (arg == "--connections") {
-      options.connections = std::max(1, std::atoi(value()));
+      options.connections = static_cast<std::uint32_t>(count(1024, 1));
     } else if (arg == "--ops") {
-      options.ops = std::strtoull(value(), nullptr, 10);
+      options.ops = count(kU64, 1);
     } else if (arg == "--rate") {
-      options.rate = std::atof(value());
+      options.rate = parse_finite(arg, value(), 0.0, kUnbounded, /*above_min=*/true);
     } else if (arg == "--deadline-ns") {
-      options.deadline_ns = std::strtoull(value(), nullptr, 10);
+      options.deadline_ns = count(kU64, 0);
     } else if (arg == "--deadline-fraction") {
-      options.deadline_fraction = std::atof(value());
+      options.deadline_fraction = parse_finite(arg, value(), 0.0, 1.0);
     } else if (arg == "--seed") {
-      options.seed = std::strtoull(value(), nullptr, 10);
+      options.seed = count(kU64, 0);
     } else if (arg == "--check") {
       options.check = true;
     } else {
       return usage();
     }
   }
-  if ((options.port == 0 && options.uds_path.empty()) || options.rate <= 0.0) return usage();
+  if (options.port == 0 && options.uds_path.empty()) return usage();
   if (options.deadline_fraction > 0.0 && options.deadline_ns == 0) {
     std::fprintf(stderr, "--deadline-fraction needs --deadline-ns > 0\n");
     return 2;
