@@ -139,6 +139,7 @@ BENCHMARK(BM_Periodic)
     ->Setup(setup_periodic_plan)
     ->Teardown(teardown_backend)
     ->Arg(16)
+    ->Arg(32)
     ->ThreadRange(1, 8)
     ->UseRealTime();
 

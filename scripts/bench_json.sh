@@ -147,25 +147,35 @@ if missing:
     sys.exit(f"benchmark series missing from {sys.argv[1]}: {', '.join(missing)}")
 EOF
 
-tmp_svc=$(mktemp) tmp_link=$(mktemp)
-trap 'rm -f "$tmp_rt" "$tmp_psim" "$tmp_svc" "$tmp_link"' EXIT
+tmp_svc_rt=$(mktemp) tmp_svc_mp=$(mktemp) tmp_deploy=$(mktemp) tmp_link=$(mktemp)
+trap 'rm -f "$tmp_rt" "$tmp_psim" "$tmp_svc_rt" "$tmp_svc_mp" "$tmp_deploy" "$tmp_link"' EXIT
 
-build/bench/throughput_svc \
+# One throughput_svc family per process: run in one process, the later
+# families spread far wider (BM_SvcMpBatched read 279-460 k items/s over 16
+# such runs, and 476-534 k with its family alone).
+build/bench/throughput_svc --benchmark_filter='^BM_SvcRt' \
   --benchmark_min_time="$min_time" \
-  --benchmark_format=json >"$tmp_svc"
+  --benchmark_format=json >"$tmp_svc_rt"
+build/bench/throughput_svc --benchmark_filter='^BM_SvcMp' \
+  --benchmark_min_time="$min_time" \
+  --benchmark_format=json >"$tmp_svc_mp"
+build/bench/throughput_svc --benchmark_filter='^BM_Deploy' \
+  --benchmark_min_time="$min_time" \
+  --benchmark_format=json >"$tmp_deploy"
 build/bench/throughput_link \
   --benchmark_min_time="$min_time" \
   --benchmark_format=json >"$tmp_link"
 
-# Merge the link/pipeline series into the svc snapshot: one context block,
-# concatenated benchmark arrays — the pipelined deployment belongs next to
-# the tiles-vs-in-process numbers it is compared against.
-python3 - "$tmp_svc" "$tmp_link" "$svc_out" <<'EOF'
+# Merge the three svc families and the link/pipeline series into the svc
+# snapshot: one context block, concatenated benchmark arrays — the
+# pipelined deployment belongs next to the tiles-vs-in-process numbers it
+# is compared against.
+python3 - "$tmp_svc_rt" "$tmp_svc_mp" "$tmp_deploy" "$tmp_link" "$svc_out" <<'EOF'
 import json, sys
-svc, link, out = sys.argv[1:4]
-with open(svc) as f: a = json.load(f)
-with open(link) as f: b = json.load(f)
-a["benchmarks"].extend(b["benchmarks"])
+*parts, out = sys.argv[1:]
+with open(parts[0]) as f: a = json.load(f)
+for part in parts[1:]:
+    with open(part) as f: a["benchmarks"].extend(json.load(f)["benchmarks"])
 with open(out, "w") as f:
     json.dump(a, f, indent=1)
     f.write("\n")

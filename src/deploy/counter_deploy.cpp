@@ -24,7 +24,7 @@ void tile_thread(rt::NetworkCounter& counter, ControlBlock* ctl, StreamCursor* c
                  std::uint32_t total_threads, OpRecord* slice, std::uint64_t quota,
                  std::uint32_t gid, std::uint32_t batch) {
   StreamCursor& cursor = cursors[gid];
-  const std::uint32_t input = gid % counter.input_width();
+  const std::uint32_t input = counter.network().issuer_input(gid);
   std::vector<std::uint64_t> values(batch);
   std::uint64_t k = cursor.committed.load(std::memory_order_acquire);
   while (k < quota) {

@@ -193,7 +193,6 @@ int counter_main(const run::BackendSpec& spec, const PipeShape& shape, int ws_fd
 
   std::vector<std::uint8_t> out(sizeof(ResFrag) + std::size_t{shape.batch} * 8);
   std::vector<std::uint64_t> values(shape.batch);
-  const std::uint32_t input_width = counter->input_width();
   while (env.ctl->stop.load(std::memory_order_acquire) == 0) {
     bool progress = false;
     for (std::uint32_t s = 0; s < shape.streams; ++s) {
@@ -202,7 +201,7 @@ int counter_main(const run::BackendSpec& spec, const PipeShape& shape, int ws_fd
       if (req_in[s].read(&meta, &req, sizeof(req)) != link::Consumer::Poll::kFrag) continue;
       progress = true;
       const std::uint32_t n = std::min(req.count, shape.batch);
-      counter->next_batch(/*thread=*/0, req.stream % input_width,
+      counter->next_batch(/*thread=*/0, counter->network().issuer_input(req.stream),
                           std::span<std::uint64_t>(values.data(), n));
       auto* res = reinterpret_cast<ResFrag*>(out.data());
       res->req_seq = req.req_seq;

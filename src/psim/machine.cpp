@@ -137,6 +137,10 @@ class Machine {
       // this op) moves with it.
       if (op != nullptr && op->defer != 0) co_await engine_.sleep(op->defer);
       const auto start = static_cast<double>(engine_.now());
+      // Processor p enters at p mod w, not at the live executors'
+      // Network::issuer_input: simulated time shares no cache lines, and the
+      // Figure 5/6 cells in results/fig5.txt and results/fig6.txt are
+      // frozen byte for byte under this rule.
       const std::uint32_t wire = (op != nullptr ? op->input : p) % net_->input_width();
       topo::OutLink at = net_->inputs()[wire];
       std::uint32_t hops = 0;

@@ -191,10 +191,12 @@ class NetworkCounter {
     return next_hooked(thread_id, input, nullptr, nullptr);
   }
 
-  /// Convenience for single-input networks (trees) or "any input" use:
-  /// enters at input thread_id mod input_width.
+  /// Enters where the network places issuer `thread_id`:
+  /// network().issuer_input(thread_id), which keeps concurrent callers
+  /// 0, 1, 2, ... on disjoint balancers as long as the wiring allows
+  /// (topo/network.h).
   std::uint64_t next(std::uint32_t thread_id) {
-    return next(thread_id, thread_id % input_width_);
+    return next(thread_id, net_.issuer_input(thread_id));
   }
 
   /// As next(), invoking `after_node(ctx, node, port)` after every node traversal

@@ -206,7 +206,7 @@ void RtBackend::count_batch(std::uint32_t thread_id, std::span<std::uint64_t> ou
     for (auto& value : out) value = count_delayed(thread_id, 0);
     return;
   }
-  counter_.next_batch(thread_id, thread_id % network().input_width(), out);
+  counter_.next_batch(thread_id, network().issuer_input(thread_id), out);
 }
 
 void RtBackend::count_begin_batch(std::uint32_t thread_id, std::span<PendingCount> out) {
@@ -220,7 +220,9 @@ std::uint64_t RtBackend::count_delayed(std::uint32_t thread_id, std::uint64_t wa
   if (wait_ns == 0 && fault_ == nullptr && recorder_ == nullptr) [[likely]] {
     return counter_.next(thread_id);
   }
-  const std::uint32_t input = thread_id % network().input_width();
+  // The input the unhooked next(thread_id) enters at, so a recorded trace
+  // logs the wire the hot path uses.
+  const std::uint32_t input = network().issuer_input(thread_id);
   HookCtx ctx{wait_ns, fault_.get(), recorder_, thread_id, 0};
   if (recorder_ != nullptr) recorder_->issue(&ctx, input);
   const std::uint64_t value = counter_.next_hooked(thread_id, input, after_node, &ctx);
@@ -255,24 +257,24 @@ MpBackend::MpBackend(const BackendSpec& spec)
       service_(spec.build_network(), mp_options(spec, metrics_.get(), fault_.get())) {}
 
 std::uint64_t MpBackend::count(std::uint32_t thread_id) {
-  return service_.count(thread_id % network().input_width());
+  return service_.count(network().issuer_input(thread_id));
 }
 
 void MpBackend::count_batch(std::uint32_t thread_id, std::span<std::uint64_t> out) {
-  service_.count_batch(thread_id % network().input_width(), out);
+  service_.count_batch(network().issuer_input(thread_id), out);
 }
 
 std::uint64_t MpBackend::count_delayed(std::uint32_t thread_id, std::uint64_t wait_ns) {
-  return service_.count_delayed(thread_id % network().input_width(), wait_ns);
+  return service_.count_delayed(network().issuer_input(thread_id), wait_ns);
 }
 
 CountingBackend::PendingCount MpBackend::count_begin(std::uint32_t thread_id,
                                                      std::uint64_t wait_ns) {
-  return service_.count_begin(thread_id % network().input_width(), wait_ns);
+  return service_.count_begin(network().issuer_input(thread_id), wait_ns);
 }
 
 void MpBackend::count_begin_batch(std::uint32_t thread_id, std::span<PendingCount> out) {
-  service_.count_begin_batch(thread_id % network().input_width(), out);
+  service_.count_begin_batch(network().issuer_input(thread_id), out);
 }
 
 std::uint64_t MpBackend::count_collect(const PendingCount& pending) {
@@ -374,6 +376,10 @@ SimulatedRun SimBackend::simulate(const Workload& workload) {
   }
   sim::Simulator simulator(net_, *model, workload.seed);
 
+  // Simulated issuers enter at `p mod w` (closed loop) or token index mod w
+  // (open arrivals), psim's rule, not the live backends' issuer_input:
+  // virtual time has no cache lines to share, and sim runs stay comparable
+  // with psim's frozen Figure 5/6 cells.
   const std::uint32_t inputs = net_.input_width();
   const std::uint64_t total = workload.total_ops;
 

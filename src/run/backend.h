@@ -68,6 +68,9 @@ class CountingBackend {
   virtual const char* time_unit() const = 0;
 
   // -- live backends only (CHECK-fails on simulated ones) --------------
+  // `thread_id` names the issuer, and so its input: every live call enters
+  // at network().issuer_input(thread_id), the order that keeps concurrent
+  // issuers on disjoint balancers longest (bit reversal on Bitonic[w]).
   /// One counting operation. `thread_id` must be unique among concurrent
   /// callers (and < spec().max_threads on rt).
   virtual std::uint64_t count(std::uint32_t thread_id);

@@ -122,6 +122,8 @@ psim::Script make_schedule(const topo::Network& net, const SearchOptions& option
   script.procs.assign(options.procs, {});
   for (std::uint32_t p = 0; p < options.procs; ++p) {
     script.procs[p].resize(options.ops_per_proc);
+    // psim's rule, p mod w (see psim/machine.cpp): a script runs in
+    // simulated time, where issuer placement has no cache lines to spare.
     for (psim::ScriptedOp& op : script.procs[p]) op.input = p % net.input_width();
   }
   for (const Placement& pl : placements) {

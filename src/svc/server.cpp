@@ -379,8 +379,8 @@ class Server::Loop {
 
   /// The issue id for one batched chunk. The rotor spreads successive
   /// chunks over this loop's slice of the entry inputs (a batch enters at
-  /// thread_id mod input_width); slices are disjoint across loops, so
-  /// concurrent chunks never share a thread id.
+  /// the network's issuer_input(thread_id)); slices are disjoint across
+  /// loops, so concurrent chunks never share a thread id.
   std::uint32_t batch_issue_id() {
     return issue_base_ + static_cast<std::uint32_t>(batch_rotor_++ % issue_slots_);
   }

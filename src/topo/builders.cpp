@@ -149,6 +149,14 @@ Network make_bitonic(std::uint32_t width) {
   NetworkBuilder b(width, width);
   const std::vector<Wire> out = bitonic(b, input_wires(width));
   attach_all_outputs(b, out);
+  // Issuers along the recursion: issuer i enters at input bitrev(i), so
+  // issuers 0..2^k-1 land in 2^k disjoint Bitonic[w/2^k] blocks.
+  const std::uint32_t top_bit = width >> 1;
+  std::vector<std::uint32_t> order(width, 0);
+  for (std::uint32_t i = 1; i < width; ++i) {
+    order[i] = (order[i >> 1] >> 1) | ((i & 1) != 0 ? top_bit : 0);
+  }
+  b.set_issuer_order(std::move(order));
   b.set_name("Bitonic[" + std::to_string(width) + "]");
   return b.build();
 }
@@ -251,6 +259,7 @@ Network make_serial(const Network& first, const Network& second) {
   std::vector<Wire> stage2_out;
   clone_network(b, second, stage1_out, stage2_out);
   attach_all_outputs(b, stage2_out);
+  b.set_issuer_order(first.issuer_order());
   b.set_name(first.name() + ">" + second.name());
   return b.build();
 }
@@ -313,6 +322,7 @@ Network make_padded(const Network& base, std::uint32_t prefix_len) {
     const InLink& src = base.outputs()[i];
     b.attach_output(map[src.node], src.port, i);
   }
+  b.set_issuer_order(base.issuer_order());
   b.set_name("Padded[" + std::to_string(prefix_len) + "]+" + base.name());
   return b.build();
 }

@@ -3,7 +3,8 @@
 //  * make_balancer        — the depth-1 network of the §1 example.
 //  * make_bitonic         — Bitonic[w] of Aspnes, Herlihy, and Shavit [4]:
 //                           two Bitonic[w/2] followed by Merger[w];
-//                           depth log w (log w + 1) / 2.
+//                           depth log w (log w + 1) / 2. Its issuer order
+//                           is bit reversal (Network::issuer_input).
 //  * make_periodic        — Periodic[w] of [4]: log w cascaded Block[w]
 //                           butterfly blocks; depth (log w)^2.
 //  * make_counting_tree   — the counting tree underlying diffracting trees
@@ -12,7 +13,8 @@
 //  * make_padded          — Cor 3.12: the input-padding transformation that
 //                           prefixes every input with a chain of 1-in/1-out
 //                           pass-through nodes to restore linearizability for
-//                           a known c2/c1 bound.
+//                           a known c2/c1 bound; keeps the base's issuer
+//                           order.
 //
 // All builders produce uniform networks (Def 2.1); this is asserted in
 // build() metadata and exercised by the test suite.
@@ -37,7 +39,8 @@ constexpr std::uint32_t log2_exact(std::uint64_t w) {
 /// One balancing node with `fan` inputs and `fan` outputs; depth 1.
 Network make_balancer(std::uint32_t fan);
 
-/// Bitonic[w]; requires w a power of two, w >= 2.
+/// Bitonic[w]; requires w a power of two, w >= 2. Issuer i enters at input
+/// bitrev(i), the bit reversal of i over log w bits.
 Network make_bitonic(std::uint32_t width);
 
 /// Merger[w] as a stand-alone network (used by tests and the Thm 4.4
@@ -65,7 +68,7 @@ Network make_kary_tree(std::uint32_t fan, std::uint32_t height);
 /// Cor 3.12 padding: a copy of `base` whose every input is preceded by a
 /// chain of `prefix_len` 1-in/1-out pass-through nodes. For a base network of
 /// depth h and a known k > 2 with c2 < k*c1, prefix_len = h*(k-2) makes the
-/// result linearizable (depth h*(k-1)).
+/// result linearizable (depth h*(k-1)). Keeps `base`'s issuer order.
 Network make_padded(const Network& base, std::uint32_t prefix_len);
 
 /// Padding length prescribed by Cor 3.12 for depth h and ratio bound k.
@@ -79,6 +82,7 @@ constexpr std::uint32_t padding_prefix_length(std::uint32_t depth, std::uint32_t
 /// preserves, so counting-after-counting *does* hold — the periodic network
 /// is log w cascaded non-counting blocks though, so the primitive is exposed
 /// for construction and experiments rather than with a blanket guarantee).
+/// Keeps `first`'s issuer order.
 Network make_serial(const Network& first, const Network& second);
 
 /// Parallel composition: `top` on inputs/outputs 0..v1-1, `bottom` on the

@@ -134,6 +134,21 @@ Network NetworkBuilder::build() {
   for (const auto& link : net_.outputs_)
     if (layer[link.node] != depth) uniform = false;
   net_.uniform_ = uniform;
+
+  // Issuer order: a permutation of the inputs, the identity by default.
+  if (issuer_order_.empty()) {
+    issuer_order_.resize(net_.input_width_);
+    for (std::uint32_t i = 0; i < net_.input_width_; ++i) issuer_order_[i] = i;
+  }
+  CNET_CHECK_MSG(issuer_order_.size() == net_.input_width_,
+                 "issuer order must list every network input");
+  std::vector<bool> entered(net_.input_width_, false);
+  for (const std::uint32_t input : issuer_order_) {
+    CNET_CHECK_MSG(input < net_.input_width_ && !entered[input],
+                   "issuer order must be a permutation of the network inputs");
+    entered[input] = true;
+  }
+  net_.issuer_order_ = std::move(issuer_order_);
   net_.name_ = name_.empty() ? "network" : name_;
   return std::move(net_);
 }

@@ -78,6 +78,24 @@ class Network {
   /// Node ids grouped by layer; layers()[i] is layer i+1.
   const std::vector<std::vector<NodeId>>& layers() const { return layers_; }
 
+  /// The network input issuer `issuer` enters at: issuer_order()[issuer mod
+  /// input_width]. Every live path (rt, mp, deploy tiles) enters through
+  /// it, so concurrent issuers 0, 1, 2, ... enter where their tokens meet as
+  /// late as the wiring allows: each shared balancer is a contended cache
+  /// line, a private one is not. make_bitonic sets the bit-reversed order,
+  /// so issuers 0..2^k-1 enter 2^k disjoint Bitonic[w/2^k] blocks and first
+  /// meet in the mergers. make_padded and make_serial keep their base's (the
+  /// first stage's) order. Every other builder keeps the identity: Block[w]'s
+  /// first layer pairs input i with w-1-i, so on Periodic[w] inputs 0..3
+  /// already stay apart longer than bit reversal would keep them. The
+  /// simulated executors (sim, psim, sched scripts) keep `p mod w`; their
+  /// virtual time has no cache lines to share.
+  std::uint32_t issuer_input(std::uint32_t issuer) const {
+    return issuer_order_[issuer % input_width_];
+  }
+  /// The permutation of [0, input_width) behind issuer_input().
+  const std::vector<std::uint32_t>& issuer_order() const { return issuer_order_; }
+
   /// Human-readable one-line summary, e.g. "Bitonic[32] depth=15 nodes=240".
   const std::string& name() const { return name_; }
 
@@ -91,6 +109,7 @@ class Network {
   std::vector<OutLink> inputs_;
   std::vector<InLink> outputs_;
   std::vector<std::vector<NodeId>> layers_;
+  std::vector<std::uint32_t> issuer_order_;
   std::uint32_t depth_ = 0;
   bool uniform_ = false;
   std::string name_;
@@ -115,14 +134,19 @@ class NetworkBuilder {
 
   void set_name(std::string name) { name_ = std::move(name); }
 
+  /// The entry order behind Network::issuer_input(); the identity unless set.
+  void set_issuer_order(std::vector<std::uint32_t> order) { issuer_order_ = std::move(order); }
+
   /// Validates wiring completeness and acyclicity, computes layers/depth/
-  /// uniformity. Aborts (CNET_CHECK) on malformed wiring: builders are
+  /// uniformity, and checks that the issuer order is a permutation of the
+  /// inputs. Aborts (CNET_CHECK) on malformed wiring: builders are
   /// library code, so malformed wiring is a bug, not user error.
   Network build();
 
  private:
   Network net_;
   std::string name_;
+  std::vector<std::uint32_t> issuer_order_;
   std::vector<bool> input_attached_;
   std::vector<bool> output_attached_;
 };

@@ -5,12 +5,15 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "run/backend.h"
 #include "run/runner.h"
+#include "sched/trace.h"
 #include "topo/builders.h"
 
 namespace cnet::run {
@@ -122,6 +125,59 @@ TEST(RunBackend, EveryLiveBackendBeginsBatchesAndCollects) {
       rt->count_collect_until(ready, std::chrono::steady_clock::time_point{});
   EXPECT_TRUE(timed.ok);
   EXPECT_EQ(timed.value, 0u);
+}
+
+TEST(RunBackend, LiveIssuersEnterAtTheirIssuerInput) {
+  // A live backend's thread_id names the issuer, and so its input. The
+  // recorder logs the wire each captured token entered on: issuers 0..3
+  // on Bitonic[8] enter at 0, 4, 2, 6, on rt and on mp alike.
+  for (const char* spec : {"rt:bitonic:8", "mp:bitonic:8"}) {
+    SCOPED_TRACE(spec);
+    const std::unique_ptr<CountingBackend> backend = backend_ok(spec);
+    Workload workload;
+    workload.threads = 4;
+    workload.total_ops = 400;
+    sched::Recorder recorder;
+    const RunReport report = Runner().run(*backend, workload, nullptr, &recorder);
+    ASSERT_TRUE(report.ok) << report.error;
+    const sched::Trace trace = recorder.finish(report.history, spec, workload.to_string());
+    ASSERT_EQ(trace.tokens.size(), workload.total_ops);
+    std::map<std::uint32_t, std::set<std::uint32_t>> entered;  // actor -> inputs used
+    for (const sched::TokenRecord& token : trace.tokens) entered[token.actor].insert(token.input);
+    std::map<std::uint32_t, std::set<std::uint32_t>> expected;
+    for (std::uint32_t t = 0; t < workload.threads; ++t) {
+      expected[t] = {backend->network().issuer_input(t)};
+    }
+    EXPECT_EQ(entered, expected);
+    EXPECT_EQ(expected[1], (std::set<std::uint32_t>{4}));
+  }
+}
+
+TEST(RunBackend, RtUnhookedPathsEnterAtTheIssuerInput) {
+  // count() and count_batch() run without a hook, so no recorder sees
+  // their entry; the balancer visits do. Issuer 1 enters Bitonic[8] at
+  // input 4, whose first-layer balancer alone may count the tokens.
+#if CNET_OBS
+  for (const std::size_t tokens : {1u, 6u}) {
+    obs::CounterMetrics metrics;
+    RtBackend backend(parse_spec_or_die("rt:bitonic:8"), &metrics);
+    if (tokens == 1) {
+      (void)backend.count(1);
+    } else {
+      std::vector<std::uint64_t> values(tokens);
+      backend.count_batch(1, values);
+    }
+    const topo::Network& net = backend.network();
+    const topo::NodeId entry = net.inputs()[net.issuer_input(1)].node;
+    EXPECT_EQ(net.issuer_input(1), 4u);
+    const std::vector<std::uint64_t> visits = metrics.balancer_visits.values();
+    for (const topo::NodeId node : net.layers()[0]) {
+      EXPECT_EQ(visits[node], node == entry ? tokens : 0u) << "node " << node;
+    }
+  }
+#else
+  GTEST_SKIP() << "library built with CNET_OBS=0; balancer visits are compiled out";
+#endif
 }
 
 TEST(RunBackend, SimSimulatesClosedLoop) {
