@@ -12,6 +12,10 @@
 # ring ping/pong and pipelined deployments; see docs/DEPLOY.md) into
 # BENCH_svc.json. Pass different output paths as
 # $1..$4.
+#
+# Every row is the median of 5 repetitions, recorded under its plain name:
+# one run at BENCH_MIN_TIME sits far from its median often enough that a
+# diff of two single-run snapshots cannot resolve a change under about 30%.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -20,6 +24,10 @@ obs_out="${2:-BENCH_obs.json}"
 mp_out="${3:-BENCH_mp.json}"
 svc_out="${4:-BENCH_svc.json}"
 min_time="${BENCH_MIN_TIME:-0.1}"
+# Every google-benchmark run takes these: 5 repetitions, reported as
+# aggregates only (finish_report keeps the medians).
+bench_flags=(--benchmark_min_time="$min_time" --benchmark_repetitions=5
+             --benchmark_report_aggregates_only=true --benchmark_format=json)
 
 [ -x build/bench/throughput_rt ] || { echo "build first: cmake -B build && cmake --build build" >&2; exit 1; }
 
@@ -44,17 +52,23 @@ if [ "$build_type" != "Release" ]; then
   fi
 fi
 
-# Stamps the cnet build flavour and the CPUs this shell may run on (nproc)
-# into a report's context block (in place), then fails if nproc differs
-# from the report's num_cpus (every CPU online): the recording ran under a
+# Rewrites a report in place: keeps each benchmark's median row under its
+# plain name (run_name, so the key guards and any join on names still
+# hold), stamps the cnet build flavour and the CPUs this shell may run on
+# (nproc) into the context block, then fails if nproc differs from the
+# report's num_cpus (every CPU online): the recording ran under a
 # restricted affinity mask, so its thread-scaling rows mean less than their
 # labels say.
-tag_context() {
+finish_report() {
   python3 - "$1" "$build_type" "$(nproc)" <<'EOF'
 import json, sys
 path, build_type, nproc = sys.argv[1], sys.argv[2], int(sys.argv[3])
 with open(path) as f:
     report = json.load(f)
+medians = [b for b in report["benchmarks"] if b.get("aggregate_name") == "median"]
+for b in medians:
+    b["name"] = b["run_name"]
+report["benchmarks"] = medians
 context = report["context"]
 context["cnet_build_type"] = build_type
 context["nproc"] = nproc
@@ -70,13 +84,9 @@ EOF
 tmp_rt=$(mktemp) tmp_psim=$(mktemp)
 trap 'rm -f "$tmp_rt" "$tmp_psim"' EXIT
 
-build/bench/throughput_rt \
-  --benchmark_min_time="$min_time" \
-  --benchmark_format=json >"$tmp_rt"
-build/bench/engine_perf \
-  --benchmark_filter='Fig5Mix|PsimWorkload|PsimStallDebit' \
-  --benchmark_min_time="$min_time" \
-  --benchmark_format=json >"$tmp_psim"
+build/bench/throughput_rt "${bench_flags[@]}" >"$tmp_rt"
+build/bench/engine_perf --benchmark_filter='Fig5Mix|PsimWorkload|PsimStallDebit' \
+  "${bench_flags[@]}" >"$tmp_psim"
 
 # Merge: keep one context block, concatenate the benchmark arrays.
 python3 - "$tmp_rt" "$tmp_psim" "$out" <<'EOF'
@@ -89,7 +99,7 @@ with open(out, "w") as f:
     json.dump(a, f, indent=1)
     f.write("\n")
 EOF
-tag_context "$out"
+finish_report "$out"
 echo "wrote $out ($(python3 -c "import json;print(len(json.load(open('$out'))['benchmarks']))") benchmarks)"
 
 # Key guard: downstream dashboards join on benchmark names, so a rename in
@@ -109,10 +119,8 @@ if missing:
     sys.exit(f"benchmark series missing from {sys.argv[1]}: {', '.join(missing)}")
 EOF
 
-build/bench/obs_overhead \
-  --benchmark_min_time="$min_time" \
-  --benchmark_format=json >"$obs_out"
-tag_context "$obs_out"
+build/bench/obs_overhead "${bench_flags[@]}" >"$obs_out"
+finish_report "$obs_out"
 echo "wrote $obs_out ($(python3 -c "import json;print(len(json.load(open('$obs_out'))['benchmarks']))") benchmarks)"
 
 # Same key guard for the observability-overhead series docs/OBSERVABILITY.md
@@ -130,10 +138,8 @@ if missing:
     sys.exit(f"benchmark series missing from {sys.argv[1]}: {', '.join(missing)}")
 EOF
 
-build/bench/throughput_mp \
-  --benchmark_min_time="$min_time" \
-  --benchmark_format=json >"$mp_out"
-tag_context "$mp_out"
+build/bench/throughput_mp "${bench_flags[@]}" >"$mp_out"
+finish_report "$mp_out"
 echo "wrote $mp_out ($(python3 -c "import json;print(len(json.load(open('$mp_out'))['benchmarks']))") benchmarks)"
 
 # Same key guard for the mp series: both topologies must be present.
@@ -153,18 +159,10 @@ trap 'rm -f "$tmp_rt" "$tmp_psim" "$tmp_svc_rt" "$tmp_svc_mp" "$tmp_deploy" "$tm
 # One throughput_svc family per process: run in one process, the later
 # families spread far wider (BM_SvcMpBatched read 279-460 k items/s over 16
 # such runs, and 476-534 k with its family alone).
-build/bench/throughput_svc --benchmark_filter='^BM_SvcRt' \
-  --benchmark_min_time="$min_time" \
-  --benchmark_format=json >"$tmp_svc_rt"
-build/bench/throughput_svc --benchmark_filter='^BM_SvcMp' \
-  --benchmark_min_time="$min_time" \
-  --benchmark_format=json >"$tmp_svc_mp"
-build/bench/throughput_svc --benchmark_filter='^BM_Deploy' \
-  --benchmark_min_time="$min_time" \
-  --benchmark_format=json >"$tmp_deploy"
-build/bench/throughput_link \
-  --benchmark_min_time="$min_time" \
-  --benchmark_format=json >"$tmp_link"
+build/bench/throughput_svc --benchmark_filter='^BM_SvcRt' "${bench_flags[@]}" >"$tmp_svc_rt"
+build/bench/throughput_svc --benchmark_filter='^BM_SvcMp' "${bench_flags[@]}" >"$tmp_svc_mp"
+build/bench/throughput_svc --benchmark_filter='^BM_Deploy' "${bench_flags[@]}" >"$tmp_deploy"
+build/bench/throughput_link "${bench_flags[@]}" >"$tmp_link"
 
 # Merge the three svc families and the link/pipeline series into the svc
 # snapshot: one context block, concatenated benchmark arrays — the
@@ -180,7 +178,7 @@ with open(out, "w") as f:
     json.dump(a, f, indent=1)
     f.write("\n")
 EOF
-tag_context "$svc_out"
+finish_report "$svc_out"
 echo "wrote $svc_out ($(python3 -c "import json;print(len(json.load(open('$svc_out'))['benchmarks']))") benchmarks)"
 
 # The svc series is an ablation: both sides of the batched/unbatched pair

@@ -101,6 +101,15 @@ check_rc "pause on psim exits 2" 2 "$CLI" run "psim:bitonic:8?fault=pause:0.1:10
 check_rc "die on psim exits 2" 2 "$CLI" run "psim:bitonic:8?fault=die:10"
 check_rc "mp-only clause on rt exits 2" 2 "$CLI" run "rt:bitonic:8?fault=die:10"
 check_rc "degrade without metrics exits 2" 2 "$CLI" run "rt:bitonic:8?degrade=report"
+check_output "a faulted run with Def 2.4 violations names its claim falsified" \
+  "guarantee: linearizable claim FALSIFIED" \
+  "$CLI" run "psim:bitonic:8?fault=stall:0.3:5000,seed:3" threads=8 ops=2000
+check_rc "pad on rt exits 2" 2 "$CLI" run "rt:bitonic:8?pad=3"
+check_output "pad on rt names its reason" "cross pass-through nodes in no time" \
+  "$CLI" run "rt:bitonic:8?pad=3"
+check_rc "degrade=pad exits 2" 2 "$CLI" run "rt:bitonic:8?metrics&degrade=pad"
+check_output "degrade=pad names its reason" "Cor 3.12 padding needs a known bound" \
+  "$CLI" run "rt:bitonic:8?metrics&degrade=pad"
 
 # --- schedule capture, replay, and search -----------------------------------
 trace_file=/tmp/cnet_cli_test.$$.trace

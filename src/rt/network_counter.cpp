@@ -177,19 +177,19 @@ NetworkCounter::NetworkCounter(topo::Network net, const CounterOptions& options,
     entry_.push_back(link.node == topo::kNoNode ? (kOutputBit | link.port) : link.node);
   }
 
-  // Pass 3: resolve pass-through chains out of the un-hooked hot path. A
-  // pass node routes every token to its single successor, so collapsing the
-  // chain is invisible to routing (only the per-node hook can tell).
-  auto resolve = [&](std::uint32_t hop) {
+  // Pass 3: resolve pass-through chains out of both tables, so no walk
+  // ever reaches a pass node. A pass node routes every token to its single
+  // successor, so collapsing the chain is invisible to routing; on real
+  // threads a pass hop costs no time either, so a padded network runs as its
+  // base does.
+  const auto resolve = [&](std::uint32_t hop) {
     while ((hop & kOutputBit) == 0 && kind_[hop] == Kind::kPass) {
       hop = succ_[succ_offset_[hop]];
     }
     return hop;
   };
-  succ_fast_.reserve(succ_.size());
-  for (const std::uint32_t hop : succ_) succ_fast_.push_back(resolve(hop));
-  entry_fast_.reserve(entry_.size());
-  for (const std::uint32_t hop : entry_) entry_fast_.push_back(resolve(hop));
+  for (std::uint32_t& hop : succ_) hop = resolve(hop);
+  for (std::uint32_t& hop : entry_) hop = resolve(hop);
 
   // Wave order: a node's successors all sit in deeper layers, so sorting the
   // balancers by layer places every node after all of its predecessors.
@@ -202,7 +202,7 @@ NetworkCounter::NetworkCounter(topo::Network net, const CounterOptions& options,
   wave_pos_.assign(n_nodes, 0);
   for (std::uint32_t pos = 0; pos < wave_node_.size(); ++pos) wave_pos_[wave_node_[pos]] = pos;
 
-  // Homogeneity profile: with only fan-out-2 toggles left on the fast path,
+  // Homogeneity profile: with only fan-out-2 toggles left in the tables,
   // state_idx_ == a dense renumbering and the switch can be hoisted.
   homogeneous_toggle_fan2_ = true;
   for (topo::NodeId id = 0; id < n_nodes; ++id) {
@@ -221,7 +221,7 @@ NetworkCounter::NetworkCounter(topo::Network net, const CounterOptions& options,
     // The guard watches the obs hop-latency estimator, so it only exists
     // when there is a sink to watch (and never in a CNET_OBS=0 build).
     if (options.degrade != DegradePolicy::kOff) {
-      guard_ = std::make_unique<DegradeGuard>(options.degrade, metrics_, net_.depth());
+      guard_ = std::make_unique<DegradeGuard>(options.degrade, metrics_);
     }
   }
 #endif
@@ -287,8 +287,6 @@ std::uint64_t NetworkCounter::cross(std::uint32_t node, std::uint64_t tokens,
                                     std::uint32_t thread_id) {
   const std::uint32_t i = state_idx_[node];
   switch (kind_[node]) {
-    case Kind::kToggle:
-      return toggles_[i].count.fetch_add(tokens, std::memory_order_acq_rel);
     case Kind::kMcs: {
       McsLock::Guard guard(mcs_[i].lock);
       const std::uint64_t t = mcs_[i].count.load(std::memory_order_relaxed);
@@ -299,14 +297,12 @@ std::uint64_t NetworkCounter::cross(std::uint32_t node, std::uint64_t tokens,
       // A sub-batch is already combined, so it takes the fall-back toggle.
       if (tokens == 1) return traverse_prism(i, thread_id);
       return prism_counts_[i].count.fetch_add(tokens, std::memory_order_acq_rel);
-    case Kind::kPass:
-      break;
+    default:  // a toggle: the tables resolve pass nodes away, so no walk meets one
+      return toggles_[i].count.fetch_add(tokens, std::memory_order_acq_rel);
   }
-  CNET_CHECK_MSG(false, "pass-through nodes take no state step");
 }
 
 std::uint32_t NetworkCounter::traverse(std::uint32_t node, std::uint32_t thread_id) {
-  if (kind_[node] == Kind::kPass) return 0;
   return static_cast<std::uint32_t>(cross(node, 1, thread_id) % fan_out_[node]);
 }
 
@@ -374,27 +370,19 @@ std::uint32_t NetworkCounter::route(std::uint32_t thread_id, std::uint32_t input
     return route_timed(thread_id, input, after_node, ctx);
   }
 #endif
-  if (after_node == nullptr) {
-    std::uint32_t hop = entry_fast_[input];
-    if (homogeneous_toggle_fan2_) {
-      // Hoisted loop: every node is a fetch-add toggle with two outputs.
-      while ((hop & kOutputBit) == 0) {
-        const std::uint64_t t =
-            toggles_[state_idx_[hop]].count.fetch_add(1, std::memory_order_acq_rel);
-        hop = succ_fast_[succ_offset_[hop] + (t & 1)];
-      }
-      return hop & ~kOutputBit;
-    }
+  std::uint32_t hop = entry_[input];
+  if (after_node == nullptr && homogeneous_toggle_fan2_) {
+    // Hoisted loop: every node is a fetch-add toggle with two outputs.
     while ((hop & kOutputBit) == 0) {
-      const std::uint32_t port = traverse(hop, thread_id);
-      hop = succ_fast_[succ_offset_[hop] + port];
+      const std::uint64_t t =
+          toggles_[state_idx_[hop]].count.fetch_add(1, std::memory_order_acq_rel);
+      hop = succ_[succ_offset_[hop] + (t & 1)];
     }
     return hop & ~kOutputBit;
   }
-  std::uint32_t hop = entry_[input];
   while ((hop & kOutputBit) == 0) {
     const std::uint32_t port = traverse(hop, thread_id);
-    after_node(ctx, hop, port);
+    if (after_node != nullptr) after_node(ctx, hop, port);
     hop = succ_[succ_offset_[hop] + port];
   }
   return hop & ~kOutputBit;
@@ -402,33 +390,27 @@ std::uint32_t NetworkCounter::route(std::uint32_t thread_id, std::uint32_t input
 
 // The timed twin of route() for sampled tokens: same routing decisions, plus
 // per-hop latencies feeding the histograms, the c2/c1 estimator, and the
-// trace ring. Pass-through padding nodes are not balancers and are never
-// timed (they are compiled out of the un-hooked tables anyway).
+// trace ring, and then one tick of the guard's sample clock.
 std::uint32_t NetworkCounter::route_timed(std::uint32_t thread_id, std::uint32_t input,
                                           NodeHook after_node, void* ctx) {
   obs::CounterMetrics& m = *metrics_;
   m.sampled.add(thread_id);
   const std::uint64_t t_start = obs::now_ns();
   std::uint64_t t_last = t_start;
-  // Hooked tokens must keep visiting pass-through nodes (the run layer's
-  // W-wait fires per hook invocation), so pick the same tables route()
-  // would.
-  const std::uint32_t* succ = after_node != nullptr ? succ_.data() : succ_fast_.data();
-  std::uint32_t hop = after_node != nullptr ? entry_[input] : entry_fast_[input];
+  std::uint32_t hop = entry_[input];
   while ((hop & kOutputBit) == 0) {
     const std::uint32_t port = traverse(hop, thread_id);
-    if (kind_[hop] != Kind::kPass) {
-      const std::uint64_t now = obs::now_ns();
-      m.hop_latency_ns.record(thread_id, now - t_last);
-      m.trace.record(thread_id, {t_last, now - t_last, thread_id, hop, obs::TracePhase::kHop});
-      t_last = now;
-    }
+    const std::uint64_t now = obs::now_ns();
+    m.hop_latency_ns.record(thread_id, now - t_last);
+    m.trace.record(thread_id, {t_last, now - t_last, thread_id, hop, obs::TracePhase::kHop});
+    t_last = now;
     if (after_node != nullptr) after_node(ctx, hop, port);
-    hop = succ[succ_offset_[hop] + port];
+    hop = succ_[succ_offset_[hop] + port];
   }
   const std::uint64_t now = obs::now_ns();
   m.token_latency_ns.record(thread_id, now - t_start);
   m.trace.record(thread_id, {t_start, now - t_start, thread_id, input, obs::TracePhase::kOp});
+  if (guard_) guard_->on_sample();
   return hop & ~kOutputBit;
 }
 
@@ -439,18 +421,10 @@ std::uint64_t NetworkCounter::walk(std::uint32_t thread_id, std::uint32_t input,
   return port + nth * output_width_;
 }
 
-void NetworkCounter::guard_entry(std::uint64_t tokens) {
-  guard_->on_token(tokens);
-  // Cor 3.12's pass chain, priced in time: the token is "in the network"
-  // (crossing pass-through nodes) for pad_ns before its first balancer.
-  busy_wait_ns(guard_->pad_ns());
-}
-
 std::uint64_t NetworkCounter::next_hooked(std::uint32_t thread_id, std::uint32_t input,
                                           NodeHook after_node, void* ctx) {
   CNET_CHECK(input < input_width_);
   CNET_CHECK(thread_id < max_threads_);
-  if (guard_) [[unlikely]] guard_entry(1);
   return walk(thread_id, input, after_node, ctx);
 }
 
@@ -458,9 +432,6 @@ void NetworkCounter::next_batch(std::uint32_t thread_id, std::uint32_t input,
                                 std::span<std::uint64_t> out) {
   CNET_CHECK(input < input_width_);
   CNET_CHECK(thread_id < max_threads_);
-  // A batch advances the guard's clock by its size but is one traversal:
-  // one pad charge.
-  if (guard_) [[unlikely]] guard_entry(out.size());
   if (out.empty()) return;
 #if CNET_OBS
   if (metrics_ != nullptr) [[unlikely]] metrics_->batch_calls.add(thread_id);
@@ -490,7 +461,7 @@ void NetworkCounter::next_batch(std::uint32_t thread_id, std::uint32_t input,
     }
   }
 #endif
-  if (riders != 0) arrive(entry_fast_[input], riders);
+  if (riders != 0) arrive(entry_[input], riders);
 
   // Visit the live positions in ascending order. Every sub-batch bound for
   // a node has arrived by the time it is visited, since its predecessors
@@ -514,7 +485,7 @@ void NetworkCounter::next_batch(std::uint32_t thread_id, std::uint32_t input,
     // the c % fan ports from t0's onwards one more.
     const std::uint32_t node = wave_node_[pos];
     const std::uint32_t fan = fan_out_[node];
-    const std::uint32_t* succ = &succ_fast_[succ_offset_[node]];
+    const std::uint32_t* succ = &succ_[succ_offset_[node]];
     const std::uint64_t t0 = cross(node, c, thread_id);
     if (fan == 2) {  // the common case, without the divisions below
       const auto first = static_cast<std::uint32_t>(t0 & 1);

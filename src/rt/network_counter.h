@@ -28,9 +28,11 @@
 //     arrays (fetch-add toggles, MCS-locked counts, prism descriptors), so a
 //     token touches exactly one contended line per node and no unique_ptr
 //     indirection;
-//   * pass-through (1-in/1-out, Cor 3.12 padding) nodes compiled away on the
-//     un-hooked hot path: `entry_fast_`/`succ_fast_` pre-resolve pass chains,
-//     which routing cannot observe (a pass node's port is always 0);
+//   * pass-through (1-in/1-out, Cor 3.12 padding) nodes compiled away on
+//     every walk: the successor and entry tables resolve pass chains, which
+//     routing cannot observe (a pass node's port is always 0). A padded
+//     network hands out its base's values, and its pass hops cost no time,
+//     so padding buys no Cor 3.12 guarantee here;
 //   * a homogeneity profile: when every balancer is a fetch-add toggle with
 //     fan-out 2 (bitonic, periodic, padded networks — the common production
 //     configurations), traversal runs a specialized loop with the kind switch
@@ -119,8 +121,9 @@ struct CounterOptions {
 
   /// Degraded-mode guard policy over the c2/c1 estimator (rt/degrade_guard.h).
   /// Effective only with a metrics sink in a CNET_OBS build — the guard
-  /// watches metrics->hop_latency_ns; without the estimator there is
-  /// nothing to trip on, and the counter leaves the guard unconstructed.
+  /// watches metrics->hop_latency_ns and runs from the sampled tokens;
+  /// without the estimator there is nothing to trip on, and the counter
+  /// leaves the guard unconstructed.
   DegradePolicy degrade = DegradePolicy::kOff;
 };
 
@@ -199,8 +202,8 @@ class NetworkCounter {
     return next(thread_id, net_.issuer_input(thread_id));
   }
 
-  /// As next(), invoking `after_node(ctx, node, port)` after every node traversal
-  /// (including pass-through padding nodes, which the un-hooked path skips).
+  /// As next(), invoking `after_node(ctx, node, port)` after every balancer
+  /// traversal (pass-through nodes are compiled away on every walk).
   std::uint64_t next_hooked(std::uint32_t thread_id, std::uint32_t input, NodeHook after_node,
                             void* ctx);
 
@@ -281,11 +284,6 @@ class NetworkCounter {
   /// route() plus the exit port's claim: one token's value, unchecked.
   std::uint64_t walk(std::uint32_t thread_id, std::uint32_t input, NodeHook after_node,
                      void* ctx);
-  /// Guard preamble shared by every token path: count the `tokens` entering
-  /// together toward the estimator check cadence and, once the kPad policy
-  /// has tripped, charge the Cor 3.12 pass-chain time once before they
-  /// enter the network.
-  void guard_entry(std::uint64_t tokens);
   void bind_state_counts();
 
   std::uint32_t input_width_ = 0;
@@ -300,10 +298,10 @@ class NetworkCounter {
   std::vector<std::uint32_t> fan_out_;     ///< per node
   std::vector<std::uint32_t> state_idx_;   ///< per node, into its kind's array
   std::vector<std::uint32_t> succ_offset_; ///< per node, into succ_
-  std::vector<std::uint32_t> succ_;        ///< packed hops, grouped by node
-  std::vector<std::uint32_t> entry_;       ///< per network input
-  std::vector<std::uint32_t> succ_fast_;   ///< succ_ with pass chains resolved
-  std::vector<std::uint32_t> entry_fast_;  ///< entry_ with pass chains resolved
+  /// Packed hops, grouped by node, and the hop each network input enters
+  /// at; both with pass chains resolved.
+  std::vector<std::uint32_t> succ_;
+  std::vector<std::uint32_t> entry_;
   /// Wave positions: the balancers (pass nodes excluded) in layer order,
   /// then the exit ports. wave_node_[pos] is a balancer's node id and
   /// wave_pos_[node] its position; exit port p sits at wave_node_.size() + p.

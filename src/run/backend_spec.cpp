@@ -162,15 +162,17 @@ bool apply_rt_option(const Parser& p, const Option& opt, BackendSpec* spec) {
     return true;
   }
   if (opt.key == "degrade") {
-    if (opt.value == "pad") {
-      spec->degrade = rt::DegradePolicy::kPad;
-      return true;
-    }
     if (opt.value == "report") {
       spec->degrade = rt::DegradePolicy::kReport;
       return true;
     }
-    return p.fail("option 'degrade' takes pad|report (got '" + std::string(opt.value) + "')");
+    if (opt.value == "pad") {
+      return p.fail("option 'degrade=pad' was removed: Cor 3.12 padding needs a known bound "
+                    "c2 < k*c1, and a c2/c1 ratio measured online on a preemptive host gives "
+                    "none; use degrade=report, which downgrades the guarantee once Cor 3.9 "
+                    "breaks");
+    }
+    return p.fail("option 'degrade' takes report (got '" + std::string(opt.value) + "')");
   }
   if (opt.key == "ws") {
     if (opt.value.empty() || opt.value.size() > 40) {
@@ -208,7 +210,7 @@ bool apply_rt_option(const Parser& p, const Option& opt, BackendSpec* spec) {
   }
   return p.fail("unknown rt option '" + std::string(opt.key) +
                 "' (valid: diffraction, mcs, prism, threads, degrade, ws, tiles, pipeline, "
-                "pad, metrics, fault)");
+                "metrics, fault)");
 }
 
 bool apply_psim_option(const Parser& p, const Option& opt, BackendSpec* spec) {
@@ -418,7 +420,12 @@ bool parse_spec(std::string_view text, BackendSpec* out, std::string* error) {
 
   std::vector<Option> options;
   if (!split_options(p, options_text, &options)) return false;
+  bool rt_pad = false;  // refused after the loop, so another bad option names itself
   for (const Option& opt : options) {
+    if (out->family == Family::kRt && opt.key == "pad") {
+      rt_pad = true;
+      continue;
+    }
     bool handled = false;
     if (!apply_common_option(p, opt, out, &handled)) return false;
     if (handled) continue;
@@ -430,6 +437,11 @@ bool parse_spec(std::string_view text, BackendSpec* out, std::string* error) {
       case Family::kMp: ok = apply_mp_option(p, opt, out); break;
     }
     if (!ok) return false;
+  }
+  if (rt_pad) {
+    return p.fail("option 'pad' does not apply to rt: real threads cross pass-through nodes "
+                  "in no time, so padding buys no Cor 3.12 guarantee (sim, psim and mp keep "
+                  "pad=; on rt, metrics&degrade=report checks Cor 3.9 online)");
   }
 
   return validate_combination(p, out);
@@ -454,7 +466,6 @@ std::string BackendSpec::to_string() const {
       if (max_threads != defaults.max_threads) {
         opts.push_back("threads=" + std::to_string(max_threads));
       }
-      if (degrade == rt::DegradePolicy::kPad) opts.push_back("degrade=pad");
       if (degrade == rt::DegradePolicy::kReport) opts.push_back("degrade=report");
       if (!ws.empty()) opts.push_back("ws=" + ws);
       if (tiles != defaults.tiles) opts.push_back("tiles=" + std::to_string(tiles));

@@ -61,6 +61,8 @@ struct BackendSpec {
 
   // -- common ---------------------------------------------------------
   /// Cor 3.12 input padding for ratio bound k (`pad=<k>`); 0 or 2 = none.
+  /// sim, psim and mp only, where a pass hop costs link time: rt crosses
+  /// pass-through nodes in no time, so its parser refuses the option.
   std::uint32_t pad_ratio = 0;
   /// Attach the family's obs sink (`metrics` / `metrics=on`); rt, psim and
   /// mp only — the sim family has no obs surface.
@@ -83,9 +85,10 @@ struct BackendSpec {
   std::uint32_t prism_width = 0;
   /// `threads=<n>`: upper bound on concurrent caller ids (rt only).
   std::uint32_t max_threads = 256;
-  /// `degrade=pad|report`: what the rt DegradeGuard does when the online
-  /// c2/c1 estimate crosses the Cor 3.9 threshold (rt only; requires
-  /// metrics=on, since the guard watches the obs c2/c1 estimator).
+  /// `degrade=report`: the rt DegradeGuard downgrades the run's guarantee
+  /// to counting-only once the online c2/c1 estimate crosses the Cor 3.9
+  /// threshold (rt only; requires metrics=on, since the guard watches the
+  /// obs c2/c1 estimator).
   rt::DegradePolicy degrade = rt::DegradePolicy::kOff;
   /// `ws=<name>`: place the rt counter's shared balancer state in a
   /// named shm::Workspace instead of the process heap (rt only). In-process

@@ -298,16 +298,9 @@ std::string RunReport::to_text() const {
     s += buf;
   }
   if (degrade.policy != rt::DegradePolicy::kOff) {
-    const char* policy = degrade.policy == rt::DegradePolicy::kPad ? "pad" : "report";
     if (!degrade.tripped) {
-      std::snprintf(buf, sizeof buf, "degrade  : %s armed, c2/c1 estimate %.2f\n", policy,
+      std::snprintf(buf, sizeof buf, "degrade  : report armed, c2/c1 estimate %.2f\n",
                     degrade.estimate);
-    } else if (degrade.policy == rt::DegradePolicy::kPad) {
-      std::snprintf(buf, sizeof buf,
-                    "degrade  : pad TRIPPED at c2/c1 %.2f — %u-stage Cor 3.12 pad, "
-                    "%llu ns per op\n",
-                    degrade.estimate, degrade.pad_len,
-                    static_cast<unsigned long long>(degrade.pad_ns));
     } else {
       std::snprintf(buf, sizeof buf,
                     "degrade  : report TRIPPED at c2/c1 %.2f — hop p10 %.0f ns, p90 %.0f ns\n",
@@ -340,7 +333,17 @@ std::string RunReport::to_text() const {
     s += "guarantee: counting-only — linearizability forfeited "
          "(abandonments recycle stale values / guard tripped)\n";
   } else if (faults || degrade.policy != rt::DegradePolicy::kOff) {
-    s += "guarantee: linearizable\n";
+    // The claim stands only as long as the run's own Def 2.4 count agrees.
+    if (analysis.nonlinearizable_ops != 0) {
+      std::snprintf(buf, sizeof buf,
+                    "guarantee: linearizable claim FALSIFIED — Def 2.4 counts %llu "
+                    "non-linearizable of %llu ops\n",
+                    static_cast<unsigned long long>(analysis.nonlinearizable_ops),
+                    static_cast<unsigned long long>(analysis.total_ops));
+      s += buf;
+    } else {
+      s += "guarantee: linearizable\n";
+    }
   }
   return s;
 }

@@ -42,7 +42,7 @@
 //                  (per loop; the cap bounds one wake's coalesced batch);
 //   * timing     — when the rt DegradeGuard reports tripped (its online
 //                  c2/c1 estimate crossed Cor 3.9's bound of 2; spec
-//                  `metrics&degrade=report|pad`), the server latches into
+//                  `metrics&degrade=report`), the server latches into
 //                  timing shed: the linearizability claim behind the
 //                  service is void, so new work is refused rather than
 //                  served with a silently weaker guarantee (the latch

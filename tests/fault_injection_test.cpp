@@ -1,16 +1,19 @@
 // Fault-injection subsystem: the plan mini-grammar, the seeded injector's
 // determinism, spec-level validation of the clause/family matrix, the
-// DegradeGuard trip logic, and a chaos matrix — fault plans crossed with
+// DegradeGuard trip logic and its sample clock, the guarantee line a
+// faulted report prints, and a chaos matrix — fault plans crossed with
 // {rt, mp, sim} x {tree, bitonic} through the run harness, asserting the
 // counting property survives every injected misbehaviour.
 #include "fault/injector.h"
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "fault/plan.h"
+#include "lin/checker.h"
 #include "obs/backend_metrics.h"
 #include "run/backend.h"
 #include "run/backend_spec.h"
@@ -212,7 +215,7 @@ TEST(FaultSpec, DegradeRequiresMetrics) {
 // --- DegradeGuard ---------------------------------------------------------
 
 TEST(DegradeGuard, TripsOnceAboveThresholdAndLatches) {
-  rt::DegradeGuard guard(rt::DegradePolicy::kReport, nullptr, /*net_depth=*/6);
+  rt::DegradeGuard guard(rt::DegradePolicy::kReport, nullptr);
   EXPECT_FALSE(guard.check_estimate(1.5, 100.0, 150.0));
   EXPECT_FALSE(guard.tripped());
   EXPECT_DOUBLE_EQ(guard.status().estimate, 1.5);  // last checked, pre-trip
@@ -225,23 +228,10 @@ TEST(DegradeGuard, TripsOnceAboveThresholdAndLatches) {
   EXPECT_DOUBLE_EQ(status.estimate, 3.0);
   EXPECT_DOUBLE_EQ(status.hop_p10, 100.0);
   EXPECT_DOUBLE_EQ(status.hop_p90, 300.0);
-  EXPECT_EQ(status.pad_ns, 0u);  // report policy never pads
-}
-
-TEST(DegradeGuard, PadPolicyPricesTheCor312Prefix) {
-  const std::uint32_t depth = 6;
-  rt::DegradeGuard guard(rt::DegradePolicy::kPad, nullptr, depth);
-  const std::uint32_t pad_len = topo::padding_prefix_length(depth, rt::DegradeGuard::kPadK);
-  ASSERT_GT(pad_len, 0u);
-  EXPECT_EQ(guard.pad_ns(), 0u);  // no pad before the trip
-  EXPECT_TRUE(guard.check_estimate(5.0, /*hop_p10=*/200.0, /*hop_p90=*/1000.0));
-  // One pass hop priced at the measured c1 (the p10), times the prefix.
-  EXPECT_EQ(guard.pad_ns(), static_cast<std::uint64_t>(pad_len) * 200u);
-  EXPECT_EQ(guard.status().pad_len, pad_len);
 }
 
 TEST(DegradeGuard, OffPolicyNeverTrips) {
-  rt::DegradeGuard guard(rt::DegradePolicy::kOff, nullptr, 6);
+  rt::DegradeGuard guard(rt::DegradePolicy::kOff, nullptr);
   EXPECT_FALSE(guard.check_estimate(100.0, 1.0, 100.0));
   EXPECT_FALSE(guard.tripped());
 }
@@ -305,24 +295,73 @@ INSTANTIATE_TEST_SUITE_P(
         ChaosCase{"mp_tree_delay", "mp:tree:8?actors=2&fault=delay:0.3:2000,seed:8"}),
     chaos_name);
 
+// --- report text ------------------------------------------------------------
+
+// A faulted run keeps its linearizable claim only while its own Def 2.4
+// count is zero.
+TEST(RunReportText, FaultedRunClaimsNoMoreThanItsDef24Count) {
+  run::RunReport report;
+  report.ok = true;
+  report.faults = true;
+  // Value 1 completes before value 0 starts: one inversion.
+  report.history = {{0.0, 1.0, 1, 0}, {2.0, 3.0, 0, 1}};
+  report.analysis = lin::check(report.history);
+  ASSERT_EQ(report.analysis.nonlinearizable_ops, 1u);
+  EXPECT_NE(report.to_text().find("guarantee: linearizable claim FALSIFIED — Def 2.4 counts 1 "
+                                  "non-linearizable of 2 ops\n"),
+            std::string::npos)
+      << report.to_text();
+
+  report.history = {{0.0, 1.0, 0, 0}, {2.0, 3.0, 1, 1}};
+  report.analysis = lin::check(report.history);
+  ASSERT_EQ(report.analysis.nonlinearizable_ops, 0u);
+  EXPECT_NE(report.to_text().find("guarantee: linearizable\n"), std::string::npos)
+      << report.to_text();
+}
+
 #if CNET_OBS
-// kCheckPeriod counts tokens, and a batch's tokens all count: 16 batches of
-// 64 cross the 1024-token boundary once, so the estimator is checked and
-// the pre-seeded skew (p90/p10 about 1000) trips the guard.
-TEST(DegradeGuard, BatchedTokensAdvanceTheCheckClock) {
+// A counter whose sink already holds a skewed hop histogram (p90/p10 about
+// 1000), so the guard trips at its first check.
+struct SkewedGuardedCounter {
   obs::CounterMetrics metrics;
-  for (int i = 0; i < 200; ++i) {
-    metrics.hop_latency_ns.record(0, 100);
-    metrics.hop_latency_ns.record(0, 100'000);
+  std::unique_ptr<rt::NetworkCounter> counter;
+
+  SkewedGuardedCounter() {
+    for (int i = 0; i < 200; ++i) {
+      metrics.hop_latency_ns.record(0, 100);
+      metrics.hop_latency_ns.record(0, 100'000);
+    }
+    rt::CounterOptions options;
+    options.metrics = &metrics;
+    options.degrade = rt::DegradePolicy::kReport;
+    counter = std::make_unique<rt::NetworkCounter>(topo::make_bitonic(8), options);
   }
-  rt::CounterOptions options;
-  options.metrics = &metrics;
-  options.degrade = rt::DegradePolicy::kReport;
-  rt::NetworkCounter counter(topo::make_bitonic(8), options);
-  ASSERT_NE(counter.degrade_guard(), nullptr);
+  bool tripped() const { return counter->degrade_guard()->tripped(); }
+};
+
+// kCheckPeriod counts sampled tokens, and a batch's sampled tokens all
+// count: at sample period 64 each batch of 64 holds one, so the 16th batch
+// brings the 16th sample and the first estimator check.
+TEST(DegradeGuard, BatchedTokensAdvanceTheCheckClock) {
+  SkewedGuardedCounter guarded;
+  ASSERT_EQ(guarded.metrics.sample_period, 64u);
+  ASSERT_NE(guarded.counter->degrade_guard(), nullptr);
   std::vector<std::uint64_t> out(64);
-  for (int call = 0; call < 16; ++call) counter.next_batch(0, 0, out);
-  EXPECT_TRUE(counter.degrade_guard()->tripped());
+  for (int call = 0; call < 15; ++call) guarded.counter->next_batch(0, 0, out);
+  EXPECT_FALSE(guarded.tripped());
+  guarded.counter->next_batch(0, 0, out);
+  EXPECT_TRUE(guarded.tripped());
+}
+
+// Single tokens on one thread: clock values 0, 64, ..., 960 are sampled, so
+// 960 calls make 15 samples and the 961st call is the 16th, which checks.
+TEST(DegradeGuard, SampledSingleTokensAdvanceTheCheckClock) {
+  SkewedGuardedCounter guarded;
+  ASSERT_EQ(guarded.metrics.sample_period, 64u);
+  for (int call = 0; call < 960; ++call) guarded.counter->next(0);
+  EXPECT_FALSE(guarded.tripped());
+  guarded.counter->next(0);
+  EXPECT_TRUE(guarded.tripped());
 }
 
 // Integration trip: a heavy bimodal stall plan (half the hops 50x slower)
@@ -347,24 +386,6 @@ TEST(DegradeGuardIntegration, ReportPolicyDowngradesTheGuarantee) {
   EXPECT_EQ(report.guarantee, run::RunReport::Guarantee::kCountingOnly);
 }
 
-TEST(DegradeGuardIntegration, PadPolicyKeepsTheLinearizableClaim) {
-  const run::BackendSpec spec = run::parse_spec_or_die(
-      "rt:bitonic:8?metrics=on&degrade=pad&fault=stall:0.5:50000,seed:12");
-  std::unique_ptr<run::CountingBackend> backend = run::make_backend(spec);
-  run::Workload workload;
-  workload.threads = 4;
-  workload.total_ops = 6000;
-  run::Runner runner;
-  const run::RunReport report = runner.run(*backend, workload);
-  ASSERT_TRUE(report.ok) << report.error;
-  EXPECT_TRUE(report.counting_ok) << report.counting_message;
-  EXPECT_EQ(report.degrade.policy, rt::DegradePolicy::kPad);
-  EXPECT_TRUE(report.degrade.tripped);
-  // Padding compensates instead of downgrading: the guarantee stands.
-  EXPECT_EQ(report.guarantee, run::RunReport::Guarantee::kLinearizable);
-  EXPECT_GT(report.degrade.pad_ns, 0u);
-  EXPECT_GT(report.degrade.pad_len, 0u);
-}
 #endif  // CNET_OBS
 
 }  // namespace

@@ -59,7 +59,7 @@ TEST(RunConformance, SeededMatrixAcrossSimPsimRt) {
       "rt:bitonic:8",
       "rt:bitonic:8?mcs",
       "rt:tree:16?diffraction=on",
-      "rt:bitonic:8?pad=3",
+      "mp:bitonic:8?actors=2&pad=3",
   };
   Workload workload;
   workload.threads = 4;

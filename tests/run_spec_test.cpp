@@ -130,7 +130,10 @@ TEST(RunSpec, IllTypedOptionValues) {
   EXPECT_NE(parse_fail("sim:bitonic:8?c1=-1").find("positive time"), std::string::npos);
   EXPECT_NE(parse_fail("sim:bitonic:8?c2=zero").find("positive time"), std::string::npos);
   EXPECT_NE(parse_fail("mp:bitonic:8?actors=0").find(">= 1"), std::string::npos);
-  EXPECT_NE(parse_fail("rt:bitonic:8?pad=999").find("pad"), std::string::npos);
+  EXPECT_NE(parse_fail("mp:bitonic:8?pad=999").find("pad"), std::string::npos);
+  EXPECT_NE(parse_fail("rt:bitonic:8?metrics&degrade=pad")
+                .find("'degrade=pad' was removed: Cor 3.12 padding needs a known bound"),
+            std::string::npos);
 }
 
 TEST(RunSpec, CombinationErrors) {
@@ -140,6 +143,9 @@ TEST(RunSpec, CombinationErrors) {
   EXPECT_NE(parse_fail("rt:bitonic:8?diffraction").find("requires the tree"),
             std::string::npos);
   EXPECT_NE(parse_fail("sim:bitonic:8?metrics").find("no obs surface"), std::string::npos);
+  EXPECT_NE(parse_fail("rt:bitonic:8?pad=3")
+                .find("real threads cross pass-through nodes in no time"),
+            std::string::npos);
 }
 
 // Each family has one executor, so the old executor selector is an error on
@@ -169,10 +175,11 @@ void expect_round_trip(const std::string& text) {
 TEST(RunSpec, RoundTripsCanonicalise) {
   for (const char* text : {
            "rt:bitonic:32", "rt:bitonic:32?threads=8&mcs", "rt:tree:16?diffraction&prism=4",
-           "rt:periodic:8?threads=64&pad=3&metrics", "psim:bitonic:32?procs=16&hop=2",
+           "mp:periodic:8?actors=3&pad=3&metrics", "psim:bitonic:32?procs=16&hop=2",
            "psim:tree:64?diffraction=on&prism=8&metrics=on", "psim:balancer:1",
            "sim:bitonic:8?model=fixed&c1=2", "sim:periodic:16?c1=1.5&c2=4.5",
-           "mp:bitonic:8?actors=4&pad=4", "mp:tree:32",
+           "mp:bitonic:8?actors=4&pad=4", "mp:tree:32", "mp:bitonic:8?pad=3",
+           "psim:bitonic:8?pad=3", "sim:bitonic:8?pad=3",
        }) {
     expect_round_trip(text);
   }
@@ -184,20 +191,18 @@ TEST(RunSpec, RtOptionCrossProduct) {
   for (const char* mode : {"", "mcs", "diffraction"}) {
     for (const char* prism : {"", "prism=4"}) {
       for (const char* threads : {"", "threads=16"}) {
-        for (const char* pad : {"", "pad=3"}) {
-          for (const char* metrics : {"", "metrics"}) {
-            std::string options;
-            for (const char* opt : {mode, prism, threads, pad, metrics}) {
-              if (*opt == '\0') continue;
-              options += options.empty() ? "?" : "&";
-              options += opt;
-            }
-            // diffraction requires the tree structure.
-            const bool diffracting = std::string(mode) == "diffraction";
-            const std::string text =
-                std::string("rt:") + (diffracting ? "tree" : "bitonic") + ":8" + options;
-            expect_round_trip(text);
+        for (const char* metrics : {"", "metrics"}) {
+          std::string options;
+          for (const char* opt : {mode, prism, threads, metrics}) {
+            if (*opt == '\0') continue;
+            options += options.empty() ? "?" : "&";
+            options += opt;
           }
+          // diffraction requires the tree structure.
+          const bool diffracting = std::string(mode) == "diffraction";
+          const std::string text =
+              std::string("rt:") + (diffracting ? "tree" : "bitonic") + ":8" + options;
+          expect_round_trip(text);
         }
       }
     }
@@ -268,11 +273,11 @@ TEST(RunSpec, BuildNetworkHonoursStructureAndPadding) {
   EXPECT_EQ(parse_ok("sim:tree:16").build_network().input_width(), 1u);
   EXPECT_EQ(parse_ok("psim:balancer:1").build_network().node_count(), 1u);
 
-  const topo::Network plain = parse_ok("rt:bitonic:8").build_network();
-  const topo::Network padded = parse_ok("rt:bitonic:8?pad=3").build_network();
+  const topo::Network plain = parse_ok("mp:bitonic:8").build_network();
+  const topo::Network padded = parse_ok("mp:bitonic:8?pad=3").build_network();
   EXPECT_EQ(padded.depth(), plain.depth() * 2) << "pad=3 prefixes depth*(k-2) pass nodes";
   // pad=2 is the Cor 3.9 regime: no prefix needed.
-  EXPECT_EQ(parse_ok("rt:bitonic:8?pad=2").build_network().depth(), plain.depth());
+  EXPECT_EQ(parse_ok("mp:bitonic:8?pad=2").build_network().depth(), plain.depth());
 }
 
 TEST(RunSpec, ParseSpecOrDieReturnsParsedSpec) {
