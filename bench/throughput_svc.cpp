@@ -11,7 +11,9 @@
 // 8 x kWindow requests, which is exactly the boundary the batching
 // amortizes. items/s counts individual counting operations; p99_us is the
 // per-connection p99 of the full window round trip (averaged across
-// connections).
+// connections). BM_SvcMpWindow is the exception: the perfbench svc-window
+// shape, one client thread refilling 4 connections x 32 requests in
+// flight against one loop, so the loop rather than the client bounds it.
 //
 // The batched/unbatched pairs pin loops=1 — the historical single-loop
 // configuration, so the series stays comparable across revisions — while
@@ -27,8 +29,10 @@
 // the price of process isolation (fork/boot, shm attach, the commit-after-
 // record history discipline); docs/EXPERIMENTS.md interprets it.
 #include <benchmark/benchmark.h>
+#include <poll.h>
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -157,6 +161,75 @@ BENCHMARK(BM_SvcMpUnbatched)
     ->Setup(setup_mp_unbatched)
     ->Teardown(teardown_server)
     ->Threads(8)
+    ->UseRealTime();
+
+constexpr std::uint32_t kMpWindowConns = 4;
+constexpr std::uint32_t kMpWindowDepth = 32;  ///< requests in flight per connection
+constexpr std::uint64_t kUntilEvery = 4;      ///< every 4th request is kCountUntil
+constexpr std::uint64_t kUntilBudgetNs = 50'000'000;  ///< never expires at this load
+
+/// The perfbench svc-window shape on one loop: one client thread keeps
+/// kMpWindowConns connections x kMpWindowDepth requests in flight,
+/// refilling each connection as its responses arrive. The 8-thread windows
+/// above saturate the client side on a 4-vCPU host; here the loop is the
+/// bottleneck, so this row moves with the svc layer. One iteration is one
+/// poll() and every response it made readable.
+void BM_SvcMpWindow(benchmark::State& state) {
+  std::array<svc::Client, kMpWindowConns> clients;
+  std::array<pollfd, kMpWindowConns> fds{};
+  std::array<std::uint32_t, kMpWindowConns> in_flight{};
+  std::uint64_t next_id = 0;
+  std::int64_t answered = 0;
+  std::string error;
+  const auto refill = [&](std::size_t c) {
+    for (; in_flight[c] < kMpWindowDepth; ++in_flight[c], ++next_id) {
+      if (next_id % kUntilEvery == kUntilEvery - 1) {
+        clients[c].queue_count_until(next_id, kUntilBudgetNs);
+      } else {
+        clients[c].queue_count(next_id);
+      }
+    }
+    return clients[c].flush(&error);
+  };
+  const auto take_responses = [&](std::size_t c) {
+    for (;;) {
+      svc::Response response;
+      bool got = false;
+      if (!clients[c].poll_response(&response, &got, &error)) return false;
+      if (!got) return true;
+      if (response.status != svc::Status::kOk) {
+        error = "non-ok response";
+        return false;
+      }
+      --in_flight[c];
+      ++answered;
+    }
+  };
+  for (std::size_t c = 0; c < kMpWindowConns; ++c) {
+    if (!clients[c].connect("127.0.0.1", g_server->port(), &error) || !refill(c)) {
+      state.SkipWithError(error.c_str());
+      return;
+    }
+    fds[c] = pollfd{clients[c].fd(), POLLIN, 0};
+  }
+  for (auto _ : state) {
+    if (::poll(fds.data(), fds.size(), 5000) <= 0) {
+      state.SkipWithError("no response within 5 s");
+      return;
+    }
+    for (std::size_t c = 0; c < kMpWindowConns; ++c) {
+      if (fds[c].revents == 0) continue;
+      if (!take_responses(c) || !refill(c)) {
+        state.SkipWithError(error.c_str());
+        return;
+      }
+    }
+  }
+  state.SetItemsProcessed(answered);
+}
+BENCHMARK(BM_SvcMpWindow)
+    ->Setup(setup_mp_batched)
+    ->Teardown(teardown_server)
     ->UseRealTime();
 
 void BM_SvcRtLoops(benchmark::State& state) { run_window_body(state); }

@@ -184,13 +184,14 @@ echo "wrote $svc_out ($(python3 -c "import json;print(len(json.load(open('$svc_o
 # The svc series is an ablation: both sides of the batched/unbatched pair
 # must be present for either backend's number to mean anything — and the
 # loops-scaling series must be there too, or the multi-loop claim in
-# docs/SERVICE.md has no number behind it. Same for the deployment pairs:
+# docs/SERVICE.md has no number behind it, and so must BM_SvcMpWindow, the
+# one loop-bound svc row (perfbench svc-window's shape). Same for the deployment pairs:
 # tiles-over-shm without its in-process twin, or the pipelined run without
 # its raw ping/pong floor, is a number with no baseline.
 python3 - "$svc_out" <<'EOF'
 import json, sys
 required = ["BM_SvcRtBatched", "BM_SvcRtUnbatched", "BM_SvcMpBatched", "BM_SvcMpUnbatched",
-            "BM_SvcRtLoops", "BM_DeployRtTiles", "BM_DeployRtInProc",
+            "BM_SvcMpWindow", "BM_SvcRtLoops", "BM_DeployRtTiles", "BM_DeployRtInProc",
             "BM_LinkPingPong", "BM_DeployRtPipeline"]
 with open(sys.argv[1]) as f:
     names = {b["name"] for b in json.load(f)["benchmarks"]}

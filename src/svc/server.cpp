@@ -24,8 +24,8 @@ namespace cnet::svc {
 using Clock = std::chrono::steady_clock;
 
 /// One accepted connection. Owned by its loop; referenced (borrowed) by the
-/// wake's pending requests, so a dying connection is quarantined in a
-/// graveyard until the wake that killed it finishes.
+/// wake's pending requests and by carried ones, so a dying connection is
+/// quarantined in a graveyard until no request names it any more.
 struct Server::Conn {
   int fd = -1;
   std::uint32_t id = 0;  ///< loop-local dense id; maps to a backend entry input
@@ -38,11 +38,12 @@ struct Server::Conn {
 
   bool want_write = false;         ///< EPOLLOUT armed
   bool close_after_flush = false;  ///< drop once `out` drains (error path)
-  bool dead = false;               ///< closed this wake; in the graveyard
+  bool dead = false;               ///< closed; in the graveyard
+  std::uint32_t carried = 0;       ///< issued requests awaiting the next collect
 
   /// A malformed frame poisons the stream, but requests decoded before it
-  /// are still served: the error frame is held here and appended *after*
-  /// this wake's responses, as the connection's final frame.
+  /// are still served: the error frame is held here and appended once no
+  /// request of the connection is carried, as its final frame.
   bool error_pending = false;
   Response error_response{};
 
@@ -181,7 +182,8 @@ class Server::Loop {
   void run() {
     epoll_event events[64];
     while (!s_.stopping_.load(std::memory_order_acquire)) {
-      const int n = epoll_wait(epfd_, events, 64, -1);
+      // A carried wave is collected this iteration, so the loop only polls.
+      const int n = epoll_wait(epfd_, events, 64, carried_.empty() ? -1 : 0);
       if (n < 0) {
         if (errno == EINTR) continue;
         break;  // epoll itself failed; nothing sane left to do
@@ -208,18 +210,8 @@ class Server::Loop {
         }
       }
       if (!pending_.empty()) serve_pending();
-      // Poisoned streams get their final kError frame only after the wake's
-      // real responses, so well-formed requests that preceded the bad frame
-      // are still answered. Iterators advance before any call that can
-      // kill_conn — killing erases the connection's map entry.
-      for (auto it = conns_.begin(); it != conns_.end();) {
-        Conn* conn = (it++)->second.get();
-        if (!conn->dead && conn->error_pending) {
-          enqueue_response(conn, conn->error_response);
-          conn->error_pending = false;
-          conn->close_after_flush = true;
-        }
-      }
+      collect_carried();
+      close_poisoned();
       // Opportunistic flush: most responses go out right here, without a
       // second epoll round trip.
       for (auto it = conns_.begin(); it != conns_.end();) {
@@ -235,12 +227,23 @@ class Server::Loop {
   static constexpr std::uint64_t kListenerTag = 0;
   static constexpr std::uint64_t kWakeTag = 1;
 
-  /// The stop-path drain: every admitted request was already served and
-  /// its response encoded (pending_ never survives a wake), so draining
-  /// means pushing the unwritten response bytes out before the sockets
-  /// close — one best-effort flush per connection. A peer that stopped
-  /// reading loses its tail (the alternative is an unbounded shutdown).
+  /// An issued request whose handle came back in flight (mp), with that
+  /// handle: answered by the next loop iteration's collect_carried().
+  struct CarriedRequest {
+    PendingRequest request;
+    run::CountingBackend::PendingCount handle;
+  };
+
+  /// The stop-path drain: pending_ never survives a wake, so once the
+  /// carried wave is collected every admitted request has its response
+  /// encoded — and every mp handle is resolved before the backend can be
+  /// destroyed. Draining then means pushing the unwritten response bytes
+  /// out before the sockets close — one best-effort flush per connection.
+  /// A peer that stopped reading loses its tail (the alternative is an
+  /// unbounded shutdown).
   void drain_for_stop() {
+    collect_carried();
+    close_poisoned();
     for (auto it = conns_.begin(); it != conns_.end();) {
       Conn* conn = (it++)->second.get();
       if (conn->dead) continue;
@@ -386,9 +389,11 @@ class Server::Loop {
   }
 
   /// One wave per chunk on every live backend: count_begin_batch is one
-  /// next_batch on rt and one token message on mp, and then each request
-  /// collects its own handle, so a deadline frame on mp keeps the slot-CAS
-  /// cancellation.
+  /// next_batch on rt and one token message on mp. A ready handle (rt, or
+  /// an mp slot the parked-value buffer filled) is answered at once; one in
+  /// flight is carried to the next iteration's collect, so the wave walks
+  /// the network while the loop flushes, polls, reads and issues, and a
+  /// deadline frame on mp keeps the slot-CAS cancellation.
   void serve_batched() {
     const bool can_abandon = s_.backend_.supports_async_count();
     for (std::size_t next = 0; next < pending_.size();) {
@@ -402,7 +407,45 @@ class Server::Loop {
       handles_.resize(chunk_.size());
       s_.backend_.count_begin_batch(batch_issue_id(), handles_);
       stats_.batches.fetch_add(1, std::memory_order_relaxed);
-      for (std::size_t i = 0; i < chunk_.size(); ++i) collect(*chunk_[i], handles_[i]);
+      for (std::size_t i = 0; i < chunk_.size(); ++i) {
+        const PendingRequest& p = *chunk_[i];
+        if (handles_[i].cell == nullptr) {
+          collect(p, handles_[i]);
+        } else {
+          ++p.conn->carried;
+          issued_.push_back({p, handles_[i]});
+        }
+      }
+    }
+  }
+
+  /// Answers the previous iteration's carried requests, after this
+  /// iteration issued its own chunks, then carries this wake's in-flight
+  /// ones into the next iteration. A carried kCountUntil's bounded collect
+  /// runs at most one iteration after issue: a value that has arrived by
+  /// then answers kOk, otherwise the cancel CAS answers kTimeout.
+  void collect_carried() {
+    for (const CarriedRequest& c : carried_) {
+      collect(c.request, c.handle);
+      --c.request.conn->carried;
+    }
+    carried_.clear();
+    carried_.swap(issued_);
+  }
+
+  /// Poisoned streams get their final kError frame only after every
+  /// response they are owed, carried ones included, so well-formed requests
+  /// that preceded the bad frame are still answered. Iterators advance
+  /// before any call that can kill_conn — killing erases the connection's
+  /// map entry.
+  void close_poisoned() {
+    for (auto it = conns_.begin(); it != conns_.end();) {
+      Conn* conn = (it++)->second.get();
+      if (!conn->dead && conn->error_pending && conn->carried == 0) {
+        enqueue_response(conn, conn->error_response);
+        conn->error_pending = false;
+        conn->close_after_flush = true;
+      }
     }
   }
 
@@ -503,8 +546,9 @@ class Server::Loop {
     epoll_ctl(epfd_, EPOLL_CTL_MOD, conn->fd, &ev);
   }
 
-  /// Closes the socket now but keeps the Conn object alive until the end
-  /// of the wake — pending requests and the event array still point at it.
+  /// Closes the socket now but keeps the Conn object alive in the
+  /// graveyard — pending and carried requests and the event array still
+  /// point at it.
   void kill_conn(Conn* conn) {
     if (conn->dead) return;
     conn->dead = true;
@@ -517,7 +561,12 @@ class Server::Loop {
     conns_.erase(it);
   }
 
-  void bury() { graveyard_.clear(); }
+  /// Runs at the end of an iteration, when only carried requests can still
+  /// name a dead connection: one they name is buried an iteration later,
+  /// once collect_carried() has answered them.
+  void bury() {
+    std::erase_if(graveyard_, [](const std::unique_ptr<Conn>& c) { return c->carried == 0; });
+  }
 
   /// One admission check per wake: a tripped backend DegradeGuard latches
   /// timing shed. The latch is shared across loops — a trip here sheds
@@ -539,6 +588,8 @@ class Server::Loop {
   std::unordered_map<int, std::unique_ptr<Conn>> conns_;
   std::vector<std::unique_ptr<Conn>> graveyard_;
   std::vector<PendingRequest> pending_;
+  std::vector<CarriedRequest> issued_;   ///< this wake's in-flight requests
+  std::vector<CarriedRequest> carried_;  ///< the previous wake's, collected next
   std::vector<const PendingRequest*> chunk_;            ///< serve_batched scratch
   std::vector<run::CountingBackend::PendingCount> handles_;  ///< serve_batched scratch
   std::uint32_t next_conn_id_ = 0;

@@ -32,6 +32,13 @@
 // balancer steps (rt) or actor messages (mp), output fetch_adds and worker
 // wakeups — and their responses share one coalesced write() per
 // connection — while each request still gets its own counter value.
+// A handle that comes back ready (every rt handle, and an mp slot the
+// parked-value buffer filled) is answered at once. One still in flight is
+// carried into the next loop iteration and collected there, after that
+// iteration has issued its own chunks: the mp workers walk the wave while
+// the loop flushes, polls, reads and parses, instead of the loop waiting
+// on the wave it has just issued. While a wave is carried, epoll_wait only
+// polls (timeout 0), so an idle loop collects it at once.
 // `ServerOptions::batching = false` is the ablation BENCH_svc measures: the
 // textbook request-response loop, one backend issue and one response write
 // per request, in arrival order.
@@ -39,7 +46,9 @@
 // Admission control / backpressure (all answered with Status::kShed, never
 // an unbounded queue):
 //   * backlog    — pending requests beyond max_pending are shed on arrival
-//                  (per loop; the cap bounds one wake's coalesced batch);
+//                  (per loop; the cap bounds one wake's coalesced batch, so
+//                  a loop holds at most 2 x max_pending issued requests:
+//                  this wake's and the carried wave);
 //   * timing     — when the rt DegradeGuard reports tripped (its online
 //                  c2/c1 estimate crossed Cor 3.9's bound of 2; spec
 //                  `metrics&degrade=report`), the server latches into
@@ -54,19 +63,21 @@
 //                  max_write_buffer is dropped.
 //
 // Deadline propagation: a kCountUntil frame's budget starts at *receipt*
-// (decode time) and bounds its collect — on mp a timeout runs the slot-CAS
-// cancellation and parks the value for recycling (mp.deadline_timeouts
-// counts it). A backend that cannot abandon an issued op
-// (!supports_async_count(): rt runs the wave on the serving thread and
-// hands back ready handles) gets no say after issue, so a frame whose
-// budget is already spent when its chunk is issued is answered kTimeout
-// without executing, and a live one executes to completion
-// (docs/SERVICE.md spells out the per-family matrix).
+// (decode time) and bounds its collect — on mp that collect runs at most
+// one loop iteration after issue: a value that has arrived by then answers
+// kOk, otherwise the timeout runs the slot-CAS cancellation and parks the
+// value for recycling (mp.deadline_timeouts counts it). A backend that
+// cannot abandon an issued op (!supports_async_count(): rt runs the wave
+// on the serving thread and hands back ready handles) gets no say after
+// issue, so a frame whose budget is already spent when its chunk is
+// issued is answered kTimeout without executing, and a live one executes
+// to completion (docs/SERVICE.md spells out the per-family matrix).
 //
 // Threading: each event-loop thread owns its connections and issues all
 // their backend operations (mp operations still execute on the service's
-// own workers — a loop only blocks on collects). start()/stop()/stats()
-// are callable from any thread. stop() drains: every loop stops accepting,
+// own workers — a loop only blocks on the collect of a wave it issued one
+// iteration earlier). start()/stop()/stats() are callable from any thread.
+// stop() drains: every loop stops accepting, collects its carried wave,
 // flushes what its connections still owe, and joins before stop() returns,
 // so a stats() read after stop() is the complete final tally.
 #pragma once
@@ -112,7 +123,9 @@ struct ServerOptions {
   std::uint32_t max_batch = 64;  ///< issue chunk cap per backend call
 
   /// Backlog admission cap: requests decoded while this many are already
-  /// pending in the current wake are shed (kBacklogShed). Per loop.
+  /// pending in the current wake are shed (kBacklogShed). Per loop. A loop
+  /// also holds the previous wake's carried (in-flight) requests, so it
+  /// has at most 2 x max_pending issued requests at once.
   std::uint32_t max_pending = 4096;
 
   /// A connection buffering more than this many unwritten response bytes

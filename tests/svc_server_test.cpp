@@ -461,6 +461,126 @@ TEST(SvcServer, StopDrainsWithoutStrayFrames) {
   EXPECT_EQ(received, 64u);
 }
 
+// --- carried waves ----------------------------------------------------------
+// An mp wave's handles are collected one loop iteration after their issue.
+// On kStalledTree every hop stalls 2 ms, so a 32-request wave stays in the
+// network for about 100 ms (32 tokens x 3 hops over 2 workers) after its
+// wake issued it.
+
+constexpr char kStalledTree[] = "mp:tree:8?actors=2&fault=stall:1:2000000,seed:1";
+
+/// Waits (via the merged stats) until the loop has issued a chunk.
+void await_first_batch(const Server& server) {
+  const auto deadline = Clock::now() + std::chrono::seconds(10);
+  while (server.stats().batches < 1 && Clock::now() < deadline) std::this_thread::yield();
+}
+
+TEST(SvcServer, StopAnswersACarriedWave) {
+  ServerOptions options;
+  options.loops = 1;
+  ServerUnderTest s(kStalledTree, options);
+  ASSERT_TRUE(s.started) << s.start_error;
+  Client client;
+  std::string error;
+  ASSERT_TRUE(client.connect("127.0.0.1", s.server->port(), &error)) << error;
+  for (std::uint64_t id = 0; id < 32; ++id) client.queue_count(id);
+  ASSERT_TRUE(client.flush(&error)) << error;
+  await_first_batch(*s.server);
+  const Server::Stats issued = s.server->stats();
+  ASSERT_GE(issued.batches, 1u);
+  ASSERT_EQ(issued.responses_ok, 0u);
+  // Stop with the wave in flight: the loop still answers every request
+  // before its drain flushes, so the stream carries all 32 values, then EOF.
+  s.server->stop();
+  std::vector<std::uint64_t> values;
+  for (;;) {
+    Response response;
+    if (!client.recv_response(&response, &error)) {
+      EXPECT_EQ(error, "connection closed by server");
+      break;
+    }
+    EXPECT_EQ(response.status, Status::kOk);
+    values.push_back(response.value);
+  }
+  ASSERT_EQ(values.size(), 32u);
+  std::sort(values.begin(), values.end());
+  for (std::uint64_t i = 0; i < 32; ++i) EXPECT_EQ(values[i], i);
+}
+
+TEST(SvcServer, PeerCloseWithACarriedWave) {
+  ServerOptions options;
+  options.loops = 1;
+  ServerUnderTest s(kStalledTree, options);
+  ASSERT_TRUE(s.started) << s.start_error;
+  std::string error;
+  {
+    // The hang-up travels right behind the burst, so the loop usually
+    // reads and issues the requests, then kills the connection in its next
+    // iteration, before it collects the requests that still name it. The
+    // Conn must outlive them (ASan checks that no freed one is touched),
+    // and every handle must still be resolved.
+    Client quitter;
+    ASSERT_TRUE(quitter.connect("127.0.0.1", s.server->port(), &error)) << error;
+    for (std::uint64_t id = 0; id < 32; ++id) quitter.queue_count(id);
+    ASSERT_TRUE(quitter.flush(&error)) << error;
+  }
+  await_first_batch(*s.server);
+  ASSERT_GE(s.server->stats().batches, 1u);
+
+  Client client;
+  ASSERT_TRUE(client.connect("127.0.0.1", s.server->port(), &error)) << error;
+  Response response;
+  ASSERT_TRUE(client.count(1000, &response, &error)) << error;
+  EXPECT_EQ(response.status, Status::kOk);
+  s.server->stop();
+  const mp::NetworkService& service = dynamic_cast<run::MpBackend&>(*s.backend).service();
+  EXPECT_EQ(service.robustness_stats().in_flight, 0u);
+}
+
+TEST(SvcServer, OverflowKillWithACarriedWave) {
+  // A connection killed in the very iteration that carries its wave: parked
+  // values answer the first slots of its chunk at once, and with no room to
+  // buffer a second response the overflow check kills the connection while
+  // the rest of the chunk is still in flight. The Conn must outlive those
+  // carried requests (ASan checks that no freed one is touched).
+  ServerOptions options;
+  options.loops = 1;
+  options.max_write_buffer = 0;
+  ServerUnderTest s("mp:tree:8?actors=2", options);
+  ASSERT_TRUE(s.started) << s.start_error;
+  const mp::NetworkService& service = dynamic_cast<run::MpBackend&>(*s.backend).service();
+  std::string error;
+  // Park values: most of a burst of 1 ns budgets is cancelled at its
+  // collect, and each cancelled token parks its value when it lands.
+  for (std::uint32_t round = 0; service.robustness_stats().parked_now < 2; ++round) {
+    ASSERT_LT(round, 100u) << "no values parked";
+    const std::uint64_t batches = s.server->stats().batches;
+    Client parker;
+    ASSERT_TRUE(parker.connect("127.0.0.1", s.server->port(), &error)) << error;
+    for (std::uint64_t id = 0; id < 8; ++id) parker.queue_count_until(id, 1);
+    ASSERT_TRUE(parker.flush(&error)) << error;
+    const auto deadline = Clock::now() + std::chrono::seconds(10);
+    while ((s.server->stats().batches == batches || service.robustness_stats().in_flight != 0) &&
+           Clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+  }
+
+  Client victim;
+  ASSERT_TRUE(victim.connect("127.0.0.1", s.server->port(), &error)) << error;
+  for (std::uint64_t id = 0; id < 32; ++id) victim.queue_count(id);
+  ASSERT_TRUE(victim.flush(&error)) << error;
+  Response response;
+  EXPECT_FALSE(victim.recv_response(&response, &error));  // dropped, not answered
+
+  Client client;
+  ASSERT_TRUE(client.connect("127.0.0.1", s.server->port(), &error)) << error;
+  ASSERT_TRUE(client.count(1000, &response, &error)) << error;
+  EXPECT_EQ(response.status, Status::kOk);
+  s.server->stop();
+  EXPECT_EQ(service.robustness_stats().in_flight, 0u);
+}
+
 // --- UNIX-domain transport (--uds) ----------------------------------------
 
 TEST(SvcServer, UdsEndToEndSameContractAsTcp) {
