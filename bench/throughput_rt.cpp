@@ -88,7 +88,7 @@ void setup_periodic_plan(const benchmark::State& state) {
 }
 
 void setup_tree(const benchmark::State& state) {
-  rebuild_backend("rt:tree:" + std::to_string(state.range(0)) + "?diffraction=on");
+  rebuild_backend("rt:tree:" + std::to_string(state.range(0)));
 }
 
 void run_single_token_body(benchmark::State& state) {
@@ -143,8 +143,8 @@ BENCHMARK(BM_Periodic)
     ->ThreadRange(1, 8)
     ->UseRealTime();
 
-void BM_DiffractingTree(benchmark::State& state) { run_single_token_body(state); }
-BENCHMARK(BM_DiffractingTree)
+void BM_CountingTree(benchmark::State& state) { run_single_token_body(state); }
+BENCHMARK(BM_CountingTree)
     ->Setup(setup_tree)
     ->Teardown(teardown_backend)
     ->Arg(32)

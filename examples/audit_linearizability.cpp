@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
   const std::uint64_t wait_ns = argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 50000;
   const bool tree = argc > 4 && std::strcmp(argv[4], "tree") == 0;
 
-  const std::string spec = tree ? "rt:tree:32?diffraction=on" : "rt:bitonic:32";
+  const std::string spec = tree ? "rt:tree:32" : "rt:bitonic:32";
   std::string error;
   const std::unique_ptr<cnet::run::CountingBackend> backend =
       cnet::run::make_backend(spec, &error);

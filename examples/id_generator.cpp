@@ -2,7 +2,7 @@
 //
 // Scenario from the paper's introduction: "linearizable counting lies at the
 // heart of concurrent timestamp generation". We build an ID generator on a
-// diffracting tree (lowest latency), have worker threads stamp "requests",
+// counting tree (one toggle per layer), have worker threads stamp "requests",
 // and feed every completed operation to the bounded-memory WindowedChecker
 // to measure, live, how often the IDs disagree with real-time order
 // (Def 2.4). On a sanely-timed machine the answer is: essentially never —
@@ -36,10 +36,8 @@ int main(int argc, char** argv) {
   const std::size_t batch =
       argc > 3 ? static_cast<std::size_t>(std::max(1, std::atoi(argv[3]))) : 8;
 
-  // A diffracting tree [21]: the counting tree with prism balancers.
-  cnet::rt::CounterOptions options;
-  options.diffraction = true;
-  cnet::rt::NetworkCounter tree(cnet::topo::make_counting_tree(32), options);
+  // The counting tree of width 32: a diffracting tree [21] without its prisms.
+  cnet::rt::NetworkCounter tree(cnet::topo::make_counting_tree(32));
 
   using Clock = std::chrono::steady_clock;
   const auto t0 = Clock::now();

@@ -52,26 +52,56 @@ if [ "$build_type" != "Release" ]; then
   fi
 fi
 
+# The host's steal time so far: the steal field of /proc/stat's cpu line,
+# in USER_HZ ticks summed over every CPU.
+steal_ticks() { awk '$1 == "cpu" { print $9; exit }' /proc/stat; }
+
 # Rewrites a report in place: keeps each benchmark's median row under its
 # plain name (run_name, so the key guards and any join on names still
-# hold), stamps the cnet build flavour and the CPUs this shell may run on
-# (nproc) into the context block, then fails if nproc differs from the
-# report's num_cpus (every CPU online): the recording ran under a
+# hold), stamps the cnet build flavour, the CPUs this shell may run on
+# (nproc) and the host into the context block, then fails if nproc differs
+# from the report's num_cpus (every CPU online): the recording ran under a
 # restricted affinity mask, so its thread-scaling rows mean less than their
-# labels say.
+# labels say. The host block names the CPU (/proc/cpuinfo), its L3 and the
+# kernel, so a diff of two files can tell a host change from a code change;
+# steal_ticks is the steal time that passed since $2, the recording's start.
 finish_report() {
-  python3 - "$1" "$build_type" "$(nproc)" <<'EOF'
-import json, sys
+  python3 - "$1" "$build_type" "$(nproc)" "$2" "$(steal_ticks)" <<'EOF'
+import glob, json, os, sys
 path, build_type, nproc = sys.argv[1], sys.argv[2], int(sys.argv[3])
+steal_start, steal_end = int(sys.argv[4]), int(sys.argv[5])
 with open(path) as f:
     report = json.load(f)
 medians = [b for b in report["benchmarks"] if b.get("aggregate_name") == "median"]
 for b in medians:
     b["name"] = b["run_name"]
 report["benchmarks"] = medians
+cpu = {}
+with open("/proc/cpuinfo") as f:
+    for line in f:
+        if not line.strip():
+            break  # the first processor's block names the model
+        key, _, value = line.partition(":")
+        cpu[key.strip()] = value.strip()
+l3 = "unknown"
+for index in glob.glob("/sys/devices/system/cpu/cpu0/cache/index*"):
+    with open(index + "/level") as f:
+        if f.read().strip() == "3":
+            with open(index + "/size") as g:
+                l3 = g.read().strip()
 context = report["context"]
 context["cnet_build_type"] = build_type
 context["nproc"] = nproc
+context["host"] = {
+    "cpu_model_name": cpu.get("model name", "unknown"),
+    "cpu_family": cpu.get("cpu family", "unknown"),
+    "cpu_model": cpu.get("model", "unknown"),
+    "cpu_stepping": cpu.get("stepping", "unknown"),
+    "microcode": cpu.get("microcode", "unknown"),
+    "l3_size": l3,
+    "kernel_release": os.uname().release,
+}
+context["steal_ticks"] = steal_end - steal_start
 with open(path, "w") as f:
     json.dump(report, f, indent=1)
     f.write("\n")
@@ -84,6 +114,7 @@ EOF
 tmp_rt=$(mktemp) tmp_psim=$(mktemp)
 trap 'rm -f "$tmp_rt" "$tmp_psim"' EXIT
 
+steal0=$(steal_ticks)
 build/bench/throughput_rt "${bench_flags[@]}" >"$tmp_rt"
 build/bench/engine_perf --benchmark_filter='Fig5Mix|PsimWorkload|PsimStallDebit' \
   "${bench_flags[@]}" >"$tmp_psim"
@@ -99,7 +130,7 @@ with open(out, "w") as f:
     json.dump(a, f, indent=1)
     f.write("\n")
 EOF
-finish_report "$out"
+finish_report "$out" "$steal0"
 echo "wrote $out ($(python3 -c "import json;print(len(json.load(open('$out'))['benchmarks']))") benchmarks)"
 
 # Key guard: downstream dashboards join on benchmark names, so a rename in
@@ -110,7 +141,7 @@ import json, sys
 required = [
     "BM_CentralAtomic", "BM_McsLockedCounter", "BM_BitonicFetchAdd",
     "BM_BitonicFetchAddBatch", "BM_BitonicMcsBalancers", "BM_Periodic",
-    "BM_DiffractingTree", "BM_PsimStallDebit",
+    "BM_CountingTree", "BM_PsimStallDebit",
 ]
 with open(sys.argv[1]) as f:
     names = {b["name"] for b in json.load(f)["benchmarks"]}
@@ -119,8 +150,9 @@ if missing:
     sys.exit(f"benchmark series missing from {sys.argv[1]}: {', '.join(missing)}")
 EOF
 
+steal0=$(steal_ticks)
 build/bench/obs_overhead "${bench_flags[@]}" >"$obs_out"
-finish_report "$obs_out"
+finish_report "$obs_out" "$steal0"
 echo "wrote $obs_out ($(python3 -c "import json;print(len(json.load(open('$obs_out'))['benchmarks']))") benchmarks)"
 
 # Same key guard for the observability-overhead series docs/OBSERVABILITY.md
@@ -138,8 +170,9 @@ if missing:
     sys.exit(f"benchmark series missing from {sys.argv[1]}: {', '.join(missing)}")
 EOF
 
+steal0=$(steal_ticks)
 build/bench/throughput_mp "${bench_flags[@]}" >"$mp_out"
-finish_report "$mp_out"
+finish_report "$mp_out" "$steal0"
 echo "wrote $mp_out ($(python3 -c "import json;print(len(json.load(open('$mp_out'))['benchmarks']))") benchmarks)"
 
 # Same key guard for the mp series: both topologies must be present.
@@ -159,6 +192,7 @@ trap 'rm -f "$tmp_rt" "$tmp_psim" "$tmp_svc_rt" "$tmp_svc_mp" "$tmp_deploy" "$tm
 # One throughput_svc family per process: run in one process, the later
 # families spread far wider (BM_SvcMpBatched read 279-460 k items/s over 16
 # such runs, and 476-534 k with its family alone).
+steal0=$(steal_ticks)
 build/bench/throughput_svc --benchmark_filter='^BM_SvcRt' "${bench_flags[@]}" >"$tmp_svc_rt"
 build/bench/throughput_svc --benchmark_filter='^BM_SvcMp' "${bench_flags[@]}" >"$tmp_svc_mp"
 build/bench/throughput_svc --benchmark_filter='^BM_Deploy' "${bench_flags[@]}" >"$tmp_deploy"
@@ -178,7 +212,7 @@ with open(out, "w") as f:
     json.dump(a, f, indent=1)
     f.write("\n")
 EOF
-finish_report "$svc_out"
+finish_report "$svc_out" "$steal0"
 echo "wrote $svc_out ($(python3 -c "import json;print(len(json.load(open('$svc_out'))['benchmarks']))") benchmarks)"
 
 # The svc series is an ablation: both sides of the batched/unbatched pair

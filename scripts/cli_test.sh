@@ -110,6 +110,12 @@ check_output "pad on rt names its reason" "cross pass-through nodes in no time" 
 check_rc "degrade=pad exits 2" 2 "$CLI" run "rt:bitonic:8?metrics&degrade=pad"
 check_output "degrade=pad names its reason" "Cor 3.12 padding needs a known bound" \
   "$CLI" run "rt:bitonic:8?metrics&degrade=pad"
+check_rc "diffraction on rt exits 2" 2 "$CLI" count "rt:tree:8?diffraction=on" 1 10
+check_output "diffraction on rt names its reason" "a prism ran 7-68x slower than the toggle" \
+  "$CLI" count "rt:tree:8?diffraction=on" 1 10
+check_output "diffraction on rt points at psim" "psim:tree:W?diffraction=on" \
+  "$CLI" count "rt:tree:8?diffraction=on" 1 10
+check_rc "prism on rt exits 2" 2 "$CLI" count "rt:bitonic:8?prism=4" 1 10
 
 # --- schedule capture, replay, and search -----------------------------------
 trace_file=/tmp/cnet_cli_test.$$.trace

@@ -87,10 +87,6 @@ bool validate_deploy_spec(const run::BackendSpec& spec, std::uint32_t tiles,
     return fail("mcs balancers cannot cross processes (MCS queue nodes live on caller "
                 "stacks, which are process-private)");
   }
-  if (spec.diffraction) {
-    return fail("diffraction cannot cross processes (prism pairing camps on live peers; "
-                "a SIGKILLed partner would poison slots)");
-  }
   if (spec.degrade != rt::DegradePolicy::kOff) {
     return fail("degrade does not deploy (the guard watches an obs sink, and deploy tiles "
                 "keep none)");

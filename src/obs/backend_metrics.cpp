@@ -18,8 +18,6 @@ void CounterMetrics::register_into(MetricsRegistry& registry,
   registry.add_counter(prefix + "tokens", "tokens", &tokens);
   registry.add_counter(prefix + "batch_calls", "calls", &batch_calls);
   registry.add_counter(prefix + "sampled", "tokens", &sampled);
-  registry.add_counter(prefix + "prism_pairs", "visits", &prism_pairs);
-  registry.add_counter(prefix + "prism_toggles", "visits", &prism_toggles);
   registry.add_gauge(prefix + "c2c1_estimate", "ratio", [this] { return c2c1_estimate(); });
   registry.add_histogram(prefix + "token_latency", "ns", &token_latency_ns);
   registry.add_histogram(prefix + "hop_latency", "ns", &hop_latency_ns);

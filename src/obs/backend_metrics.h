@@ -33,12 +33,10 @@ struct CounterMetrics {
   ShardedCounter tokens;       ///< counter values handed out; the sampling clock
   ShardedCounter batch_calls;  ///< next_batch invocations
   ShardedCounter sampled;      ///< tokens that took the timed path
-  ShardedCounter prism_pairs;  ///< prism visits resolved by diffraction
 
   /// Read from the counter's balancer state, indexed by topo::Network node
   /// id (the compiled tables keep topology ids); pass-through padding reads 0.
   StateCounts balancer_visits;  ///< per-balancer visits
-  StateCounts prism_toggles;    ///< prism visits that fell to the toggle
 
   LogHistogram token_latency_ns;  ///< entry-to-value, sampled tokens
   LogHistogram hop_latency_ns;    ///< per-balancer traversal, sampled tokens

@@ -12,9 +12,7 @@ namespace {
 const char* phase_name(TracePhase phase) {
   switch (phase) {
     case TracePhase::kHop: return "balancer";
-    case TracePhase::kExit: return "exit";
     case TracePhase::kOp: return "op";
-    case TracePhase::kPair: return "pair";
   }
   return "?";
 }

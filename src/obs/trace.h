@@ -21,10 +21,8 @@ namespace cnet::obs {
 
 /// What a trace event describes; selects the event's name in the dump.
 enum class TracePhase : std::uint8_t {
-  kHop = 0,   ///< one balancer traversal; id = node index
-  kExit = 1,  ///< output-counter access; id = output port
-  kOp = 2,    ///< a whole counting operation; id = entry input
-  kPair = 3,  ///< a prism diffraction (paired, toggle untouched); id = node
+  kHop,  ///< one balancer traversal; id = node index
+  kOp,   ///< a whole counting operation; id = entry input
 };
 
 /// One recorded event. 32 bytes; plain data, copied into the ring.
@@ -32,7 +30,7 @@ struct TraceEvent {
   std::uint64_t ts = 0;    ///< start timestamp (ns on rt, cycles on psim)
   std::uint64_t dur = 0;   ///< duration in the same unit
   std::uint32_t track = 0; ///< caller thread / simulated processor id
-  std::uint32_t id = 0;    ///< node index, output port, or input (see phase)
+  std::uint32_t id = 0;    ///< node index or entry input (see phase)
   TracePhase phase = TracePhase::kHop;
 };
 

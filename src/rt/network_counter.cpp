@@ -4,25 +4,13 @@
 #include <bit>
 #include <cstddef>
 #include <new>
-#include <thread>
 #include <utility>
 
 #include "obs/backend_metrics.h"
 #include "util/assert.h"
-#include "util/rng.h"
-#include "util/spin.h"
 
 namespace cnet::rt {
 namespace {
-
-constexpr std::uint64_t kPaired = 1ull << 32;
-
-/// Per-thread RNG for prism slot choice (no cross-thread state).
-Rng& prism_rng() {
-  static std::atomic<std::uint64_t> counter{0x51ed270b0a1efULL};
-  thread_local Rng rng(counter.fetch_add(0x9e3779b97f4a7c15ULL, std::memory_order_relaxed));
-  return rng;
-}
 
 /// A thread's wave scratch: a pending token count per wave position and a
 /// bitset of the positions that hold one. Every wave leaves both all-zero,
@@ -41,36 +29,21 @@ WaveScratch& wave_scratch(std::size_t positions) {
   return scratch;
 }
 
-/// The root prism width the options ask for, with auto sizing resolved.
-/// Deterministic per machine (hardware_concurrency), so cooperating
-/// processes on one host compute identical prism layouts.
-std::uint32_t effective_prism_width(const CounterOptions& options) {
-  if (options.prism_width != 0) return options.prism_width;
-  const std::uint32_t hw = std::max(1u, std::thread::hardware_concurrency());
-  return std::min(8u, std::max(2u, hw / 8));
-}
-
 }  // namespace
 
 NetworkCounter::Kind NetworkCounter::classify(const topo::Node& node,
                                               const CounterOptions& options) {
   if (node.is_pass_through()) return Kind::kPass;
-  if (options.diffraction && node.fan_in == 1 && node.fan_out == 2) return Kind::kPrism;
   return options.mode == BalancerMode::kMcsLocked ? Kind::kMcs : Kind::kToggle;
 }
 
 NetworkCounter::StateLayout NetworkCounter::compute_layout(const topo::Network& net,
                                                            const CounterOptions& options) {
-  const std::uint32_t auto_width = effective_prism_width(options);
   StateLayout layout;
   for (const topo::Node& node : net.nodes()) {
     const Kind kind = classify(node, options);
     layout.n_toggles += kind == Kind::kToggle ? 1 : 0;
     layout.n_mcs += kind == Kind::kMcs ? 1 : 0;
-    if (kind == Kind::kPrism) {
-      ++layout.n_prisms;
-      layout.n_slots += prism_width_for_layer(auto_width, node.layer);
-    }
   }
   // Every element type is alignas(kCacheLine) with a cache-line-multiple
   // size, so packing the sections back to back keeps them all aligned.
@@ -79,10 +52,6 @@ NetworkCounter::StateLayout NetworkCounter::compute_layout(const topo::Network& 
   cursor += layout.n_toggles * sizeof(ToggleState);
   layout.mcs_off = cursor;
   cursor += layout.n_mcs * sizeof(McsState);
-  layout.prism_off = cursor;
-  cursor += layout.n_prisms * sizeof(PrismCounter);
-  layout.slots_off = cursor;
-  cursor += layout.n_slots * sizeof(Padded<std::atomic<std::uint64_t>>);
   layout.outputs_off = cursor;
   cursor += net.output_width() * sizeof(Padded<std::atomic<std::uint64_t>>);
   layout.total = cursor;
@@ -100,8 +69,6 @@ NetworkCounter::NetworkCounter(topo::Network net, const CounterOptions& options,
       output_width_(net.output_width()),
       max_threads_(options.max_threads),
       net_(std::move(net)) {
-  const std::uint32_t auto_width = effective_prism_width(options);
-
   const auto n_nodes = static_cast<std::uint32_t>(net_.node_count());
   kind_.resize(n_nodes);
   fan_out_.resize(n_nodes);
@@ -119,8 +86,7 @@ NetworkCounter::NetworkCounter(topo::Network net, const CounterOptions& options,
   // Home the shared state: a caller-provided arena (workspace deployment)
   // or a private cache-line-aligned heap block (the in-process default).
   const StateLayout layout = compute_layout(net_, options);
-  const std::uint32_t n_toggles = layout.n_toggles, n_mcs = layout.n_mcs,
-                      n_prisms = layout.n_prisms, n_slots = layout.n_slots;
+  const std::uint32_t n_toggles = layout.n_toggles, n_mcs = layout.n_mcs;
   std::byte* base = nullptr;
   bool construct = true;
   if (arena.base == nullptr) {
@@ -136,40 +102,20 @@ NetworkCounter::NetworkCounter(topo::Network net, const CounterOptions& options,
   }
   if (n_toggles != 0) toggles_ = reinterpret_cast<ToggleState*>(base + layout.toggle_off);
   if (n_mcs != 0) mcs_ = reinterpret_cast<McsState*>(base + layout.mcs_off);
-  if (n_prisms != 0) {
-    prism_counts_ = reinterpret_cast<PrismCounter*>(base + layout.prism_off);
-    prism_slots_ =
-        reinterpret_cast<Padded<std::atomic<std::uint64_t>>*>(base + layout.slots_off);
-  }
   outputs_ = reinterpret_cast<Padded<std::atomic<std::uint64_t>>*>(base + layout.outputs_off);
   if (construct) {
     for (std::uint32_t i = 0; i < n_toggles; ++i) new (&toggles_[i]) ToggleState();
     for (std::uint32_t i = 0; i < n_mcs; ++i) new (&mcs_[i]) McsState();
-    for (std::uint32_t i = 0; i < n_prisms; ++i) new (&prism_counts_[i]) PrismCounter();
-    for (std::uint32_t i = 0; i < n_slots; ++i) {
-      new (&prism_slots_[i]) Padded<std::atomic<std::uint64_t>>();
-    }
     for (std::uint32_t i = 0; i < output_width_; ++i) {
       new (&outputs_[i]) Padded<std::atomic<std::uint64_t>>();
     }
   }
 
-  // Pass 2: flatten the wiring into the packed successor table and fill the
-  // (process-local) prism descriptors.
-  prism_descs_.resize(n_prisms);
-  std::uint32_t slot_cursor = 0;
+  // Pass 2: flatten the wiring into the packed successor table.
   for (topo::NodeId id = 0; id < n_nodes; ++id) {
-    const topo::Node& node = net_.node(id);
     succ_offset_[id] = static_cast<std::uint32_t>(succ_.size());
-    for (const topo::OutLink& link : node.out) {
+    for (const topo::OutLink& link : net_.node(id).out) {
       succ_.push_back(link.node == topo::kNoNode ? (kOutputBit | link.port) : link.node);
-    }
-    if (kind_[id] == Kind::kPrism) {
-      PrismDesc& prism = prism_descs_[state_idx_[id]];
-      prism.slot_offset = slot_cursor;
-      prism.width = prism_width_for_layer(auto_width, node.layer);
-      prism.spin = options.prism_spin;
-      slot_cursor += prism.width;
     }
   }
   entry_.reserve(net_.inputs().size());
@@ -229,10 +175,8 @@ NetworkCounter::NetworkCounter(topo::Network net, const CounterOptions& options,
 
 NetworkCounter::~NetworkCounter() {
 #if CNET_OBS
-  if (metrics_ != nullptr) {  // keep the final reading while the state exists
-    metrics_->balancer_visits.release();
-    metrics_->prism_toggles.release();
-  }
+  // Keep the final reading while the state exists.
+  if (metrics_ != nullptr) metrics_->balancer_visits.release();
 #endif
   // Every state element is trivially destructible (atomics and the MCS
   // tail pointer), so only the owned block itself needs releasing; an
@@ -241,127 +185,40 @@ NetworkCounter::~NetworkCounter() {
 }
 
 void NetworkCounter::bind_state_counts() {
-  // Each count is a sum of (node id, state atomic) terms. A toggle's or MCS
-  // node's count is its visit count. A prism's toggle misses the tokens it
-  // paired, so its visits are the tokens that left the outputs of the tree
-  // below it, which needs a tree: every node under a prism entered only from
-  // above (diffraction applies to 1-in/2-out nodes, which the builders place
-  // only in counting trees).
-  using Sources = std::vector<std::pair<std::uint32_t, const std::atomic<std::uint64_t>*>>;
-  Sources visits, toggles;
+  // A toggle's or MCS node's count is its visit count.
+  std::vector<std::pair<std::uint32_t, const std::atomic<std::uint64_t>*>> visits;
   const auto n_nodes = static_cast<std::uint32_t>(kind_.size());
   for (std::uint32_t id = 0; id < n_nodes; ++id) {
     const std::uint32_t i = state_idx_[id];
     if (kind_[id] == Kind::kToggle) visits.emplace_back(id, &toggles_[i].count);
     if (kind_[id] == Kind::kMcs) visits.emplace_back(id, &mcs_[i].count);
-    if (kind_[id] != Kind::kPrism) continue;
-    toggles.emplace_back(id, &prism_counts_[i].count);
-    for (std::vector<std::uint32_t> below{id}; !below.empty();) {
-      const std::uint32_t node = below.back();
-      below.pop_back();
-      for (std::uint32_t p = 0; p < fan_out_[node]; ++p) {
-        const std::uint32_t hop = succ_[succ_offset_[node] + p];
-        if ((hop & kOutputBit) != 0) {
-          visits.emplace_back(id, &*outputs_[hop & ~kOutputBit]);
-          continue;
-        }
-        CNET_CHECK_MSG(net_.node(hop).fan_in == 1,
-                       "an obs sink needs every prism to head a tree (no other inputs below)");
-        below.push_back(hop);
-      }
-    }
   }
-  const auto bind = [n_nodes](obs::StateCounts& counts, Sources sources) {
-    counts.bind(n_nodes, [sources = std::move(sources)](std::span<std::uint64_t> out) {
-      for (const auto& [id, count] : sources) out[id] += count->load(std::memory_order_relaxed);
-    });
-  };
-  bind(metrics_->balancer_visits, std::move(visits));
-  bind(metrics_->prism_toggles, std::move(toggles));
+  metrics_->balancer_visits.bind(
+      n_nodes, [visits = std::move(visits)](std::span<std::uint64_t> out) {
+        for (const auto& [id, count] : visits) out[id] += count->load(std::memory_order_relaxed);
+      });
 }
 
 // One state step for `tokens` tokens crossing `node` together. Returns the
 // step's first count t0: its j-th token leaves on port (t0 + j) mod fan-out.
-// A lone token at a prism tries to diffract and returns its port instead.
-std::uint64_t NetworkCounter::cross(std::uint32_t node, std::uint64_t tokens,
-                                    std::uint32_t thread_id) {
+std::uint64_t NetworkCounter::cross(std::uint32_t node, std::uint64_t tokens) {
   const std::uint32_t i = state_idx_[node];
-  switch (kind_[node]) {
-    case Kind::kMcs: {
-      McsLock::Guard guard(mcs_[i].lock);
-      const std::uint64_t t = mcs_[i].count.load(std::memory_order_relaxed);
-      mcs_[i].count.store(t + tokens, std::memory_order_relaxed);
-      return t;
-    }
-    case Kind::kPrism:
-      // A sub-batch is already combined, so it takes the fall-back toggle.
-      if (tokens == 1) return traverse_prism(i, thread_id);
-      return prism_counts_[i].count.fetch_add(tokens, std::memory_order_acq_rel);
-    default:  // a toggle: the tables resolve pass nodes away, so no walk meets one
-      return toggles_[i].count.fetch_add(tokens, std::memory_order_acq_rel);
+  if (kind_[node] == Kind::kMcs) {
+    McsLock::Guard guard(mcs_[i].lock);
+    const std::uint64_t t = mcs_[i].count.load(std::memory_order_relaxed);
+    mcs_[i].count.store(t + tokens, std::memory_order_relaxed);
+    return t;
   }
+  // A toggle: the tables resolve pass nodes away, so no walk meets one.
+  return toggles_[i].count.fetch_add(tokens, std::memory_order_acq_rel);
 }
 
-std::uint32_t NetworkCounter::traverse(std::uint32_t node, std::uint32_t thread_id) {
-  return static_cast<std::uint32_t>(cross(node, 1, thread_id) % fan_out_[node]);
+std::uint32_t NetworkCounter::traverse(std::uint32_t node) {
+  return static_cast<std::uint32_t>(cross(node, 1) % fan_out_[node]);
 }
 
-std::uint32_t NetworkCounter::traverse_prism(std::uint32_t prism_idx, std::uint32_t thread_id) {
-  const PrismDesc& state = prism_descs_[prism_idx];
-  // Prism protocol: collision-race losses retry; an expired camping window
-  // falls through to the toggle, whose count the sink reads; pairings are
-  // not in the state, so they are recorded here.
-#if CNET_OBS
-  const auto count_pair = [&] {
-    if (metrics_ != nullptr) metrics_->prism_pairs.add(thread_id);
-  };
-#else
-  const auto count_pair = [] {};
-#endif
-  const std::uint64_t my_id = thread_id + 1;
-  Rng& rng = prism_rng();
-  for (int attempt = 0; attempt < 1;) {
-    std::atomic<std::uint64_t>& slot =
-        *prism_slots_[state.slot_offset + rng.below(state.width)];
-    std::uint64_t seen = slot.load(std::memory_order_acquire);
-    if (seen == 0) {
-      std::uint64_t expected = 0;
-      if (!slot.compare_exchange_strong(expected, my_id, std::memory_order_acq_rel)) continue;
-      for (std::uint32_t i = 0; i < state.spin; ++i) {
-        if (slot.load(std::memory_order_acquire) == (my_id | kPaired)) {
-          slot.store(0, std::memory_order_release);
-          count_pair();
-          return 0;
-        }
-        cpu_relax();
-      }
-      expected = my_id;
-      if (!slot.compare_exchange_strong(expected, 0, std::memory_order_acq_rel)) {
-        // A partner paired concurrently with our retraction.
-        SpinWaiter waiter;
-        while (slot.load(std::memory_order_acquire) != (my_id | kPaired)) waiter.wait();
-        slot.store(0, std::memory_order_release);
-        count_pair();
-        return 0;
-      }
-      ++attempt;  // camping window expired
-      continue;
-    }
-    if ((seen & kPaired) == 0) {
-      if (slot.compare_exchange_strong(seen, seen | kPaired, std::memory_order_acq_rel)) {
-        count_pair();
-        return 1;
-      }
-    }
-  }
-
-  const std::uint64_t t =
-      prism_counts_[prism_idx].count.fetch_add(1, std::memory_order_acq_rel);
-  return static_cast<std::uint32_t>(t & 1);
-}
-
-std::uint32_t NetworkCounter::route(std::uint32_t thread_id, std::uint32_t input,
-                                    NodeHook after_node, void* ctx) {
+std::uint32_t NetworkCounter::route([[maybe_unused]] std::uint32_t thread_id,
+                                    std::uint32_t input, NodeHook after_node, void* ctx) {
 #if CNET_OBS
   // With a sink, a token pays one RMW (the token clock) and, unless sampled,
   // runs the sink-less loops below. The compile-time guard removes even the
@@ -381,7 +238,7 @@ std::uint32_t NetworkCounter::route(std::uint32_t thread_id, std::uint32_t input
     return hop & ~kOutputBit;
   }
   while ((hop & kOutputBit) == 0) {
-    const std::uint32_t port = traverse(hop, thread_id);
+    const std::uint32_t port = traverse(hop);
     if (after_node != nullptr) after_node(ctx, hop, port);
     hop = succ_[succ_offset_[hop] + port];
   }
@@ -399,7 +256,7 @@ std::uint32_t NetworkCounter::route_timed(std::uint32_t thread_id, std::uint32_t
   std::uint64_t t_last = t_start;
   std::uint32_t hop = entry_[input];
   while ((hop & kOutputBit) == 0) {
-    const std::uint32_t port = traverse(hop, thread_id);
+    const std::uint32_t port = traverse(hop);
     const std::uint64_t now = obs::now_ns();
     m.hop_latency_ns.record(thread_id, now - t_last);
     m.trace.record(thread_id, {t_last, now - t_last, thread_id, hop, obs::TracePhase::kHop});
@@ -486,7 +343,7 @@ void NetworkCounter::next_batch(std::uint32_t thread_id, std::uint32_t input,
     const std::uint32_t node = wave_node_[pos];
     const std::uint32_t fan = fan_out_[node];
     const std::uint32_t* succ = &succ_[succ_offset_[node]];
-    const std::uint64_t t0 = cross(node, c, thread_id);
+    const std::uint64_t t0 = cross(node, c);
     if (fan == 2) {  // the common case, without the divisions below
       const auto first = static_cast<std::uint32_t>(t0 & 1);
       arrive(succ[first], (c + 1) / 2);

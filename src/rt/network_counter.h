@@ -8,10 +8,11 @@
 //                (for 2x2 it degenerates to the toggle bit).
 //  * McsLocked — the paper's §5 configuration: the traversal counter inside
 //                a critical section protected by an MCS queue lock.
-//  * Prism     — for 1-in/2-out nodes when diffraction is enabled: the
-//                prism balancer of [21]/[20]; tokens try to pair on a random
-//                prism slot and collided pairs leave on opposite outputs
-//                without touching the toggle.
+//
+// The diffracting tree's prism balancers [21]/[20] live in psim only
+// (psim/balancer.h), where Figure 6 needs them. On real threads a prism ran
+// 7-68x slower than the toggle it falls back to (EXPERIMENTS.md, "rt keeps
+// no prism"), so rt counts a tree through plain toggles.
 //
 // Output port Y_i hands out i, i+w, i+2w, ... via a per-output atomic.
 //
@@ -25,9 +26,8 @@
 //     next hop (node index, or kOutputBit | output port) — a single load per
 //     layer;
 //   * per-node balancer state split *by kind* into dense, cache-line-aligned
-//     arrays (fetch-add toggles, MCS-locked counts, prism descriptors), so a
-//     token touches exactly one contended line per node and no unique_ptr
-//     indirection;
+//     arrays (fetch-add toggles, MCS-locked counts), so a token touches
+//     exactly one contended line per node and no unique_ptr indirection;
 //   * pass-through (1-in/1-out, Cor 3.12 padding) nodes compiled away on
 //     every walk: the successor and entry tables resolve pass chains, which
 //     routing cannot observe (a pass node's port is always 0). A padded
@@ -40,34 +40,33 @@
 //
 // next_batch() moves a caller-supplied batch through the network as one
 // wave. The k tokens enter as one count; each balancer they reach takes one
-// state step for the c tokens arriving together (a toggle's fetch_add(c),
-// one MCS lock hold adding c, a prism's fall-back toggle by c when c >= 2)
-// and splits c into per-port sub-batches by the t mod fan_out rule: the
-// step's first count t0 sends its j-th token out of port (t0 + j) mod
-// fan_out. Sub-batches that meet at a node merge, because the wave visits
-// nodes in layer order and touches only the nodes its tokens reach. Each
-// exit port then claims its block with one fetch_add(c), expanded locally to
-// port + (nth + i) * w. One state step for c tokens is c consecutive
-// crossings of that balancer, so a wave is a legal interleaving of its
-// tokens: the counting and step properties hold under concurrency, and
-// single-threaded a batch claims the values k next() calls would claim. It
-// returns them ascending, which on a counting network is exactly the
+// state step for the c tokens arriving together (a toggle's fetch_add(c), or
+// one MCS lock hold adding c) and splits c into per-port sub-batches by the
+// t mod fan_out rule: the step's first count t0 sends its j-th token out of
+// port (t0 + j) mod fan_out. Sub-batches that meet at a node merge, because
+// the wave visits nodes in layer order and touches only the nodes its tokens
+// reach. Each exit port then claims its block with one fetch_add(c),
+// expanded locally to port + (nth + i) * w. One state step for c tokens is c
+// consecutive crossings of that balancer, so a wave is a legal interleaving
+// of its tokens: the counting and step properties hold under concurrency,
+// and single-threaded a batch claims the values k next() calls would claim.
+// It returns them ascending, which on a counting network is exactly the
 // sequence those calls return.
 //
-// Single-threaded, every balancer kind routes like a toggle (t-th token out
-// of port t mod fan_out; an unpaired prism falls through to its toggle), so
-// the counter's values match topo::SequentialRouter token for token
-// (tests/rt_network_counter_test.cpp cross-checks the two).
+// Single-threaded, both balancer kinds route alike (t-th token out of port
+// t mod fan_out), so the counter's values match topo::SequentialRouter
+// token for token (tests/rt_network_counter_test.cpp cross-checks the two).
 //
 // Thread identity: callers pass a small dense `thread_id` (unique among
-// concurrent callers, below CounterOptions::max_threads) used for prism
-// pairing and the RNG streams. The counter itself is otherwise oblivious to
-// threads; MCS queue nodes live on the caller's stack.
+// concurrent callers, below CounterOptions::max_threads), which picks the
+// caller's obs shard and, through next(thread_id), its entry input. Routing
+// itself is oblivious to threads; MCS queue nodes live on the caller's
+// stack.
 //
 // Observability: point CounterOptions::metrics at an obs::CounterMetrics to
-// record throughput, prism pairings and sampled latencies; per-balancer
-// visits and MCS/prism-toggle counts are read from the balancer state, and
-// the counter's destructor leaves their final totals in the sink
+// record throughput and sampled latencies; per-balancer visits are read
+// from the balancer state, and the counter's destructor leaves their final
+// totals in the sink
 // (docs/OBSERVABILITY.md documents every metric; builds with CNET_OBS=0
 // compile the instrumentation out entirely).
 #pragma once
@@ -96,27 +95,21 @@ enum class BalancerMode {
 };
 
 /// Configuration of an rt::NetworkCounter. The defaults are the production
-/// setup: lock-free fetch-add balancers, no diffraction, no instrumentation.
+/// setup: lock-free fetch-add balancers, no instrumentation.
 struct CounterOptions {
   BalancerMode mode = BalancerMode::kFetchAdd;
-  /// Use prism diffraction on 1-in/2-out nodes.
-  bool diffraction = false;
-  /// Prism slots at the root balancer; halves per layer. 0 = auto (max
-  /// hardware concurrency / 8, clamped to [2, 8]).
-  std::uint32_t prism_width = 0;
-  /// Spin iterations a prism waiter camps before falling to the toggle.
-  std::uint32_t prism_spin = 128;
-  /// Maximum concurrent threads (bounds thread_id); used for prism ids.
+  /// Maximum concurrent threads: next() and next_batch() check that
+  /// thread_id stays below it.
   std::uint32_t max_threads = 256;
 
   /// Observability sink (borrowed; may be null). When non-null and the
-  /// library is built with CNET_OBS=1, the counter records throughput, prism
-  /// pairings, and sampled token/hop latencies into it, and the sink reads
-  /// per-balancer visits and MCS/prism-toggle counts from the balancer
-  /// state (see obs/backend_metrics.h and docs/OBSERVABILITY.md). Null — or
-  /// CNET_OBS=0 — keeps the hot path free of instrumentation. The sink must
-  /// outlive the counter and observes one counter in its lifetime; on an
-  /// adopted PlanArena it reads every attached process's tokens.
+  /// library is built with CNET_OBS=1, the counter records throughput and
+  /// sampled token/hop latencies into it, and the sink reads per-balancer
+  /// visits from the balancer state (see obs/backend_metrics.h and
+  /// docs/OBSERVABILITY.md). Null — or CNET_OBS=0 — keeps the hot path free
+  /// of instrumentation. The sink must outlive the counter and observes one
+  /// counter in its lifetime; on an adopted PlanArena it reads every
+  /// attached process's tokens.
   obs::CounterMetrics* metrics = nullptr;
 
   /// Degraded-mode guard policy over the c2/c1 estimator (rt/degrade_guard.h).
@@ -136,9 +129,9 @@ struct CounterOptions {
 using NodeHook = void (*)(void* ctx, std::uint32_t node, std::uint32_t port);
 
 /// Caller-provided home for a counter's shared balancer state (toggles, MCS
-/// counts, prism fallback counters and slots, exit-port counters). The
-/// arena must be at least NetworkCounter::state_footprint() bytes, aligned
-/// to NetworkCounter::state_align() — a shm::Workspace object qualifies,
+/// counts, exit-port counters). The arena must be at least
+/// NetworkCounter::state_footprint() bytes, aligned to
+/// NetworkCounter::state_align() — a shm::Workspace object qualifies,
 /// which is how one counter's state is driven by N worker processes (see
 /// deploy/counter_deploy.h). Default-constructed ({}) means "no arena":
 /// the counter owns a private cache-line-aligned heap block, which is the
@@ -153,15 +146,6 @@ struct PlanArena {
   /// restarted tile does after re-attaching its workspace.
   bool attach = false;
 };
-
-/// Prism slot width for a node at 1-based layer `layer` given the root
-/// width: halves per layer, floors at 2. Layer 0 (a node a builder left
-/// unlayered) is treated as layer 1 rather than shifting by (0u - 1).
-inline std::uint32_t prism_width_for_layer(std::uint32_t root_width, std::uint32_t layer) {
-  const std::uint32_t shift = layer >= 1 ? layer - 1 : 0;
-  const std::uint32_t halved = shift >= 32 ? 0 : root_width >> shift;
-  return halved < 2 ? 2u : halved;
-}
 
 /// A topo::Network compiled to structure-of-arrays form for real-thread
 /// execution (see the file comment for the layout). Construct once, then
@@ -239,7 +223,7 @@ class NetworkCounter {
   const DegradeGuard* degrade_guard() const { return guard_.get(); }
 
  private:
-  enum class Kind : std::uint8_t { kToggle, kMcs, kPrism, kPass };
+  enum class Kind : std::uint8_t { kToggle, kMcs, kPass };
 
   struct alignas(kCacheLine) ToggleState {
     std::atomic<std::uint64_t> count{0};
@@ -248,24 +232,13 @@ class NetworkCounter {
     McsLock lock;
     std::atomic<std::uint64_t> count{0};
   };
-  /// Shared (arena-resident) half of a prism: just the fall-back toggle.
-  struct alignas(kCacheLine) PrismCounter {
-    std::atomic<std::uint64_t> count{0};
-  };
-  /// Immutable prism descriptor, kept process-local (an attaching process
-  /// must not rewrite non-atomic fields while peers are routing).
-  struct PrismDesc {
-    std::uint32_t slot_offset = 0;  ///< into prism_slots_
-    std::uint32_t width = 0;
-    std::uint32_t spin = 0;
-  };
 
   /// Arena section offsets: where each per-kind state array lives relative
   /// to the arena base. Pure function of (net, options) — see
   /// state_footprint()'s determinism contract.
   struct StateLayout {
-    std::uint32_t n_toggles = 0, n_mcs = 0, n_prisms = 0, n_slots = 0;
-    std::size_t toggle_off = 0, mcs_off = 0, prism_off = 0, slots_off = 0, outputs_off = 0;
+    std::uint32_t n_toggles = 0, n_mcs = 0;
+    std::size_t toggle_off = 0, mcs_off = 0, outputs_off = 0;
     std::size_t total = 0;
   };
   static StateLayout compute_layout(const topo::Network& net, const CounterOptions& options);
@@ -274,9 +247,8 @@ class NetworkCounter {
   /// Packed hop: node index, or kOutputBit | network output port.
   static constexpr std::uint32_t kOutputBit = 0x80000000u;
 
-  std::uint64_t cross(std::uint32_t node, std::uint64_t tokens, std::uint32_t thread_id);
-  std::uint32_t traverse(std::uint32_t node, std::uint32_t thread_id);
-  std::uint32_t traverse_prism(std::uint32_t prism_idx, std::uint32_t thread_id);
+  std::uint64_t cross(std::uint32_t node, std::uint64_t tokens);
+  std::uint32_t traverse(std::uint32_t node);
   std::uint32_t route(std::uint32_t thread_id, std::uint32_t input, NodeHook after_node,
                       void* ctx);
   std::uint32_t route_timed(std::uint32_t thread_id, std::uint32_t input, NodeHook after_node,
@@ -311,15 +283,11 @@ class NetworkCounter {
   // --- balancer state, dense per kind, in one arena block -----------------
   // Raw pointers into either `owned_` (default: private heap block) or a
   // caller-provided PlanArena (workspace deployment). Section order is
-  // toggles | mcs | prism counters | prism slots | outputs, per
-  // compute_layout(). Prism descriptors stay process-local.
+  // toggles | mcs | outputs, per compute_layout().
   ToggleState* toggles_ = nullptr;
   McsState* mcs_ = nullptr;
-  PrismCounter* prism_counts_ = nullptr;
-  Padded<std::atomic<std::uint64_t>>* prism_slots_ = nullptr;
   Padded<std::atomic<std::uint64_t>>* outputs_ = nullptr;
   void* owned_ = nullptr;  ///< set iff the counter allocated its own arena
-  std::vector<PrismDesc> prism_descs_;
 
   topo::Network net_;
 };

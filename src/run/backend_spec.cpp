@@ -146,14 +146,13 @@ bool apply_common_option(const Parser& p, const Option& opt, BackendSpec* spec, 
 }
 
 bool apply_rt_option(const Parser& p, const Option& opt, BackendSpec* spec) {
-  if (opt.key == "diffraction") return parse_on_off(p, opt.key, opt.value, &spec->diffraction);
-  if (opt.key == "mcs") return parse_on_off(p, opt.key, opt.value, &spec->mcs);
-  if (opt.key == "prism") {
-    if (!parse_u32(opt.value, &spec->prism_width)) {
-      return p.fail("option 'prism' takes a slot count (got '" + std::string(opt.value) + "')");
-    }
-    return true;
+  if (opt.key == "diffraction" || opt.key == "prism") {
+    return p.fail("option '" + std::string(opt.key) +
+                  "' does not apply to rt: on real threads a prism ran 7-68x slower than the "
+                  "toggle it falls back to, so rt:tree:W counts through plain toggles (the "
+                  "diffracting tree of Figure 6 runs on psim:tree:W?diffraction=on)");
   }
+  if (opt.key == "mcs") return parse_on_off(p, opt.key, opt.value, &spec->mcs);
   if (opt.key == "threads") {
     if (!parse_u32(opt.value, &spec->max_threads) || spec->max_threads == 0) {
       return p.fail("option 'threads' takes a bound >= 1 (got '" + std::string(opt.value) +
@@ -209,8 +208,7 @@ bool apply_rt_option(const Parser& p, const Option& opt, BackendSpec* spec) {
     return p.fail("option 'pipeline' takes on|off|1|0 (got '" + std::string(opt.value) + "')");
   }
   return p.fail("unknown rt option '" + std::string(opt.key) +
-                "' (valid: diffraction, mcs, prism, threads, degrade, ws, tiles, pipeline, "
-                "metrics, fault)");
+                "' (valid: mcs, threads, degrade, ws, tiles, pipeline, metrics, fault)");
 }
 
 bool apply_psim_option(const Parser& p, const Option& opt, BackendSpec* spec) {
@@ -458,11 +456,7 @@ std::string BackendSpec::to_string() const {
   const BackendSpec defaults{};
   switch (family) {
     case Family::kRt:
-      if (diffraction) opts.push_back("diffraction=on");
       if (mcs) opts.push_back("mcs=on");
-      if (prism_width != defaults.prism_width) {
-        opts.push_back("prism=" + std::to_string(prism_width));
-      }
       if (max_threads != defaults.max_threads) {
         opts.push_back("threads=" + std::to_string(max_threads));
       }
@@ -524,8 +518,6 @@ topo::Network BackendSpec::build_network() const {
 rt::CounterOptions BackendSpec::counter_options(obs::CounterMetrics* sink) const {
   rt::CounterOptions options;
   options.mode = mcs ? rt::BalancerMode::kMcsLocked : rt::BalancerMode::kFetchAdd;
-  options.diffraction = diffraction;
-  options.prism_width = prism_width;
   options.max_threads = max_threads;
   options.metrics = sink;
   options.degrade = degrade;

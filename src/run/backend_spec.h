@@ -4,7 +4,7 @@
 //
 //   <family>:<structure>:<width>[?opt[&opt]...]      opt := key[=value]
 //
-//   rt:tree:32?diffraction=on&metrics          real threads & atomics
+//   rt:tree:32?metrics                         real threads & atomics
 //   psim:tree:64?mcs&procs=128                 cycle-level multiprocessor
 //   sim:periodic:16?c1=1&c2=3&model=uniform    the §2 timing model
 //   mp:bitonic:8?actors=4                      actor-per-balancer service
@@ -79,10 +79,6 @@ struct BackendSpec {
   /// `mcs`: balancers as MCS critical sections (rt) / plain MCS toggles
   /// explicitly instead of diffraction (psim).
   bool mcs = false;
-  /// `diffraction[=on|off]`: prism diffraction on 1-in/2-out nodes (rt, psim).
-  bool diffraction = false;
-  /// `prism=<n>`: root prism slot count; 0 = the backend's auto sizing.
-  std::uint32_t prism_width = 0;
   /// `threads=<n>`: upper bound on concurrent caller ids (rt only).
   std::uint32_t max_threads = 256;
   /// `degrade=report`: the rt DegradeGuard downgrades the run's guarantee
@@ -110,6 +106,12 @@ struct BackendSpec {
   std::uint32_t procs = 0;
   /// `hop=<n>`: non-memory cycles between nodes.
   std::uint32_t hop_cycles = 4;
+  /// `diffraction[=on|off]`: prism diffraction on 1-in/2-out nodes, the
+  /// diffracting tree of Figure 6. psim only: rt refuses it, since on real
+  /// threads a prism ran far slower than the toggle it falls back to.
+  bool diffraction = false;
+  /// `prism=<n>`: root prism slot count; 0 = psim's auto sizing.
+  std::uint32_t prism_width = 0;
 
   // -- sim ------------------------------------------------------------
   DelayKind delay = DelayKind::kUniform;  ///< `model=uniform|fixed`

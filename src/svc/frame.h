@@ -68,7 +68,9 @@ enum class WireError : std::uint16_t {
                          ///< or kCount with a nonzero one
   kBacklogShed = 6,      ///< admission control: pending backlog over the cap
   kTimingShed = 7,       ///< admission control: Cor 3.9 condition tripped
-  kOverloadedConn = 8,   ///< per-connection write buffer over the cap
+  kOverloadedConn = 8,   ///< reserved, never sent: a connection whose write
+                         ///< buffer outgrows the cap is closed without a
+                         ///< frame (svc/server.h)
 };
 
 const char* wire_error_name(WireError error);

@@ -60,7 +60,9 @@
 //                  server-wide: any loop can trip it, every loop honours
 //                  it from its next admission check;
 //   * conn flood — a connection whose write buffer outgrows
-//                  max_write_buffer is dropped.
+//                  max_write_buffer is closed at once, with no frame: its
+//                  peer has stopped reading, so no frame could reach it.
+//                  The responses still buffered for it are dropped.
 //
 // Deadline propagation: a kCountUntil frame's budget starts at *receipt*
 // (decode time) and bounds its collect — on mp that collect runs at most
@@ -129,7 +131,8 @@ struct ServerOptions {
   std::uint32_t max_pending = 4096;
 
   /// A connection buffering more than this many unwritten response bytes
-  /// is dropped (kOverloadedConn).
+  /// is closed at once, with no frame (its peer has stopped reading), and
+  /// the responses it still had buffered are dropped.
   std::size_t max_write_buffer = 1u << 20;
 };
 

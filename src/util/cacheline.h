@@ -1,6 +1,6 @@
 // Cache-line geometry for the real-thread runtime: contended atomics (toggle
-// bits, prism slots, MCS tails, per-output counters) are padded to avoid
-// false sharing, which would otherwise dominate the throughput benchmarks.
+// bits, MCS tails, per-output counters) are padded to avoid false sharing,
+// which would otherwise dominate the throughput benchmarks.
 #pragma once
 
 #include <cstddef>

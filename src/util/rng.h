@@ -1,7 +1,7 @@
 // Deterministic pseudo-random number generation.
 //
 // Every stochastic component in the library (delay models, workload drivers,
-// prism slot selection) takes an explicit seeded generator so that each
+// psim's prism slot selection) takes an explicit seeded generator so that each
 // experiment is reproducible bit-for-bit. We ship xoshiro256++ (public-domain
 // algorithm by Blackman & Vigna) seeded via splitmix64, rather than
 // std::mt19937, because it is faster, has a tiny state we can embed

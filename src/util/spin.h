@@ -3,7 +3,7 @@
 // Busy loops must stay cheap on the happy path (pause instruction) yet make
 // progress when threads outnumber cores: after a bounded number of spins we
 // yield to the scheduler so that the thread we are waiting on (an MCS lock
-// holder, a prism partner) can actually run. Without the yield, FIFO
+// holder) can actually run. Without the yield, FIFO
 // handoffs on an oversubscribed machine cost a full scheduler quantum each.
 #pragma once
 

@@ -36,9 +36,6 @@ TEST(DeployValidate, RejectsCrossProcessHostileSpecs) {
   // peer would chase after a SIGKILL.
   EXPECT_FALSE(validate_deploy_spec(spec_of("rt:bitonic:8?mcs&threads=16"), 2, 2, &error));
   EXPECT_NE(error.find("mcs"), std::string::npos) << error;
-  // Prism pairing camps on a live partner; a killed one poisons the slot.
-  EXPECT_FALSE(
-      validate_deploy_spec(spec_of("rt:tree:8?diffraction&threads=16"), 2, 2, &error));
   // Tiles keep no obs sink, so a metrics or degrade knob would be dropped.
   EXPECT_FALSE(validate_deploy_spec(spec_of("rt:bitonic:8?threads=16&metrics"), 2, 2, &error));
   EXPECT_NE(error.find("metrics"), std::string::npos) << error;

@@ -1,10 +1,9 @@
 // End-to-end checks that the rt observability wiring reports the truth:
 // token counts equal the values actually handed out, per-balancer visit
-// totals match the topology, prism outcome counters partition their visits,
-// and pass-through padding nodes are never counted as balancer work. Visits
-// and prism toggles are read from the plan's balancer state, so the last
-// tests pin what that read promises: monotone while tokens run, and kept
-// after the counter is gone.
+// totals match the topology, and pass-through padding nodes are never
+// counted as balancer work. Visits are read from the plan's balancer state,
+// so the last tests pin what that read promises: monotone while tokens run,
+// and kept after the counter is gone.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -73,7 +72,6 @@ TEST(ObsRtIntegration, TokenMetricsEqualValuesHandedOut) {
   EXPECT_EQ(visits_total(metrics), kOps * depth);
   EXPECT_EQ(metrics.hop_latency_ns.total(), kOps * depth);
   EXPECT_EQ(metrics.batch_calls.value(), 0u);
-  EXPECT_EQ(metrics.prism_pairs.value(), 0u);
 }
 
 TEST(ObsRtIntegration, SamplingThrottlesTimedPathOnly) {
@@ -126,30 +124,6 @@ TEST(ObsRtIntegration, BatchedTokensAreCountedIndividually) {
   EXPECT_EQ(metrics.balancer_visits.values(), twin_metrics.balancer_visits.values());
 }
 
-TEST(ObsRtIntegration, PrismOutcomesPartitionTreeVisits) {
-  // Counting tree with diffraction: every internal node is a prism, so each
-  // visit resolves either by pairing or by falling through to the toggle.
-  const topo::Network net = topo::make_counting_tree(8);
-  obs::CounterMetrics metrics;
-  CounterOptions options;
-  options.diffraction = true;
-  options.max_threads = 8;
-  options.metrics = &metrics;
-  NetworkCounter counter(net, options);
-
-  constexpr unsigned kThreads = 4;
-  constexpr std::uint64_t kPerThread = 500;
-  std::vector<std::uint64_t> all = drain(counter, kThreads, kPerThread);
-  std::sort(all.begin(), all.end());
-  for (std::uint64_t i = 0; i < all.size(); ++i) ASSERT_EQ(all[i], i);
-
-  const std::uint64_t visits = visits_total(metrics);
-  EXPECT_EQ(visits, kThreads * kPerThread * net.depth());
-  EXPECT_EQ(metrics.prism_pairs.value() + metrics.prism_toggles.value(), visits);
-  // Pairs come in twos: each diffraction resolves two tokens.
-  EXPECT_EQ(metrics.prism_pairs.value() % 2, 0u);
-}
-
 TEST(ObsRtIntegration, McsAcquiresCountBalancerEntries) {
   const topo::Network net = topo::make_bitonic(4);
   obs::CounterMetrics metrics;
@@ -185,37 +159,6 @@ TEST(ObsRtIntegration, PassThroughPaddingIsNotBalancerWork) {
   }
   // The core Bitonic[4] still accounts for every hop.
   EXPECT_EQ(total, kOps * topo::make_bitonic(4).depth());
-}
-
-TEST(ObsRtIntegration, PaddedDiffractingTreeReadsPrismVisitsFromState) {
-  // A prism's visits are the tokens that left the tree below it: behind
-  // Cor 3.12 padding, the pass-through chain still reads 0 and the prisms
-  // account for one visit per tree layer per token, split exactly into
-  // pairings and toggles.
-  const topo::Network tree = topo::make_counting_tree(8);
-  const topo::Network net = topo::make_padded(tree, 3);
-  obs::CounterMetrics metrics;
-  CounterOptions options;
-  options.diffraction = true;
-  options.max_threads = 8;
-  options.metrics = &metrics;
-  NetworkCounter counter(net, options);
-
-  constexpr unsigned kThreads = 4;
-  constexpr std::uint64_t kPerThread = 500;
-  drain(counter, kThreads, kPerThread);
-
-  const std::vector<std::uint64_t> visits = metrics.balancer_visits.values();
-  std::uint64_t prism_visits = 0;
-  for (topo::NodeId id = 0; id < net.node_count(); ++id) {
-    if (net.node(id).is_pass_through()) {
-      EXPECT_EQ(visits[id], 0u) << "pass-through node " << id << " counted as a visit";
-    } else {
-      prism_visits += visits[id];
-    }
-  }
-  EXPECT_EQ(prism_visits, kThreads * kPerThread * tree.depth());
-  EXPECT_EQ(metrics.prism_pairs.value() + metrics.prism_toggles.value(), prism_visits);
 }
 
 TEST(ObsRtIntegration, SinkKeepsFinalCountsAfterTheCounterIsGone) {

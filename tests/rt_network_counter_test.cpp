@@ -1,10 +1,10 @@
 // rt::NetworkCounter: cross-checked against the sequential reference
 // (topo::SequentialRouter) — token-for-token equal values single-threaded,
-// where MCS balancers and unpaired prisms route like toggles; the hook fires
-// once per balancer, pass-through padding compiled away; counting
-// correctness and the step property under multi-thread stress; batch ==
-// repeated single tokens, on fan-outs 2 and 3 and from varying inputs; arena
-// placement and attach; and the input and thread-id CHECKs.
+// where MCS balancers route like toggles; the hook fires once per balancer,
+// pass-through padding compiled away; counting correctness and the step
+// property under multi-thread stress; batch == repeated single tokens, on
+// fan-outs 2 and 3 and from varying inputs; arena placement and attach; and
+// the input and thread-id CHECKs.
 #include "rt/network_counter.h"
 
 #include <gtest/gtest.h>
@@ -29,13 +29,6 @@ struct TopologyCase {
   CounterOptions options;
 };
 
-CounterOptions tree_options() {
-  CounterOptions options;
-  options.diffraction = true;
-  options.prism_spin = 4;  // keep the single-thread fall-to-toggle path fast
-  return options;
-}
-
 CounterOptions mcs_options() {
   CounterOptions options;
   options.mode = BalancerMode::kMcsLocked;
@@ -47,7 +40,7 @@ std::vector<TopologyCase> cases() {
       {"bitonic16", [] { return topo::make_bitonic(16); }, CounterOptions{}},
       {"bitonic8_mcs", [] { return topo::make_bitonic(8); }, mcs_options()},
       {"periodic8", [] { return topo::make_periodic(8); }, CounterOptions{}},
-      {"tree16_diffracting", [] { return topo::make_counting_tree(16); }, tree_options()},
+      {"tree16", [] { return topo::make_counting_tree(16); }, CounterOptions{}},
       {"padded_bitonic8", [] { return topo::make_padded(topo::make_bitonic(8), 6); },
        CounterOptions{}},
       {"kary3_tree9", [] { return topo::make_kary_tree(3, 2); }, CounterOptions{}},
@@ -170,49 +163,11 @@ TEST(NetworkCounter, HomogeneousProfileDetection) {
   // Pass-through padding is compiled away, so padded bitonic stays hoisted.
   EXPECT_TRUE(
       NetworkCounter(topo::make_padded(topo::make_bitonic(8), 10)).homogeneous_toggle_fan2());
-  EXPECT_FALSE(
-      NetworkCounter(topo::make_counting_tree(8), tree_options()).homogeneous_toggle_fan2());
+  // A counting tree is fan-out-2 toggles too; a 3-ary tree is not.
+  EXPECT_TRUE(NetworkCounter(topo::make_counting_tree(8)).homogeneous_toggle_fan2());
+  EXPECT_FALSE(NetworkCounter(topo::make_kary_tree(3, 2)).homogeneous_toggle_fan2());
   EXPECT_FALSE(
       NetworkCounter(topo::make_bitonic(8), mcs_options()).homogeneous_toggle_fan2());
-}
-
-// --- prism width derivation (layer-0 underflow guard) --------------------
-
-TEST(PrismWidth, LayerDerivationNeverUnderflows) {
-  // Layer 0 (an unlayered node) must behave like layer 1, not shift by
-  // (0u - 1) == 0xffffffff.
-  EXPECT_EQ(prism_width_for_layer(8, 0), 8u);
-  EXPECT_EQ(prism_width_for_layer(8, 1), 8u);
-  EXPECT_EQ(prism_width_for_layer(8, 2), 4u);
-  EXPECT_EQ(prism_width_for_layer(8, 3), 2u);
-  EXPECT_EQ(prism_width_for_layer(8, 4), 2u);   // floors at 2
-  EXPECT_EQ(prism_width_for_layer(8, 64), 2u);  // huge layer: shift saturates
-  EXPECT_EQ(prism_width_for_layer(2, 0), 2u);
-}
-
-/// A single 1-in/2-out balancer (the smallest diffracting topology — its one
-/// prism node is the root) counts correctly.
-TEST(PrismWidth, SingleBalancerDiffractingTopology) {
-  NetworkCounter counter(topo::make_kary_tree(2, 1), tree_options());
-  ASSERT_EQ(counter.network().output_width(), 2u);
-  for (std::uint64_t i = 0; i < 50; ++i) EXPECT_EQ(counter.next(0, 0), i);
-
-  const unsigned n_threads = std::min(4u, std::max(2u, std::thread::hardware_concurrency()));
-  std::vector<std::vector<std::uint64_t>> values(n_threads);
-  {
-    std::vector<std::jthread> threads;
-    for (unsigned t = 0; t < n_threads; ++t) {
-      threads.emplace_back([&, t] {
-        for (int i = 0; i < 2000; ++i) values[t].push_back(counter.next(t, 0));
-      });
-    }
-  }
-  std::vector<std::uint64_t> all;
-  for (auto& v : values) all.insert(all.end(), v.begin(), v.end());
-  std::sort(all.begin(), all.end());
-  for (std::uint64_t i = 0; i < all.size(); ++i) {
-    ASSERT_EQ(all[i], i + 50) << "at rank " << i;
-  }
 }
 
 // --- arena placement (PlanArena) -----------------------------------------
@@ -350,14 +305,12 @@ TEST_P(CounterConfigs, ConcurrentValuesFormRange) {
       break;
     case 3:
       net = topo::make_counting_tree(16);
-      options.diffraction = true;
       break;
     case 4:
       net = topo::make_padded(topo::make_bitonic(8), 10);
       break;
-    case 5:  // a diffracting tree [21]
+    case 5:
       net = topo::make_counting_tree(32);
-      options.diffraction = true;
       break;
     default:
       FAIL();
@@ -372,15 +325,9 @@ TEST_P(CounterConfigs, ConcurrentValuesFormRange) {
 INSTANTIATE_TEST_SUITE_P(Configs, CounterConfigs, ::testing::Range(0, 6));
 
 TEST(NetworkCounter, TreeSingleInputConvenience) {
-  for (const bool diffraction : {false, true}) {
-    CounterOptions options;
-    options.diffraction = diffraction;
-    NetworkCounter counter(topo::make_counting_tree(8), options);
-    // next(thread_id) uses input thread_id % 1 == 0 for trees.
-    for (std::uint64_t i = 0; i < 20; ++i) {
-      EXPECT_EQ(counter.next(3), i) << "diffraction=" << diffraction;
-    }
-  }
+  NetworkCounter counter(topo::make_counting_tree(8));
+  // next(thread_id) uses input thread_id % 1 == 0 for trees.
+  for (std::uint64_t i = 0; i < 20; ++i) EXPECT_EQ(counter.next(3), i);
 }
 
 TEST(NetworkCounter, PerThreadValuesStrictlyIncrease) {
@@ -390,16 +337,6 @@ TEST(NetworkCounter, PerThreadValuesStrictlyIncrease) {
   // linearizability, which is NOT guaranteed. What IS guaranteed: values
   // are globally unique. This test pins the weaker contract.
   NetworkCounter counter(topo::make_bitonic(8));
-  const auto values = hammer(counter, 4, 5000);
-  expect_range(values);
-}
-
-TEST(NetworkCounter, ExplicitPrismConfiguration) {
-  CounterOptions options;
-  options.diffraction = true;
-  options.prism_width = 2;
-  options.prism_spin = 8;
-  NetworkCounter counter(topo::make_counting_tree(8), options);
   const auto values = hammer(counter, 4, 5000);
   expect_range(values);
 }

@@ -58,7 +58,7 @@ TEST(RunConformance, SeededMatrixAcrossSimPsimRt) {
       "psim:bitonic:8?mcs",
       "rt:bitonic:8",
       "rt:bitonic:8?mcs",
-      "rt:tree:16?diffraction=on",
+      "rt:tree:16",
       "mp:bitonic:8?actors=2&pad=3",
   };
   Workload workload;
@@ -88,7 +88,7 @@ TEST(RunConformance, BatchedWorkloadOnLiveFamilies) {
   workload.total_ops = 300;
   workload.batch = 4;  // each batch is one wave on both families
   workload.seed = 99;
-  for (const std::string spec : {"rt:tree:8?diffraction=on", "mp:tree:8?actors=2"}) {
+  for (const std::string spec : {"rt:tree:8", "mp:tree:8?actors=2"}) {
     SCOPED_TRACE(spec);
     expect_conformant(run_spec(spec, workload), spec);
   }
@@ -252,10 +252,9 @@ TEST(DelayHarness, McsConfigurationRuns) {
                     "rt:bitonic:8?mcs");
 }
 
-TEST(DelayHarness, DiffractingTreeRuns) {
-  expect_conformant(
-      run_spec("rt:tree:16?diffraction=on", rt_experiment(sensible_threads(), 5000, 0.0, 0)),
-      "rt:tree:16?diffraction=on");
+TEST(DelayHarness, CountingTreeRuns) {
+  expect_conformant(run_spec("rt:tree:16", rt_experiment(sensible_threads(), 5000, 0.0, 0)),
+                    "rt:tree:16");
 }
 
 TEST(DelayHarness, SingleThreadIsAlwaysLinearizable) {

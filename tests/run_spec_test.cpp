@@ -25,11 +25,10 @@ std::string parse_fail(const std::string& text) {
 }
 
 TEST(RunSpec, ParsesTheIssueExamples) {
-  BackendSpec rt = parse_ok("rt:tree:32?diffraction=on&metrics");
+  BackendSpec rt = parse_ok("rt:tree:32?metrics");
   EXPECT_EQ(rt.family, Family::kRt);
   EXPECT_EQ(rt.structure, Structure::kTree);
   EXPECT_EQ(rt.width, 32u);
-  EXPECT_TRUE(rt.diffraction);
   EXPECT_TRUE(rt.metrics);
 
   BackendSpec psim = parse_ok("psim:tree:64?mcs&procs=128");
@@ -55,7 +54,7 @@ TEST(RunSpec, BareFlagsAndOnOffValues) {
   EXPECT_TRUE(parse_ok("rt:bitonic:8?mcs").mcs);
   EXPECT_TRUE(parse_ok("rt:bitonic:8?mcs=on").mcs);
   EXPECT_FALSE(parse_ok("rt:bitonic:8?mcs=off").mcs);
-  EXPECT_TRUE(parse_ok("rt:tree:8?diffraction").diffraction);
+  EXPECT_TRUE(parse_ok("psim:tree:8?diffraction").diffraction);
   EXPECT_TRUE(parse_ok("rt:bitonic:8?metrics").metrics);
 }
 
@@ -107,8 +106,8 @@ TEST(RunSpec, UnknownNamesListAlternatives) {
 
 TEST(RunSpec, OptionShapeErrors) {
   EXPECT_NE(parse_fail("rt:bitonic:8?").find("empty option"), std::string::npos);
-  EXPECT_NE(parse_fail("rt:bitonic:8?mcs&&prism=4").find("empty option"), std::string::npos);
-  EXPECT_NE(parse_fail("rt:bitonic:8?prism=").find("empty value"), std::string::npos);
+  EXPECT_NE(parse_fail("psim:bitonic:8?mcs&&prism=4").find("empty option"), std::string::npos);
+  EXPECT_NE(parse_fail("psim:bitonic:8?prism=").find("empty value"), std::string::npos);
   EXPECT_NE(parse_fail("rt:bitonic:8?=plan").find("empty key"), std::string::npos);
 }
 
@@ -122,7 +121,7 @@ TEST(RunSpec, UnknownOptionsNameTheFamilyCatalogue) {
 
 TEST(RunSpec, IllTypedOptionValues) {
   EXPECT_NE(parse_fail("rt:bitonic:8?mcs=maybe").find("on|off"), std::string::npos);
-  EXPECT_NE(parse_fail("rt:bitonic:8?prism=lots").find("slot count"), std::string::npos);
+  EXPECT_NE(parse_fail("psim:bitonic:8?prism=lots").find("slot count"), std::string::npos);
   EXPECT_NE(parse_fail("rt:bitonic:8?threads=0").find(">= 1"), std::string::npos);
   EXPECT_NE(parse_fail("psim:bitonic:8?procs=0").find(">= 1"), std::string::npos);
   EXPECT_NE(parse_fail("psim:bitonic:8?hop=fast").find("cycle count"), std::string::npos);
@@ -137,15 +136,37 @@ TEST(RunSpec, IllTypedOptionValues) {
 }
 
 TEST(RunSpec, CombinationErrors) {
-  EXPECT_NE(parse_fail("rt:tree:8?mcs&diffraction").find("mutually exclusive"),
+  EXPECT_NE(parse_fail("psim:tree:8?mcs&diffraction").find("mutually exclusive"),
             std::string::npos);
   EXPECT_NE(parse_fail("sim:bitonic:8?c1=3&c2=2").find("c2 must be >= c1"), std::string::npos);
-  EXPECT_NE(parse_fail("rt:bitonic:8?diffraction").find("requires the tree"),
+  EXPECT_NE(parse_fail("psim:bitonic:8?diffraction").find("requires the tree"),
             std::string::npos);
   EXPECT_NE(parse_fail("sim:bitonic:8?metrics").find("no obs surface"), std::string::npos);
   EXPECT_NE(parse_fail("rt:bitonic:8?pad=3")
                 .find("real threads cross pass-through nodes in no time"),
             std::string::npos);
+}
+
+// rt keeps no prism: both of its keys are errors with every value, and each
+// names why and where the diffracting tree runs.
+TEST(RunSpec, RtRefusesPrismOptions) {
+  for (const char* text : {"rt:tree:32?diffraction=on", "rt:tree:8?diffraction",
+                           "rt:tree:8?diffraction=off", "rt:tree:8?metrics&diffraction"}) {
+    const std::string error = parse_fail(text);
+    EXPECT_NE(error.find("option 'diffraction' does not apply to rt: on real threads a prism "
+                         "ran 7-68x slower than the toggle it falls back to"),
+              std::string::npos)
+        << error;
+    EXPECT_NE(error.find("psim:tree:W?diffraction=on"), std::string::npos) << error;
+  }
+  for (const char* text : {"rt:bitonic:8?prism=4", "rt:tree:8?prism=0", "rt:tree:8?prism=lots"}) {
+    const std::string error = parse_fail(text);
+    EXPECT_NE(error.find("option 'prism' does not apply to rt: on real threads a prism ran "
+                         "7-68x slower than the toggle it falls back to"),
+              std::string::npos)
+        << error;
+    EXPECT_NE(error.find("psim:tree:W?diffraction=on"), std::string::npos) << error;
+  }
 }
 
 // Each family has one executor, so the old executor selector is an error on
@@ -174,7 +195,7 @@ void expect_round_trip(const std::string& text) {
 
 TEST(RunSpec, RoundTripsCanonicalise) {
   for (const char* text : {
-           "rt:bitonic:32", "rt:bitonic:32?threads=8&mcs", "rt:tree:16?diffraction&prism=4",
+           "rt:bitonic:32", "rt:bitonic:32?threads=8&mcs", "psim:tree:16?diffraction&prism=4",
            "mp:periodic:8?actors=3&pad=3&metrics", "psim:bitonic:32?procs=16&hop=2",
            "psim:tree:64?diffraction=on&prism=8&metrics=on", "psim:balancer:1",
            "sim:bitonic:8?model=fixed&c1=2", "sim:periodic:16?c1=1.5&c2=4.5",
@@ -188,21 +209,17 @@ TEST(RunSpec, RoundTripsCanonicalise) {
 // --- exhaustive option cross-products --------------------------------------
 
 TEST(RunSpec, RtOptionCrossProduct) {
-  for (const char* mode : {"", "mcs", "diffraction"}) {
-    for (const char* prism : {"", "prism=4"}) {
+  for (const char* structure : {"bitonic", "tree"}) {
+    for (const char* mcs : {"", "mcs"}) {
       for (const char* threads : {"", "threads=16"}) {
         for (const char* metrics : {"", "metrics"}) {
           std::string options;
-          for (const char* opt : {mode, prism, threads, metrics}) {
+          for (const char* opt : {mcs, threads, metrics}) {
             if (*opt == '\0') continue;
             options += options.empty() ? "?" : "&";
             options += opt;
           }
-          // diffraction requires the tree structure.
-          const bool diffracting = std::string(mode) == "diffraction";
-          const std::string text =
-              std::string("rt:") + (diffracting ? "tree" : "bitonic") + ":8" + options;
-          expect_round_trip(text);
+          expect_round_trip(std::string("rt:") + structure + ":8" + options);
         }
       }
     }
