@@ -1,10 +1,11 @@
 // mp count() throughput — the BENCH_mp series (scripts/bench_json.sh).
 // Every configuration is a BackendSpec string through the run:: harness; the
 // benchmark threads are the service's clients, the spec's `actors=` workers
-// drain the mailboxes. A send is a pooled-node exchange plus one run-queue
-// CAS, with wake syscalls only when a worker actually sleeps, so the
-// interesting range is high client counts. (The series keep their
-// `LockFree` names so earlier BENCH_mp.json records line up.)
+// drain the mailboxes. A send is one mailbox exchange (the token's own cell
+// is the node) plus one run-queue CAS, with wake syscalls only when a worker
+// actually sleeps, so the interesting range is high client counts. (The
+// series keep their `LockFree` names so earlier BENCH_mp.json records line
+// up.)
 #include <benchmark/benchmark.h>
 
 #include <memory>

@@ -2,8 +2,8 @@
 // (scripts/bench_json.sh). The batched/unbatched pairs are the ablation the
 // svc layer exists for — the identical epoll loop, protocol, and client
 // pattern, differing only in whether one wake's requests are issued against
-// the backend in bulk (one next_batch per chunk on rt, one pooled burst of
-// mailbox sends on mp) or one at a time.
+// the backend in bulk (one next_batch per chunk on rt, one wave — a single
+// mailbox send — per chunk on mp) or one at a time.
 //
 // Each benchmark thread is one TCP connection running a pipelined window:
 // per iteration it sends kWindow requests back-to-back, then drains the

@@ -116,6 +116,9 @@ check_output "diffraction on rt names its reason" "a prism ran 7-68x slower than
 check_output "diffraction on rt points at psim" "psim:tree:W?diffraction=on" \
   "$CLI" count "rt:tree:8?diffraction=on" 1 10
 check_rc "prism on rt exits 2" 2 "$CLI" count "rt:bitonic:8?prism=4" 1 10
+check_rc "mcs on psim exits 2" 2 "$CLI" run "psim:tree:64?mcs&procs=128" ops=10
+check_output "mcs on psim names its reason" "psim's toggle balancers are always MCS-locked" \
+  "$CLI" run "psim:tree:64?mcs&procs=128" ops=10
 
 # --- schedule capture, replay, and search -----------------------------------
 trace_file=/tmp/cnet_cli_test.$$.trace

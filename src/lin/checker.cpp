@@ -64,9 +64,9 @@ std::size_t last_rank_before(const double* min_end, std::size_t from, std::size_
 /// top keeps that minimum in one pass; min_end[r] is the least end time at
 /// ranks >= r, non-decreasing in r, so the last rank whose minimum is still
 /// before O.start holds the largest value completed before O started.
-/// Appends each violator's index to *violators when given.
+/// Appends each violator's index to `violators`.
 std::uint64_t sweep(const History& history, const std::vector<std::size_t>& order,
-                    std::vector<std::size_t>* violators) {
+                    std::vector<std::size_t>& violators) {
   const std::size_t n = order.size();
   const auto min_end = std::make_unique_for_overwrite<double[]>(n + 1);
   min_end[n] = std::numeric_limits<double>::infinity();
@@ -80,7 +80,7 @@ std::uint64_t sweep(const History& history, const std::vector<std::size_t>& orde
     if (min_end[above] < op.start) {
       const std::size_t q = last_rank_before(min_end.get(), above, n, op.start);
       worst = std::max(worst, history[order[q]].value - op.value);
-      if (violators != nullptr) violators->push_back(order[r]);
+      violators.push_back(order[r]);
     }
     min_end[r] = std::min(min_end[r + 1], op.end);
     last_value = op.value;
@@ -93,7 +93,7 @@ std::uint64_t sweep(const History& history, const std::vector<std::size_t>& orde
 CheckResult check(const History& history) {
   CheckResult result;
   result.total_ops = history.size();
-  result.worst_inversion = sweep(history, value_order(history), &result.violating_ops);
+  result.worst_inversion = sweep(history, value_order(history), result.violating_ops);
   result.nonlinearizable_ops = result.violating_ops.size();
   // Report violators in start order, as a time sweep meets them.
   std::sort(result.violating_ops.begin(), result.violating_ops.end(),
@@ -102,10 +102,6 @@ CheckResult check(const History& history) {
               return a < b;
             });
   return result;
-}
-
-std::uint64_t inversion_magnitude(const History& history) {
-  return sweep(history, value_order(history), nullptr);
 }
 
 SeqConsistencyResult check_sequential_consistency(const History& history) {

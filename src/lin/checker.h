@@ -57,14 +57,6 @@ struct CheckResult {
 /// linearizable history is one with fraction 0.)
 CheckResult check(const History& history);
 
-/// The worst_inversion of check() without materializing the violation list:
-/// the largest (max completed value before O.start) - O.value over the
-/// history, 0 when linearizable. Same sweep and cost as check() less the
-/// violators' start-order sort: O(n) on values 0..n-1, O(n log n) otherwise.
-/// This is the adversarial schedule search's objective (sched/search.h) —
-/// it scores thousands of candidate schedules.
-std::uint64_t inversion_magnitude(const History& history);
-
 /// Sequential-consistency analysis, specialised to counting (cf. Lamport
 /// [16], which the paper contrasts with linearizability): a counting history
 /// whose values are a permutation of 0..n-1 is sequentially consistent iff

@@ -81,14 +81,14 @@ void ActorRuntime::start() {
   }
 }
 
-void ActorRuntime::send(ActorId to, Message message) {
+void ActorRuntime::send(ActorId to, MpscNode* node) {
   CNET_CHECK(to < actors_.size());
-  deliver(to, message, /*allow_inline=*/true);
+  deliver(to, node, /*allow_inline=*/true);
 }
 
-void ActorRuntime::send_queued(ActorId to, Message message) {
+void ActorRuntime::send_queued(ActorId to, MpscNode* node) {
   CNET_CHECK(to < actors_.size());
-  deliver(to, message, /*allow_inline=*/false);
+  deliver(to, node, /*allow_inline=*/false);
 }
 
 std::uint64_t ActorRuntime::messages_processed() const {
@@ -103,10 +103,8 @@ std::uint64_t ActorRuntime::messages_processed() const {
   return total;
 }
 
-void ActorRuntime::deliver(ActorId to, Message message, bool allow_inline) {
+void ActorRuntime::deliver(ActorId to, MpscNode* node, bool allow_inline) {
   Actor& actor = actors_[to];
-  MpscNode* node = pool_.acquire();
-  node->msg = message;
 #if CNET_OBS
   if (queue_depth_ != nullptr) {
     // Approximate sharded depth: one relaxed cell per actor, bumped here
@@ -252,8 +250,9 @@ void ActorRuntime::run_actor(std::uint32_t stat_slot, ActorId id) {
       requeue = true;
       break;
     }
+    // Copied out first: the handler may send the node on, and then its
+    // next holder may overwrite it.
     const Message message = node->msg;
-    pool_.release(node);  // recycled before the handler so its sends reuse it
 #if CNET_OBS
     if (queue_depth_ != nullptr) actor.depth.fetch_sub(1, std::memory_order_relaxed);
 #endif

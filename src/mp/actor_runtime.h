@@ -5,17 +5,18 @@
 // (§2), and in the message-passing reading every balancer is a process that
 // reacts to token messages.
 //
-// Hot path: Vyukov intrusive MPSC mailboxes with nodes from a
-// freelist-backed MessagePool (zero allocation at steady state), per-worker
-// MPMC run-queue shards with work stealing, and a futex-style std::atomic
-// wait/notify idle protocol. A send is one pooled-node exchange plus one
-// run-queue CAS; a wake syscall happens only when a worker is actually
-// sleeping. A send from a non-worker thread that claims an idle actor
-// additionally *donates the sending thread*: it runs the actor's turn
-// inline (bounded by a recursion budget) instead of paying a run-queue round
-// trip plus a context switch per hop — the scheduling invariant is untouched
-// because the inline turn holds the same SCHEDULED claim a worker would.
-// Workers drain a bounded batch per turn.
+// Hot path: Vyukov intrusive MPSC mailboxes whose nodes the senders own
+// (mp::NetworkService sends the head cell of each wave; the runtime neither
+// allocates nor recycles a node), per-worker MPMC run-queue shards with
+// work stealing, and a futex-style std::atomic wait/notify idle protocol. A
+// send is one mailbox exchange plus one run-queue CAS; a wake syscall
+// happens only when a worker is actually sleeping. A send from a non-worker
+// thread that claims an idle actor additionally *donates the sending
+// thread*: it runs the actor's turn inline (bounded by a recursion budget)
+// instead of paying a run-queue round trip plus a context switch per hop —
+// the scheduling invariant is untouched because the inline turn holds the
+// same SCHEDULED claim a worker would. Workers drain a bounded batch per
+// turn.
 //
 // Scheduling invariant: each actor carries a scheduled flag
 // (IDLE/SCHEDULED). Delivering to an idle actor claims the flag and puts the
@@ -34,7 +35,6 @@
 #include <vector>
 
 #include "mp/message.h"
-#include "mp/message_pool.h"
 #include "mp/mpsc_queue.h"
 #include "obs/metrics.h"
 #include "util/cacheline.h"
@@ -81,11 +81,13 @@ class ActorRuntime {
   /// all actors are registered and before any send.
   void start();
 
-  /// Delivers a message; callable from any thread and from handlers. The
-  /// message is two words and passes by value, so a handler whose last act
-  /// is a send makes it a tail call (an inline walk then nests one frame
-  /// less per hop).
-  void send(ActorId to, Message message);
+  /// Delivers node->msg; callable from any thread and from handlers. The
+  /// caller owns the node: it must stay alive, in no other mailbox, until
+  /// the receiving actor pops it. The runtime copies the message out before
+  /// the handler runs, so a handler may send the node it received. A
+  /// handler whose last act is a send makes it a tail call (an inline walk
+  /// then nests one frame less per hop).
+  void send(ActorId to, MpscNode* node);
 
   /// send() without the thread-donation fast path: the claimed actor always
   /// goes through the run queues, even from a client thread.
@@ -93,7 +95,7 @@ class ActorRuntime {
   /// inline send would run the token's whole walk on the waiting thread's
   /// own stack, making the deadline unenforceable (a thread cannot time out
   /// work it is itself executing).
-  void send_queued(ActorId to, Message message);
+  void send_queued(ActorId to, MpscNode* node);
 
   /// Optional mailbox-depth probe (borrowed; may be null). When set before
   /// start() and the library is built with CNET_OBS=1, every send() records
@@ -106,10 +108,6 @@ class ActorRuntime {
   /// Messages handled so far, totalled over all actors (per-worker-sharded
   /// counters).
   std::uint64_t messages_processed() const;
-
-  /// Mailbox-node pool counters. The steady-state tests pin `slabs` between
-  /// two snapshots.
-  MessagePool::Stats pool_stats() const { return pool_.stats(); }
 
  private:
   /// Values of Actor::state. kScheduled covers queued-or-running: the
@@ -133,7 +131,7 @@ class ActorRuntime {
     std::atomic<std::uint64_t> processed{0};
   };
 
-  void deliver(ActorId to, Message message, bool allow_inline);
+  void deliver(ActorId to, MpscNode* node, bool allow_inline);
   void worker_loop(std::uint32_t wid);
   void enqueue(ActorId id);
   bool try_all_shards(std::uint32_t wid, ActorId* out);
@@ -155,7 +153,6 @@ class ActorRuntime {
   obs::LogHistogram* queue_depth_ = nullptr;
 
   AlignedArray<Actor> actors_;  ///< one per handler, built by start()
-  MessagePool pool_;
   AlignedArray<MpmcRing> shards_;  ///< one run-queue shard per worker
   AlignedArray<WorkerStat> worker_stats_;  ///< workers + client shards
   std::atomic<std::uint32_t> work_epoch_{0};  ///< bumped to wake sleepers

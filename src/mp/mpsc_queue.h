@@ -2,11 +2,12 @@
 //
 // MpscQueue is Vyukov's intrusive multi-producer/single-consumer queue: a
 // producer is one wait-free exchange plus one release store, the consumer
-// advances a private cursor and never issues an RMW. Nodes come from a
-// MessagePool freelist (mp/message_pool.h), so a steady-state send touches
-// no allocator and no lock. One queue is one actor's mailbox; the single
-// consumer is whichever worker currently holds the actor's SCHEDULED state
-// (actors are serialized, so there is never more than one).
+// advances a private cursor and never issues an RMW. The queue owns no
+// node: the sender does. mp::NetworkService sends the head cell of each
+// wave, whose MpscNode is embedded in the cell (mp/response_cell.h), so a
+// send touches no allocator and no lock. One queue is one actor's mailbox;
+// the single consumer is whichever worker currently holds the actor's
+// SCHEDULED state (actors are serialized, so there is never more than one).
 //
 // MpmcRing is Vyukov's bounded MPMC array queue, used for the per-worker
 // run-queue shards: any thread may push a runnable actor id, the owning
@@ -31,8 +32,8 @@
 
 namespace cnet::mp {
 
-/// One mailbox entry. `next` doubles as the freelist link while the node is
-/// pooled; the node's storage is owned by its MessagePool slab.
+/// One mailbox entry, owned by its sender. A node sits in at most one
+/// mailbox at a time; once popped, the queue never touches it again.
 struct MpscNode {
   std::atomic<MpscNode*> next{nullptr};
   Message msg{};
@@ -62,7 +63,7 @@ class MpscQueue {
   }
 
   /// Single-consumer dequeue. On kItem, *out is the data-carrying node; the
-  /// caller copies out->msg and returns the node to its pool.
+  /// queue is done with it, so the caller may push it anywhere again.
   Pop pop(MpscNode** out) noexcept {
     MpscNode* tail = tail_.load(std::memory_order_relaxed);
     MpscNode* next = tail->next.load(std::memory_order_acquire);

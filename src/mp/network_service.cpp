@@ -61,10 +61,10 @@ NetworkService::NetworkService(topo::Network net, Options options)
 #endif
   // Balancer actors. A message is a wave of c >= 1 cells (see the file
   // comment in network_service.h): read the count t once, store t + c, and
-  // deal cell j to port (t + j) mod fan_out, forwarding one message per
-  // port that got cells to the next balancer actor or counter actor. A
-  // non-zero payload is the per-node delay W in ns, busy-waited after the
-  // transition and carried along unchanged.
+  // deal cell j to port (t + j) mod fan_out, forwarding the head cell of
+  // each port list that got cells to the next balancer actor or counter
+  // actor. A non-zero payload is the per-node delay W in ns, busy-waited
+  // after the transition and carried along unchanged.
   node_actors_.reserve(net_.node_count());
   for (topo::NodeId id = 0; id < net_.node_count(); ++id) {
     // heads[k], k >= 1: the first cell of port list k (list 0 starts at the
@@ -113,7 +113,9 @@ NetworkService::NetworkService(topo::Network net, Options options)
                 out.node == topo::kNoNode ? counter_actors_[out.port] : node_actors_[out.node];
             // Delay: the forward itself is late, also busy time.
             if (fault_ != nullptr) [[unlikely]] busy_wait_ns(fault_->delivery_delay_ns(to));
-            runtime_.send(to, Message{message.payload, cells});
+            // The list's head cell is its message; after the send the list
+            // belongs to `to`.
+            runtime_.send(to, cells->as_message(message.payload));
           };
           std::uint32_t port = first;
           for (std::uint64_t k = 1; k < lists; ++k) {
@@ -128,7 +130,7 @@ NetworkService::NetworkService(topo::Network net, Options options)
   // Counter actors: give the j-th cell of the wave the value
   // port + (a + j) * width and wake its client. A completion that loses to
   // a timed-out waiter parks the value and donates the abandoned cell back
-  // to the arena (see mp/response_cell.h for the ownership handoff).
+  // to the pool (see mp/response_cell.h for the ownership handoff).
   counter_actors_.reserve(net_.output_width());
   for (std::uint32_t port = 0; port < net_.output_width(); ++port) {
     counter_actors_.push_back(runtime_.add_actor([this, port](ActorId, const Message& message) {
@@ -202,9 +204,9 @@ void NetworkService::issue(std::uint32_t input, std::uint64_t wait_ns, std::span
   const ActorId entry = node_actors_[net_.inputs()[input].node];
   const auto send = [&](ResponseCell* cell) {
     if (queued) {
-      runtime_.send_queued(entry, Message{wait_ns, cell});
+      runtime_.send_queued(entry, cell->as_message(wait_ns));
     } else {
-      runtime_.send(entry, Message{wait_ns, cell});
+      runtime_.send(entry, cell->as_message(wait_ns));
     }
   };
   if (fault_ == nullptr && recorder_ == nullptr) [[likely]] {
@@ -230,14 +232,6 @@ void NetworkService::record_completion(std::uint32_t input, std::uint64_t start_
   if (metrics_ == nullptr || start_ns == 0) return;
   metrics_->tokens.add(input);
   metrics_->count_latency_ns.record(input, obs::now_ns() - start_ns);
-}
-
-NetworkService::TimedCount NetworkService::count_until(std::uint32_t input,
-                                                       std::uint64_t wait_ns,
-                                                       std::uint64_t timeout_ns) {
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::nanoseconds(timeout_ns);
-  return count_collect_until(count_begin(input, wait_ns), deadline);
 }
 
 NetworkService::Pending NetworkService::count_begin(std::uint32_t input,
@@ -275,7 +269,7 @@ NetworkService::TimedCount NetworkService::count_collect_until(
   const ResponseCell::TimedWait wait = pending.cell->await_until(deadline);
   if (!wait.ok) {
     // Abandoned: the cell now belongs to the late completer (it parks the
-    // value and donates the cell to the arena) — no release here.
+    // value and donates the cell to the pool) — no release here.
     timeouts_.fetch_add(1, std::memory_order_relaxed);
     return {};
   }

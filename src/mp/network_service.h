@@ -12,20 +12,21 @@
 // forwarding, the message-passing analogue of rt's next_hooked() hook.
 //
 // Waves: a token message carries c >= 1 tokens, as a list of their
-// response cells (mp/message.h). A balancer's t-th token leaves on port
-// t mod fan-out and transitions are instantaneous, so a balancer actor
-// reads its count t once, deals cell j to port (t + j) mod fan-out in list
-// order, stores t + c and sends one message per port that got cells. A
-// counter actor gives its j-th cell the value port + (a + j) * width. So a
-// wave entering a quiescent counting network collects the values c
-// sequential count() calls would return, and on a tree cell j gets exactly
-// the j-th of them. A single operation is a wave of one: count,
-// count_delayed, count_begin, count_begin_batch and count_batch share one
-// issue path, and the actors have one code path for any c. W, stalls,
-// delivery delays and recorder hops apply per message, and only waves of
-// one carry them: a batch issued while a fault injector or recorder is
-// attached travels as one wave of one per token, as rt's batched claim
-// falls back to single tokens.
+// response cells (mp/message.h), and the list's first cell is the mailbox
+// entry that carries it (mp/response_cell.h). A balancer's t-th token
+// leaves on port t mod fan-out and transitions are instantaneous, so a
+// balancer actor reads its count t once, deals cell j to port (t + j) mod
+// fan-out in list order, stores t + c and sends the head cell of each port
+// list that got cells. A counter actor gives its j-th cell the value
+// port + (a + j) * width. So a wave entering a quiescent counting network
+// collects the values c sequential count() calls would return, and on a
+// tree cell j gets exactly the j-th of them. A single operation is a wave
+// of one: count, count_delayed, count_begin, count_begin_batch and
+// count_batch share one issue path, and the actors have one code path for
+// any c. W, stalls, delivery delays and recorder hops apply per message,
+// and only waves of one carry them: a batch issued while a fault injector
+// or recorder is attached travels as one wave of one per token, as rt's
+// batched claim falls back to single tokens.
 //
 // Fault injection (Options::fault, see fault/injector.h): token stalls are
 // extra busy time after a balancer transition, delivery delays are extra
@@ -35,16 +36,17 @@
 // the ActorRuntime park points. All of it widens the c1/c2 spread the paper
 // studies without breaking any scheduling invariant.
 //
-// Deadlines: count_until() bounds the client's wait. On timeout the client
-// abandons its ResponseCell (the cancel CAS in mp/response_cell.h decides
-// value-vs-cancel races); the token, however, is already in the network and
-// WILL increment an output counter — dropping its value would leave a hole
-// in the counted range. The late completer therefore parks the orphaned
-// value in the service's ticket buffer, and later operations recycle parked
-// values before issuing new tokens. Recycling preserves the counting
-// property (every value 0..n-1 handed out exactly once); a recycled value
-// may be arbitrarily stale, so operations that return one carry no
-// linearizability claim — the run harness measures exactly that.
+// Deadlines: count_collect_until() bounds the client's wait. On timeout
+// the client abandons its ResponseCell (the cancel CAS in
+// mp/response_cell.h decides value-vs-cancel races); the token, however, is
+// already in the network and WILL increment an output counter — dropping
+// its value would leave a hole in the counted range. The late completer
+// therefore parks the orphaned value in the service's ticket buffer, and
+// later operations recycle parked values before issuing new tokens.
+// Recycling preserves the counting property (every value 0..n-1 handed out
+// exactly once); a recycled value may be arbitrarily stale, so operations
+// that return one carry no linearizability claim — the run harness
+// measures exactly that.
 //
 // Quiescence: drain() waits (bounded) for in-flight tokens to reach their
 // counter; the destructor drains unconditionally because actor-local state
@@ -52,9 +54,10 @@
 // workers, so a straggler token surviving into teardown would be a
 // use-after-free, not a leak.
 //
-// The hot path rides the lock-free ActorRuntime (pooled MPSC mailboxes,
-// sharded run queues) and pooled, thread-cached futex response cells —
-// count() allocates nothing.
+// The hot path rides the lock-free ActorRuntime (intrusive MPSC mailboxes,
+// sharded run queues) and mp's one pool of thread-cached futex response
+// cells: a wave's head cell is its own mailbox node, so count() allocates
+// nothing and a hop takes no node from anywhere.
 //
 // Observability: point Options::metrics at an obs::MpMetrics to record the
 // mailbox-depth distribution and client count() latency, and to read the
@@ -71,7 +74,7 @@
 #include <vector>
 
 #include "mp/actor_runtime.h"
-#include "mp/message_pool.h"
+#include "mp/response_cell.h"
 #include "topo/network.h"
 
 namespace cnet::obs {
@@ -85,8 +88,6 @@ class Recorder;  // sched/trace.h
 }
 
 namespace cnet::mp {
-
-class ResponseCell;  // mp/response_cell.h
 
 /// Message-passing execution of one topo::Network: balancer node i is actor
 /// i, output counter p is actor node_count + p (the actor-index convention
@@ -124,7 +125,7 @@ class NetworkService {
   /// Robustness counters (relaxed; exact in quiescence).
   struct RobustnessStats {
     std::uint64_t in_flight = 0;          ///< tokens currently in the network
-    std::uint64_t deadline_timeouts = 0;  ///< count_until calls that gave up
+    std::uint64_t deadline_timeouts = 0;  ///< deadline collects that gave up
     std::uint64_t values_parked = 0;      ///< orphaned values ever parked
     std::uint64_t values_reclaimed = 0;   ///< parked values recycled to clients
     std::uint64_t parked_now = 0;         ///< tickets currently in the buffer
@@ -145,12 +146,6 @@ class NetworkService {
   /// `wait_ns` after every balancer transition before forwarding. 0 is the
   /// plain fast path.
   std::uint64_t count_delayed(std::uint32_t input, std::uint64_t wait_ns);
-
-  /// Deadline-bounded count_delayed: gives up after `timeout_ns` (measured
-  /// from the call). On timeout the operation returns {ok = false} and its
-  /// token's eventual value is parked for recycling — see the file comment
-  /// for the exact cancellation/recycling semantics.
-  TimedCount count_until(std::uint32_t input, std::uint64_t wait_ns, std::uint64_t timeout_ns);
 
   /// Handle to one asynchronously issued counting operation (see
   /// count_begin). POD; pass it back to exactly one collect call.
@@ -190,10 +185,10 @@ class NetworkService {
   /// Blocks until the pending operation's value arrives and returns it.
   std::uint64_t count_collect(const Pending& pending);
 
-  /// Deadline-bounded collect: gives up at `deadline` with the same
-  /// cancellation/parking semantics as count_until (the slot-CAS race in
-  /// mp/response_cell.h decides value-vs-cancel; an abandoned token's value
-  /// is parked for recycling).
+  /// Deadline-bounded collect: gives up at `deadline` and returns
+  /// {ok = false}. The slot-CAS race in mp/response_cell.h decides
+  /// value-vs-cancel, and an abandoned token's value is parked for
+  /// recycling (see the file comment).
   TimedCount count_collect_until(const Pending& pending,
                                  std::chrono::steady_clock::time_point deadline);
 
@@ -229,9 +224,10 @@ class NetworkService {
   /// message. obs::MpMetrics counts tokens (visits) per actor instead.
   std::uint64_t messages_processed() const { return runtime_.messages_processed(); }
 
-  /// Mailbox-node pool counters; the steady-state allocation tests pin
-  /// `slabs` between snapshots.
-  MessagePool::Stats pool_stats() const { return runtime_.pool_stats(); }
+  /// Counters of mp's one pool, the response-cell slabs. Process-wide:
+  /// every service shares the pool. The steady-state tests pin `slabs`
+  /// between snapshots.
+  ResponseCellCache::PoolStats pool_stats() const { return ResponseCellCache::pool_stats(); }
 
  private:
   static ActorRuntime::Options runtime_options(const Options& options);

@@ -304,26 +304,23 @@ CountingBackend::DrainResult MpBackend::drain(std::uint64_t deadline_ns) {
 void MpBackend::register_metrics(obs::MetricsRegistry& registry) const {
   if (metrics_ == nullptr) return;
   metrics_->register_into(registry);
-  // Response-cell arena occupancy and lifecycle. Process-wide (every
-  // service shares the one immortal arena), registered here because the
-  // arena itself has no obs dependency.
+  // Response-cell pool occupancy and lifecycle. Process-wide (every
+  // service shares the one immortal pool), registered here because the
+  // pool itself has no obs dependency.
   using Cache = mp::ResponseCellCache;
   registry.add_gauge("mp.cells.created", "cells",
                      [] { return static_cast<double>(Cache::cells_created()); });
-  registry.add_gauge("mp.cells.arena_owned", "cells", [] {
-    return static_cast<double>(Cache::arena_stats().owned);
-  });
   registry.add_gauge("mp.cells.arena_free", "cells", [] {
-    return static_cast<double>(Cache::arena_stats().free_cells);
+    return static_cast<double>(Cache::pool_stats().free_cells);
   });
   registry.add_gauge("mp.cells.thread_donations", "cells", [] {
-    return static_cast<double>(Cache::arena_stats().thread_donations);
+    return static_cast<double>(Cache::pool_stats().thread_donations);
   });
   registry.add_gauge("mp.cells.adoptions", "cells", [] {
-    return static_cast<double>(Cache::arena_stats().adoptions);
+    return static_cast<double>(Cache::pool_stats().adoptions);
   });
   registry.add_gauge("mp.cells.orphan_donations", "cells", [] {
-    return static_cast<double>(Cache::arena_stats().orphan_donations);
+    return static_cast<double>(Cache::pool_stats().orphan_donations);
   });
   // This service's deadline/recycling counters.
   const mp::NetworkService* service = &service_;

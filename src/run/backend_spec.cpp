@@ -220,7 +220,11 @@ bool apply_psim_option(const Parser& p, const Option& opt, BackendSpec* spec) {
     return true;
   }
   if (opt.key == "diffraction") return parse_on_off(p, opt.key, opt.value, &spec->diffraction);
-  if (opt.key == "mcs") return parse_on_off(p, opt.key, opt.value, &spec->mcs);
+  if (opt.key == "mcs") {
+    return p.fail("option 'mcs' does not apply to psim: psim's toggle balancers are always "
+                  "MCS-locked, so the key built the same machine as the spec without it "
+                  "(diffraction=on selects prisms)");
+  }
   if (opt.key == "prism") {
     if (!parse_u32(opt.value, &spec->prism_width)) {
       return p.fail("option 'prism' takes a slot count (got '" + std::string(opt.value) + "')");
@@ -234,7 +238,7 @@ bool apply_psim_option(const Parser& p, const Option& opt, BackendSpec* spec) {
     return true;
   }
   return p.fail("unknown psim option '" + std::string(opt.key) +
-                "' (valid: procs, diffraction, mcs, prism, hop, pad, metrics, fault)");
+                "' (valid: procs, diffraction, prism, hop, pad, metrics, fault)");
 }
 
 bool apply_sim_option(const Parser& p, const Option& opt, BackendSpec* spec) {
@@ -275,11 +279,6 @@ bool apply_mp_option(const Parser& p, const Option& opt, BackendSpec* spec) {
 }
 
 bool validate_combination(const Parser& p, BackendSpec* spec) {
-  if (spec->mcs && spec->diffraction) {
-    return p.fail("options 'mcs' and 'diffraction' are mutually exclusive");
-  }
-  // psim's toggle balancers are MCS-locked by construction; `mcs` there is
-  // the explicit "plain toggles, no prisms" selector.
   if (spec->family == Family::kSim) {
     if (spec->delay == DelayKind::kUniform && spec->c2 < spec->c1) {
       return p.fail("c2 must be >= c1 (got c1=" + std::to_string(spec->c1) +
@@ -468,7 +467,6 @@ std::string BackendSpec::to_string() const {
     case Family::kPsim:
       if (procs != defaults.procs) opts.push_back("procs=" + std::to_string(procs));
       if (diffraction) opts.push_back("diffraction=on");
-      if (mcs) opts.push_back("mcs=on");
       if (prism_width != defaults.prism_width) {
         opts.push_back("prism=" + std::to_string(prism_width));
       }

@@ -5,7 +5,7 @@
 //   <family>:<structure>:<width>[?opt[&opt]...]      opt := key[=value]
 //
 //   rt:tree:32?metrics                         real threads & atomics
-//   psim:tree:64?mcs&procs=128                 cycle-level multiprocessor
+//   psim:tree:64?procs=128                     cycle-level multiprocessor
 //   sim:periodic:16?c1=1&c2=3&model=uniform    the §2 timing model
 //   mp:bitonic:8?actors=4                      actor-per-balancer service
 //
@@ -76,8 +76,8 @@ struct BackendSpec {
   fault::FaultPlan fault{};
 
   // -- rt -------------------------------------------------------------
-  /// `mcs`: balancers as MCS critical sections (rt) / plain MCS toggles
-  /// explicitly instead of diffraction (psim).
+  /// `mcs`: balancers as MCS critical sections instead of fetch_add (rt
+  /// only; psim's toggles are always MCS-locked).
   bool mcs = false;
   /// `threads=<n>`: upper bound on concurrent caller ids (rt only).
   std::uint32_t max_threads = 256;

@@ -5,6 +5,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "lin/history.h"
 #include "util/assert.h"
 
 namespace cnet::sched {
@@ -47,7 +48,7 @@ BaseRun run_base(const topo::Network& net, const SearchOptions& options) {
   const psim::Script script = make_schedule(net, options, {});
   psim::MachineResult result = run_schedule(net, options, script, true);
   BaseRun base;
-  base.magnitude = lin::inversion_magnitude(result.history);
+  base.magnitude = result.analysis.worst_inversion;
   base.fraction = result.analysis.fraction();
   base.history = std::move(result.history);
   base.hops = std::move(result.op_hops);
@@ -141,12 +142,6 @@ psim::Script make_schedule(const topo::Network& net, const SearchOptions& option
   return script;
 }
 
-lin::CheckResult evaluate_schedule(const topo::Network& net, const SearchOptions& options,
-                                   const std::vector<Placement>& placements) {
-  const psim::Script script = make_schedule(net, options, placements);
-  return run_schedule(net, options, script, false).analysis;
-}
-
 std::vector<Placement> section4_placements(const topo::Network& net,
                                            const SearchOptions& options) {
   const std::uint32_t width = net.output_width();
@@ -214,8 +209,10 @@ SearchResult search(const topo::Network& net, const SearchOptions& options) {
     }
     ++result.evaluated;
     const psim::Script script = make_schedule(net, options, set);
+    // run_workload has already checked the run; its worst inversion is the
+    // objective.
     const psim::MachineResult run = run_schedule(net, options, script, false);
-    const std::uint64_t magnitude = lin::inversion_magnitude(run.history);
+    const std::uint64_t magnitude = run.analysis.worst_inversion;
     if (magnitude > result.best_magnitude) {
       result.best_magnitude = magnitude;
       result.best_fraction = run.analysis.fraction();

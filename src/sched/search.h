@@ -41,7 +41,6 @@
 #include <string>
 #include <vector>
 
-#include "lin/checker.h"
 #include "psim/machine.h"
 #include "topo/network.h"
 
@@ -89,10 +88,6 @@ struct SearchResult {
 /// evaluate explicit schedules and the searcher's encoding stays honest).
 psim::Script make_schedule(const topo::Network& net, const SearchOptions& options,
                            const std::vector<Placement>& placements);
-
-/// Runs one schedule and returns its Def 2.4 analysis.
-lin::CheckResult evaluate_schedule(const topo::Network& net, const SearchOptions& options,
-                                   const std::vector<Placement>& placements);
 
 /// The paper's §4 construction as an explicit placement set, for a
 /// schedule of width+1 single-op lanes (options.procs == width + 1,

@@ -164,7 +164,6 @@ TEST_P(CheckerRandom, MatchesBruteForce) {
   for (const History& h : {duplicate_valued_history(rng), runner_shaped_history(rng), shuffled}) {
     const CheckResult result = check(h);
     expect_same(result, brute_force(h));
-    EXPECT_EQ(inversion_magnitude(h), result.worst_inversion);
   }
 }
 

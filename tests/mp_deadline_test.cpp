@@ -1,7 +1,7 @@
-// Deadline-bounded mp operations: count_until's cancellation race, the
-// parked-ticket recycling that preserves the counting property across
+// Deadline-bounded mp operations: count_collect_until's cancellation race,
+// the parked-ticket recycling that preserves the counting property across
 // abandonments, the quiescence drain, and the abandoned-cell donation path
-// through the process arena.
+// through the process-wide cell pool.
 #include "mp/network_service.h"
 
 #include <gtest/gtest.h>
@@ -22,6 +22,15 @@ namespace {
 
 constexpr std::uint64_t kLongDrainNs = 20'000'000'000;  // far past any stall
 
+/// A deadline-bounded count: count_begin, then count_collect_until, the
+/// two calls run::CountingBackend::count_until makes on mp.
+NetworkService::TimedCount count_until(NetworkService& service, std::uint32_t input,
+                                       std::uint64_t wait_ns, std::uint64_t timeout_ns) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::nanoseconds(timeout_ns);
+  return service.count_collect_until(service.count_begin(input, wait_ns), deadline);
+}
+
 fault::FaultPlan plan_or_die(const char* text) {
   fault::FaultPlan plan;
   std::string error;
@@ -38,7 +47,7 @@ TEST(MpDeadline, GenerousDeadlineCompletesNormally) {
     // Generous = never fires even on an oversubscribed CI box: a 1 s
     // deadline has been seen expiring under parallel-test load.
     const NetworkService::TimedCount result =
-        service.count_until(input, 0, /*timeout_ns=*/kLongDrainNs);
+        count_until(service, input, 0, /*timeout_ns=*/kLongDrainNs);
     ASSERT_TRUE(result.ok);
     EXPECT_EQ(result.value, reference.next_value(input));
   }
@@ -55,7 +64,7 @@ TEST(MpDeadline, TimeoutParksTheOrphanedValue) {
   // margin to spare against the waiter being descheduled under load).
   fault::Injector injector(plan_or_die("stall:1:5000000"));
   NetworkService service(net, {.workers = 2, .fault = &injector});
-  const NetworkService::TimedCount result = service.count_until(0, 0, /*timeout_ns=*/100'000);
+  const NetworkService::TimedCount result = count_until(service, 0, 0, /*timeout_ns=*/100'000);
   EXPECT_FALSE(result.ok);
   EXPECT_EQ(service.robustness_stats().deadline_timeouts, 1u);
 
@@ -80,7 +89,7 @@ TEST(MpDeadline, ParkedValuesAreRecycledBeforeNewTokens) {
   // 300 us stall flaked exactly that way under a parallel test load).
   fault::Injector injector(plan_or_die("stall:1:5000000"));
   NetworkService service(net, {.workers = 2, .fault = &injector});
-  ASSERT_FALSE(service.count_until(0, 0, /*timeout_ns=*/50'000).ok);
+  ASSERT_FALSE(count_until(service, 0, 0, /*timeout_ns=*/50'000).ok);
   ASSERT_TRUE(service.drain(kLongDrainNs).quiescent);  // value 0 is parked now
 
   // The next operation recycles the orphan instead of issuing a token; the
@@ -96,7 +105,7 @@ TEST(MpDeadline, DrainReportsStraysAtItsDeadline) {
   // 50 ms per hop: the token outlives a 5 ms drain deadline by construction.
   fault::Injector injector(plan_or_die("stall:1:50000000"));
   NetworkService service(net, {.workers = 2, .fault = &injector});
-  ASSERT_FALSE(service.count_until(0, 0, /*timeout_ns=*/100'000).ok);
+  ASSERT_FALSE(count_until(service, 0, 0, /*timeout_ns=*/100'000).ok);
 
   const NetworkService::DrainReport early = service.drain(5'000'000);
   EXPECT_FALSE(early.quiescent);
@@ -150,32 +159,37 @@ TEST(MpDeadlineCells, AbandonedCellsAreDonatedAndReadopted) {
   const topo::Network net = topo::make_bitonic(4);
   fault::Injector injector(plan_or_die("stall:1:5000000"));
   NetworkService service(net, {.workers = 2, .fault = &injector});
-  const ResponseCellCache::ArenaStats before = ResponseCellCache::arena_stats();
+  const ResponseCellCache::PoolStats before = ResponseCellCache::pool_stats();
 
   // The abandoning client runs (and exits) on its own thread so its cell
   // cannot come back through a thread-local free list — only through the
-  // arena, donated by the late completer.
+  // pool, donated by the late completer.
   std::jthread([&service] {
-    EXPECT_FALSE(service.count_until(0, 0, /*timeout_ns=*/100'000).ok);
+    EXPECT_FALSE(count_until(service, 0, 0, /*timeout_ns=*/100'000).ok);
   }).join();
   ASSERT_TRUE(service.drain(kLongDrainNs).quiescent);
-  while (ResponseCellCache::arena_stats().orphan_donations == before.orphan_donations) {
+  while (ResponseCellCache::pool_stats().orphan_donations == before.orphan_donations) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));  // late notify in flight
   }
-  EXPECT_EQ(ResponseCellCache::arena_stats().orphan_donations, before.orphan_donations + 1);
+  EXPECT_EQ(ResponseCellCache::pool_stats().orphan_donations, before.orphan_donations + 1);
+  // Every cell the client took is back in the pool: its cache at thread
+  // exit, its abandoned cell through the completer.
+  const ResponseCellCache::PoolStats donated = ResponseCellCache::pool_stats();
+  EXPECT_EQ(donated.free_cells,
+            before.free_cells + (donated.slabs - before.slabs) * ResponseCellCache::kSlabCells);
 
-  // A fresh thread must adopt the donated cell instead of constructing one.
-  // Its first operation recycles the parked value without a cell; the
-  // second issues a real token and needs one.
+  // A fresh thread must adopt pool cells instead of constructing one. Its
+  // first operation recycles the parked value without a cell; the second
+  // issues a real token and needs one.
   const std::uint64_t created = ResponseCellCache::cells_created();
-  const std::uint64_t adoptions = ResponseCellCache::arena_stats().adoptions;
+  const std::uint64_t adoptions = ResponseCellCache::pool_stats().adoptions;
   std::jthread([&service] {
     EXPECT_EQ(service.count(1), 0u);  // the orphaned value comes back first
     EXPECT_EQ(service.count(2), 1u);  // fresh token: acquires (adopts) a cell
   }).join();
   EXPECT_EQ(ResponseCellCache::cells_created(), created)
       << "abandonment leaked the cell: a later thread had to construct a fresh one";
-  EXPECT_GT(ResponseCellCache::arena_stats().adoptions, adoptions);
+  EXPECT_GT(ResponseCellCache::pool_stats().adoptions, adoptions);
 }
 
 TEST(MpDeadlineChaos, HistoryPlusParkedIsExactlyTheIssuedRange) {
@@ -191,7 +205,7 @@ TEST(MpDeadlineChaos, HistoryPlusParkedIsExactlyTheIssuedRange) {
       clients.emplace_back([&service, &mine = kept[c], c] {
         for (int i = 0; i < kPerClient; ++i) {
           const NetworkService::TimedCount result =
-              service.count_until(c % 8, 0, /*timeout_ns=*/100'000);
+              count_until(service, c % 8, 0, /*timeout_ns=*/100'000);
           if (result.ok) mine.push_back(result.value);
         }
       });

@@ -1,9 +1,9 @@
 // Unit tests for the lock-free building blocks under the mp fast path:
-// the Vyukov MPSC mailbox queue, the bounded MPMC run-queue ring, and the
-// slab-backed thread-cached MessagePool. These pin the properties the
-// ActorRuntime's scheduling invariant leans on — per-producer FIFO, no
-// lost or duplicated nodes, kRetry (never kEmpty) during a producer's
-// mid-push window, and allocation-free steady-state recycling.
+// the Vyukov MPSC mailbox queue and the bounded MPMC run-queue ring. These
+// pin the properties the ActorRuntime's scheduling invariant leans on —
+// per-producer FIFO, no lost or duplicated nodes, and kRetry (never
+// kEmpty) during a producer's mid-push window. The mailbox nodes are the
+// response cells' own; tests/mp_network_service_test.cpp pins their pool.
 #include "mp/mpsc_queue.h"
 
 #include <gtest/gtest.h>
@@ -12,8 +12,6 @@
 #include <atomic>
 #include <thread>
 #include <vector>
-
-#include "mp/message_pool.h"
 
 namespace cnet::mp {
 namespace {
@@ -178,80 +176,6 @@ TEST(MpRunQueue, ConcurrentPushersAndStealersLoseNothing) {
   std::sort(all.begin(), all.end());
   ASSERT_EQ(all.size(), static_cast<std::size_t>(kPushers) * kPerPusher);
   for (std::uint32_t i = 0; i < all.size(); ++i) ASSERT_EQ(all[i], i);
-}
-
-TEST(MpMessagePool, RecyclesNodesWithoutNewSlabs) {
-  MessagePool pool;
-  // First acquire allocates the first slab.
-  MpscNode* first = pool.acquire();
-  pool.release(first);
-  const MessagePool::Stats warm = pool.stats();
-  EXPECT_EQ(warm.slabs, 1u);
-  EXPECT_EQ(warm.nodes, MessagePool::kSlabNodes);
-  // A working set far smaller than the slab recycles through the cache.
-  for (int round = 0; round < 10000; ++round) {
-    MpscNode* a = pool.acquire();
-    MpscNode* b = pool.acquire();
-    pool.release(a);
-    pool.release(b);
-  }
-  const MessagePool::Stats after = pool.stats();
-  EXPECT_EQ(after.slabs, warm.slabs);
-  EXPECT_EQ(after.nodes, warm.nodes);
-}
-
-TEST(MpMessagePool, GrowsOnlyWithTheLiveWorkingSet) {
-  MessagePool pool;
-  std::vector<MpscNode*> held;
-  constexpr std::uint32_t kHeld = 3 * MessagePool::kSlabNodes;
-  for (std::uint32_t i = 0; i < kHeld; ++i) held.push_back(pool.acquire());
-  const MessagePool::Stats grown = pool.stats();
-  EXPECT_GE(grown.nodes, kHeld);
-  for (MpscNode* node : held) pool.release(node);
-  // Everything returned: repeat the same demand without any new slab.
-  held.clear();
-  for (std::uint32_t i = 0; i < kHeld; ++i) held.push_back(pool.acquire());
-  EXPECT_EQ(pool.stats().slabs, grown.slabs);
-  for (MpscNode* node : held) pool.release(node);
-}
-
-TEST(MpMessagePool, CrossThreadFlowRefillsAndDonates) {
-  // The mp traffic shape: one thread only acquires, another only releases.
-  // The pool must circulate nodes through the shared list (refills on the
-  // acquiring side, donations on the releasing side) without unbounded
-  // growth once the pipeline depth is covered.
-  MessagePool pool;
-  constexpr std::uint32_t kMessages = 50000;
-  constexpr std::uint32_t kWindow = 512;  // producer-side backpressure
-  MpscQueue queue;
-  std::atomic<std::uint32_t> in_flight{0};
-  std::jthread consumer([&] {
-    std::uint32_t seen = 0;
-    while (seen < kMessages) {
-      MpscNode* node = nullptr;
-      if (queue.pop(&node) == MpscQueue::Pop::kItem) {
-        pool.release(node);
-        in_flight.fetch_sub(1, std::memory_order_relaxed);
-        ++seen;
-      } else {
-        std::this_thread::yield();
-      }
-    }
-  });
-  for (std::uint32_t i = 0; i < kMessages; ++i) {
-    while (in_flight.load(std::memory_order_relaxed) >= kWindow) std::this_thread::yield();
-    MpscNode* node = pool.acquire();
-    node->msg = Message{i, nullptr};
-    in_flight.fetch_add(1, std::memory_order_relaxed);
-    queue.push(node);
-  }
-  consumer.join();
-  const MessagePool::Stats stats = pool.stats();
-  EXPECT_GT(stats.refills, 0u);
-  EXPECT_GT(stats.donations, 0u);
-  // Growth is bounded by the in-flight window plus the cache working set,
-  // not by traffic: 50k messages must not need anywhere near 50k nodes.
-  EXPECT_LT(stats.nodes, 4096u);
 }
 
 }  // namespace

@@ -1,13 +1,15 @@
 // mp runtime + service behaviour: per-actor FIFO, message counts that match
 // the topology, and counting-property values equal to the sequential
 // reference (topo::SequentialRouter), for single tokens and for waves. The
-// steady-state suites pin the allocation guarantees (pool slabs and
-// response cells stop growing once warm).
+// steady-state suites pin the allocation guarantees of mp's one pool: cell
+// slabs stop growing once warm and under client-thread churn, and a slab
+// spreads its cells over libstdc++'s atomic-wait buckets.
 #include "mp/network_service.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <barrier>
 #include <condition_variable>
@@ -26,6 +28,9 @@ namespace cnet::mp {
 namespace {
 
 TEST(MpActorRuntime, DeliversInOrderPerActor) {
+  // The caller owns every node until its actor pops it: declared before the
+  // runtime, the nodes outlive its workers.
+  std::vector<MpscNode> nodes(1002);
   ActorRuntime runtime(2);
   std::vector<std::uint64_t> seen;
   const ActorId actor = runtime.add_actor([&seen](ActorId, const Message& message) {
@@ -40,11 +45,14 @@ TEST(MpActorRuntime, DeliversInOrderPerActor) {
     done_cv.notify_one();
   });
   runtime.start();
-  for (std::uint64_t i = 0; i <= 1000; ++i) runtime.send(actor, Message{i, nullptr});
+  for (std::uint64_t i = 0; i <= 1000; ++i) {
+    nodes[i].msg = Message{i, nullptr};
+    runtime.send(actor, &nodes[i]);
+  }
   // Sends from one thread to one actor are FIFO; we only need all of them
   // processed before asserting, so poll the counter then ring the finisher.
   while (runtime.messages_processed() < 1001) std::this_thread::yield();
-  runtime.send(finisher, Message{});
+  runtime.send(finisher, &nodes[1001]);
   {
     std::unique_lock lock(done_mutex);
     done_cv.wait(lock, [&done] { return done; });
@@ -54,18 +62,21 @@ TEST(MpActorRuntime, DeliversInOrderPerActor) {
 }
 
 TEST(MpActorRuntime, CountsProcessedMessages) {
+  std::vector<MpscNode> nodes(50);
   ActorRuntime runtime(1);
   const ActorId sink = runtime.add_actor([](ActorId, const Message&) {});
   runtime.start();
-  for (int i = 0; i < 50; ++i) runtime.send(sink, Message{});
+  for (MpscNode& node : nodes) runtime.send(sink, &node);
   while (runtime.messages_processed() < 50) std::this_thread::yield();
   EXPECT_EQ(runtime.messages_processed(), 50u);
 }
 
 TEST(MpActorRuntime, ManyProducersOneConsumerKeepPerProducerOrder) {
-  ActorRuntime runtime(2);
   constexpr std::uint64_t kProducers = 4;
   constexpr std::uint64_t kPerProducer = 3000;
+  // Each producer owns a disjoint slice of the nodes.
+  std::vector<MpscNode> nodes(kProducers * kPerProducer);
+  ActorRuntime runtime(2);
   // payload = producer * kPerProducer + sequence; the single actor must see
   // each producer's sequence ascending even though arrivals interleave.
   std::vector<std::uint64_t> next_expected(kProducers, 0);
@@ -80,9 +91,11 @@ TEST(MpActorRuntime, ManyProducersOneConsumerKeepPerProducerOrder) {
   {
     std::vector<std::jthread> producers;
     for (std::uint64_t p = 0; p < kProducers; ++p) {
-      producers.emplace_back([&runtime, actor, p] {
+      producers.emplace_back([&runtime, &nodes, actor, p] {
         for (std::uint64_t i = 0; i < kPerProducer; ++i) {
-          runtime.send(actor, Message{p * kPerProducer + i, nullptr});
+          MpscNode& node = nodes[p * kPerProducer + i];
+          node.msg = Message{p * kPerProducer + i, nullptr};
+          runtime.send(actor, &node);
         }
       });
     }
@@ -245,55 +258,84 @@ TEST_P(MpTopologies, ConcurrentClientsGetUniqueValues) {
 INSTANTIATE_TEST_SUITE_P(Cells, MpTopologies, ::testing::Range(0, 6));
 
 TEST(MpSteadyState, PoolSlabsStopGrowingOnceWarm) {
+  // mp's one pool is the response-cell slabs. A client takes a cell from
+  // its thread cache at issue and puts it back at collect, and each wave's
+  // head cell is its own mailbox node, so once every client has run one
+  // round no later round adds a slab or a cell.
   const topo::Network net = topo::make_bitonic(8);
   NetworkService service(net, {.workers = 2});
   constexpr unsigned kClients = 4;
-  // Warm-up is condition-driven, not a fixed op count: how many ops it
-  // takes to fill every thread cache depends on scheduling, so no fixed
-  // count is enough on a loaded host. Clients run warm-up rounds as long
-  // as the steady-state phase until two consecutive quiescent snapshots
-  // agree — the pool just survived one such window without growing. A
-  // pool that never settles within kMaxWarmupRounds fails.
   constexpr int kRoundOps = 2000;
-  constexpr int kMaxWarmupRounds = 100;
-  // The client threads stay alive across the snapshots (their pool caches
-  // are thread-local); main joins the barrier to read the stats while all
-  // operations are quiescent.
+  constexpr int kSteadyRounds = 5;
+  // The client threads stay alive across the snapshots (their caches are
+  // thread-local); main joins the barrier to read the pool between rounds,
+  // while no operation is in flight.
   std::barrier sync(kClients + 1);
-  std::atomic<bool> warm{false};
-  MessagePool::Stats before;
-  bool settled = false;
+  std::vector<ResponseCellCache::PoolStats> stats;
+  std::vector<std::uint64_t> created;
   {
     std::vector<std::jthread> clients;
     for (unsigned c = 0; c < kClients; ++c) {
-      clients.emplace_back([&service, &sync, &warm, c] {
-        do {
-          for (int i = 0; i < kRoundOps; ++i) service.count(c % 8);  // warm-up round
+      clients.emplace_back([&service, &sync, c] {
+        for (int round = 0; round <= kSteadyRounds; ++round) {  // round 0 warms up
+          for (int i = 0; i < kRoundOps; ++i) service.count(c % 8);
           sync.arrive_and_wait();
           sync.arrive_and_wait();
-        } while (!warm.load());
-        for (int i = 0; i < kRoundOps; ++i) service.count(c % 8);  // steady state
+        }
       });
     }
-    for (int round = 1; !warm.load(); ++round) {
+    for (int round = 0; round <= kSteadyRounds; ++round) {
       sync.arrive_and_wait();  // this round's ops complete, none in flight
-      const MessagePool::Stats now = service.pool_stats();
-      settled = round > 1 && now.slabs == before.slabs && now.nodes == before.nodes;
-      before = now;
-      if (settled || round == kMaxWarmupRounds) warm.store(true);
+      stats.push_back(service.pool_stats());
+      created.push_back(ResponseCellCache::cells_created());
       sync.arrive_and_wait();
     }
   }
-  ASSERT_TRUE(settled) << "pool still growing after " << kMaxWarmupRounds
-                       << " warm-up rounds";
-  const MessagePool::Stats after = service.pool_stats();
-  EXPECT_GT(before.slabs, 0u);
-  EXPECT_EQ(after.slabs, before.slabs) << "hot path allocated at steady state";
-  EXPECT_EQ(after.nodes, before.nodes);
-  // No refill floor: a client whose tokens run inline acquires and releases
-  // in its own thread cache, so the shared list may never be touched — the
-  // cross-thread circulation path is pinned by MpMessagePool tests instead.
-  EXPECT_GE(after.refills, before.refills);
+  EXPECT_GT(stats[0].slabs, 0u);
+  for (int round = 1; round <= kSteadyRounds; ++round) {
+    EXPECT_EQ(stats[round].slabs, stats[0].slabs)
+        << "hot path allocated at steady state, round " << round;
+    EXPECT_EQ(created[round], created[0]) << "round " << round;
+  }
+}
+
+TEST(MpSteadyState, ClientThreadChurnGrowsNoSlabs) {
+  // 200 short-lived clients of 4 count() calls each. An exiting thread
+  // donates its cached cells to the pool and the next thread takes them up,
+  // so thread churn alone adds no slab.
+  const topo::Network net = topo::make_bitonic(8);
+  NetworkService service(net, {.workers = 2});
+  std::jthread([&service] {
+    for (std::uint32_t i = 0; i < 4; ++i) service.count(i);
+  }).join();
+  const std::uint64_t slabs = service.pool_stats().slabs;
+  const std::uint64_t created = ResponseCellCache::cells_created();
+  for (std::uint32_t round = 0; round < 200; ++round) {
+    std::jthread([&service, round] {
+      for (std::uint32_t i = 0; i < 4; ++i) service.count((round + i) % 8);
+    }).join();
+  }
+  EXPECT_EQ(service.pool_stats().slabs, slabs) << "exiting clients stranded pool storage";
+  EXPECT_EQ(ResponseCellCache::cells_created(), created);
+}
+
+TEST(MpSteadyState, SlabCellsSpreadOverTheAtomicWaitBuckets) {
+  // libstdc++ parks a 64-bit atomic wait in one of 16 buckets, picked as
+  // (address >> 2) % 16, and a notify wakes the whole bucket. Cells sit in
+  // slabs at a 40-byte stride, so any eight neighbours start at eight
+  // distinct offsets mod 64; the slot lies at one fixed offset in every
+  // cell, so the slots cover as many buckets as the cells. 4,096 cells
+  // taken on a fresh thread include at least one whole slab.
+  std::array<bool, 16> hit{};
+  std::jthread([&hit] {
+    std::vector<ResponseCell*> cells;
+    for (int i = 0; i < 4096; ++i) cells.push_back(ResponseCellCache::acquire());
+    for (ResponseCell* cell : cells) {
+      hit[(reinterpret_cast<std::uintptr_t>(cell) >> 2) % hit.size()] = true;
+      ResponseCellCache::release(cell);
+    }
+  }).join();
+  EXPECT_GE(std::count(hit.begin(), hit.end(), true), 8);
 }
 
 TEST(MpSteadyState, ResponseCellsAreRecycledPerThread) {
@@ -310,28 +352,28 @@ TEST(MpSteadyState, ResponseCellsSurviveThreadChurn) {
   // Short-lived client threads are the risky regime for the futex protocol:
   // a waiter can leave await() via the spin loop and its thread can exit
   // while the completer's notify_one is still in flight. Cells must outlive
-  // the exiting thread (the TLS cache donates them to the process arena),
-  // and later threads must adopt those cells instead of constructing fresh
-  // ones. ASan/LSan in CI vets the lifetime half; the creation count here
-  // pins the adoption half.
+  // the exiting thread (the TLS cache donates them to the process-wide
+  // pool), and later threads must adopt those cells instead of constructing
+  // fresh ones. ASan/LSan in CI vets the lifetime half; the creation count
+  // here pins the adoption half.
   const topo::Network net = topo::make_bitonic(4);
   NetworkService service(net, {.workers = 2});
   std::jthread([&service] { service.count(0); }).join();  // donor warm-up
   const std::uint64_t before = ResponseCellCache::cells_created();
-  const ResponseCellCache::ArenaStats arena_before = ResponseCellCache::arena_stats();
+  const ResponseCellCache::PoolStats pool_before = ResponseCellCache::pool_stats();
   for (int round = 0; round < 50; ++round) {
     std::jthread([&service, round] {
       for (int i = 0; i < 20; ++i) service.count(static_cast<std::uint32_t>((round + i) % 4));
-    }).join();  // thread exit donates its cell back to the arena
+    }).join();  // thread exit donates its cells back to the pool
   }
   EXPECT_EQ(ResponseCellCache::cells_created(), before)
       << "exiting clients leaked cells instead of donating them for adoption";
-  // The arena's lifecycle counters show the actual circulation: every round
-  // adopted the donor's cell and donated it back on exit.
-  const ResponseCellCache::ArenaStats arena_after = ResponseCellCache::arena_stats();
-  EXPECT_GE(arena_after.adoptions, arena_before.adoptions + 50);
-  EXPECT_GE(arena_after.thread_donations, arena_before.thread_donations + 50);
-  EXPECT_GT(arena_after.free_cells, 0u);
+  // The pool's lifecycle counters show the actual circulation: every round
+  // adopted the donor's cells and donated them back on exit.
+  const ResponseCellCache::PoolStats pool_after = ResponseCellCache::pool_stats();
+  EXPECT_GE(pool_after.adoptions, pool_before.adoptions + 50);
+  EXPECT_GE(pool_after.thread_donations, pool_before.thread_donations + 50);
+  EXPECT_GT(pool_after.free_cells, 0u);
 }
 
 #if CNET_OBS

@@ -55,7 +55,7 @@ TEST(RunConformance, SeededMatrixAcrossSimPsimRt) {
       "psim:balancer:1",
       "psim:bitonic:8",
       "psim:tree:16?diffraction=on",
-      "psim:bitonic:8?mcs",
+      "psim:periodic:8",
       "rt:bitonic:8",
       "rt:bitonic:8?mcs",
       "rt:tree:16",

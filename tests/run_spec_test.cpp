@@ -31,11 +31,10 @@ TEST(RunSpec, ParsesTheIssueExamples) {
   EXPECT_EQ(rt.width, 32u);
   EXPECT_TRUE(rt.metrics);
 
-  BackendSpec psim = parse_ok("psim:tree:64?mcs&procs=128");
+  BackendSpec psim = parse_ok("psim:tree:64?procs=128");
   EXPECT_EQ(psim.family, Family::kPsim);
   EXPECT_EQ(psim.structure, Structure::kTree);
   EXPECT_EQ(psim.width, 64u);
-  EXPECT_TRUE(psim.mcs);
   EXPECT_EQ(psim.procs, 128u);
 
   BackendSpec sim = parse_ok("sim:periodic:16?c1=1&c2=3&model=uniform");
@@ -106,7 +105,8 @@ TEST(RunSpec, UnknownNamesListAlternatives) {
 
 TEST(RunSpec, OptionShapeErrors) {
   EXPECT_NE(parse_fail("rt:bitonic:8?").find("empty option"), std::string::npos);
-  EXPECT_NE(parse_fail("psim:bitonic:8?mcs&&prism=4").find("empty option"), std::string::npos);
+  EXPECT_NE(parse_fail("psim:bitonic:8?procs=4&&prism=4").find("empty option"),
+            std::string::npos);
   EXPECT_NE(parse_fail("psim:bitonic:8?prism=").find("empty value"), std::string::npos);
   EXPECT_NE(parse_fail("rt:bitonic:8?=plan").find("empty key"), std::string::npos);
 }
@@ -136,8 +136,6 @@ TEST(RunSpec, IllTypedOptionValues) {
 }
 
 TEST(RunSpec, CombinationErrors) {
-  EXPECT_NE(parse_fail("psim:tree:8?mcs&diffraction").find("mutually exclusive"),
-            std::string::npos);
   EXPECT_NE(parse_fail("sim:bitonic:8?c1=3&c2=2").find("c2 must be >= c1"), std::string::npos);
   EXPECT_NE(parse_fail("psim:bitonic:8?diffraction").find("requires the tree"),
             std::string::npos);
@@ -166,6 +164,19 @@ TEST(RunSpec, RtRefusesPrismOptions) {
               std::string::npos)
         << error;
     EXPECT_NE(error.find("psim:tree:W?diffraction=on"), std::string::npos) << error;
+  }
+}
+
+// psim's toggles are always MCS-locked, so `mcs` selected nothing there: it
+// is an error with every value, alone or beside the prism keys.
+TEST(RunSpec, PsimRefusesMcs) {
+  for (const char* text : {"psim:tree:64?mcs&procs=128", "psim:bitonic:8?mcs=on",
+                           "psim:bitonic:8?mcs=off", "psim:tree:8?mcs&diffraction"}) {
+    const std::string error = parse_fail(text);
+    EXPECT_NE(error.find("option 'mcs' does not apply to psim: psim's toggle balancers are "
+                         "always MCS-locked"),
+              std::string::npos)
+        << error;
   }
 }
 
@@ -228,7 +239,7 @@ TEST(RunSpec, RtOptionCrossProduct) {
 
 TEST(RunSpec, PsimOptionCrossProduct) {
   for (const char* procs : {"", "procs=32"}) {
-    for (const char* mode : {"", "mcs", "diffraction"}) {
+    for (const char* mode : {"", "diffraction"}) {
       for (const char* prism : {"", "prism=2"}) {
         for (const char* hop : {"", "hop=8"}) {
           for (const char* metrics : {"", "metrics=on"}) {

@@ -31,7 +31,7 @@ std::uint64_t magnitude(const topo::Network& net, const SearchOptions& options,
   params.script = &script;
   params.hop_cycles = options.hop_cycles;
   params.seed = options.seed;
-  return lin::inversion_magnitude(psim::run_workload(net, params).history);
+  return psim::run_workload(net, params).analysis.worst_inversion;
 }
 
 TEST(SchedSearch, Section4ConstructionYieldsWidthMinusOne) {

@@ -3,7 +3,7 @@
 //
 // Every network on the command line is named by a BackendSpec string —
 // `<family>:<structure>:<width>[?opt[&opt]...]`, e.g. `rt:bitonic:32?mcs`
-// or `psim:tree:64?mcs&procs=128` (grammar in docs/HARNESS.md) — so a bad
+// or `psim:tree:64?procs=128` (grammar in docs/HARNESS.md) — so a bad
 // width or option is a usage error, never an abort inside topo::builders.
 // info, dot and verify only need the topology and take a spec of any family.
 //
@@ -127,7 +127,7 @@ int usage() {
       "                    [--max-restarts N] [--timeout S] [--pipeline]\n"
       "spec grammar: <family>:<structure>:<width>[?opt[&opt]...]  (docs/HARNESS.md)\n"
       "  families: sim, psim, rt, mp   structures: bitonic, periodic, tree, balancer\n"
-      "  e.g. rt:bitonic:32?mcs   psim:tree:64?mcs&procs=128\n");
+      "  e.g. rt:bitonic:32?mcs   psim:tree:64?procs=128\n");
   return 2;
 }
 
