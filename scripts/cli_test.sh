@@ -303,6 +303,30 @@ check_output "a hostile number names its key and bound" \
 check_output "a hostile positional number names its bound" "ops needs an integer in" \
   "$CLI" stats "rt:bitonic:4" 2 abc
 
+# --- no input starts more than 1024 OS threads ------------------------------
+# Each site refuses 1025 where it validates the input, before any thread
+# (or tile process) starts; under timeout, in case one slipped through.
+check_output "actors= names the OS-thread cap" "capped at 1024 OS threads" \
+  timeout 20 "$CLI" info "mp:tree:8?actors=1025"
+check_rc "run refuses 1025 mp issuers" 2 timeout 20 "$CLI" run "mp:tree:8" threads=1025 ops=2000
+check_output "run names the OS-thread cap" "exceeds the cap of 1024 OS threads" \
+  timeout 20 "$CLI" run "mp:tree:8" threads=1025 ops=2000
+check_rc "serve refuses 1025 loops" 2 timeout 20 "$CLI" serve "mp:tree:8" --port 0 --loops 1025
+check_output "serve names the OS-thread cap" "exceeds the cap of 1024 OS threads" \
+  timeout 20 "$CLI" serve "mp:tree:8" --port 0 --loops 1025
+check_rc "deploy refuses 25 tiles x 41 threads" 2 timeout 20 \
+  "$CLI" deploy "rt:bitonic:8?ws=cli-cap&tiles=25&threads=4096" --threads 41 --ops 2000
+check_output "deploy names the OS-thread cap" "exceeds the cap of 1024 OS threads" \
+  timeout 20 "$CLI" deploy "rt:bitonic:8?ws=cli-cap&tiles=25&threads=4096" --threads 41 \
+  --ops 2000
+check_output "loadgen names the --connections cap" "needs an integer in \[1, 1024\]" \
+  timeout 20 "$LOADGEN" --connections 1025 --port 0
+
+# --- stats: every build carries the rt obs sink -----------------------------
+check_rc "stats runs" 0 timeout 60 "$CLI" stats "rt:bitonic:8" 2 2000
+check_output "stats prints the online c2/c1 estimate" "online c2/c1 estimate" \
+  timeout 60 "$CLI" stats "rt:bitonic:8" 2 2000
+
 if [ "$failures" -ne 0 ]; then
   echo "$failures check(s) failed" >&2
   exit 1

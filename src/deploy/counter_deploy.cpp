@@ -101,6 +101,10 @@ bool validate_deploy_spec(const run::BackendSpec& spec, std::uint32_t tiles,
   }
   if (threads_per_tile == 0) return fail("threads_per_tile must be >= 1");
   const std::uint64_t total = std::uint64_t{tiles} * threads_per_tile;
+  if (total > run::kMaxOsThreads) {
+    return fail("tiles x threads_per_tile = " + std::to_string(total) + " exceeds the cap of " +
+                std::to_string(run::kMaxOsThreads) + " OS threads");
+  }
   if (total > spec.max_threads) {
     return fail("tiles x threads_per_tile = " + std::to_string(total) +
                 " exceeds the spec's thread bound " + std::to_string(spec.max_threads) +

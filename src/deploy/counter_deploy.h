@@ -95,9 +95,10 @@ struct DeployReport {
 /// compiled plan with fetch-add balancers (MCS queue nodes live on caller
 /// stacks, which do not survive a cross-process SIGKILL), no `metrics` or
 /// `degrade=` (tiles keep no obs sink, so either knob would be dropped), a
-/// thread budget covering tiles x threads_per_tile, and a fault plan that
-/// is empty or die-only (`die:n` here means a real SIGKILL every n
-/// completed operations). Returns false with a diagnostic otherwise.
+/// thread budget covering tiles x threads_per_tile (itself at most
+/// run::kMaxOsThreads), and a fault plan that is empty or die-only (`die:n`
+/// here means a real SIGKILL every n completed operations). Returns false
+/// with a diagnostic otherwise.
 bool validate_deploy_spec(const run::BackendSpec& spec, std::uint32_t tiles,
                           std::uint32_t threads_per_tile, std::string* error);
 

@@ -105,14 +105,12 @@ std::uint64_t ActorRuntime::messages_processed() const {
 
 void ActorRuntime::deliver(ActorId to, MpscNode* node, bool allow_inline) {
   Actor& actor = actors_[to];
-#if CNET_OBS
   if (queue_depth_ != nullptr) {
     // Approximate sharded depth: one relaxed cell per actor, bumped here
     // and decremented at drain. Post-enqueue depth (docs/OBSERVABILITY.md).
     const std::uint32_t depth = actor.depth.fetch_add(1, std::memory_order_relaxed) + 1;
     queue_depth_->record(to, depth);
   }
-#endif
   actor.mailbox.push(node);
   // Schedule if idle. The load filters the common already-scheduled case to
   // avoid an RMW; the CAS + seq_cst push form the Dekker handshake with the
@@ -253,9 +251,7 @@ void ActorRuntime::run_actor(std::uint32_t stat_slot, ActorId id) {
     // Copied out first: the handler may send the node on, and then its
     // next holder may overwrite it.
     const Message message = node->msg;
-#if CNET_OBS
     if (queue_depth_ != nullptr) actor.depth.fetch_sub(1, std::memory_order_relaxed);
-#endif
     // Serialized: no other worker runs this actor while state == kScheduled.
     handler(id, message);
     ++processed;

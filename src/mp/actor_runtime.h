@@ -98,11 +98,12 @@ class ActorRuntime {
   void send_queued(ActorId to, MpscNode* node);
 
   /// Optional mailbox-depth probe (borrowed; may be null). When set before
-  /// start() and the library is built with CNET_OBS=1, every send() records
-  /// the receiving actor's post-enqueue mailbox depth, giving the queueing
-  /// distribution across all actors (see docs/OBSERVABILITY.md). The depth
-  /// is an approximate sharded counter — one relaxed per-actor cell bumped
-  /// at enqueue and decremented at drain — rather than an exact size.
+  /// start(), every send() records the receiving actor's post-enqueue
+  /// mailbox depth, giving the queueing distribution across all actors (see
+  /// docs/OBSERVABILITY.md). The depth is an approximate sharded counter —
+  /// one relaxed per-actor cell bumped at enqueue and decremented at drain —
+  /// rather than an exact size. Null, the default, leaves each send and each
+  /// handled message one null test.
   void observe_queue_depth(obs::LogHistogram* histogram) { queue_depth_ = histogram; }
 
   /// Messages handled so far, totalled over all actors (per-worker-sharded

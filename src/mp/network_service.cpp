@@ -37,12 +37,11 @@ ActorRuntime::Options NetworkService::runtime_options(const Options& options) {
 
 NetworkService::NetworkService(topo::Network net, Options options)
     : net_(std::move(net)),
+      metrics_(options.metrics),
       fault_(options.fault),
       runtime_(runtime_options(options)),
       counts_(net_.node_count() + net_.output_width()) {
-#if CNET_OBS
-  if (options.metrics != nullptr) {
-    metrics_ = options.metrics;
+  if (metrics_ != nullptr) {
     metrics_->attach();
     runtime_.observe_queue_depth(&metrics_->queue_depth);
     const auto bind = [this](obs::StateCounts& counts, std::uint32_t from, std::uint32_t to) {
@@ -58,7 +57,6 @@ NetworkService::NetworkService(topo::Network net, Options options)
     bind(metrics_->counter_visits, nodes, actors);
     bind(metrics_->actor_visits, 0, actors);
   }
-#endif
   // Balancer actors. A message is a wave of c >= 1 cells (see the file
   // comment in network_service.h): read the count t once, store t + c, and
   // deal cell j to port (t + j) mod fan_out, forwarding the head cell of
@@ -167,19 +165,17 @@ NetworkService::~NetworkService() {
   // quiescence first.
   const DrainReport report = drain(kDtorDrainNs);
   CNET_CHECK_MSG(report.quiescent, "NetworkService destroyed with tokens still in flight");
-#if CNET_OBS
   if (metrics_ != nullptr) {  // quiescent: these readings are the final totals
     metrics_->node_visits.release();
     metrics_->counter_visits.release();
     metrics_->actor_visits.release();
   }
-#endif
 }
 
 void NetworkService::issue(std::uint32_t input, std::uint64_t wait_ns, std::span<Pending> wave,
                            bool queued) {
   CNET_CHECK(input < net_.input_width());
-  const std::uint64_t start_ns = CNET_OBS && metrics_ != nullptr ? obs::now_ns() : 0;
+  const std::uint64_t start_ns = metrics_ != nullptr ? obs::now_ns() : 0;
   ResponseCell* head = nullptr;
   ResponseCell* tail = nullptr;
   std::uint64_t tokens = 0;

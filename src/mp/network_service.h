@@ -98,8 +98,8 @@ class NetworkService {
     /// Worker threads draining the actor run queues.
     std::uint32_t workers = 2;
 
-    /// Observability sink (borrowed; may be null — the default — for zero
-    /// instrumentation cost; ignored in CNET_OBS=0 builds).
+    /// Observability sink (borrowed; may be null — the default — to record
+    /// nothing; the hot path then keeps only its null tests).
     obs::MpMetrics* metrics = nullptr;
 
     /// Fault injector (borrowed; must outlive the service; may be null).
@@ -244,7 +244,7 @@ class NetworkService {
   void record_completion(std::uint32_t input, std::uint64_t start_ns);
 
   topo::Network net_;
-  obs::MpMetrics* metrics_ = nullptr;  ///< null unless CNET_OBS wiring is live
+  obs::MpMetrics* metrics_ = nullptr;  ///< Options::metrics; null = off
   fault::Injector* fault_ = nullptr;
   sched::Recorder* recorder_ = nullptr;  ///< borrowed; null = capture off
 

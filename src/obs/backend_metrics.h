@@ -1,10 +1,10 @@
 // The concrete telemetry surface of each execution backend: one plain struct
 // of metrics per backend, attached by pointer through the backend's options
 // (rt::CounterOptions::metrics, mp::NetworkService::Options::metrics,
-// psim::MachineParams::metrics). A null pointer — or a library built with
-// CNET_OBS=0 — means the backend records nothing and its hot path is the
-// uninstrumented one. Counts the executor already keeps are StateCounts
-// read from it; the rest is recorded as it happens.
+// psim::MachineParams::metrics). A null pointer is the only "off": the
+// backend records nothing, and its hot path keeps just the null tests
+// (docs/OBSERVABILITY.md, rule 4). Counts the executor already keeps are
+// StateCounts read from it; the rest is recorded as it happens.
 //
 // Every metric name, its unit, and its merge semantics are documented in
 // docs/OBSERVABILITY.md; register_into() publishes the struct's metrics

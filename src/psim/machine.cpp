@@ -104,7 +104,6 @@ class Machine {
     result.makespan = engine_.now();
     result.memory_accesses = memory_.accesses();
     result.events = engine_.events_processed();
-#if CNET_OBS
     if (params_.metrics != nullptr) {
       obs::PsimMetrics& m = *params_.metrics;
       m.ops.add(0, result.history.size());
@@ -115,7 +114,6 @@ class Machine {
         m.op_latency_cycles.record(op.actor, static_cast<std::uint64_t>(op.end - op.start));
       }
     }
-#endif
     return result;
   }
 
@@ -170,7 +168,6 @@ class Machine {
         const Cycle wait = op != nullptr ? 0 : post_node_wait(p, rng);
         if (wait != 0) co_await engine_.sleep(wait);
         co_await engine_.sleep(params_.hop_cycles);
-#if CNET_OBS
         // Hop latency deliberately includes the post-node wait and the hop
         // cycles: the p90/p10 ratio of this histogram is the estimator's
         // stand-in for the paper's (Tog + W) / Tog.
@@ -180,23 +177,18 @@ class Machine {
           params_.metrics->trace.record(
               p, obs::TraceEvent{hop_start, d, p, node, obs::TracePhase::kHop});
         }
-#else
-        (void)hop_start;
-#endif
         at = net_->node(node).out[port];
       }
       const std::uint64_t nth = co_await memory_.fetch_add(counters_[at.port], 1);
       const std::uint64_t value = at.port + nth * net_->output_width();
       ++completed_;
       const auto end = static_cast<double>(engine_.now());
-#if CNET_OBS
       if (params_.metrics != nullptr) {
         params_.metrics->trace.record(
             p, obs::TraceEvent{static_cast<std::uint64_t>(start),
                                static_cast<std::uint64_t>(end - start), p, wire,
                                obs::TracePhase::kOp});
       }
-#endif
       history_.push_back(lin::Operation{start, end, value, p});
       if (params_.record_hops) op_hops_.push_back(std::move(hop_records));
     }

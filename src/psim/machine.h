@@ -85,10 +85,10 @@ struct MachineParams {
   bool use_diffraction = false;
   PrismParams prism{};
 
-  /// Observability sink (borrowed; may be null — the default). When set and
-  /// the library is built with CNET_OBS=1, the run records cycle-stamped
-  /// event counts, per-hop and per-op latencies in simulated cycles, and —
-  /// if metrics->trace is enabled — a chrome://tracing dump of token hops.
+  /// Observability sink (borrowed; may be null — the default). When set,
+  /// the run records cycle-stamped event counts, per-hop and per-op
+  /// latencies in simulated cycles, and — if metrics->trace is enabled — a
+  /// chrome://tracing dump of token hops. Null leaves one test per hop.
   /// Recording never touches the engine: an instrumented run is
   /// cycle-for-cycle identical to a bare one.
   obs::PsimMetrics* metrics = nullptr;

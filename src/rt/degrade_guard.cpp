@@ -19,13 +19,11 @@ void DegradeGuard::on_sample() {
 }
 
 void DegradeGuard::check_metrics() {
-#if CNET_OBS
   const obs::HistogramSnapshot hops = metrics_->hop_latency_ns.snapshot();
   if (hops.total < kMinSamples) return;
   const double p10 = hops.quantile(0.1);
   const double p90 = hops.quantile(0.9);
   check_estimate(hops.quantile_ratio(0.1, 0.9), p10, p90);
-#endif
 }
 
 bool DegradeGuard::check_estimate(double estimate, double hop_p10, double hop_p90) {

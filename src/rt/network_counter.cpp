@@ -68,6 +68,7 @@ NetworkCounter::NetworkCounter(topo::Network net, const CounterOptions& options,
     : input_width_(net.input_width()),
       output_width_(net.output_width()),
       max_threads_(options.max_threads),
+      metrics_(options.metrics),
       net_(std::move(net)) {
   const auto n_nodes = static_cast<std::uint32_t>(net_.node_count());
   kind_.resize(n_nodes);
@@ -159,25 +160,20 @@ NetworkCounter::NetworkCounter(topo::Network net, const CounterOptions& options,
     }
   }
 
-#if CNET_OBS
-  if (options.metrics != nullptr) {
-    metrics_ = options.metrics;
+  if (metrics_ != nullptr) {
     metrics_->attach();
     bind_state_counts();
     // The guard watches the obs hop-latency estimator, so it only exists
-    // when there is a sink to watch (and never in a CNET_OBS=0 build).
+    // when there is a sink to watch.
     if (options.degrade != DegradePolicy::kOff) {
       guard_ = std::make_unique<DegradeGuard>(options.degrade, metrics_);
     }
   }
-#endif
 }
 
 NetworkCounter::~NetworkCounter() {
-#if CNET_OBS
   // Keep the final reading while the state exists.
   if (metrics_ != nullptr) metrics_->balancer_visits.release();
-#endif
   // Every state element is trivially destructible (atomics and the MCS
   // tail pointer), so only the owned block itself needs releasing; an
   // arena-resident counter leaves the shared state to outlive it.
@@ -217,16 +213,13 @@ std::uint32_t NetworkCounter::traverse(std::uint32_t node) {
   return static_cast<std::uint32_t>(cross(node, 1) % fan_out_[node]);
 }
 
-std::uint32_t NetworkCounter::route([[maybe_unused]] std::uint32_t thread_id,
-                                    std::uint32_t input, NodeHook after_node, void* ctx) {
-#if CNET_OBS
+std::uint32_t NetworkCounter::route(std::uint32_t thread_id, std::uint32_t input,
+                                    NodeHook after_node, void* ctx) {
   // With a sink, a token pays one RMW (the token clock) and, unless sampled,
-  // runs the sink-less loops below. The compile-time guard removes even the
-  // branch from a CNET_OBS=0 build.
+  // runs the sink-less loops below; without one, it pays a null test.
   if (metrics_ != nullptr && metrics_->should_sample(thread_id)) [[unlikely]] {
     return route_timed(thread_id, input, after_node, ctx);
   }
-#endif
   std::uint32_t hop = entry_[input];
   if (after_node == nullptr && homogeneous_toggle_fan2_) {
     // Hoisted loop: every node is a fetch-add toggle with two outputs.
@@ -290,9 +283,7 @@ void NetworkCounter::next_batch(std::uint32_t thread_id, std::uint32_t input,
   CNET_CHECK(input < input_width_);
   CNET_CHECK(thread_id < max_threads_);
   if (out.empty()) return;
-#if CNET_OBS
   if (metrics_ != nullptr) [[unlikely]] metrics_->batch_calls.add(thread_id);
-#endif
   if (out.size() == 1) {  // a wave of one token is its walk
     out[0] = walk(thread_id, input, nullptr, nullptr);
     return;
@@ -310,14 +301,12 @@ void NetworkCounter::next_batch(std::uint32_t thread_id, std::uint32_t input,
     live[pos / 64] |= std::uint64_t{1} << (pos % 64);
   };
   std::uint64_t riders = out.size();
-#if CNET_OBS
   if (metrics_ != nullptr) [[unlikely]] {
     // The batch's sampled tokens walk alone, timed; the rest ride the wave.
     for (std::uint64_t s = metrics_->sample_batch(thread_id, riders); s != 0; --s, --riders) {
       arrive(kOutputBit | route_timed(thread_id, input, nullptr, nullptr), 1);
     }
   }
-#endif
   if (riders != 0) arrive(entry_[input], riders);
 
   // Visit the live positions in ascending order. Every sub-batch bound for

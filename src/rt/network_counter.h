@@ -66,9 +66,8 @@
 // Observability: point CounterOptions::metrics at an obs::CounterMetrics to
 // record throughput and sampled latencies; per-balancer visits are read
 // from the balancer state, and the counter's destructor leaves their final
-// totals in the sink
-// (docs/OBSERVABILITY.md documents every metric; builds with CNET_OBS=0
-// compile the instrumentation out entirely).
+// totals in the sink (docs/OBSERVABILITY.md documents every metric). A null
+// sink turns the instrumentation off and leaves the hot path its null tests.
 #pragma once
 
 #include <atomic>
@@ -102,21 +101,20 @@ struct CounterOptions {
   /// thread_id stays below it.
   std::uint32_t max_threads = 256;
 
-  /// Observability sink (borrowed; may be null). When non-null and the
-  /// library is built with CNET_OBS=1, the counter records throughput and
-  /// sampled token/hop latencies into it, and the sink reads per-balancer
-  /// visits from the balancer state (see obs/backend_metrics.h and
-  /// docs/OBSERVABILITY.md). Null — or CNET_OBS=0 — keeps the hot path free
-  /// of instrumentation. The sink must outlive the counter and observes one
-  /// counter in its lifetime; on an adopted PlanArena it reads every
-  /// attached process's tokens.
+  /// Observability sink (borrowed; may be null). When non-null, the counter
+  /// records throughput and sampled token/hop latencies into it, and the
+  /// sink reads per-balancer visits from the balancer state (see
+  /// obs/backend_metrics.h and docs/OBSERVABILITY.md). Null records nothing:
+  /// a walk or a batch then pays only its null tests. The sink must outlive
+  /// the counter and observes one counter in its lifetime; on an adopted
+  /// PlanArena it reads every attached process's tokens.
   obs::CounterMetrics* metrics = nullptr;
 
   /// Degraded-mode guard policy over the c2/c1 estimator (rt/degrade_guard.h).
-  /// Effective only with a metrics sink in a CNET_OBS build — the guard
-  /// watches metrics->hop_latency_ns and runs from the sampled tokens;
-  /// without the estimator there is nothing to trip on, and the counter
-  /// leaves the guard unconstructed.
+  /// Effective only with a metrics sink — the guard watches
+  /// metrics->hop_latency_ns and runs from the sampled tokens; without the
+  /// estimator there is nothing to trip on, and the counter leaves the
+  /// guard unconstructed.
   DegradePolicy degrade = DegradePolicy::kOff;
 };
 
@@ -262,7 +260,7 @@ class NetworkCounter {
   std::uint32_t output_width_ = 0;
   std::uint32_t max_threads_ = 0;
   bool homogeneous_toggle_fan2_ = false;
-  obs::CounterMetrics* metrics_ = nullptr;  ///< null unless CNET_OBS wiring is live
+  obs::CounterMetrics* metrics_ = nullptr;  ///< CounterOptions::metrics; null = off
   std::unique_ptr<DegradeGuard> guard_;     ///< set iff a degrade policy is active
 
   // --- compiled topology (immutable after construction) -----------------

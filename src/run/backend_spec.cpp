@@ -7,6 +7,7 @@
 #include <string_view>
 #include <vector>
 
+#include "run/workload.h"
 #include "topo/builders.h"
 #include "util/assert.h"
 
@@ -268,9 +269,11 @@ bool apply_sim_option(const Parser& p, const Option& opt, BackendSpec* spec) {
 
 bool apply_mp_option(const Parser& p, const Option& opt, BackendSpec* spec) {
   if (opt.key == "actors" || opt.key == "workers") {
-    if (!parse_u32(opt.value, &spec->actors) || spec->actors == 0) {
-      return p.fail("option 'actors' takes a worker count >= 1 (got '" + std::string(opt.value) +
-                    "')");
+    if (!parse_u32(opt.value, &spec->actors) || spec->actors == 0 ||
+        spec->actors > kMaxOsThreads) {
+      return p.fail("option 'actors' takes a worker count >= 1, capped at " +
+                    std::to_string(kMaxOsThreads) + " OS threads (got '" +
+                    std::string(opt.value) + "')");
     }
     return true;
   }

@@ -148,6 +148,12 @@ RunReport Runner::run(CountingBackend& backend, const Workload& workload,
   }
 
   if (backend.live()) {
+    if (workload.threads > kMaxOsThreads) {
+      return reject(std::move(report), "workload threads=" + std::to_string(workload.threads) +
+                                           " exceeds the cap of " +
+                                           std::to_string(kMaxOsThreads) +
+                                           " OS threads (each live issuer is one)");
+    }
     if (workload.arrival == Arrival::kPoisson && !(workload.rate > 0.0)) {
       return reject(std::move(report), "poisson arrivals need rate > 0");
     }

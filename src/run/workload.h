@@ -26,6 +26,12 @@
 
 namespace cnet::run {
 
+/// The most OS threads one input may ask for: the Runner's live issuers,
+/// mp's `actors=` workers, svc's event loops, a deployment's tiles x
+/// threads per tile, and cnet_loadgen's connections. Each refuses a larger
+/// value where it validates its input, before any thread starts.
+inline constexpr std::uint32_t kMaxOsThreads = 1024;
+
 enum class Arrival : std::uint8_t {
   kClosed,   ///< `threads` issuers, each re-entering as soon as it completes
   kPoisson,  ///< open loop: aggregate-exponential interarrival gaps

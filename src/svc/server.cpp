@@ -617,6 +617,10 @@ bool Server::start(std::string* error) {
     return fail("ServerOptions::loops must be >= 1 — zero event loops cannot serve"
                 " (the default is the hardware concurrency)");
   }
+  if (n_loops > run::kMaxOsThreads) {
+    return fail("ServerOptions::loops=" + std::to_string(n_loops) + " exceeds the cap of " +
+                std::to_string(run::kMaxOsThreads) + " OS threads (each loop is one)");
+  }
   const std::uint32_t max_threads = std::max(1u, backend_.spec().max_threads);
   if (backend_.spec().family == run::Family::kRt && max_threads < n_loops) {
     return fail("spec '" + backend_.spec().to_string() + "' bounds concurrent issuers at"

@@ -93,6 +93,7 @@
 #include <vector>
 
 #include "run/backend.h"
+#include "run/workload.h"
 #include "svc/frame.h"
 #include "util/cacheline.h"
 
@@ -115,11 +116,13 @@ struct ServerOptions {
   std::string uds_path;
 
   /// Independent event loops, each with its own SO_REUSEPORT listener on
-  /// the same port. Defaults to the hardware concurrency (min 1). 0 is
-  /// invalid — start() refuses it with a diagnostic rather than guessing.
+  /// the same port. Defaults to the hardware concurrency (min 1, at most
+  /// run::kMaxOsThreads). 0 and values above run::kMaxOsThreads are invalid
+  /// — start() refuses them with a diagnostic before it binds anything.
   /// An rt backend additionally needs its spec's `threads=` bound to be
   /// >= loops, so every loop gets a non-empty thread-id slice.
-  std::uint32_t loops = std::max(1u, std::thread::hardware_concurrency());
+  std::uint32_t loops =
+      std::clamp(std::thread::hardware_concurrency(), 1u, run::kMaxOsThreads);
 
   bool batching = true;          ///< boundary batching (see file comment)
   std::uint32_t max_batch = 64;  ///< issue chunk cap per backend call
@@ -165,8 +168,8 @@ class Server {
 
   /// Binds one SO_REUSEPORT listener per loop, and spawns the loop
   /// threads. False (with a diagnostic in *error) on a non-live backend,
-  /// loops == 0, an rt thread-id space too small for the loop count, or
-  /// any socket failure.
+  /// loops == 0 or above run::kMaxOsThreads, an rt thread-id space too
+  /// small for the loop count, or any socket failure.
   bool start(std::string* error);
 
   /// Drains and stops every loop: each stops accepting, flushes what its

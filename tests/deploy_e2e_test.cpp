@@ -46,6 +46,11 @@ TEST(DeployValidate, RejectsCrossProcessHostileSpecs) {
   EXPECT_FALSE(validate_deploy_spec(spec_of("rt:bitonic:8?threads=4"), 4, 2, &error));
   EXPECT_FALSE(validate_deploy_spec(spec_of("rt:bitonic:8?threads=16"), 0, 2, &error));
   EXPECT_FALSE(validate_deploy_spec(spec_of("rt:bitonic:8?threads=16"), 2, 0, &error));
+  // Every tile thread is an OS thread, so even a wider threads= stops at
+  // the cap: 32 x 32 passes, 25 x 41 = 1025 does not.
+  EXPECT_TRUE(validate_deploy_spec(spec_of("rt:bitonic:8?threads=4096"), 32, 32, &error));
+  EXPECT_FALSE(validate_deploy_spec(spec_of("rt:bitonic:8?threads=4096"), 25, 41, &error));
+  EXPECT_NE(error.find("1025 exceeds the cap of 1024 OS threads"), std::string::npos) << error;
   // Fault plans other than die: describe in-process injection, which has
   // no cross-process realization here.
   EXPECT_FALSE(validate_deploy_spec(spec_of("rt:bitonic:8?threads=16&fault=stall:0.1:50000"),

@@ -319,7 +319,6 @@ TEST(RunReportText, FaultedRunClaimsNoMoreThanItsDef24Count) {
       << report.to_text();
 }
 
-#if CNET_OBS
 // A counter whose sink already holds a skewed hop histogram (p90/p10 about
 // 1000), so the guard trips at its first check.
 struct SkewedGuardedCounter {
@@ -385,8 +384,6 @@ TEST(DegradeGuardIntegration, ReportPolicyDowngradesTheGuarantee) {
   EXPECT_GT(report.degrade.hop_p90, report.degrade.hop_p10);
   EXPECT_EQ(report.guarantee, run::RunReport::Guarantee::kCountingOnly);
 }
-
-#endif  // CNET_OBS
 
 }  // namespace
 }  // namespace cnet

@@ -376,7 +376,6 @@ TEST(MpSteadyState, ResponseCellsSurviveThreadChurn) {
   EXPECT_GT(pool_after.free_cells, 0u);
 }
 
-#if CNET_OBS
 TEST(MpObsIntegration, MetricsMatchMessageFlow) {
   const topo::Network net = topo::make_bitonic(4);
   obs::MpMetrics metrics;
@@ -460,7 +459,6 @@ TEST(MpObsIntegration, LiveActorReadsNeverGoBackwards) {
   reader.join();
   EXPECT_EQ(regressions, 0u);
 }
-#endif  // CNET_OBS
 
 }  // namespace
 }  // namespace cnet::mp

@@ -17,8 +17,6 @@
 #include "rt/network_counter.h"
 #include "topo/builders.h"
 
-#if CNET_OBS
-
 namespace cnet::rt {
 namespace {
 
@@ -204,11 +202,3 @@ TEST(ObsRtIntegration, LiveVisitReadsNeverGoBackwards) {
 
 }  // namespace
 }  // namespace cnet::rt
-
-#else  // !CNET_OBS
-
-TEST(ObsRtIntegration, DisabledBuild) {
-  GTEST_SKIP() << "library built with CNET_OBS=0; instrumentation compiled out";
-}
-
-#endif

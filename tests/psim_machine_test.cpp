@@ -207,7 +207,6 @@ TEST(Machine, PaddedNetworkRunsAndCounts) {
   EXPECT_TRUE(lin::values_form_range(result.history, &msg)) << msg;
 }
 
-#if CNET_OBS
 TEST(Machine, MetricsMirrorResultCounters) {
   const topo::Network net = topo::make_counting_tree(16);
   obs::PsimMetrics metrics;
@@ -252,7 +251,6 @@ TEST(Machine, InstrumentationDoesNotPerturbTheSimulation) {
   // run was skewed: F = 25% at W = 1000 is far above the Cor 3.9 threshold.
   EXPECT_GT(metrics.c2c1_estimate(), 2.0);
 }
-#endif  // CNET_OBS
 
 // --- fault plans as cycle debits ------------------------------------------
 

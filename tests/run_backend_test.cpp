@@ -60,9 +60,7 @@ TEST(RunBackend, RtHonoursMetricsOption) {
   auto& rt_observed = static_cast<RtBackend&>(*observed);
   ASSERT_NE(rt_observed.metrics(), nullptr);
   (void)observed->count(0);
-#if CNET_OBS
   EXPECT_EQ(rt_observed.metrics()->tokens.value(), 1u);
-#endif
 }
 
 TEST(RunBackend, RtExternalMetricsSinkIsBorrowed) {
@@ -70,10 +68,8 @@ TEST(RunBackend, RtExternalMetricsSinkIsBorrowed) {
   metrics.sample_period = 1;
   RtBackend backend(parse_spec_or_die("rt:bitonic:8"), &metrics);
   (void)backend.count(0);
-#if CNET_OBS
   EXPECT_EQ(metrics.tokens.value(), 1u);
   EXPECT_EQ(backend.metrics(), &metrics);
-#endif
 }
 
 TEST(RunBackend, MpBatchAndDelayedMatchPlainCounting) {
@@ -157,7 +153,6 @@ TEST(RunBackend, RtUnhookedPathsEnterAtTheIssuerInput) {
   // count() and count_batch() run without a hook, so no recorder sees
   // their entry; the balancer visits do. Issuer 1 enters Bitonic[8] at
   // input 4, whose first-layer balancer alone may count the tokens.
-#if CNET_OBS
   for (const std::size_t tokens : {1u, 6u}) {
     obs::CounterMetrics metrics;
     RtBackend backend(parse_spec_or_die("rt:bitonic:8"), &metrics);
@@ -175,9 +170,6 @@ TEST(RunBackend, RtUnhookedPathsEnterAtTheIssuerInput) {
       EXPECT_EQ(visits[node], node == entry ? tokens : 0u) << "node " << node;
     }
   }
-#else
-  GTEST_SKIP() << "library built with CNET_OBS=0; balancer visits are compiled out";
-#endif
 }
 
 TEST(RunBackend, SimSimulatesClosedLoop) {

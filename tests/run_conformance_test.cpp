@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -193,6 +194,18 @@ TEST(RunConformance, RunnerRejectsImpossibleCombinations) {
   EXPECT_FALSE(capped.ok);
   EXPECT_NE(capped.error.find("threads=8"), std::string::npos);
 
+  // Each live issuer is an OS thread: the Runner refuses more than the cap
+  // before it spawns any, on rt past a wider threads= and on mp.
+  Workload crowd;
+  crowd.threads = kMaxOsThreads + 1;
+  for (const char* spec : {"rt:bitonic:8?threads=4096", "mp:bitonic:8"}) {
+    const RunReport refused = run_spec(spec, crowd);
+    EXPECT_FALSE(refused.ok) << spec;
+    EXPECT_NE(refused.error.find("threads=1025 exceeds the cap of 1024 OS threads"),
+              std::string::npos)
+        << refused.error;
+  }
+
   Workload open;
   open.arrival = Arrival::kPoisson;
   open.rate = 100.0;
@@ -203,15 +216,18 @@ TEST(RunConformance, ReportRendersAndCarriesMetrics) {
   Workload workload;
   workload.threads = 2;
   workload.total_ops = 100;
-  const RunReport report = run_spec("rt:bitonic:8?metrics", workload);
+  const std::unique_ptr<CountingBackend> backend =
+      make_backend(parse_spec_or_die("rt:bitonic:8?metrics"));
+  const RunReport report = Runner().run(*backend, workload);
   ASSERT_TRUE(report.ok) << report.error;
   const std::string text = report.to_text();
   EXPECT_NE(text.find("rt:bitonic:8?metrics"), std::string::npos);
   EXPECT_NE(text.find("step property ok"), std::string::npos);
-#if CNET_OBS
   EXPECT_FALSE(report.metrics.counters.empty());
   EXPECT_GT(report.c2c1_estimate, 0.0);
-#endif
+  // Each issuer's first token is sampled, so the estimate rests on timed
+  // hops; an empty histogram would read 1.00 and vouch for nothing.
+  EXPECT_GT(static_cast<RtBackend&>(*backend).metrics()->hop_latency_ns.total(), 0u);
 }
 
 // --- DelayHarness: the F/W experiment on rt ---------------------------------

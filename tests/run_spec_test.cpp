@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "run/backend_spec.h"
+#include "run/workload.h"
 
 namespace cnet::run {
 namespace {
@@ -129,6 +130,11 @@ TEST(RunSpec, IllTypedOptionValues) {
   EXPECT_NE(parse_fail("sim:bitonic:8?c1=-1").find("positive time"), std::string::npos);
   EXPECT_NE(parse_fail("sim:bitonic:8?c2=zero").find("positive time"), std::string::npos);
   EXPECT_NE(parse_fail("mp:bitonic:8?actors=0").find(">= 1"), std::string::npos);
+  // Each mp worker is an OS thread; parsing builds no service, so no worker.
+  EXPECT_EQ(parse_ok("mp:tree:8?actors=1024").actors, kMaxOsThreads);
+  for (const char* spec : {"mp:tree:8?actors=1025", "mp:tree:8?workers=4294967295"}) {
+    EXPECT_NE(parse_fail(spec).find("capped at 1024 OS threads"), std::string::npos) << spec;
+  }
   EXPECT_NE(parse_fail("mp:bitonic:8?pad=999").find("pad"), std::string::npos);
   EXPECT_NE(parse_fail("rt:bitonic:8?metrics&degrade=pad")
                 .find("'degrade=pad' was removed: Cor 3.12 padding needs a known bound"),

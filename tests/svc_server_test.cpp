@@ -283,7 +283,6 @@ TEST(SvcServer, TimingShedLatchesLikeDegradeGuard) {
   EXPECT_TRUE(s.server->timing_tripped());
 }
 
-#if CNET_OBS
 TEST(SvcServer, TrippedDegradeGuardAloneLatchesTimingShed) {
   // Nothing calls trip_timing_shed() here: a stall plan skews the rt hop
   // latencies until the backend's DegradeGuard (report policy) sees its
@@ -330,11 +329,6 @@ TEST(SvcServer, TrippedDegradeGuardAloneLatchesTimingShed) {
     EXPECT_EQ(response.error, WireError::kTimingShed);
   }
 }
-#else  // !CNET_OBS
-TEST(SvcServer, TrippedDegradeGuardAloneLatchesTimingShed) {
-  GTEST_SKIP() << "library built with CNET_OBS=0; the rt DegradeGuard is compiled out";
-}
-#endif  // CNET_OBS
 
 TEST(SvcServer, RejectsSimulatedBackends) {
   ServerUnderTest s("sim:bitonic:8");
@@ -412,6 +406,21 @@ TEST(SvcServer, RejectsZeroLoops) {
   EXPECT_NE(s.start_error.find("loops"), std::string::npos) << s.start_error;
 }
 
+// Each loop is an OS thread: past the shared cap start() refuses before it
+// binds a listener or spawns a loop, and the default never reaches the cap.
+TEST(SvcServer, RejectsLoopsPastTheOsThreadCap) {
+  EXPECT_GE(ServerOptions{}.loops, 1u);
+  EXPECT_LE(ServerOptions{}.loops, run::kMaxOsThreads);
+  ServerOptions options;
+  options.loops = run::kMaxOsThreads + 1;
+  ServerUnderTest s("mp:tree:4?actors=1", options);
+  EXPECT_FALSE(s.started);
+  EXPECT_NE(s.start_error.find("loops=1025 exceeds the cap of 1024 OS threads"),
+            std::string::npos)
+      << s.start_error;
+  EXPECT_EQ(s.server->loops(), 0u);
+}
+
 TEST(SvcServer, RejectsRtThreadSpaceSmallerThanLoops) {
   // threads=2 cannot give 4 loops disjoint slices; starting anyway would
   // make loops share thread ids and silently break rt's issue contract.
@@ -468,6 +477,11 @@ TEST(SvcServer, StopDrainsWithoutStrayFrames) {
 // wake issued it.
 
 constexpr char kStalledTree[] = "mp:tree:8?actors=2&fault=stall:1:2000000,seed:1";
+
+// A client can hold its value before mp's counter actor drops in_flight
+// (that decrement comes last, after complete() wakes the client), so a test
+// that reads in_flight drains first, far past any stall.
+constexpr std::uint64_t kDrainNs = 20'000'000'000;
 
 /// Waits (via the merged stats) until the loop has issued a chunk.
 void await_first_batch(const Server& server) {
@@ -533,7 +547,8 @@ TEST(SvcServer, PeerCloseWithACarriedWave) {
   ASSERT_TRUE(client.count(1000, &response, &error)) << error;
   EXPECT_EQ(response.status, Status::kOk);
   s.server->stop();
-  const mp::NetworkService& service = dynamic_cast<run::MpBackend&>(*s.backend).service();
+  mp::NetworkService& service = dynamic_cast<run::MpBackend&>(*s.backend).service();
+  ASSERT_TRUE(service.drain(kDrainNs).quiescent);
   EXPECT_EQ(service.robustness_stats().in_flight, 0u);
 }
 
@@ -548,7 +563,7 @@ TEST(SvcServer, OverflowKillWithACarriedWave) {
   options.max_write_buffer = 0;
   ServerUnderTest s("mp:tree:8?actors=2", options);
   ASSERT_TRUE(s.started) << s.start_error;
-  const mp::NetworkService& service = dynamic_cast<run::MpBackend&>(*s.backend).service();
+  mp::NetworkService& service = dynamic_cast<run::MpBackend&>(*s.backend).service();
   std::string error;
   // Park values: most of a burst of 1 ns budgets is cancelled at its
   // collect, and each cancelled token parks its value when it lands.
@@ -578,6 +593,7 @@ TEST(SvcServer, OverflowKillWithACarriedWave) {
   ASSERT_TRUE(client.count(1000, &response, &error)) << error;
   EXPECT_EQ(response.status, Status::kOk);
   s.server->stop();
+  ASSERT_TRUE(service.drain(kDrainNs).quiescent);
   EXPECT_EQ(service.robustness_stats().in_flight, 0u);
 }
 

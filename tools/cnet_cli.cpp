@@ -586,13 +586,6 @@ int cmd_deploy(const run::BackendSpec& spec, int argc, char** argv, int base) {
 
 int cmd_stats(const run::BackendSpec& spec, const run::Workload& workload,
               const std::string& trace_path) {
-#if !CNET_OBS
-  (void)spec;
-  (void)workload;
-  (void)trace_path;
-  std::fprintf(stderr, "stats requires a CNET_OBS=1 build (reconfigure with -DCNET_OBS=ON)\n");
-  return 2;
-#else
   if (spec.family != run::Family::kRt) {
     std::fprintf(stderr, "stats attaches the rt observability sink: the spec must use the"
                          " rt family (got '%s')\n",
@@ -647,7 +640,6 @@ int cmd_stats(const run::BackendSpec& spec, const run::Workload& workload,
                 static_cast<unsigned long long>(metrics.trace.size()), trace_path.c_str());
   }
   return report.counting_ok && report.step_ok ? 0 : 1;
-#endif
 }
 
 }  // namespace

@@ -185,7 +185,7 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     // Numbers parse strictly (tools/flag_parse.h). A connection is a
-    // thread, hence the cap on --connections.
+    // thread, hence the OS-thread cap on --connections.
     const auto count = [&](std::uint64_t max, std::uint64_t min) {
       return parse_count(arg, value(), max, min);
     };
@@ -196,7 +196,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--uds") {
       options.uds_path = value();
     } else if (arg == "--connections") {
-      options.connections = static_cast<std::uint32_t>(count(1024, 1));
+      options.connections = static_cast<std::uint32_t>(count(run::kMaxOsThreads, 1));
     } else if (arg == "--ops") {
       options.ops = count(kU64, 1);
     } else if (arg == "--rate") {
