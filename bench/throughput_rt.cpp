@@ -1,7 +1,7 @@
 // Real-thread throughput: the scalability claim that motivates counting
-// networks (§1). Compares a central atomic fetch_add counter, an MCS-locked
-// counter, and the counting-network counters across thread counts — single
-// tokens and the batched plan API.
+// networks (§1). Compares a central atomic fetch_add counter, a central
+// counter under one MCS lock, and the counting-network counters across
+// thread counts — single tokens and the batched plan API.
 //
 // google-benchmark's ->Threads(n) runs the benchmark body on n threads
 // concurrently. Shared state is (re)built in ->Setup() hooks, which the
@@ -79,10 +79,6 @@ void setup_bitonic_plan(const benchmark::State& state) {
   rebuild_backend("rt:bitonic:" + std::to_string(state.range(0)));
 }
 
-void setup_bitonic_mcs(const benchmark::State& state) {
-  rebuild_backend("rt:bitonic:" + std::to_string(state.range(0)) + "?mcs");
-}
-
 void setup_periodic_plan(const benchmark::State& state) {
   rebuild_backend("rt:periodic:" + std::to_string(state.range(0)));
 }
@@ -123,14 +119,6 @@ BENCHMARK(BM_BitonicFetchAddBatch)
     ->Teardown(teardown_backend)
     ->Args({32, 16})
     ->Args({32, 64})
-    ->ThreadRange(1, 8)
-    ->UseRealTime();
-
-void BM_BitonicMcsBalancers(benchmark::State& state) { run_single_token_body(state); }
-BENCHMARK(BM_BitonicMcsBalancers)
-    ->Setup(setup_bitonic_mcs)
-    ->Teardown(teardown_backend)
-    ->Arg(32)
     ->ThreadRange(1, 8)
     ->UseRealTime();
 

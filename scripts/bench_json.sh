@@ -16,6 +16,8 @@
 # Every row is the median of 5 repetitions, recorded under its plain name:
 # one run at BENCH_MIN_TIME sits far from its median often enough that a
 # diff of two single-run snapshots cannot resolve a change under about 30%.
+# Each row also carries the mean and stddev of its 5 repetitions, so it
+# states its own noise.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -58,7 +60,9 @@ steal_ticks() { awk '$1 == "cpu" { print $9; exit }' /proc/stat; }
 
 # Rewrites a report in place: keeps each benchmark's median row under its
 # plain name (run_name, so the key guards and any join on names still
-# hold), stamps the cnet build flavour, the CPUs this shell may run on
+# hold), copies the mean and stddev aggregates of real_time, cpu_time and
+# (where present) items_per_second into that row as mean_<field> and
+# stddev_<field>, stamps the cnet build flavour, the CPUs this shell may run on
 # (nproc) and the host into the context block, then fails if nproc differs
 # from the report's num_cpus (every CPU online): the recording ran under a
 # restricted affinity mask, so its thread-scaling rows mean less than their
@@ -72,9 +76,17 @@ path, build_type, nproc = sys.argv[1], sys.argv[2], int(sys.argv[3])
 steal_start, steal_end = int(sys.argv[4]), int(sys.argv[5])
 with open(path) as f:
     report = json.load(f)
+noise = {}
+for b in report["benchmarks"]:
+    aggregate = b.get("aggregate_name")
+    if aggregate in ("mean", "stddev"):
+        for field in ("real_time", "cpu_time", "items_per_second"):
+            if field in b:
+                noise.setdefault(b["run_name"], {})[aggregate + "_" + field] = b[field]
 medians = [b for b in report["benchmarks"] if b.get("aggregate_name") == "median"]
 for b in medians:
     b["name"] = b["run_name"]
+    b.update(noise.get(b["run_name"], {}))
 report["benchmarks"] = medians
 cpu = {}
 with open("/proc/cpuinfo") as f:
@@ -140,8 +152,7 @@ python3 - "$out" <<'EOF'
 import json, sys
 required = [
     "BM_CentralAtomic", "BM_McsLockedCounter", "BM_BitonicFetchAdd",
-    "BM_BitonicFetchAddBatch", "BM_BitonicMcsBalancers", "BM_Periodic",
-    "BM_CountingTree", "BM_PsimStallDebit",
+    "BM_BitonicFetchAddBatch", "BM_Periodic", "BM_CountingTree", "BM_PsimStallDebit",
 ]
 with open(sys.argv[1]) as f:
     names = {b["name"] for b in json.load(f)["benchmarks"]}

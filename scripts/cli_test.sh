@@ -69,8 +69,8 @@ check_output "spec diagnostics echo the spec" "bogus:bitonic:8" \
 for spec in "sim:bitonic:8" "psim:bitonic:8" "rt:bitonic:8" "mp:bitonic:8?actors=2"; do
   check "run $spec" "$CLI" run "$spec" threads=2 ops=200 seed=5
 done
-check_output "run report prints the canonical spec" "rt:bitonic:8?mcs=on" \
-  "$CLI" run "rt:bitonic:8?mcs" threads=2 ops=100
+check_output "run report prints the canonical spec" "rt:bitonic:8?metrics=on" \
+  "$CLI" run "rt:bitonic:8?metrics" threads=2 ops=100
 check "run with poisson arrivals" "$CLI" run "sim:bitonic:8" arrival=poisson rate=2 ops=100
 check_rc "psim rejects open-loop arrivals" 2 "$CLI" run "psim:bitonic:8" arrival=poisson rate=2
 for spec in "rt:bitonic:8?engine=walk" "rt:bitonic:8?engine=plan" \
@@ -119,6 +119,29 @@ check_rc "prism on rt exits 2" 2 "$CLI" count "rt:bitonic:8?prism=4" 1 10
 check_rc "mcs on psim exits 2" 2 "$CLI" run "psim:tree:64?mcs&procs=128" ops=10
 check_output "mcs on psim names its reason" "psim's toggle balancers are always MCS-locked" \
   "$CLI" run "psim:tree:64?mcs&procs=128" ops=10
+check_rc "mcs on rt exits 2" 2 "$CLI" count "rt:bitonic:8?mcs" 2 10
+check_output "mcs on rt names its reason" "MCS-locked balancers were never faster" \
+  "$CLI" count "rt:bitonic:8?mcs" 2 10
+check_output "mcs on rt points at psim" "psim:bitonic:W" "$CLI" count "rt:bitonic:8?mcs" 2 10
+# Keys that select nothing without another key are refused, not dropped.
+check_rc "prism without diffraction on psim exits 2" 2 \
+  "$CLI" run "psim:bitonic:8?prism=4" threads=4 ops=100
+check_output "prism without diffraction names its reason" "requires diffraction=on" \
+  "$CLI" run "psim:bitonic:8?prism=4" threads=4 ops=100
+check_rc "c2 under model=fixed exits 2" 2 \
+  "$CLI" run "sim:tree:8?model=fixed&c2=9" threads=2 ops=100
+check_output "c2 under model=fixed names its reason" "does not apply to model=fixed" \
+  "$CLI" run "sim:tree:8?model=fixed&c2=9" threads=2 ops=100
+# ws=, tiles= and pipeline= shape a deployment: in-process commands refuse
+# them before any issuer or loop starts (under timeout, in case one ran).
+check_rc "count refuses a deployment spec" 2 \
+  timeout 20 "$CLI" count "rt:bitonic:8?ws=x&tiles=2&pipeline=1" 2 1000
+check_output "count names cnet_cli deploy" "cnet_cli deploy" \
+  timeout 20 "$CLI" count "rt:bitonic:8?ws=x&tiles=2&pipeline=1" 2 1000
+check_rc "serve refuses a workspace spec" 2 \
+  timeout 20 "$CLI" serve "rt:bitonic:8?ws=x" --port 0 --loops 1
+check_output "serve names cnet_cli deploy" "cnet_cli deploy" \
+  timeout 20 "$CLI" serve "rt:bitonic:8?ws=x" --port 0 --loops 1
 
 # --- schedule capture, replay, and search -----------------------------------
 trace_file=/tmp/cnet_cli_test.$$.trace
@@ -263,7 +286,7 @@ done
 # The positional `<kind> <width>` forms are gone: before, a bad width
 # aborted inside topo::builders (exit 134) and `workload`/`simulate` took
 # hostile numbers through atoi.
-check "count, spec form" "$CLI" count "rt:bitonic:8?mcs" 2 1000
+check "count, spec form" "$CLI" count "rt:bitonic:8?threads=8" 2 1000
 check "verify, spec form" "$CLI" verify "sim:periodic:8" 50
 check_rc "count, spec form, with an argument after batch exits 2" 2 \
   "$CLI" count "rt:bitonic:8" 2 1000 8 walk

@@ -83,10 +83,6 @@ bool validate_deploy_spec(const run::BackendSpec& spec, std::uint32_t tiles,
     return fail("only the rt family deploys across processes (got " +
                 std::string(run::family_name(spec.family)) + ")");
   }
-  if (spec.mcs) {
-    return fail("mcs balancers cannot cross processes (MCS queue nodes live on caller "
-                "stacks, which are process-private)");
-  }
   if (spec.degrade != rt::DegradePolicy::kOff) {
     return fail("degrade does not deploy (the guard watches an obs sink, and deploy tiles "
                 "keep none)");

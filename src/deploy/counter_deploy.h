@@ -91,9 +91,7 @@ struct DeployReport {
   std::string to_text() const;
 };
 
-/// Whether `spec` can be deployed across processes: rt family on the
-/// compiled plan with fetch-add balancers (MCS queue nodes live on caller
-/// stacks, which do not survive a cross-process SIGKILL), no `metrics` or
+/// Whether `spec` can be deployed across processes: rt family, no `metrics` or
 /// `degrade=` (tiles keep no obs sink, so either knob would be dropped), a
 /// thread budget covering tiles x threads_per_tile (itself at most
 /// run::kMaxOsThreads), and a fault plan that is empty or die-only (`die:n`

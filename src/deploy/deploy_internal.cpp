@@ -1,5 +1,7 @@
 #include "deploy/deploy_internal.h"
 
+#include <sys/prctl.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -56,7 +58,6 @@ bool check_options(const DeployOptions& options, std::uint32_t tiles, std::uint3
 
 DeployReport supervise(const DeployOptions& options, Deployment& d, DeployReport report) {
   topo::Network net = options.spec.build_network();
-  const rt::CounterOptions copts = options.spec.counter_options();
   const auto streams = static_cast<std::uint32_t>(d.streams.size());
   std::uint64_t records = 0;
   for (Stream& stream : d.streams) {
@@ -69,7 +70,7 @@ DeployReport supervise(const DeployOptions& options, Deployment& d, DeployReport
   // below fits exactly. All of it is laid out before the first fork.
   const std::uint64_t shared[][2] = {  // {align, footprint} per kSharedObjects entry
       {rt::NetworkCounter::state_align(),
-       std::max<std::uint64_t>(rt::NetworkCounter::state_footprint(net, copts), 1)},
+       std::max<std::uint64_t>(rt::NetworkCounter::state_footprint(net), 1)},
       {alignof(ControlBlock), sizeof(ControlBlock)},
       {alignof(StreamCursor), std::uint64_t{streams} * sizeof(StreamCursor)},
       {alignof(OpRecord), std::max<std::uint64_t>(records, 1) * sizeof(OpRecord)}};
@@ -107,7 +108,7 @@ DeployReport supervise(const DeployOptions& options, Deployment& d, DeployReport
   // Construct the shared state once, supervisor-side; tiles only attach.
   std::uint64_t plan_footprint = 0;
   void* plan_base = ws.find(kPlanObj, &plan_footprint);
-  rt::NetworkCounter counter(std::move(net), copts,
+  rt::NetworkCounter counter(std::move(net), options.spec.counter_options(),
                              rt::PlanArena{plan_base, plan_footprint, false});
   auto* ctl = new (ws.find(kCtlObj)) ControlBlock();
   auto* cursors = static_cast<StreamCursor*>(ws.find(kCursorObj));
@@ -324,6 +325,14 @@ DeployReport supervise(const DeployOptions& options, Deployment& d, DeployReport
 }
 
 int open_tile(int ws_fd, TileEnv* env) {
+  // A tile waits in 50-100 us sleeps (an empty link, link credit, the boot
+  // barrier). Under the default 50 us timer slack a 50 us sleep could last
+  // 100 us, near the ~115 us of work a 128-frag link holds, so in the
+  // pipeline one stage's oversleep stalled the stages feeding it, and its
+  // p99 read about 120 or about 180 us from one run to the next
+  // (EXPERIMENTS.md, "deploy tiles sleep what they ask"). The tile's
+  // threads inherit the slack; the supervisor keeps its own.
+  ::prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
   std::string error;
   if (!shm::Workspace::attach(ws_fd, &env->ws, &error)) return 10;
   env->ctl = static_cast<ControlBlock*>(env->ws.find(kCtlObj));

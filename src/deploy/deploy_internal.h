@@ -179,8 +179,9 @@ struct TileEnv {
   OpRecord* hist = nullptr;  ///< kHistObj; a stream's slice starts at its base
 };
 
-/// Re-attaches the inherited workspace fd. Nonzero = tile exit code:
-/// 10 attach failed, 11 a shared object is missing.
+/// Re-attaches the inherited workspace fd and sets the tile's timer slack
+/// to 1 ns, so its short sleeps last what they ask for. Nonzero = tile
+/// exit code: 10 attach failed, 11 a shared object is missing.
 int open_tile(int ws_fd, TileEnv* env);
 
 /// Adopts the counter state supervise() built in the workspace's kPlanObj;

@@ -124,10 +124,6 @@ struct PsimMetrics {
   LogHistogram op_latency_cycles;   ///< start-to-completion, every operation
   LogHistogram hop_latency_cycles;  ///< per-node traversal, every hop
 
-  /// Optional flight recorder (cycle-stamped; dump with ts_per_us = 1.0 to
-  /// view one cycle per microsecond in chrome://tracing).
-  TraceRing trace;
-
   /// Cycle-exact analogue of CounterMetrics::c2c1_estimate(); compare with
   /// the paper's (Tog + W)/Tog from psim::MachineResult. Same tail
   /// semantics: 0.9 measures bulk skew, 0.999 chases rare slow links

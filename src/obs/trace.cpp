@@ -40,7 +40,7 @@ std::uint64_t TraceRing::size() const noexcept {
   return total;
 }
 
-std::string TraceRing::dump_chrome_json(double ts_per_us) const {
+std::string TraceRing::dump_chrome_json() const {
   std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   bool first = true;
   char buf[256];
@@ -55,8 +55,8 @@ std::string TraceRing::dump_chrome_json(double ts_per_us) const {
                     "%s{\"name\":\"%s %u\",\"ph\":\"X\",\"pid\":0,\"tid\":%u,"
                     "\"ts\":%.3f,\"dur\":%.3f,\"args\":{\"id\":%u}}",
                     first ? "" : ",", phase_name(ev.phase), ev.id, ev.track,
-                    static_cast<double>(ev.ts) / ts_per_us,
-                    static_cast<double>(ev.dur) / ts_per_us, ev.id);
+                    static_cast<double>(ev.ts) / 1000.0,
+                    static_cast<double>(ev.dur) / 1000.0, ev.id);
       out += buf;
       first = false;
     }

@@ -5,9 +5,8 @@
 // dump_chrome_json() renders whatever the rings currently hold as a Chrome
 // trace-event JSON document (load it in chrome://tracing or ui.perfetto.dev).
 //
-// Timestamps are opaque uint64s: the rt backend records now_ns()
-// nanoseconds, psim records simulated cycles — the dump scales both to the
-// microseconds chrome://tracing expects via `ts_per_us`.
+// Timestamps are now_ns() nanoseconds, recorded by the rt counter's sampled
+// tokens; the dump scales them to the microseconds chrome://tracing expects.
 #pragma once
 
 #include <cstdint>
@@ -27,9 +26,9 @@ enum class TracePhase : std::uint8_t {
 
 /// One recorded event. 32 bytes; plain data, copied into the ring.
 struct TraceEvent {
-  std::uint64_t ts = 0;    ///< start timestamp (ns on rt, cycles on psim)
-  std::uint64_t dur = 0;   ///< duration in the same unit
-  std::uint32_t track = 0; ///< caller thread / simulated processor id
+  std::uint64_t ts = 0;    ///< start timestamp (ns)
+  std::uint64_t dur = 0;   ///< duration (ns)
+  std::uint32_t track = 0; ///< caller thread id
   std::uint32_t id = 0;    ///< node index or entry input (see phase)
   TracePhase phase = TracePhase::kHop;
 };
@@ -57,10 +56,9 @@ class TraceRing {
   /// Events currently held (sum over shards, capped by capacity).
   std::uint64_t size() const noexcept;
 
-  /// Chrome trace-event JSON ("traceEvents" array of complete events).
-  /// `ts_per_us` converts recorded timestamps to microseconds: 1000.0 for
-  /// nanosecond stamps, 1.0 to display one simulated cycle per microsecond.
-  std::string dump_chrome_json(double ts_per_us = 1000.0) const;
+  /// Chrome trace-event JSON ("traceEvents" array of complete events), with
+  /// the nanosecond stamps converted to microseconds.
+  std::string dump_chrome_json() const;
 
  private:
   struct alignas(kCacheLine) Ring {

@@ -172,10 +172,7 @@ class Machine {
         // cycles: the p90/p10 ratio of this histogram is the estimator's
         // stand-in for the paper's (Tog + W) / Tog.
         if (params_.metrics != nullptr) {
-          const Cycle d = engine_.now() - hop_start;
-          params_.metrics->hop_latency_cycles.record(p, d);
-          params_.metrics->trace.record(
-              p, obs::TraceEvent{hop_start, d, p, node, obs::TracePhase::kHop});
+          params_.metrics->hop_latency_cycles.record(p, engine_.now() - hop_start);
         }
         at = net_->node(node).out[port];
       }
@@ -183,12 +180,6 @@ class Machine {
       const std::uint64_t value = at.port + nth * net_->output_width();
       ++completed_;
       const auto end = static_cast<double>(engine_.now());
-      if (params_.metrics != nullptr) {
-        params_.metrics->trace.record(
-            p, obs::TraceEvent{static_cast<std::uint64_t>(start),
-                               static_cast<std::uint64_t>(end - start), p, wire,
-                               obs::TracePhase::kOp});
-      }
       history_.push_back(lin::Operation{start, end, value, p});
       if (params_.record_hops) op_hops_.push_back(std::move(hop_records));
     }

@@ -1,6 +1,8 @@
 // Mellor-Crummey & Scott queue lock on std::atomic — the real-hardware
-// counterpart of psim::McsLock, used by the rt balancers when configured for
-// the paper's critical-section balancer implementation.
+// counterpart of psim::McsLock. On real threads it guards the §1 baseline,
+// a central counter under one lock (bench/throughput_rt.cpp,
+// BM_McsLockedCounter); the §5 balancers that run as MCS critical sections
+// live in psim, where Figures 5-7 are reproduced.
 //
 // Queue nodes live on the acquirer's stack: they are only touched between
 // acquire() and the matching release(), both called in the same scope.

@@ -31,36 +31,25 @@ WaveScratch& wave_scratch(std::size_t positions) {
 
 }  // namespace
 
-NetworkCounter::Kind NetworkCounter::classify(const topo::Node& node,
-                                              const CounterOptions& options) {
-  if (node.is_pass_through()) return Kind::kPass;
-  return options.mode == BalancerMode::kMcsLocked ? Kind::kMcs : Kind::kToggle;
+NetworkCounter::Kind NetworkCounter::classify(const topo::Node& node) {
+  return node.is_pass_through() ? Kind::kPass : Kind::kToggle;
 }
 
-NetworkCounter::StateLayout NetworkCounter::compute_layout(const topo::Network& net,
-                                                           const CounterOptions& options) {
+NetworkCounter::StateLayout NetworkCounter::compute_layout(const topo::Network& net) {
   StateLayout layout;
   for (const topo::Node& node : net.nodes()) {
-    const Kind kind = classify(node, options);
-    layout.n_toggles += kind == Kind::kToggle ? 1 : 0;
-    layout.n_mcs += kind == Kind::kMcs ? 1 : 0;
+    layout.n_toggles += classify(node) == Kind::kToggle ? 1 : 0;
   }
-  // Every element type is alignas(kCacheLine) with a cache-line-multiple
-  // size, so packing the sections back to back keeps them all aligned.
-  std::size_t cursor = 0;
-  layout.toggle_off = cursor;
-  cursor += layout.n_toggles * sizeof(ToggleState);
-  layout.mcs_off = cursor;
-  cursor += layout.n_mcs * sizeof(McsState);
-  layout.outputs_off = cursor;
-  cursor += net.output_width() * sizeof(Padded<std::atomic<std::uint64_t>>);
-  layout.total = cursor;
+  // Both element types are alignas(kCacheLine) with a cache-line-multiple
+  // size, so packing the sections back to back keeps them both aligned.
+  layout.outputs_off = layout.n_toggles * sizeof(ToggleState);
+  layout.total =
+      layout.outputs_off + net.output_width() * sizeof(Padded<std::atomic<std::uint64_t>>);
   return layout;
 }
 
-std::size_t NetworkCounter::state_footprint(const topo::Network& net,
-                                            const CounterOptions& options) {
-  return compute_layout(net, options).total;
+std::size_t NetworkCounter::state_footprint(const topo::Network& net) {
+  return compute_layout(net).total;
 }
 
 NetworkCounter::NetworkCounter(topo::Network net, const CounterOptions& options,
@@ -76,18 +65,18 @@ NetworkCounter::NetworkCounter(topo::Network net, const CounterOptions& options,
   state_idx_.resize(n_nodes);
   succ_offset_.resize(n_nodes);
 
-  // Pass 1: classify nodes and assign dense per-kind state slots (the same
-  // classification compute_layout() sizes the sections with).
-  std::uint32_t next_idx[static_cast<std::size_t>(Kind::kPass) + 1] = {};
+  // Pass 1: classify nodes and assign each toggle a dense state slot (the
+  // same classification compute_layout() sizes the sections with).
+  std::uint32_t next_toggle = 0;
   for (topo::NodeId id = 0; id < n_nodes; ++id) {
     fan_out_[id] = net_.node(id).fan_out;
-    kind_[id] = classify(net_.node(id), options);
-    state_idx_[id] = next_idx[static_cast<std::size_t>(kind_[id])]++;
+    kind_[id] = classify(net_.node(id));
+    if (kind_[id] == Kind::kToggle) state_idx_[id] = next_toggle++;
   }
   // Home the shared state: a caller-provided arena (workspace deployment)
   // or a private cache-line-aligned heap block (the in-process default).
-  const StateLayout layout = compute_layout(net_, options);
-  const std::uint32_t n_toggles = layout.n_toggles, n_mcs = layout.n_mcs;
+  const StateLayout layout = compute_layout(net_);
+  const std::uint32_t n_toggles = layout.n_toggles;
   std::byte* base = nullptr;
   bool construct = true;
   if (arena.base == nullptr) {
@@ -101,12 +90,10 @@ NetworkCounter::NetworkCounter(topo::Network net, const CounterOptions& options,
     base = static_cast<std::byte*>(arena.base);
     construct = !arena.attach;
   }
-  if (n_toggles != 0) toggles_ = reinterpret_cast<ToggleState*>(base + layout.toggle_off);
-  if (n_mcs != 0) mcs_ = reinterpret_cast<McsState*>(base + layout.mcs_off);
+  if (n_toggles != 0) toggles_ = reinterpret_cast<ToggleState*>(base);
   outputs_ = reinterpret_cast<Padded<std::atomic<std::uint64_t>>*>(base + layout.outputs_off);
   if (construct) {
     for (std::uint32_t i = 0; i < n_toggles; ++i) new (&toggles_[i]) ToggleState();
-    for (std::uint32_t i = 0; i < n_mcs; ++i) new (&mcs_[i]) McsState();
     for (std::uint32_t i = 0; i < output_width_; ++i) {
       new (&outputs_[i]) Padded<std::atomic<std::uint64_t>>();
     }
@@ -150,11 +137,10 @@ NetworkCounter::NetworkCounter(topo::Network net, const CounterOptions& options,
   for (std::uint32_t pos = 0; pos < wave_node_.size(); ++pos) wave_pos_[wave_node_[pos]] = pos;
 
   // Homogeneity profile: with only fan-out-2 toggles left in the tables,
-  // state_idx_ == a dense renumbering and the switch can be hoisted.
+  // `% fan_out` reduces to `& 1`.
   homogeneous_toggle_fan2_ = true;
   for (topo::NodeId id = 0; id < n_nodes; ++id) {
-    if (kind_[id] == Kind::kPass) continue;
-    if (kind_[id] != Kind::kToggle || fan_out_[id] != 2) {
+    if (kind_[id] == Kind::kToggle && fan_out_[id] != 2) {
       homogeneous_toggle_fan2_ = false;
       break;
     }
@@ -174,20 +160,18 @@ NetworkCounter::NetworkCounter(topo::Network net, const CounterOptions& options,
 NetworkCounter::~NetworkCounter() {
   // Keep the final reading while the state exists.
   if (metrics_ != nullptr) metrics_->balancer_visits.release();
-  // Every state element is trivially destructible (atomics and the MCS
-  // tail pointer), so only the owned block itself needs releasing; an
-  // arena-resident counter leaves the shared state to outlive it.
+  // Every state element is a trivially destructible atomic, so only the
+  // owned block itself needs releasing; an arena-resident counter leaves the
+  // shared state to outlive it.
   if (owned_ != nullptr) ::operator delete(owned_, std::align_val_t{kCacheLine});
 }
 
 void NetworkCounter::bind_state_counts() {
-  // A toggle's or MCS node's count is its visit count.
+  // A toggle's count is its visit count.
   std::vector<std::pair<std::uint32_t, const std::atomic<std::uint64_t>*>> visits;
   const auto n_nodes = static_cast<std::uint32_t>(kind_.size());
   for (std::uint32_t id = 0; id < n_nodes; ++id) {
-    const std::uint32_t i = state_idx_[id];
-    if (kind_[id] == Kind::kToggle) visits.emplace_back(id, &toggles_[i].count);
-    if (kind_[id] == Kind::kMcs) visits.emplace_back(id, &mcs_[i].count);
+    if (kind_[id] == Kind::kToggle) visits.emplace_back(id, &toggles_[state_idx_[id]].count);
   }
   metrics_->balancer_visits.bind(
       n_nodes, [visits = std::move(visits)](std::span<std::uint64_t> out) {
@@ -197,16 +181,9 @@ void NetworkCounter::bind_state_counts() {
 
 // One state step for `tokens` tokens crossing `node` together. Returns the
 // step's first count t0: its j-th token leaves on port (t0 + j) mod fan-out.
+// The tables resolve pass nodes away, so every node a walk meets is a toggle.
 std::uint64_t NetworkCounter::cross(std::uint32_t node, std::uint64_t tokens) {
-  const std::uint32_t i = state_idx_[node];
-  if (kind_[node] == Kind::kMcs) {
-    McsLock::Guard guard(mcs_[i].lock);
-    const std::uint64_t t = mcs_[i].count.load(std::memory_order_relaxed);
-    mcs_[i].count.store(t + tokens, std::memory_order_relaxed);
-    return t;
-  }
-  // A toggle: the tables resolve pass nodes away, so no walk meets one.
-  return toggles_[i].count.fetch_add(tokens, std::memory_order_acq_rel);
+  return toggles_[state_idx_[node]].count.fetch_add(tokens, std::memory_order_acq_rel);
 }
 
 std::uint32_t NetworkCounter::traverse(std::uint32_t node) {
@@ -222,7 +199,7 @@ std::uint32_t NetworkCounter::route(std::uint32_t thread_id, std::uint32_t input
   }
   std::uint32_t hop = entry_[input];
   if (after_node == nullptr && homogeneous_toggle_fan2_) {
-    // Hoisted loop: every node is a fetch-add toggle with two outputs.
+    // Hoisted loop: every toggle has two outputs.
     while ((hop & kOutputBit) == 0) {
       const std::uint64_t t =
           toggles_[state_idx_[hop]].count.fetch_add(1, std::memory_order_acq_rel);

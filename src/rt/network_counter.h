@@ -1,18 +1,16 @@
 // Real-thread executor for any topo::Network: the library's production-grade
 // shared counter.
 //
-// Every balancing node becomes one of:
-//  * FetchAdd  — a single atomic traversal counter; the t-th token leaves on
-//                port t mod fan_out. This is the classic lock-free
-//                shared-memory balancer of [4] generalized to any fan-out
-//                (for 2x2 it degenerates to the toggle bit).
-//  * McsLocked — the paper's §5 configuration: the traversal counter inside
-//                a critical section protected by an MCS queue lock.
+// Every balancing node becomes a fetch-add toggle: a single atomic traversal
+// counter whose t-th token leaves on port t mod fan_out. This is the classic
+// lock-free shared-memory balancer of [4] generalized to any fan-out (for 2x2
+// it degenerates to the toggle bit).
 //
-// The diffracting tree's prism balancers [21]/[20] live in psim only
-// (psim/balancer.h), where Figure 6 needs them. On real threads a prism ran
-// 7-68x slower than the toggle it falls back to (EXPERIMENTS.md, "rt keeps
-// no prism"), so rt counts a tree through plain toggles.
+// The paper's §5 balancer variants live in psim only (psim/balancer.h),
+// where Figures 5-7 need them: MCS-locked toggles and the diffracting
+// tree's prisms [21]/[20]. On real threads neither was ever faster than the
+// plain toggle (EXPERIMENTS.md, "rt keeps no prism" and "rt keeps one
+// balancer"), so rt counts every network through fetch-add toggles.
 //
 // Output port Y_i hands out i, i+w, i+2w, ... via a per-output atomic.
 //
@@ -25,43 +23,43 @@
 //   * one successor table `succ_[succ_offset_[n] + port]` holding the packed
 //     next hop (node index, or kOutputBit | output port) — a single load per
 //     layer;
-//   * per-node balancer state split *by kind* into dense, cache-line-aligned
-//     arrays (fetch-add toggles, MCS-locked counts), so a token touches
-//     exactly one contended line per node and no unique_ptr indirection;
+//   * per-node balancer state in one dense array of cache-line-aligned
+//     toggles, so a token touches exactly one contended line per node and no
+//     unique_ptr indirection;
 //   * pass-through (1-in/1-out, Cor 3.12 padding) nodes compiled away on
 //     every walk: the successor and entry tables resolve pass chains, which
 //     routing cannot observe (a pass node's port is always 0). A padded
 //     network hands out its base's values, and its pass hops cost no time,
 //     so padding buys no Cor 3.12 guarantee here;
-//   * a homogeneity profile: when every balancer is a fetch-add toggle with
-//     fan-out 2 (bitonic, periodic, padded networks — the common production
-//     configurations), traversal runs a specialized loop with the kind switch
-//     hoisted out entirely and `% fan_out` strength-reduced to `& 1`.
+//   * a homogeneity profile: when every balancer has fan-out 2 (bitonic,
+//     periodic, padded networks, counting trees — the common production
+//     configurations), traversal runs a specialized loop with `% fan_out`
+//     strength-reduced to `& 1`.
 //
 // next_batch() moves a caller-supplied batch through the network as one
 // wave. The k tokens enter as one count; each balancer they reach takes one
-// state step for the c tokens arriving together (a toggle's fetch_add(c), or
-// one MCS lock hold adding c) and splits c into per-port sub-batches by the
-// t mod fan_out rule: the step's first count t0 sends its j-th token out of
-// port (t0 + j) mod fan_out. Sub-batches that meet at a node merge, because
-// the wave visits nodes in layer order and touches only the nodes its tokens
-// reach. Each exit port then claims its block with one fetch_add(c),
-// expanded locally to port + (nth + i) * w. One state step for c tokens is c
-// consecutive crossings of that balancer, so a wave is a legal interleaving
+// state step for the c tokens arriving together (the toggle's fetch_add(c))
+// and splits c into per-port sub-batches by the t mod fan_out rule: the
+// step's first count t0 sends its j-th token out of port (t0 + j) mod
+// fan_out. Sub-batches that meet at a node merge, because the wave visits
+// nodes in layer order and touches only the nodes its tokens reach. Each
+// exit port then claims its block with one fetch_add(c), expanded locally to
+// port + (nth + i) * w. One state step for c tokens is c consecutive
+// crossings of that balancer, so a wave is a legal interleaving
 // of its tokens: the counting and step properties hold under concurrency,
 // and single-threaded a batch claims the values k next() calls would claim.
 // It returns them ascending, which on a counting network is exactly the
 // sequence those calls return.
 //
-// Single-threaded, both balancer kinds route alike (t-th token out of port
-// t mod fan_out), so the counter's values match topo::SequentialRouter
-// token for token (tests/rt_network_counter_test.cpp cross-checks the two).
+// Single-threaded, a toggle routes as the sequential balancer does (t-th
+// token out of port t mod fan_out), so the counter's values match
+// topo::SequentialRouter token for token (tests/rt_network_counter_test.cpp
+// cross-checks the two).
 //
 // Thread identity: callers pass a small dense `thread_id` (unique among
 // concurrent callers, below CounterOptions::max_threads), which picks the
 // caller's obs shard and, through next(thread_id), its entry input. Routing
-// itself is oblivious to threads; MCS queue nodes live on the caller's
-// stack.
+// itself is oblivious to threads.
 //
 // Observability: point CounterOptions::metrics at an obs::CounterMetrics to
 // record throughput and sampled latencies; per-balancer visits are read
@@ -77,7 +75,6 @@
 #include <vector>
 
 #include "rt/degrade_guard.h"
-#include "rt/mcs_lock.h"
 #include "topo/network.h"
 #include "util/cacheline.h"
 
@@ -87,16 +84,9 @@ struct CounterMetrics;  // obs/backend_metrics.h
 
 namespace cnet::rt {
 
-/// How a balancing node updates its traversal count.
-enum class BalancerMode {
-  kFetchAdd,   ///< lock-free atomic balancers
-  kMcsLocked,  ///< balancers as MCS-protected critical sections (§5)
-};
-
 /// Configuration of an rt::NetworkCounter. The defaults are the production
-/// setup: lock-free fetch-add balancers, no instrumentation.
+/// setup: no instrumentation.
 struct CounterOptions {
-  BalancerMode mode = BalancerMode::kFetchAdd;
   /// Maximum concurrent threads: next() and next_batch() check that
   /// thread_id stays below it.
   std::uint32_t max_threads = 256;
@@ -126,8 +116,8 @@ struct CounterOptions {
 /// exit port its balancer chose.
 using NodeHook = void (*)(void* ctx, std::uint32_t node, std::uint32_t port);
 
-/// Caller-provided home for a counter's shared balancer state (toggles, MCS
-/// counts, exit-port counters). The arena must be at least
+/// Caller-provided home for a counter's shared balancer state (toggles and
+/// exit-port counters). The arena must be at least
 /// NetworkCounter::state_footprint() bytes, aligned to
 /// NetworkCounter::state_align() — a shm::Workspace object qualifies,
 /// which is how one counter's state is driven by N worker processes (see
@@ -139,7 +129,7 @@ struct PlanArena {
   std::size_t size = 0;
   /// false: construct (zero) the state in place — the first process, or any
   /// in-process use. true: adopt state another process already constructed
-  /// in the same arena (same network, same options): offsets are recomputed
+  /// in the same arena (same network): offsets are recomputed
   /// locally and the live atomics are left untouched, which is what a
   /// restarted tile does after re-attaching its workspace.
   bool attach = false;
@@ -158,11 +148,10 @@ class NetworkCounter {
                           const PlanArena& arena = {});
   ~NetworkCounter();
 
-  /// Bytes of shared state a counter compiled from (net, options) places
-  /// into its arena. Deterministic: every process that computes the same
-  /// (net, options) computes the same footprint and internal offsets.
-  static std::size_t state_footprint(const topo::Network& net,
-                                     const CounterOptions& options = {});
+  /// Bytes of shared state a counter compiled from `net` places into its
+  /// arena. Deterministic: every process that computes it for the same
+  /// network computes the same footprint and internal offsets.
+  static std::size_t state_footprint(const topo::Network& net);
   /// Required arena alignment.
   static constexpr std::size_t state_align() { return kCacheLine; }
 
@@ -211,8 +200,8 @@ class NetworkCounter {
   /// history (a SIGKILLed worker tile).
   std::uint64_t output_count(std::uint32_t port) const;
 
-  /// True when traversal runs the hoisted homogeneous fetch-add/fan-out-2
-  /// loop (exposed for tests).
+  /// True when traversal runs the hoisted fan-out-2 loop (exposed for
+  /// tests).
   bool homogeneous_toggle_fan2() const { return homogeneous_toggle_fan2_; }
 
   /// The degraded-mode guard, when CounterOptions::degrade enabled one
@@ -221,26 +210,22 @@ class NetworkCounter {
   const DegradeGuard* degrade_guard() const { return guard_.get(); }
 
  private:
-  enum class Kind : std::uint8_t { kToggle, kMcs, kPass };
+  enum class Kind : std::uint8_t { kToggle, kPass };
 
   struct alignas(kCacheLine) ToggleState {
     std::atomic<std::uint64_t> count{0};
   };
-  struct alignas(kCacheLine) McsState {
-    McsLock lock;
-    std::atomic<std::uint64_t> count{0};
-  };
 
-  /// Arena section offsets: where each per-kind state array lives relative
-  /// to the arena base. Pure function of (net, options) — see
+  /// Arena section offsets: where the toggle and output arrays live relative
+  /// to the arena base. Pure function of the network — see
   /// state_footprint()'s determinism contract.
   struct StateLayout {
-    std::uint32_t n_toggles = 0, n_mcs = 0;
-    std::size_t toggle_off = 0, mcs_off = 0, outputs_off = 0;
+    std::uint32_t n_toggles = 0;
+    std::size_t outputs_off = 0;
     std::size_t total = 0;
   };
-  static StateLayout compute_layout(const topo::Network& net, const CounterOptions& options);
-  static Kind classify(const topo::Node& node, const CounterOptions& options);
+  static StateLayout compute_layout(const topo::Network& net);
+  static Kind classify(const topo::Node& node);
 
   /// Packed hop: node index, or kOutputBit | network output port.
   static constexpr std::uint32_t kOutputBit = 0x80000000u;
@@ -266,7 +251,7 @@ class NetworkCounter {
   // --- compiled topology (immutable after construction) -----------------
   std::vector<Kind> kind_;                 ///< per node
   std::vector<std::uint32_t> fan_out_;     ///< per node
-  std::vector<std::uint32_t> state_idx_;   ///< per node, into its kind's array
+  std::vector<std::uint32_t> state_idx_;   ///< per node, into toggles_
   std::vector<std::uint32_t> succ_offset_; ///< per node, into succ_
   /// Packed hops, grouped by node, and the hop each network input enters
   /// at; both with pass chains resolved.
@@ -278,12 +263,11 @@ class NetworkCounter {
   std::vector<std::uint32_t> wave_node_;
   std::vector<std::uint32_t> wave_pos_;
 
-  // --- balancer state, dense per kind, in one arena block -----------------
+  // --- balancer state, dense, in one arena block ---------------------------
   // Raw pointers into either `owned_` (default: private heap block) or a
   // caller-provided PlanArena (workspace deployment). Section order is
-  // toggles | mcs | outputs, per compute_layout().
+  // toggles | outputs, per compute_layout().
   ToggleState* toggles_ = nullptr;
-  McsState* mcs_ = nullptr;
   Padded<std::atomic<std::uint64_t>>* outputs_ = nullptr;
   void* owned_ = nullptr;  ///< set iff the counter allocated its own arena
 

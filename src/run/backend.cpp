@@ -46,27 +46,6 @@ void after_node(void* c, std::uint32_t node, std::uint32_t port) {
   if (ctx->recorder != nullptr) ctx->recorder->hop(ctx, node, port, stall);
 }
 
-/// Workspace placement for `ws=` specs: the counter's state goes into a
-/// named shm segment this backend creates and owns. In-process behavior
-/// is identical to heap placement — this is the single-process half of the
-/// deployment story (deploy/counter_deploy.cpp runs the multi-process
-/// half, where tiles attach instead of create). A spec without ws= returns
-/// the empty arena, i.e. the counter allocates privately as before.
-rt::PlanArena make_plan_arena(const BackendSpec& spec, obs::CounterMetrics* metrics,
-                              shm::Workspace* workspace) {
-  if (spec.ws.empty()) return {};
-  const std::size_t footprint =
-      rt::NetworkCounter::state_footprint(spec.build_network(), spec.counter_options(metrics));
-  std::string error;
-  const bool created = shm::Workspace::create(
-      spec.ws, std::max<std::uint64_t>(footprint, 1), workspace, &error);
-  CNET_CHECK_MSG(created, error.c_str());
-  void* base = workspace->alloc("rt.plan", rt::NetworkCounter::state_align(),
-                                std::max<std::uint64_t>(footprint, 1), &error);
-  CNET_CHECK_MSG(base != nullptr, error.c_str());
-  return rt::PlanArena{base, footprint, /*attach=*/false};
-}
-
 mp::NetworkService::Options mp_options(const BackendSpec& spec, obs::MpMetrics* metrics,
                                        fault::Injector* injector) {
   mp::NetworkService::Options options;
@@ -192,8 +171,7 @@ RtBackend::RtBackend(const BackendSpec& spec, obs::CounterMetrics* external_metr
                          : nullptr),
       metrics_(external_metrics != nullptr ? external_metrics : owned_metrics_.get()),
       fault_(make_injector(spec)),
-      counter_(spec.build_network(), spec.counter_options(metrics_),
-               make_plan_arena(spec, metrics_, &workspace_)) {}
+      counter_(spec.build_network(), spec.counter_options(metrics_)) {}
 
 std::uint64_t RtBackend::count(std::uint32_t thread_id) { return count_delayed(thread_id, 0); }
 

@@ -31,7 +31,6 @@
 #include "rt/network_counter.h"
 #include "run/backend_spec.h"
 #include "run/workload.h"
-#include "shm/workspace.h"
 #include "topo/network.h"
 
 namespace cnet::sched {
@@ -207,10 +206,6 @@ class RtBackend final : public CountingBackend {
   obs::CounterMetrics* metrics_ = nullptr;
   std::unique_ptr<fault::Injector> fault_;  ///< set iff the spec carries a plan
   sched::Recorder* recorder_ = nullptr;     ///< borrowed; null = capture off
-  /// Live iff the spec asked for workspace placement (`ws=`): the counter's
-  /// balancer state then lives in this named shared segment instead of the
-  /// heap. Declared before counter_ — the arena must outlive the counter.
-  shm::Workspace workspace_;
   rt::NetworkCounter counter_;
 };
 

@@ -153,7 +153,12 @@ bool apply_rt_option(const Parser& p, const Option& opt, BackendSpec* spec) {
                   "toggle it falls back to, so rt:tree:W counts through plain toggles (the "
                   "diffracting tree of Figure 6 runs on psim:tree:W?diffraction=on)");
   }
-  if (opt.key == "mcs") return parse_on_off(p, opt.key, opt.value, &spec->mcs);
+  if (opt.key == "mcs") {
+    return p.fail("option 'mcs' does not apply to rt: on real threads MCS-locked balancers "
+                  "were never faster than the fetch-add toggles rt counts through, and their "
+                  "queue nodes live on caller stacks no other process can reach (the paper's "
+                  "MCS-locked network of §5 runs on psim:bitonic:W)");
+  }
   if (opt.key == "threads") {
     if (!parse_u32(opt.value, &spec->max_threads) || spec->max_threads == 0) {
       return p.fail("option 'threads' takes a bound >= 1 (got '" + std::string(opt.value) +
@@ -209,7 +214,7 @@ bool apply_rt_option(const Parser& p, const Option& opt, BackendSpec* spec) {
     return p.fail("option 'pipeline' takes on|off|1|0 (got '" + std::string(opt.value) + "')");
   }
   return p.fail("unknown rt option '" + std::string(opt.key) +
-                "' (valid: mcs, threads, degrade, ws, tiles, pipeline, metrics, fault)");
+                "' (valid: threads, degrade, ws, tiles, pipeline, metrics, fault)");
 }
 
 bool apply_psim_option(const Parser& p, const Option& opt, BackendSpec* spec) {
@@ -268,7 +273,7 @@ bool apply_sim_option(const Parser& p, const Option& opt, BackendSpec* spec) {
 }
 
 bool apply_mp_option(const Parser& p, const Option& opt, BackendSpec* spec) {
-  if (opt.key == "actors" || opt.key == "workers") {
+  if (opt.key == "actors") {
     if (!parse_u32(opt.value, &spec->actors) || spec->actors == 0 ||
         spec->actors > kMaxOsThreads) {
       return p.fail("option 'actors' takes a worker count >= 1, capped at " +
@@ -421,11 +426,16 @@ bool parse_spec(std::string_view text, BackendSpec* out, std::string* error) {
   std::vector<Option> options;
   if (!split_options(p, options_text, &options)) return false;
   bool rt_pad = false;  // refused after the loop, so another bad option names itself
+  // Keys that select nothing unless another key is set, refused after the
+  // loop so the order of the keys does not matter.
+  bool prism_key = false, c2_key = false;
   for (const Option& opt : options) {
     if (out->family == Family::kRt && opt.key == "pad") {
       rt_pad = true;
       continue;
     }
+    prism_key = prism_key || opt.key == "prism";
+    c2_key = c2_key || opt.key == "c2";
     bool handled = false;
     if (!apply_common_option(p, opt, out, &handled)) return false;
     if (handled) continue;
@@ -443,6 +453,14 @@ bool parse_spec(std::string_view text, BackendSpec* out, std::string* error) {
                   "in no time, so padding buys no Cor 3.12 guarantee (sim, psim and mp keep "
                   "pad=; on rt, metrics&degrade=report checks Cor 3.9 online)");
   }
+  if (prism_key && out->family == Family::kPsim && !out->diffraction) {
+    return p.fail("option 'prism' requires diffraction=on: psim builds prisms only on a "
+                  "diffracting tree, so without it the slot count sizes nothing");
+  }
+  if (c2_key && out->family == Family::kSim && out->delay == DelayKind::kFixed) {
+    return p.fail("option 'c2' does not apply to model=fixed: every link takes exactly c1, so "
+                  "c2 bounds nothing (model=uniform draws link times from [c1, c2])");
+  }
 
   return validate_combination(p, out);
 }
@@ -458,7 +476,6 @@ std::string BackendSpec::to_string() const {
   const BackendSpec defaults{};
   switch (family) {
     case Family::kRt:
-      if (mcs) opts.push_back("mcs=on");
       if (max_threads != defaults.max_threads) {
         opts.push_back("threads=" + std::to_string(max_threads));
       }
@@ -518,7 +535,6 @@ topo::Network BackendSpec::build_network() const {
 
 rt::CounterOptions BackendSpec::counter_options(obs::CounterMetrics* sink) const {
   rt::CounterOptions options;
-  options.mode = mcs ? rt::BalancerMode::kMcsLocked : rt::BalancerMode::kFetchAdd;
   options.max_threads = max_threads;
   options.metrics = sink;
   options.degrade = degrade;

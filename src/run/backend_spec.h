@@ -76,9 +76,6 @@ struct BackendSpec {
   fault::FaultPlan fault{};
 
   // -- rt -------------------------------------------------------------
-  /// `mcs`: balancers as MCS critical sections instead of fetch_add (rt
-  /// only; psim's toggles are always MCS-locked).
-  bool mcs = false;
   /// `threads=<n>`: upper bound on concurrent caller ids (rt only).
   std::uint32_t max_threads = 256;
   /// `degrade=report`: the rt DegradeGuard downgrades the run's guarantee
@@ -86,10 +83,11 @@ struct BackendSpec {
   /// threshold (rt only; requires metrics=on, since the guard watches the
   /// obs c2/c1 estimator).
   rt::DegradePolicy degrade = rt::DegradePolicy::kOff;
-  /// `ws=<name>`: place the rt counter's shared balancer state in a
-  /// named shm::Workspace instead of the process heap (rt only). In-process
-  /// runs behave identically; this is the knob that makes the state
-  /// relocatable for `cnet_cli deploy` (deploy/).
+  /// `ws=<name>`: the shm::Workspace a deployment (`cnet_cli deploy`,
+  /// deploy/) places the rt counter's shared balancer state in, for its
+  /// tile processes to attach (rt only). Only a deployment places one: an
+  /// in-process run has no other process to share it with, so run::Runner
+  /// and svc::Server refuse a spec that carries it (kDeployOnlyKeys).
   std::string ws;
   /// `tiles=<n>`: worker processes for a deployment (requires ws=; the
   /// deploy layer validates the full combination, see
@@ -136,6 +134,13 @@ struct BackendSpec {
   /// backend's and a deployment's shared one — takes its options from here.
   rt::CounterOptions counter_options(obs::CounterMetrics* sink = nullptr) const;
 };
+
+/// Why an in-process run (run::Runner, svc::Server) refuses a spec that
+/// carries ws=, and with it tiles= and pipeline=, which both require ws=.
+inline constexpr const char* kDeployOnlyKeys =
+    "ws=, tiles= and pipeline= shape a multi-process deployment: only `cnet_cli deploy` "
+    "places the workspace its tiles attach, and an in-process run would count on the heap "
+    "and drop them (run the spec with `cnet_cli deploy`, or drop the three keys)";
 
 /// Parses `text` into `*out`. On failure returns false and, when `error` is
 /// non-null, stores a one-line diagnostic that echoes the offending spec.

@@ -131,6 +131,7 @@ RunReport Runner::run(CountingBackend& backend, const Workload& workload,
   report.workload = workload;
   report.time_unit = backend.time_unit();
 
+  if (!backend.spec().ws.empty()) return reject(std::move(report), kDeployOnlyKeys);
   if (workload.threads == 0) return reject(std::move(report), "workload needs threads >= 1");
   if (capture != nullptr && !backend.set_recorder(capture)) {
     return reject(std::move(report),

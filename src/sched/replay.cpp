@@ -29,7 +29,6 @@ ReplayResult replay(const topo::Network& net, const Trace& trace, const ReplayOp
   psim::MachineParams params;
   params.script = &script;
   params.hop_cycles = options.hop_cycles;
-  params.seed = options.seed;
   psim::MachineResult result = psim::run_workload(net, params);
   out.analysis = result.analysis;
   out.makespan = result.makespan;

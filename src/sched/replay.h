@@ -24,7 +24,6 @@ namespace cnet::sched {
 
 struct ReplayOptions {
   std::uint32_t hop_cycles = 4;  ///< psim inter-node cost (MachineParams)
-  std::uint64_t seed = 1;        ///< balancer RNG seed (prisms only)
 };
 
 struct ReplayResult {

@@ -39,7 +39,6 @@ psim::MachineResult run_schedule(const topo::Network& net, const SearchOptions& 
   psim::MachineParams params;
   params.script = &script;
   params.hop_cycles = options.hop_cycles;
-  params.seed = options.seed;
   params.record_hops = record_hops;
   return psim::run_workload(net, params);
 }

@@ -68,7 +68,6 @@ struct SearchOptions {
   psim::Cycle stall_cycles = 1u << 20;  ///< length of each placed stall
   std::uint64_t budget = 10000;    ///< max schedule evaluations
   std::uint32_t hop_cycles = 4;    ///< psim inter-node cost
-  std::uint64_t seed = 1;
 };
 
 struct SearchResult {

@@ -9,10 +9,6 @@
 #include <cerrno>
 #include <cstring>
 
-#ifndef MFD_HUGETLB
-#define MFD_HUGETLB 0x0004U
-#endif
-
 namespace cnet::shm {
 namespace {
 
@@ -81,7 +77,7 @@ Workspace::Header* Workspace::header() const { return static_cast<Header*>(base_
 std::byte* Workspace::data() const { return static_cast<std::byte*>(base_) + kDataOffset; }
 
 bool Workspace::create(std::string_view name, std::uint64_t data_footprint, Workspace* out,
-                       std::string* error, const CreateOptions& options) {
+                       std::string* error) {
   static_assert(sizeof(Header) <= kDataOffset,
                 "workspace header must fit in the reserved header pages");
   if (!valid_name(name)) {
@@ -91,22 +87,9 @@ bool Workspace::create(std::string_view name, std::uint64_t data_footprint, Work
   }
   if (data_footprint == 0) return fail(error, "data footprint must be > 0");
 
-  int fd = -1;
-  if (!options.backing_path.empty()) {
-    fd = ::open(options.backing_path.c_str(), O_RDWR | O_CREAT | O_EXCL | O_CLOEXEC, 0600);
-    if (fd < 0) {
-      return fail(error, "open('" + options.backing_path + "'): " + std::strerror(errno));
-    }
-  } else {
-    const std::string memfd_name = "cnet_ws_" + std::string(name);
-    if (options.try_hugepages) {
-      fd = ::memfd_create(memfd_name.c_str(), MFD_CLOEXEC | MFD_HUGETLB);
-      // Empty hugepage pool (or no MFD_HUGETLB support): fall back to
-      // normal pages rather than failing the deployment.
-    }
-    if (fd < 0) fd = ::memfd_create(memfd_name.c_str(), MFD_CLOEXEC);
-    if (fd < 0) return fail(error, std::string("memfd_create: ") + std::strerror(errno));
-  }
+  const std::string memfd_name = "cnet_ws_" + std::string(name);
+  const int fd = ::memfd_create(memfd_name.c_str(), MFD_CLOEXEC);
+  if (fd < 0) return fail(error, std::string("memfd_create: ") + std::strerror(errno));
 
   const std::uint64_t total = kDataOffset + data_footprint;
   if (::ftruncate(fd, static_cast<off_t>(total)) != 0) {
@@ -187,14 +170,6 @@ bool Workspace::attach(int fd, Workspace* out, std::string* error) {
   return true;
 }
 
-bool Workspace::attach_path(const std::string& path, Workspace* out, std::string* error) {
-  const int fd = ::open(path.c_str(), O_RDWR | O_CLOEXEC);
-  if (fd < 0) return fail(error, "open('" + path + "'): " + std::strerror(errno));
-  const bool ok = attach(fd, out, error);
-  ::close(fd);  // attach() dup'd its own handle
-  return ok;
-}
-
 const char* Workspace::name() const { return valid() ? header()->name : ""; }
 std::uint64_t Workspace::data_footprint() const { return valid() ? header()->data_footprint : 0; }
 std::uint64_t Workspace::used() const { return valid() ? header()->used : 0; }
@@ -267,11 +242,5 @@ void* Workspace::find(std::string_view obj_name, std::uint64_t* footprint) const
   }
   return nullptr;
 }
-
-std::uint64_t Workspace::offset_of(const void* p) const {
-  return static_cast<std::uint64_t>(static_cast<const std::byte*>(p) - data());
-}
-
-void* Workspace::at(std::uint64_t offset) const { return data() + offset; }
 
 }  // namespace cnet::shm

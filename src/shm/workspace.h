@@ -1,7 +1,7 @@
 // Named shared-memory workspaces: the relocatable home for counter state.
 //
-// A Workspace is one file-backed (memfd by default, tmpfs/hugetlbfs path
-// optional) shared mapping with a self-describing header at offset 0:
+// A Workspace is one memfd-backed shared mapping with a self-describing
+// header at offset 0:
 //
 //   [ magic | version | name | data footprint | bump cursor | layout table ]
 //   [ ......................... data region ........................... ]
@@ -9,8 +9,8 @@
 // Objects are carved out of the data region by a bump allocator that
 // enforces align/footprint discipline (power-of-two alignment, bounded
 // table, no duplicate names) and records every placement in the layout
-// table. Handles are *offsets*, never pointers: a process that crashed and
-// restarted re-attaches the same fd (or path), validates magic/version, and
+// table. Objects are found by name, never by pointer: a process that crashed
+// and restarted re-attaches the same fd, validates magic/version, and
 // resolves each object by name to wherever its own mmap landed — the state
 // itself never moves, only the view of it. This is the firedancer workspace
 // idiom (fd_wksp) scaled down to what the counter deployment needs.
@@ -55,18 +55,6 @@ constexpr std::uint64_t align_up(std::uint64_t cursor, std::uint64_t align) {
   return (cursor + align - 1) & ~(align - 1);
 }
 
-/// How Workspace::create backs the segment.
-struct CreateOptions {
-  /// Non-empty: create (O_EXCL) a regular file at this path — put it on a
-  /// tmpfs/hugetlbfs mount for page-size control. Empty: anonymous memfd,
-  /// which lives exactly as long as processes hold the fd (no cleanup cruft
-  /// after a crash) and is inherited across fork().
-  std::string backing_path;
-  /// Ask the kernel for hugepage backing (MFD_HUGETLB); falls back to
-  /// normal pages when the pool is empty. memfd backing only.
-  bool try_hugepages = false;
-};
-
 /// One entry in the header's layout table.
 struct LayoutEntry {
   char name[48];            ///< NUL-terminated object name
@@ -87,18 +75,17 @@ class Workspace {
   Workspace(const Workspace&) = delete;
   Workspace& operator=(const Workspace&) = delete;
 
-  /// Creates a fresh workspace with `data_footprint` bytes of object space.
-  /// On failure returns false and stores a diagnostic in `*error`.
+  /// Creates a fresh workspace with `data_footprint` bytes of object space
+  /// in an anonymous memfd, which lives exactly as long as processes hold
+  /// the fd (no cleanup cruft after a crash) and is inherited across
+  /// fork(). On failure returns false and stores a diagnostic in `*error`.
   static bool create(std::string_view name, std::uint64_t data_footprint, Workspace* out,
-                     std::string* error, const CreateOptions& options = {});
+                     std::string* error);
 
   /// Maps an existing workspace from its fd (dup'd; the caller keeps
   /// ownership of `fd`). Validates magic, version, and size before
   /// accepting — a truncated or foreign file is rejected, not mapped.
   static bool attach(int fd, Workspace* out, std::string* error);
-
-  /// Opens and attaches a file-backed workspace by path.
-  static bool attach_path(const std::string& path, Workspace* out, std::string* error);
 
   bool valid() const { return base_ != nullptr; }
   /// The workspace's fd — pass across fork() (or SCM_RIGHTS) so a restarted
@@ -123,12 +110,6 @@ class Workspace {
   /// mapping (and its footprint through `footprint` when non-null), or null
   /// if no such name.
   void* find(std::string_view obj_name, std::uint64_t* footprint = nullptr) const;
-
-  /// Offset of `p` from the data region base (for storing cross-process
-  /// references inside workspace objects).
-  std::uint64_t offset_of(const void* p) const;
-  /// Inverse of offset_of in this process's mapping.
-  void* at(std::uint64_t offset) const;
 
  private:
   struct Header;

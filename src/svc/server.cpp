@@ -612,6 +612,9 @@ bool Server::start(std::string* error) {
     return fail("svc::Server serves live backends only (rt, mp); '" +
                 backend_.spec().to_string() + "' executes in virtual time");
   }
+  if (!backend_.spec().ws.empty()) {
+    return fail("spec '" + backend_.spec().to_string() + "': " + run::kDeployOnlyKeys);
+  }
   const std::uint32_t n_loops = options_.loops;
   if (n_loops == 0) {
     return fail("ServerOptions::loops must be >= 1 — zero event loops cannot serve"

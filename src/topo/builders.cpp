@@ -303,25 +303,10 @@ Network make_padded(const Network& base, std::uint32_t prefix_len) {
     chain_end[i] = cur;
   }
 
-  // Clone the base graph. Base node n maps to clone node map[n].
-  std::vector<NodeId> map(base.node_count());
-  for (NodeId n = 0; n < base.node_count(); ++n)
-    map[n] = b.add_node(base.node(n).fan_in, base.node(n).fan_out);
-  for (NodeId n = 0; n < base.node_count(); ++n) {
-    const Node& node = base.node(n);
-    for (std::uint32_t p = 0; p < node.fan_in; ++p) {
-      const InLink& src = node.in[p];
-      if (src.node == kNoNode) {
-        link(b, chain_end[src.port], map[n], p);
-      } else {
-        b.connect(map[src.node], src.port, map[n], p);
-      }
-    }
-  }
-  for (std::uint32_t i = 0; i < base.output_width(); ++i) {
-    const InLink& src = base.outputs()[i];
-    b.attach_output(map[src.node], src.port, i);
-  }
+  // The base graph follows, fed by the chain ends.
+  std::vector<Wire> base_out;
+  clone_network(b, base, chain_end, base_out);
+  attach_all_outputs(b, base_out);
   b.set_issuer_order(base.issuer_order());
   b.set_name("Padded[" + std::to_string(prefix_len) + "]+" + base.name());
   return b.build();

@@ -32,10 +32,6 @@ TEST(DeployValidate, RejectsCrossProcessHostileSpecs) {
   std::string error;
   // Only rt runs on caller threads against shared atomics.
   EXPECT_FALSE(validate_deploy_spec(spec_of("mp:bitonic:8"), 2, 2, &error));
-  // MCS queue nodes live on acquirers' stacks — process-private memory a
-  // peer would chase after a SIGKILL.
-  EXPECT_FALSE(validate_deploy_spec(spec_of("rt:bitonic:8?mcs&threads=16"), 2, 2, &error));
-  EXPECT_NE(error.find("mcs"), std::string::npos) << error;
   // Tiles keep no obs sink, so a metrics or degrade knob would be dropped.
   EXPECT_FALSE(validate_deploy_spec(spec_of("rt:bitonic:8?threads=16&metrics"), 2, 2, &error));
   EXPECT_NE(error.find("metrics"), std::string::npos) << error;

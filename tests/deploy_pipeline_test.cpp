@@ -7,10 +7,13 @@
 #include "deploy/counter_deploy.h"
 
 #include <gtest/gtest.h>
+#include <sys/prctl.h>
 
 #include <cmath>
 #include <string>
+#include <thread>
 
+#include "deploy/deploy_internal.h"
 #include "lin/checker.h"
 #include "run/backend_spec.h"
 
@@ -81,6 +84,19 @@ TEST(DeployPipeline, RejectsHostileOptionsBeforeForking) {
           << "pipeline=" << pipeline << " batch=" << batch << ": " << report.error;
     }
   }
+}
+
+// A tile's idle and credit waits are 50 us sleeps; under the default 50 us
+// timer slack they overran, and the pipeline's p99 went bimodal. The slack
+// is per thread, so the probe runs on a thread of its own.
+TEST(DeployPipeline, TilesSleepWithOneNanosecondTimerSlack) {
+  long slack = 0;
+  std::thread([&] {
+    detail::TileEnv env;
+    EXPECT_EQ(detail::open_tile(-1, &env), 10);  // no workspace behind fd -1
+    slack = ::prctl(PR_GET_TIMERSLACK, 0, 0, 0, 0);
+  }).join();
+  EXPECT_EQ(slack, 1);
 }
 
 #ifdef CNET_UNDER_SANITIZER

@@ -208,7 +208,7 @@ TEST(TraceRing, ChromeJsonShape) {
   ring.enable(8);
   ring.record(0, TraceEvent{2000, 500, 7, 3, TracePhase::kHop});
   ring.record(1, TraceEvent{4000, 1000, 8, 1, TracePhase::kOp});
-  const std::string json = ring.dump_chrome_json();  // default: ns -> us
+  const std::string json = ring.dump_chrome_json();  // ns -> us
   EXPECT_NE(json.find("\"displayTimeUnit\""), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"balancer 3\""), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"op 1\""), std::string::npos);

@@ -122,19 +122,6 @@ TEST(ObsRtIntegration, BatchedTokensAreCountedIndividually) {
   EXPECT_EQ(metrics.balancer_visits.values(), twin_metrics.balancer_visits.values());
 }
 
-TEST(ObsRtIntegration, McsAcquiresCountBalancerEntries) {
-  const topo::Network net = topo::make_bitonic(4);
-  obs::CounterMetrics metrics;
-  CounterOptions options;
-  options.mode = BalancerMode::kMcsLocked;
-  options.metrics = &metrics;
-  NetworkCounter counter(net, options);
-
-  constexpr std::uint64_t kOps = 200;
-  for (std::uint64_t i = 0; i < kOps; ++i) counter.next(0);
-  EXPECT_EQ(visits_total(metrics), kOps * net.depth());
-}
-
 TEST(ObsRtIntegration, PassThroughPaddingIsNotBalancerWork) {
   // Cor 3.12 padding prefixes every input with pass-through chains; they are
   // wire delay, not balancers, and must not show up as visits.
@@ -163,7 +150,6 @@ TEST(ObsRtIntegration, SinkKeepsFinalCountsAfterTheCounterIsGone) {
   const topo::Network net = topo::make_bitonic(4);
   obs::CounterMetrics metrics;
   CounterOptions options;
-  options.mode = BalancerMode::kMcsLocked;
   options.metrics = &metrics;
   constexpr std::uint64_t kOps = 200;
   {

@@ -1,6 +1,6 @@
 // rt::NetworkCounter: cross-checked against the sequential reference
-// (topo::SequentialRouter) — token-for-token equal values single-threaded,
-// where MCS balancers route like toggles; the hook fires once per balancer,
+// (topo::SequentialRouter) — token-for-token equal values single-threaded;
+// the hook fires once per balancer,
 // pass-through padding compiled away; counting correctness and the step
 // property under multi-thread stress; batch == repeated single tokens, on
 // fan-outs 2 and 3 and from varying inputs; arena placement and attach; and
@@ -26,24 +26,15 @@ namespace {
 struct TopologyCase {
   const char* name;
   topo::Network (*make)();
-  CounterOptions options;
 };
-
-CounterOptions mcs_options() {
-  CounterOptions options;
-  options.mode = BalancerMode::kMcsLocked;
-  return options;
-}
 
 std::vector<TopologyCase> cases() {
   return {
-      {"bitonic16", [] { return topo::make_bitonic(16); }, CounterOptions{}},
-      {"bitonic8_mcs", [] { return topo::make_bitonic(8); }, mcs_options()},
-      {"periodic8", [] { return topo::make_periodic(8); }, CounterOptions{}},
-      {"tree16", [] { return topo::make_counting_tree(16); }, CounterOptions{}},
-      {"padded_bitonic8", [] { return topo::make_padded(topo::make_bitonic(8), 6); },
-       CounterOptions{}},
-      {"kary3_tree9", [] { return topo::make_kary_tree(3, 2); }, CounterOptions{}},
+      {"bitonic16", [] { return topo::make_bitonic(16); }},
+      {"periodic8", [] { return topo::make_periodic(8); }},
+      {"tree16", [] { return topo::make_counting_tree(16); }},
+      {"padded_bitonic8", [] { return topo::make_padded(topo::make_bitonic(8), 6); }},
+      {"kary3_tree9", [] { return topo::make_kary_tree(3, 2); }},
   };
 }
 
@@ -51,7 +42,7 @@ TEST(NetworkCounterCrossCheck, SingleThreadTokenForToken) {
   for (const TopologyCase& tc : cases()) {
     SCOPED_TRACE(tc.name);
     const topo::Network net = tc.make();
-    NetworkCounter plan(net, tc.options);
+    NetworkCounter plan(net);
     topo::SequentialRouter reference(net);
     for (std::uint32_t i = 0; i < 512; ++i) {
       const std::uint32_t input = (i * 7) % net.input_width();
@@ -73,7 +64,7 @@ TEST(NetworkCounterCrossCheck, HookedWalkVisitsEveryNode) {
     SCOPED_TRACE(tc.name);
     const topo::Network net = tc.make();
     ASSERT_TRUE(net.is_uniform());
-    NetworkCounter plan(net, tc.options);
+    NetworkCounter plan(net);
     topo::SequentialRouter reference(net);
     const std::uint32_t balancers = std::string(tc.name) == "padded_bitonic8"
                                         ? topo::make_bitonic(8).depth()
@@ -92,8 +83,8 @@ TEST(NetworkCounterCrossCheck, HookedWalkVisitsEveryNode) {
 TEST(NetworkCounter, BatchMatchesSingleTokensSingleThreaded) {
   for (const TopologyCase& tc : cases()) {
     SCOPED_TRACE(tc.name);
-    NetworkCounter batched(tc.make(), tc.options);
-    NetworkCounter singles(tc.make(), tc.options);
+    NetworkCounter batched(tc.make());
+    NetworkCounter singles(tc.make());
     const std::uint32_t width = batched.network().input_width();
     std::vector<std::uint64_t> from_batches;
     std::vector<std::uint64_t> from_singles;
@@ -150,7 +141,7 @@ TEST(NetworkCounter, ConcurrentMixedBatchesFormRangeWithStepProperty) {
   const unsigned n_threads = std::min(8u, std::max(2u, std::thread::hardware_concurrency()));
   for (const TopologyCase& tc : cases()) {
     SCOPED_TRACE(tc.name);
-    NetworkCounter counter(tc.make(), tc.options);
+    NetworkCounter counter(tc.make());
     const auto values = hammer(counter, n_threads, 6000, 17);
     expect_range_and_step(values, counter.network().output_width());
     EXPECT_EQ(counter.issued(), values.size());
@@ -166,8 +157,6 @@ TEST(NetworkCounter, HomogeneousProfileDetection) {
   // A counting tree is fan-out-2 toggles too; a 3-ary tree is not.
   EXPECT_TRUE(NetworkCounter(topo::make_counting_tree(8)).homogeneous_toggle_fan2());
   EXPECT_FALSE(NetworkCounter(topo::make_kary_tree(3, 2)).homogeneous_toggle_fan2());
-  EXPECT_FALSE(
-      NetworkCounter(topo::make_bitonic(8), mcs_options()).homogeneous_toggle_fan2());
 }
 
 // --- arena placement (PlanArena) -----------------------------------------
@@ -184,11 +173,10 @@ struct AlignedArena {
 TEST(PlanArena, ArenaPlacementMatchesHeapTokenForToken) {
   for (const TopologyCase& tc : cases()) {
     SCOPED_TRACE(tc.name);
-    const std::size_t footprint = NetworkCounter::state_footprint(tc.make(), tc.options);
+    const std::size_t footprint = NetworkCounter::state_footprint(tc.make());
     AlignedArena arena(footprint);
-    NetworkCounter heap_plan(tc.make(), tc.options);
-    NetworkCounter arena_plan(tc.make(), tc.options,
-                              PlanArena{arena.base, arena.size, /*attach=*/false});
+    NetworkCounter heap_plan(tc.make());
+    NetworkCounter arena_plan(tc.make(), {}, PlanArena{arena.base, arena.size, /*attach=*/false});
     // The default path must be byte-identical in behaviour: the same token
     // sequence routes identically whether state is heap- or arena-resident.
     for (std::uint64_t i = 0; i < 500; ++i) {
@@ -236,7 +224,7 @@ TEST(PlanArenaDeath, UndersizedArenaIsRefused) {
 TEST(PlanArenaDeath, AttachedCounterRefusesThreadIdBeyondMax) {
   CounterOptions options;
   options.max_threads = 4;
-  const std::size_t footprint = NetworkCounter::state_footprint(topo::make_bitonic(8), options);
+  const std::size_t footprint = NetworkCounter::state_footprint(topo::make_bitonic(8));
   AlignedArena arena(footprint);
   NetworkCounter first(topo::make_bitonic(8), options, PlanArena{arena.base, arena.size, false});
   NetworkCounter attached(topo::make_bitonic(8), options,
@@ -291,14 +279,9 @@ class CounterConfigs : public ::testing::TestWithParam<int> {};
 
 TEST_P(CounterConfigs, ConcurrentValuesFormRange) {
   const int config = GetParam();
-  CounterOptions options;
   topo::Network net = topo::make_bitonic(16);
   switch (config) {
     case 0:
-      options.mode = BalancerMode::kFetchAdd;
-      break;
-    case 1:
-      options.mode = BalancerMode::kMcsLocked;
       break;
     case 2:
       net = topo::make_periodic(8);
@@ -315,14 +298,19 @@ TEST_P(CounterConfigs, ConcurrentValuesFormRange) {
     default:
       FAIL();
   }
-  NetworkCounter counter(std::move(net), options);
+  NetworkCounter counter(std::move(net));
   const unsigned n_threads = std::min(8u, std::max(2u, std::thread::hardware_concurrency()));
   const auto values = hammer(counter, n_threads, 10000);
   expect_range(values);
   EXPECT_EQ(counter.issued(), values.size());
 }
 
-INSTANTIATE_TEST_SUITE_P(Configs, CounterConfigs, ::testing::Range(0, 6));
+// Named by config number: config 1 (MCS-locked balancers) went with rt's MCS
+// balancer kind, and the other configs keep their names.
+INSTANTIATE_TEST_SUITE_P(Configs, CounterConfigs, ::testing::Values(0, 2, 3, 4, 5),
+                         [](const ::testing::TestParamInfo<int>& config) {
+                           return std::to_string(config.param);
+                         });
 
 TEST(NetworkCounter, TreeSingleInputConvenience) {
   NetworkCounter counter(topo::make_counting_tree(8));

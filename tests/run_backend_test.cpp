@@ -45,7 +45,7 @@ TEST(RunBackend, RtCountsSequentially) {
 }
 
 TEST(RunBackend, RtBatchAndDelayedMatchPlainCounting) {
-  auto backend = backend_ok("rt:bitonic:8?mcs");
+  auto backend = backend_ok("rt:bitonic:8");
   std::vector<std::uint64_t> values(10);
   backend->count_batch(0, values);
   for (int i = 0; i < 6; ++i) values.push_back(backend->count_delayed(0, 100));

@@ -51,17 +51,16 @@ TEST(RunSpec, ParsesTheIssueExamples) {
 }
 
 TEST(RunSpec, BareFlagsAndOnOffValues) {
-  EXPECT_TRUE(parse_ok("rt:bitonic:8?mcs").mcs);
-  EXPECT_TRUE(parse_ok("rt:bitonic:8?mcs=on").mcs);
-  EXPECT_FALSE(parse_ok("rt:bitonic:8?mcs=off").mcs);
-  EXPECT_TRUE(parse_ok("psim:tree:8?diffraction").diffraction);
   EXPECT_TRUE(parse_ok("rt:bitonic:8?metrics").metrics);
+  EXPECT_TRUE(parse_ok("rt:bitonic:8?metrics=on").metrics);
+  EXPECT_FALSE(parse_ok("rt:bitonic:8?metrics=off").metrics);
+  EXPECT_TRUE(parse_ok("psim:tree:8?diffraction").diffraction);
 }
 
 TEST(RunSpec, DefaultsMatchDefaultStruct) {
   const BackendSpec parsed = parse_ok("rt:bitonic:32");
   const BackendSpec defaults{};
-  EXPECT_EQ(parsed.mcs, defaults.mcs);
+  EXPECT_EQ(parsed.degrade, defaults.degrade);
   EXPECT_EQ(parsed.prism_width, defaults.prism_width);
   EXPECT_EQ(parsed.max_threads, defaults.max_threads);
   EXPECT_EQ(parsed.pad_ratio, defaults.pad_ratio);
@@ -118,10 +117,12 @@ TEST(RunSpec, UnknownOptionsNameTheFamilyCatalogue) {
             std::string::npos);
   EXPECT_NE(parse_fail("sim:bitonic:8?actors=2").find("unknown sim option"), std::string::npos);
   EXPECT_NE(parse_fail("mp:bitonic:8?c1=2").find("unknown mp option"), std::string::npos);
+  // mp names its worker count one way: `workers=` was an alias of `actors=`.
+  EXPECT_NE(parse_fail("mp:bitonic:8?workers=2").find("unknown mp option"), std::string::npos);
 }
 
 TEST(RunSpec, IllTypedOptionValues) {
-  EXPECT_NE(parse_fail("rt:bitonic:8?mcs=maybe").find("on|off"), std::string::npos);
+  EXPECT_NE(parse_fail("rt:bitonic:8?metrics=maybe").find("on|off"), std::string::npos);
   EXPECT_NE(parse_fail("psim:bitonic:8?prism=lots").find("slot count"), std::string::npos);
   EXPECT_NE(parse_fail("rt:bitonic:8?threads=0").find(">= 1"), std::string::npos);
   EXPECT_NE(parse_fail("psim:bitonic:8?procs=0").find(">= 1"), std::string::npos);
@@ -132,7 +133,7 @@ TEST(RunSpec, IllTypedOptionValues) {
   EXPECT_NE(parse_fail("mp:bitonic:8?actors=0").find(">= 1"), std::string::npos);
   // Each mp worker is an OS thread; parsing builds no service, so no worker.
   EXPECT_EQ(parse_ok("mp:tree:8?actors=1024").actors, kMaxOsThreads);
-  for (const char* spec : {"mp:tree:8?actors=1025", "mp:tree:8?workers=4294967295"}) {
+  for (const char* spec : {"mp:tree:8?actors=1025", "mp:tree:8?actors=4294967295"}) {
     EXPECT_NE(parse_fail(spec).find("capped at 1024 OS threads"), std::string::npos) << spec;
   }
   EXPECT_NE(parse_fail("mp:bitonic:8?pad=999").find("pad"), std::string::npos);
@@ -171,6 +172,46 @@ TEST(RunSpec, RtRefusesPrismOptions) {
         << error;
     EXPECT_NE(error.find("psim:tree:W?diffraction=on"), std::string::npos) << error;
   }
+}
+
+// rt keeps one balancer kind: `mcs` is an error with every value, and names
+// why and where the paper's MCS-locked network runs.
+TEST(RunSpec, RtRefusesMcs) {
+  for (const char* text : {"rt:bitonic:8?mcs", "rt:bitonic:32?mcs=on", "rt:tree:8?mcs=off",
+                           "rt:bitonic:8?threads=8&mcs&metrics"}) {
+    const std::string error = parse_fail(text);
+    EXPECT_NE(error.find("option 'mcs' does not apply to rt: on real threads MCS-locked "
+                         "balancers were never faster than the fetch-add toggles"),
+              std::string::npos)
+        << error;
+    EXPECT_NE(error.find("psim:bitonic:W"), std::string::npos) << error;
+  }
+}
+
+// psim builds prisms only with diffraction=on, so a slot count without it
+// sizes nothing: refused in either key order, and with diffraction=off.
+TEST(RunSpec, PsimRefusesPrismWithoutDiffraction) {
+  for (const char* text : {"psim:bitonic:8?prism=4", "psim:tree:8?prism=4",
+                           "psim:tree:8?prism=0&procs=4", "psim:tree:8?diffraction=off&prism=2",
+                           "psim:tree:8?prism=2&diffraction=off"}) {
+    const std::string error = parse_fail(text);
+    EXPECT_NE(error.find("option 'prism' requires diffraction=on"), std::string::npos) << error;
+  }
+  EXPECT_EQ(parse_ok("psim:tree:8?prism=2&diffraction").prism_width, 2u);
+  EXPECT_EQ(parse_ok("psim:tree:8?diffraction=on&prism=2").prism_width, 2u);
+}
+
+// FixedDelay reads only c1, so c2 under model=fixed bounds nothing: refused
+// in either key order. c1 still sets the fixed link time.
+TEST(RunSpec, SimRefusesC2UnderFixedModel) {
+  for (const char* text : {"sim:tree:8?model=fixed&c2=9", "sim:tree:8?c2=9&model=fixed",
+                           "sim:bitonic:8?c1=2&model=fixed&c2=2"}) {
+    const std::string error = parse_fail(text);
+    EXPECT_NE(error.find("option 'c2' does not apply to model=fixed"), std::string::npos)
+        << error;
+  }
+  EXPECT_DOUBLE_EQ(parse_ok("sim:tree:8?c1=9&model=fixed").c1, 9.0);
+  EXPECT_DOUBLE_EQ(parse_ok("sim:tree:8?model=uniform&c2=9").c2, 9.0);
 }
 
 // psim's toggles are always MCS-locked, so `mcs` selected nothing there: it
@@ -212,7 +253,7 @@ void expect_round_trip(const std::string& text) {
 
 TEST(RunSpec, RoundTripsCanonicalise) {
   for (const char* text : {
-           "rt:bitonic:32", "rt:bitonic:32?threads=8&mcs", "psim:tree:16?diffraction&prism=4",
+           "rt:bitonic:32", "rt:bitonic:32?threads=8&metrics", "psim:tree:16?diffraction&prism=4",
            "mp:periodic:8?actors=3&pad=3&metrics", "psim:bitonic:32?procs=16&hop=2",
            "psim:tree:64?diffraction=on&prism=8&metrics=on", "psim:balancer:1",
            "sim:bitonic:8?model=fixed&c1=2", "sim:periodic:16?c1=1.5&c2=4.5",
@@ -227,11 +268,11 @@ TEST(RunSpec, RoundTripsCanonicalise) {
 
 TEST(RunSpec, RtOptionCrossProduct) {
   for (const char* structure : {"bitonic", "tree"}) {
-    for (const char* mcs : {"", "mcs"}) {
+    for (const char* fault : {"", "fault=stall:0.5:100"}) {
       for (const char* threads : {"", "threads=16"}) {
         for (const char* metrics : {"", "metrics"}) {
           std::string options;
-          for (const char* opt : {mcs, threads, metrics}) {
+          for (const char* opt : {fault, threads, metrics}) {
             if (*opt == '\0') continue;
             options += options.empty() ? "?" : "&";
             options += opt;
@@ -256,6 +297,9 @@ TEST(RunSpec, PsimOptionCrossProduct) {
               options += opt;
             }
             const bool diffracting = std::string(mode) == "diffraction";
+            // A slot count without diffraction sizes nothing, and is
+            // refused (PsimRefusesPrismWithoutDiffraction).
+            if (*prism != '\0' && !diffracting) continue;
             const std::string text =
                 std::string("psim:") + (diffracting ? "tree" : "bitonic") + ":16" + options;
             expect_round_trip(text);
@@ -271,6 +315,9 @@ TEST(RunSpec, SimOptionCrossProduct) {
     for (const char* c1 : {"", "c1=2"}) {
       for (const char* c2 : {"", "c2=6"}) {
         for (const char* pad : {"", "pad=4"}) {
+          // c2 under model=fixed bounds nothing, and is refused
+          // (SimRefusesC2UnderFixedModel).
+          if (*c2 != '\0' && std::string(model) == "model=fixed") continue;
           std::string options;
           for (const char* opt : {model, c1, c2, pad}) {
             if (*opt == '\0') continue;
@@ -285,7 +332,7 @@ TEST(RunSpec, SimOptionCrossProduct) {
 }
 
 TEST(RunSpec, MpOptionCrossProduct) {
-  for (const char* actors : {"", "actors=1", "actors=8", "workers=3"}) {
+  for (const char* actors : {"", "actors=1", "actors=8", "actors=3"}) {
     for (const char* pad : {"", "pad=3"}) {
       for (const char* metrics : {"", "metrics"}) {
         std::string options;

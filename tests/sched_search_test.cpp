@@ -30,7 +30,6 @@ std::uint64_t magnitude(const topo::Network& net, const SearchOptions& options,
   psim::MachineParams params;
   params.script = &script;
   params.hop_cycles = options.hop_cycles;
-  params.seed = options.seed;
   return psim::run_workload(net, params).analysis.worst_inversion;
 }
 

@@ -398,6 +398,15 @@ TEST(SvcServer, MultiLoopTimingShedLatchIsGlobal) {
   EXPECT_EQ(s.server->stats().responses_shed, 8u);
 }
 
+// ws= shapes a deployment, which only `cnet_cli deploy` places: start()
+// refuses it before it binds a listener or spawns a loop.
+TEST(SvcServer, RejectsDeploySpecsBeforeAnyLoop) {
+  ServerUnderTest s("rt:bitonic:8?ws=x");
+  EXPECT_FALSE(s.started);
+  EXPECT_NE(s.start_error.find("cnet_cli deploy"), std::string::npos) << s.start_error;
+  EXPECT_EQ(s.server->loops(), 0u);
+}
+
 TEST(SvcServer, RejectsZeroLoops) {
   ServerOptions options;
   options.loops = 0;

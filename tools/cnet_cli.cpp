@@ -2,7 +2,7 @@
 // networks without writing code.
 //
 // Every network on the command line is named by a BackendSpec string —
-// `<family>:<structure>:<width>[?opt[&opt]...]`, e.g. `rt:bitonic:32?mcs`
+// `<family>:<structure>:<width>[?opt[&opt]...]`, e.g. `rt:bitonic:32?metrics`
 // or `psim:tree:64?procs=128` (grammar in docs/HARNESS.md) — so a bad
 // width or option is a usage error, never an abort inside topo::builders.
 // info, dot and verify only need the topology and take a spec of any family.
@@ -57,7 +57,9 @@
 //   cnet_cli deploy <spec> [--tiles N] [--threads N] [--ops N] [--batch N]
 //                   [--max-restarts N] [--timeout S] [--pipeline]
 //       multi-process deployment (docs/DEPLOY.md): the spec's `ws=` names a
-//       shared-memory workspace holding the compiled rt plan, worker-tile
+//       shared-memory workspace holding the compiled rt plan (the one
+//       command that places one: run, count, stats, record and serve
+//       refuse ws=, tiles= and pipeline=), worker-tile
 //       processes count through it, and a `fault=die:n` clause is realized
 //       as a real SIGKILL of a tile every n completed operations followed
 //       by a supervisor restart against the persistent workspace; prints
@@ -127,7 +129,7 @@ int usage() {
       "                    [--max-restarts N] [--timeout S] [--pipeline]\n"
       "spec grammar: <family>:<structure>:<width>[?opt[&opt]...]  (docs/HARNESS.md)\n"
       "  families: sim, psim, rt, mp   structures: bitonic, periodic, tree, balancer\n"
-      "  e.g. rt:bitonic:32?mcs   psim:tree:64?procs=128\n");
+      "  e.g. rt:bitonic:32?metrics   psim:tree:64?procs=128\n");
   return 2;
 }
 
